@@ -5,7 +5,7 @@ determinantal (matrix-model) expansion in scaled time variables.
 """
 
 from .epslaurent import EpsLaurent
-from .zseries import LogSeries, WindowError, ZSeries
+from .zseries import WindowError, ZSeries
 from .multiseries import MultiSeries
 from .waves import (
     RMatrix,
@@ -50,7 +50,7 @@ from .selftest import CheckResult, run_selftest
 __version__ = "1.0.0"
 
 __all__ = [
-    "EpsLaurent", "ZSeries", "LogSeries", "WindowError", "MultiSeries",
+    "EpsLaurent", "ZSeries", "WindowError", "MultiSeries",
     "WaveExpansion", "RMatrix", "solve_formal_wave", "wave_shift",
     "wave_residual", "stirling_g_oracle", "normalized_quartet", "r_matrix",
     "s1_series", "InvariantRecord", "one_point_invariant", "n_point_invariant",

@@ -1,23 +1,40 @@
 """Stationary descendent invariants from the connected correlation series.
 
-The one-point series comes from the derivative pairing of the wave quartet;
-n-point values come from cyclic products of the two-variable kernel divided by
-the variable differences, expanded in the nested region |z_1| > ... > |z_n|,
-with the relevant coefficient extracted exactly.
+The one-point series comes from the derivative pairing of the wave quartet.
+An n-point value is the coefficient of prod_v z_v^(c_v), c_v = -k_v - 2, in
+the sum over cycles 0 -> s_1 -> ... -> s_(n-1) -> 0 of the products of the
+edge factors K(z_u, z_v)/(z_u - z_v), each difference expanded in the nested
+region |z_1| > ... > |z_n|.  It is computed as a finite sum of traces of
+kernel matrices.  The kernel coefficients are
+
+    K[i, j] = A_i B_j - Atilde_i Btilde_j    for i, j <= 0 (zero otherwise),
+
+and the edge factor sum_{a,b} G(a, b) z_u^a z_v^b has
+
+    u < v:  G(a, b) =  sum_{m=max(0,b)}^{-a-1} K[a+1+m, b-m],
+    u > v:  G(a, b) = -sum_{m=max(0,a)}^{-b-1} K[a-m, b+1+m].
+
+With x_v the exponent of z_v in the edge leaving v, a cycle contributes the
+trace of the product of the matrices M[x_u, x_v] = G(x_u, c_v - x_v).  The
+sum is finite: G vanishes unless a + b <= -1 and the n edge totals a + b add
+up to sum(c), so each edge total lies in [sum(c) + n - 1, -1]; x_0 lies in
+[c_0 + 1, -1] because a <= -1 on the edge leaving 0 and b <= -1 on the edge
+entering it.  Every kernel read then has both indices >= sum(c) + n, i.e.
+the quartet must be exact down to z^(n - sum(k+2)); a read below the
+quartet's window raises WindowError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import factorial
 
 from .epslaurent import EpsLaurent
-from .multiseries import NEG_INF, MultiSeries
 from .waves import normalized_quartet, s1_series
-from .zseries import WindowError, ZSeries
+from .zseries import WindowError
 
 
 @dataclass(frozen=True)
@@ -55,90 +72,46 @@ def one_point_invariant(k: int) -> InvariantRecord:
     return InvariantRecord((k,), value, order, True)
 
 
-def _kernel_factor(i: int, j: int, n: int, order: int) -> MultiSeries:
-    """K(z_i, z_j) = A(z_i)B(z_j) - Atilde(z_i)Btilde(z_j) as an n-variable series."""
+def _cycle_sum(ks: tuple[int, ...], order: int) -> EpsLaurent:
+    """Sum over the cycles through all insertions of the kernel-matrix traces."""
     a, at, b, bt = normalized_quartet(order)
-    lo = [NEG_INF] * n
-    lo[i] = lo[j] = -order
-    coeffs: dict[tuple, EpsLaurent] = {}
-    for di, vi in a.c.items():
-        for dj, vj in b.c.items():
-            t = [0] * n
-            t[i], t[j] = di, dj
-            coeffs[tuple(t)] = vi * vj
-    for di, vi in at.c.items():
-        for dj, vj in bt.c.items():
-            t = [0] * n
-            t[i], t[j] = di, dj
-            key = tuple(t)
-            s = coeffs.get(key, EpsLaurent.zero()) - vi * vj
-            if s:
-                coeffs[key] = s
-            else:
-                coeffs.pop(key, None)
-    return MultiSeries(n, coeffs, lo, hi=(0,) * n, hi_tot=0)
-
-
-def _cycle_coefficient(ks: tuple[int, ...], order: int) -> EpsLaurent:
-    """Sum over cycles through all variables of the kernel/difference product,
-    evaluated at the coefficient of prod_j z_j^(-k_j - 2)."""
     n = len(ks)
-    target = tuple(-k - 2 for k in ks)
-    m_cap = 2 * order + max(ks) + 2
+    c = [-k - 2 for k in ks]
+    edge_lo = sum(c) + n - 1
+
+    @lru_cache(maxsize=None)
+    def kernel(i: int, j: int) -> EpsLaurent:
+        return a.coeff(i) * b.coeff(j) - at.coeff(i) * bt.coeff(j)
+
+    @lru_cache(maxsize=None)
+    def edge(forward: bool, x: int, y: int) -> EpsLaurent:
+        g = EpsLaurent.zero()
+        if forward:
+            for m in range(max(0, y), -x):
+                g = g + kernel(x + 1 + m, y - m)
+        else:
+            for m in range(max(0, x), -y):
+                g = g - kernel(x - m, y + 1 + m)
+        return g
+
     total = EpsLaurent.zero()
     for rest in permutations(range(1, n)):
         cyc = (0,) + rest
-        factors = []
-        sign = 1
-        for idx in range(n):
-            i, j = cyc[idx], cyc[(idx + 1) % n]
-            factors.append(_kernel_factor(i, j, n, order))
-            lo_v, hi_v = (i, j) if i < j else (j, i)
-            if i > j:
-                sign = -sign
-            factors.append(MultiSeries.inverse_difference(n, lo_v, hi_v, m_cap))
-        # multiply in cycle order; variable cyc[idx] is complete once both of
-        # its edges are in, so project it to its target exponent immediately
-        acc = factors[0].mul(factors[1])
-        done = [False] * n
-        for idx in range(1, n):
-            v = cyc[idx]
-            bounds = _remaining_bounds(factors[2 * idx + 1 :], target, done, n)
-            acc = acc.mul(factors[2 * idx], keep=_keeper(bounds, done))
-            bounds = _remaining_bounds(factors[2 * idx + 2 :], target, done, n)
-            acc = acc.mul(factors[2 * idx + 1], keep=_keeper(bounds, done))
-            acc = acc.project(v, target[v])
-            done[v] = True
-        total = total + sign * acc.coeff(tuple(0 if done[v] else target[v] for v in range(n)))
+        for x0 in range(c[0] + 1, 0):
+            partial = {x0: EpsLaurent.one()}
+            for u, v in zip(cyc, cyc[1:] + (0,)):
+                nxt: dict[int, EpsLaurent] = {}
+                for xu, p in partial.items():
+                    # the edge total xu + c_v - xv lies in [edge_lo, -1]; the
+                    # closing edge returns to the starting x0
+                    xvs = range(xu + c[v] + 1, xu + c[v] - edge_lo + 1) if v else (x0,)
+                    for xv in xvs:
+                        g = edge(u < v, xu, c[v] - xv)
+                        if g:
+                            nxt[xv] = nxt.get(xv, EpsLaurent.zero()) + p * g
+                partial = nxt
+            total = total + partial.get(x0, EpsLaurent.zero())
     return total
-
-
-def _remaining_bounds(remaining, target, done, n):
-    """Per-variable [min, max] exponent still to come from the remaining factors."""
-    bounds = []
-    for v in range(n):
-        if done[v]:
-            bounds.append(None)
-            continue
-        lo = hi = 0
-        for f in remaining:
-            if any(t[v] for t in f.c):
-                lo += f.bot(v)
-                hi += f.sup(v)
-        bounds.append((target[v] - hi, target[v] - lo))
-    return bounds
-
-
-def _keeper(bounds, done):
-    def keep(t):
-        for v, b in enumerate(bounds):
-            if b is None:
-                continue
-            if not b[0] <= t[v] <= b[1]:
-                return False
-        return True
-
-    return keep
 
 
 @lru_cache(maxsize=None)
@@ -156,9 +129,9 @@ def n_point_invariant(ks: tuple[int, ...], check_stability: bool = True) -> Inva
     if len(ks) == 1:
         return one_point_invariant(ks[0])
     order = sum(k + 2 for k in ks) + len(ks)
-    value = -_weight(ks) * _cycle_coefficient(ks, order)
+    value = -_weight(ks) * _cycle_sum(ks, order)
     if check_stability:
-        value2 = -_weight(ks) * _cycle_coefficient(ks, 2 * order)
+        value2 = -_weight(ks) * _cycle_sum(ks, 2 * order)
         if value != value2:
             raise WindowError(
                 f"invariant for ks={ks} did not stabilize between orders "

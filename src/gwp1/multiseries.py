@@ -14,15 +14,12 @@ A coefficient tuple is trustworthy iff every component meets its variable
 floor and the component sum meets the total floor; reading anything else
 raises WindowError.  The invariant maintained by the constructors and by
 products is: every monomial of the truncation error violates at least one
-floor.  For the inverse-difference factors this relies on a fixed expansion
-region |z_1| > |z_2| > ...: 1/(z_i - z_j) must always be expanded with the
-dominant (lower-index) variable in the leading role, so the two orientations
-of the same pair never meet in a product.
+floor.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .epslaurent import EpsLaurent
 from .zseries import WindowError, ZSeries
@@ -100,28 +97,6 @@ class MultiSeries:
             out = nxt
         return MultiSeries(n, out, lo, hi=hi, hi_tot=sum(hi))
 
-    @staticmethod
-    def inverse_difference(n: int, i: int, j: int, m_cap: int) -> "MultiSeries":
-        """1/(z_i - z_j) expanded in the region |z_i| > |z_j|; requires i < j.
-
-        Every monomial, truncated tail included, has total degree exactly -1,
-        and the tail sits entirely below the z_i floor.
-        """
-        if not i < j:
-            raise ValueError("expand with the dominant (lower-index) variable first")
-        lo = [NEG_INF] * n
-        lo[i] = -m_cap - 1
-        hi = [0] * n
-        hi[i] = -1
-        hi[j] = POS_INF
-        coeffs = {}
-        for m in range(m_cap + 1):
-            t = [0] * n
-            t[i] = -1 - m
-            t[j] = m
-            coeffs[tuple(t)] = EpsLaurent.one()
-        return MultiSeries(n, coeffs, lo, hi=hi, hi_tot=-1)
-
     # -- access -------------------------------------------------------------
 
     def coeff(self, t: tuple) -> EpsLaurent:
@@ -139,11 +114,6 @@ class MultiSeries:
         if not self.c:
             return 0
         return max(t[var] for t in self.c)
-
-    def bot(self, var: int) -> int:
-        if not self.c:
-            return 0
-        return min(t[var] for t in self.c)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -190,19 +160,12 @@ class MultiSeries:
         r.c = {}
         return r
 
-    def mul(
-        self,
-        other: "MultiSeries",
-        keep: Callable[[tuple], bool] | None = None,
-    ) -> "MultiSeries":
+    def mul(self, other: "MultiSeries") -> "MultiSeries":
         """Product with floor recomputation.
 
         Error monomials tied to a variable floor stay tied to it (the partner
-        contributes at most its stored support top in that variable, and the
-        region convention rules out the one pathological pairing); error
+        contributes at most its stored support top in that variable); error
         monomials tied to the total floor are bounded through hi_tot.
-        `keep` optionally prunes product tuples; when used, only coefficients
-        the caller has proven unaffected by the pruning remain meaningful.
         """
         n = self.n
         lo = [NEG_INF] * n
@@ -232,8 +195,6 @@ class MultiSeries:
                 t = tuple(a + b for a, b in zip(t1, t2))
                 if not r._valid(t):
                     continue
-                if keep is not None and not keep(t):
-                    continue
                 p = v1 * v2
                 if not p:
                     continue
@@ -248,26 +209,6 @@ class MultiSeries:
     __mul__ = mul
 
     # -- structural operations ---------------------------------------------
-
-    def project(self, var: int, e: int) -> "MultiSeries":
-        """Fix variable `var` at exponent e; the variable becomes inert (0)."""
-        if e < self.lo[var]:
-            raise WindowError(
-                f"projection exponent {e} below validity floor {self.lo[var]}"
-            )
-        out = {}
-        for t, v in self.c.items():
-            if t[var] == e:
-                tt = list(t)
-                tt[var] = 0
-                out[tuple(tt)] = v
-        lo = list(self.lo)
-        lo[var] = NEG_INF
-        hi = list(self.hi)
-        hi[var] = 0
-        r = self._like(lo, self.lo_tot - e, hi, self.hi_tot - e)
-        r.c = out
-        return r
 
     def relabel(self, perm: Sequence[int]) -> "MultiSeries":
         """Send variable i to variable perm[i]."""

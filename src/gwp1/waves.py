@@ -16,8 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .epslaurent import EpsLaurent, EPS, EPS_INV, ONE
-from .zseries import LogSeries, ZSeries, log1p_inv_z
+from .epslaurent import EpsLaurent, EPS, EPS_INV
+from .zseries import ZSeries, log1p_inv_z
 
 
 @dataclass(frozen=True)
@@ -230,16 +230,16 @@ def r_matrix(order: int) -> RMatrix:
 def s1_series(order: int) -> ZSeries:
     """One-point series: (1/eps) * (A*B' - Atilde*Btilde').
 
-    Assembled through a LogSeries whose log-part must vanish identically
-    (the unit-Wronskian cancellation); a nonzero log-part is a hard error.
+    The coefficient of log(eps*z) in the derivative pairing, 1 + Atilde*Btilde
+    - A*B, must vanish identically (the unit-Wronskian cancellation); a
+    nonzero log-part is a hard error.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
     a, at, b, bt = normalized_quartet(order + 2)
     plain = a * b.deriv() - at * bt.deriv()
     logpart = ZSeries.const(1, order) + at * bt - a * b
-    assembled = LogSeries(plain, ZSeries(logpart.c, top=logpart.top, order=order))
-    if not assembled.log_free():
+    if not logpart.is_zero():
         raise RuntimeError("log(eps*z) part failed to cancel; upstream inconsistency")
-    s1 = assembled.plain.scale(EPS_INV)
+    s1 = plain.scale(EPS_INV)
     return ZSeries(s1.c, top=s1.top, order=order + 1)

@@ -16,7 +16,7 @@ from itertools import permutations
 
 from .epslaurent import EpsLaurent
 from .miwa import MiwaPolynomial, symmetric_to_miwa
-from .multiseries import NEG_INF, MultiSeries
+from .multiseries import MultiSeries
 from .waves import normalized_quartet, solve_formal_wave, wave_shift
 from .zseries import ZSeries
 

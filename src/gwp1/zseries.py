@@ -8,7 +8,7 @@ garbage.  Every operation recomputes the largest provably valid window.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from .epslaurent import EpsLaurent, ONE
 
@@ -217,19 +217,3 @@ def log1p_inv_z(order: int) -> ZSeries:
         order=order,
     )
 
-
-class LogSeries:
-    """P(z) + Q(z)*log(eps*z) with the log symbol never expanded."""
-
-    __slots__ = ("plain", "logpart")
-
-    def __init__(self, plain: ZSeries, logpart: ZSeries):
-        self.plain = plain
-        self.logpart = logpart
-
-    def deriv(self) -> "LogSeries":
-        p, q = self.plain, self.logpart
-        return LogSeries(p.deriv() + q.mul_zpow(-1), q.deriv())
-
-    def log_free(self) -> bool:
-        return self.logpart.is_zero()

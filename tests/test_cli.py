@@ -1,10 +1,23 @@
 """CLI surface: output shapes, determinism, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from gwp1.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# golden stdout file -> CLI arguments that produce it
+GOLDEN = {
+    "invariant_0_2": ["invariant", "--ks", "0,2"],
+    "invariant_2_2_2": ["invariant", "--ks", "2,2,2"],
+    "invariant_0_0_0_0": ["invariant", "--ks", "0,0,0,0"],
+    "invariant_2_by_genus": ["invariant", "--ks", "2", "--by-genus"],
+    "free_energy_3": ["free-energy", "--max-weight", "3"],
+    "zmodel_4_3_miwa": ["zmodel", "--n", "4", "--degree", "3", "--miwa"],
+}
 
 
 def run(capsys, *argv):
@@ -16,6 +29,13 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     return code, json.loads(out)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_stdout(capsys, name):
+    code, out = run(capsys, *GOLDEN[name])
+    assert code == 0
+    assert out.encode() == (GOLDEN_DIR / f"{name}.txt").read_bytes()
 
 
 def test_wave_g_order_zero(capsys):

@@ -7,11 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from gwp1.epslaurent import EpsLaurent
 from gwp1.invariants import (
+    _cycle_sum,
     free_energy,
     invariant_by_genus,
     n_point_invariant,
     one_point_invariant,
 )
+from gwp1.zmodel import zmodel_expansion
+from gwp1.zseries import WindowError
 
 
 def eps(pairs):
@@ -67,6 +70,18 @@ def test_free_energy_weight_3():
     assert set(fe) <= {(0,), (0, 0), (0, 0, 0), (1,), (0, 1), (2,)}
 
 
+def test_free_energy_weight_4_matches_determinantal_route():
+    assert free_energy(4) == zmodel_expansion(5, 4).log_in_times.coeffs
+
+
+def test_cycle_sum_window():
+    # kernel reads reach z^(n - sum(k+2)) = z^-6 for ks=(2,2)
+    assert _cycle_sum((2, 2), 6) == _cycle_sum((2, 2), 10)
+    for order in (4, 5):
+        with pytest.raises(WindowError):
+            _cycle_sum((2, 2), order)
+
+
 small_ks = st.lists(
     st.integers(min_value=0, max_value=4), min_size=1, max_size=3
 ).filter(lambda ks: sum(ks) <= 6)
@@ -75,7 +90,8 @@ small_ks = st.lists(
 @settings(max_examples=25, deadline=None)
 @given(small_ks)
 def test_structural_properties(ks):
-    rec = n_point_invariant(tuple(sorted(ks)), check_stability=False)
+    rec = n_point_invariant(tuple(sorted(ks)))
+    assert rec.stability_checked
     total = sum(ks)
     if total % 2 == 1:
         assert rec.value == EpsLaurent.zero()  # parity vanishing

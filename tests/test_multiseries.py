@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from gwp1.epslaurent import EpsLaurent
-from gwp1.multiseries import NEG_INF, POS_INF, MultiSeries
+from gwp1.multiseries import NEG_INF, MultiSeries
 from gwp1.zseries import WindowError, ZSeries
 
 
@@ -36,46 +36,23 @@ def test_separable_product_structure():
     assert m.hi_tot == 0
 
 
-def test_inverse_difference_region_and_orientation():
-    inv = MultiSeries.inverse_difference(2, 0, 1, m_cap=4)
-    # 1/(z_0 - z_1) = z_0^-1 + z_1 z_0^-2 + ...
-    assert inv.coeff((-1, 0)) == 1
-    assert inv.coeff((-3, 2)) == 1
-    assert inv.hi_tot == -1
-    with pytest.raises(ValueError):
-        MultiSeries.inverse_difference(2, 1, 0, m_cap=4)
-
-
-def test_inverse_difference_times_difference_is_one():
-    n, cap = 2, 6
-    inv = MultiSeries.inverse_difference(n, 0, 1, cap)
-    z0 = MultiSeries.from_zseries(zs({1: 1}, 1, 0), 0, n)
-    z1 = MultiSeries.from_zseries(zs({1: 1}, 1, 0), 1, n)
-    prod = (z0 - z1).mul(inv)
-    assert prod.coeff((0, 0)) == 1
-    # every other valid coefficient vanishes
-    for t, v in prod.c.items():
-        if t != (0, 0):
-            assert not v
-
-
 def test_mul_total_floor_routing():
-    # two factors with finite hi_tot: the error is caught by the total floor
+    # both factors have finite hi bounds, so each factor's truncation error is
+    # caught by the product's total floor instead of a variable floor
     a = MultiSeries.from_zseries(zs({0: 1, -3: 1}, 0, 3), 0, 2)
-    b = MultiSeries.inverse_difference(2, 0, 1, m_cap=8)
+    b = MultiSeries.from_zseries(zs({1: 1, 0: 1, -2: 1}, 1, 4), 1, 2)
     p = a.mul(b)
-    assert p.lo_tot != NEG_INF
-    # a deep z_1-heavy tuple whose total is above the floor stays readable
-    ok = [t for t in p.c if sum(t) >= p.lo_tot]
-    assert ok
-    for t in ok:
-        p.coeff(t)
+    assert p.lo == (NEG_INF, NEG_INF)
+    assert p.lo_tot == -2  # a's floor -3, plus a's other hi 0, plus b's hi_tot 1
+    assert p.coeff((-3, 1)) == 1
+    assert p.coeff((0, -2)) == 1
+    # a's first unknown term z_0^-4 times b's z_1 lands below the total floor
+    with pytest.raises(WindowError):
+        p.coeff((-4, 1))
 
 
-def test_project_and_relabel():
+def test_relabel():
     m = MultiSeries.separable([zs({0: 1, -1: 2}, 0, 3), zs({0: 1, -2: 3}, 0, 3)])
-    pr = m.project(0, -1)
-    assert pr.coeff((0, -2)) == 6
     sw = m.relabel([1, 0])
     assert sw.coeff((-2, -1)) == 6
 

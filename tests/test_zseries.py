@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gwp1.epslaurent import EpsLaurent
-from gwp1.zseries import LogSeries, WindowError, ZSeries, log1p_inv_z
+from gwp1.zseries import WindowError, ZSeries, log1p_inv_z
 
 
 def mk(coeffs: dict[int, int | Fraction], top: int, order: int) -> ZSeries:
@@ -94,17 +94,6 @@ def test_truncate_cannot_grow():
     assert s.truncate(2).order == 2
     with pytest.raises(WindowError):
         s.truncate(4)
-
-
-def test_log_series():
-    p = mk({0: 1}, top=0, order=3)
-    q = mk({-1: 1}, top=-1, order=3)
-    ls = LogSeries(p, q)
-    assert not ls.log_free()
-    d = ls.deriv()
-    # d/dz (P + Q log z) = P' + Q/z + Q' log z
-    assert d.plain.coeff(-2) == 1
-    assert LogSeries(p, ZSeries.zero(3)).log_free()
 
 
 small_series = st.builds(
