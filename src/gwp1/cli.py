@@ -23,6 +23,7 @@ from .miwa import MiwaPolynomial
 from .selftest import run_selftest
 from .waves import solve_formal_wave, stirling_g_oracle
 from .zmodel import stabilization_check, zmodel_expansion
+from .zseries import WindowError
 
 DEFAULT_PREC = 128
 PREC_ENV_VAR = "GWP1_PREC"
@@ -194,10 +195,16 @@ def cmd_zmodel(cfg: RunConfig):
     degree = cfg.options["degree"]
     if n < 1 or degree < 1:
         raise UsageError("n and degree must be >= 1")
-    if cfg.options.get("check_stabilization"):
-        return {"degree": degree, "n": [n, n + 1],
-                "stable": stabilization_check(degree, n, n + 1)}
-    exp = zmodel_expansion(n, degree)
+    check = cfg.options.get("check_stabilization")
+    try:
+        if check:
+            return {"degree": degree, "n": [n, n + 1],
+                    "stable": stabilization_check(degree, n, n + 1)}
+        exp = zmodel_expansion(n, degree)
+    except WindowError as exc:
+        raise UsageError(
+            f"zmodel needs {n + 1 if check else n} variables for n={n} at degree="
+            f"{degree} ({exc}); the limit is n <= 5, n <= 4 with --check-stabilization")
     if cfg.options.get("miwa"):
         return _miwa_json(exp.log_in_times)
     q = exp.quotient
@@ -378,7 +385,10 @@ def main(argv=None) -> int:
             return 2
         prec = getattr(ns, "prec", None)
         if prec is None:
-            prec = int(os.environ.get(PREC_ENV_VAR, DEFAULT_PREC))
+            try:
+                prec = int(os.environ.get(PREC_ENV_VAR, DEFAULT_PREC))
+            except ValueError:
+                raise UsageError(f"{PREC_ENV_VAR} must be an integer number of bits")
         if prec < 8:
             raise UsageError("precision must be at least 8 bits")
         options = {

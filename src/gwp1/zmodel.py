@@ -5,6 +5,20 @@ where E_k(z) = eps^(1-k) * (the sigma=+1 normalized wave shifted by k-1),
 a monic series z^(k-1)(1 + O(1/z)), and Delta = prod_{j<k}(z_k - z_j).  The
 quotient is a symmetric series 1 + O(1/z_j); its logarithm, rewritten in the
 time variables t_k, stabilizes in N at fixed degree.
+
+Columns.  One f-wave solve at order O + N + 1 feeds all N columns at order
+O: column k is the wave after k - 1 single `wave_shift` steps, truncated to O
+and scaled by eps^(1-k).  Shifting loses window, 0, 1, 2, 3, 5, 8, 12 orders
+after 0..6 steps, so the headroom N + 1 suffices up to N = 5 and every N >= 6
+raises WindowError.
+
+Determinant.  det(columns[c](z_j)) is expanded row by row (row j carries
+z_j), keeping partial sums per set S of columns used so far: N * 2^(N-1)
+tensor steps instead of N! products.  Placing column c after S multiplies
+the sign by (-1)^#{s in S : s > c}.  A term is pruned when its exponent sum
+plus the tops of the still-unused columns is below `min_total`; the bound
+depends only on the unused set, so each surviving monomial collects the same
+permutation terms as a Leibniz sum pruned by the same bound.
 """
 
 from __future__ import annotations
@@ -12,13 +26,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 
 from .epslaurent import EpsLaurent
 from .miwa import MiwaPolynomial, symmetric_to_miwa
-from .multiseries import MultiSeries
+from .multiseries import NEG_INF, MultiSeries
 from .waves import normalized_quartet, solve_formal_wave, wave_shift
 from .zseries import ZSeries
+
+
+@lru_cache(maxsize=None)
+def _column_chain(nvars: int, order: int) -> tuple[ZSeries, ...]:
+    """E_1..E_nvars at one truncation order, from a single f-wave solve."""
+    w = solve_formal_wave(+1, order + nvars + 1)
+    columns = []
+    for k in range(1, nvars + 1):
+        if k > 1:
+            w = wave_shift(w, 1)
+        columns.append(w.h.truncate(order).scale(EpsLaurent.mono(1 - k)))
+    return tuple(columns)
 
 
 @lru_cache(maxsize=None)
@@ -26,60 +51,33 @@ def zmodel_entry(k: int, order: int) -> ZSeries:
     """E_k(z) = eps^(1-k) (eps z/e)^(-z) f(z+k-1): monic of degree k-1."""
     if k < 1:
         raise ValueError("column index k must be >= 1")
-    w = solve_formal_wave(+1, order + k + 1)
-    h = wave_shift(w, k - 1).h
-    return h.truncate(order).scale(EpsLaurent.mono(1 - k))
+    return _column_chain(k, order)[k - 1]
 
 
-def _det_numerator(nvars: int, order: int, min_total: int) -> MultiSeries:
-    """Leibniz determinant of E_k(z_j), keeping only totals >= min_total."""
-    entries = [zmodel_entry(k, order) for k in range(1, nvars + 1)]
-    total = None
-    for sigma in permutations(range(nvars)):
-        sign = _perm_sign(sigma)
-        factors = [entries[sigma[j]] for j in range(nvars)]
-        term = _separable_truncated(factors, min_total)
-        if sign < 0:
-            term = -term
-        total = term if total is None else total + term
-    return total
-
-
-def _perm_sign(sigma) -> int:
-    sign = 1
-    seen = [False] * len(sigma)
-    for i in range(len(sigma)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = sigma[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def _separable_truncated(factors, min_total: int) -> MultiSeries:
-    """Tensor product of univariate series, pruned to totals >= min_total."""
-    n = len(factors)
-    suffix_max = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_max[i] = suffix_max[i + 1] + factors[i].top
-    out = {(): EpsLaurent.one()}
-    for i, f in enumerate(factors):
-        nxt: dict[tuple, EpsLaurent] = {}
-        for t, v in out.items():
-            base = sum(t)
-            for d, w in f.c.items():
-                if base + d + suffix_max[i + 1] < min_total:
-                    continue
-                nxt[t + (d,)] = v * w
-        out = nxt
-    lo = tuple(-f.order for f in factors)
-    hi = tuple(f.top for f in factors)
-    return MultiSeries(n, out, lo, lo_tot=min_total, hi=hi, hi_tot=sum(hi))
+def _laplace_det(columns, min_total=NEG_INF) -> MultiSeries:
+    """det(columns[c](z_j))_{j,c}, keeping only totals >= min_total."""
+    n = len(columns)
+    tops = [f.top for f in columns]
+    partial = {0: {(): EpsLaurent.one()}}
+    for _ in range(n):
+        nxt: dict[int, dict[tuple, EpsLaurent]] = {}
+        for used, terms in partial.items():
+            free = [c for c in range(n) if not used >> c & 1]
+            free_top = sum(tops[c] for c in free)
+            for c in free:
+                odd = bin(used >> (c + 1)).count("1") & 1
+                acc = nxt.setdefault(used | 1 << c, {})
+                for t, v in terms.items():
+                    v = -v if odd else v
+                    floor = min_total - sum(t) - (free_top - tops[c])
+                    for d, w in columns[c].c.items():
+                        if d >= floor:
+                            key, p = t + (d,), v * w
+                            acc[key] = acc[key] + p if key in acc else p
+        partial = {u: {t: v for t, v in acc.items() if v} for u, acc in nxt.items()}
+    lo = (max(-f.order for f in columns),) * n
+    return MultiSeries(n, partial[(1 << n) - 1], lo, lo_tot=min_total,
+                       hi=(max(tops),) * n, hi_tot=sum(tops))
 
 
 @dataclass(frozen=True)
@@ -105,7 +103,7 @@ def zmodel_expansion(nvars: int, degree: int) -> ZModelExpansion:
     # order must keep that contamination below the requested degree
     order = degree + max(nvars, npairs - nvars + 1)
     vtop = npairs  # total degree of the Vandermonde
-    num = _det_numerator(nvars, order, vtop - degree)
+    num = _laplace_det(_column_chain(nvars, order), vtop - degree)
     remaining = npairs
     q = num
     for b in range(1, nvars):
@@ -180,24 +178,13 @@ def characteristic_entry(k: int, order: int) -> ZSeries:
     return ZSeries(acc.c, top=k - 1, order=order)
 
 
-def _leibniz_det(columns, nvars: int) -> MultiSeries:
-    """det(columns[k](z_j))_{j,k}: row j carries variable j."""
-    total = None
-    for sigma in permutations(range(nvars)):
-        term = MultiSeries.separable([columns[sigma[j]] for j in range(nvars)])
-        if _perm_sign(sigma) < 0:
-            term = -term
-        total = term if total is None else total + term
-    return total
-
-
 def characteristic_det_check(nvars: int, order: int) -> bool:
     """det G = det E for small sizes.
 
     G and E agree only up to a unipotent right factor (columns mix), so the
     comparison is between determinants as multivariate series.
     """
-    g = _leibniz_det([characteristic_entry(k, order) for k in range(1, nvars + 1)], nvars)
-    e = _leibniz_det([zmodel_entry(k, order) for k in range(1, nvars + 1)], nvars)
+    g = _laplace_det([characteristic_entry(k, order) for k in range(1, nvars + 1)])
+    e = _laplace_det(_column_chain(nvars, order))
     diff = g - e
     return all(not diff._valid(t) for t in diff.c)

@@ -100,6 +100,17 @@ def test_zmodel_miwa_and_stabilization(capsys):
     assert code == 0 and doc["stable"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["zmodel", "--n", "6", "--degree", "1"],
+    ["zmodel", "--n", "5", "--degree", "1", "--check-stabilization"],
+])
+def test_zmodel_past_window_is_usage_error(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "usage error" in err and "needs 6 variables" in err and "n <= 5" in err
+
+
 def test_deterministic_output(capsys):
     _, out1 = run(capsys, "free-energy", "--max-weight", "2")
     _, out2 = run(capsys, "free-energy", "--max-weight", "2")
@@ -125,6 +136,14 @@ def test_config_file(tmp_path, capsys):
     code, out = run(capsys, "--config", str(cfg), "invariant", "--ks", "0")
     assert code == 0
     assert out.splitlines()[0] == "key,value"
+
+
+def test_bad_prec_env_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("GWP1_PREC", "abc")
+    code = main(["charlier", "--check", "limit"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "usage error" in err and "GWP1_PREC" in err
 
 
 def test_charlier_limit_rows(capsys):
