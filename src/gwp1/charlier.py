@@ -14,6 +14,12 @@ and have unit Wronskian, and it validates the scaling limit
     lim_L  pi_{L+l}(L + zeta; 1/(L eps^2)) / Gamma(L + zeta + 1/2)
          = eps^(zeta - l - 1/2) * J_{zeta - l - 1/2}(2/eps).
 
+The scaling check evaluates pi at one point in O(L) exact rational
+operations (`charlier_value`), cross-checked against the three-term
+recurrence at that point, instead of building the degree-L polynomial.
+`bessel_j` sums its power series by the ratio of successive terms, with one
+reciprocal-Gamma evaluation per call.
+
 All truncated sums carry explicit tail bounds; precision is always an
 explicit argument, applied through a local working-precision context.
 """
@@ -67,9 +73,11 @@ def gamma_real(x, prec: int):
 def bessel_j(nu, x, prec: int):
     """J_nu(x) by its power series with an explicit geometric tail bound.
 
-    Terms with nu+m+1 at a pole of Gamma contribute zero via the reciprocal
-    Gamma.  Summation stops once the ratio bound certifies the remainder
-    below the target precision.
+    Terms with nu+m+1 at a pole of Gamma are zero, so the sum starts at the
+    first m off the poles (m = -nu for a negative integer nu, else 0); that
+    term is computed directly and each later one from its predecessor by the
+    ratio -(x/2)^2 / (m (nu+m)).  Summation stops once the ratio bound
+    certifies the remainder below the target precision.
     """
     with mp.workprec(prec + _GUARD_BITS):
         nu_m = _to_mpf(nu)
@@ -79,28 +87,26 @@ def bessel_j(nu, x, prec: int):
         half = x_m / 2
         quarter_sq = half * half
         acc = mp.mpf(0)
-        scale = mp.power(half, nu_m)
-        m = 0
-        m_fact = mp.mpf(1)
+        m = int(-nu_m) if nu_m < 0 and nu_m == mp.floor(nu_m) else 0
+        term = (
+            mp.power(half, nu_m) * (-quarter_sq) ** m / mp.factorial(m)
+            * mp.rgamma(nu_m + m + 1)
+        )
         max_abs = mp.mpf(0)
+        rel_tol = mp.mpf(2) ** (-(prec + _GUARD_BITS))
+        abs_tol = mp.mpf(2) ** (-(prec + 4 * _GUARD_BITS))
         while True:
-            term = scale * (-1) ** m * quarter_sq**m / m_fact * mp.rgamma(nu_m + m + 1)
             acc += term
             max_abs = max(max_abs, abs(term))
             m += 1
-            m_fact *= m
+            ratio = quarter_sq / (m * (nu_m + m))
+            term *= -ratio
             # once m+nu is safely positive the term magnitudes decay faster
             # than a ratio-1/2 geometric series; bound the whole remainder
-            if nu_m + m + 1 > 0 and m > 1:
-                ratio = quarter_sq / (m * (nu_m + m))
-                if ratio < mp.mpf(1) / 2:
-                    next_bound = abs(scale) * quarter_sq**m / m_fact * abs(
-                        mp.rgamma(nu_m + m + 1)
-                    )
-                    if next_bound * 2 < max(max_abs, abs(acc)) * mp.mpf(2) ** (
-                        -(prec + _GUARD_BITS)
-                    ) + mp.mpf(2) ** (-(prec + 4 * _GUARD_BITS)):
-                        break
+            # by twice the next term
+            if (nu_m + m + 1 > 0 and m > 1 and ratio < mp.mpf(1) / 2
+                    and abs(term) * 2 < max(max_abs, abs(acc)) * rel_tol + abs_tol):
+                break
             if m > 10 * (prec + int(abs(nu_m)) + int(x_m) + 10):
                 raise RuntimeError("Bessel series failed to converge")
     with mp.workprec(prec):
@@ -195,6 +201,35 @@ def charlier_poly_recurrence(ell: int, a) -> CharlierPolynomial:
             nxt[i] -= n * a * v
         prev, cur = cur, nxt
     return CharlierPolynomial(ell, a, tuple(cur))
+
+
+def charlier_value(ell: int, a, x) -> Fraction:
+    """pi_l(x; a) at one rational point in O(l) exact operations.
+
+    Sums the explicit series term by term, each term the previous one times
+    (-l+i)(1/2-x+i) / ((i+1)(-a)), and cross-checks the result against the
+    monic three-term recurrence evaluated at x; a disagreement is an error.
+    """
+    a = _as_fraction(a)
+    x = _as_fraction(x)
+    if ell < 0:
+        raise ValueError("degree must be >= 0")
+    if a <= 0:
+        raise ValueError("parameter a must be positive")
+    half = Fraction(1, 2)
+    total = term = Fraction(1)
+    for i in range(ell):
+        term *= (i - ell) * (half - x + i) / ((i + 1) * -a)
+        if not term:
+            break  # (1/2 - x)_i vanishes from here on
+        total += term
+    value = total * (-a) ** ell
+    prev, cur = Fraction(0), Fraction(1)
+    for n in range(ell):
+        prev, cur = cur, (x - (n + a + half)) * cur - n * a * prev
+    if value != cur:
+        raise RuntimeError("explicit sum and recurrence disagree at this point")
+    return value
 
 
 def charlier_orthogonality_sum(ell: int, ellp: int, a, tol, prec: int = 128):
@@ -376,8 +411,9 @@ def charlier_scaling_limit_check(zeta, ell: int, eps, L_list, prec: int) -> Scal
     """Ratio pi_{L+l}(L + zeta; 1/(L eps^2)) / Gamma(L + zeta + 1/2) along L_list
     against eps^(zeta - l - 1/2) J_{zeta - l - 1/2}(2/eps).
 
-    The polynomial values are computed exactly over rationals; only the Gamma
-    division and the Bessel target are floating point.
+    The polynomial values are computed exactly over rationals, one point each
+    by `charlier_value`; only the Gamma division and the Bessel target are
+    floating point.
     """
     zeta_q = _as_fraction(zeta)
     eps_q = _as_fraction(eps)
@@ -394,8 +430,7 @@ def charlier_scaling_limit_check(zeta, ell: int, eps, L_list, prec: int) -> Scal
         rows = []
         for L in L_list:
             a = Fraction(1, L) / (eps_q * eps_q)
-            poly = charlier_poly(L + ell, a)
-            exact = poly.eval_exact(L + zeta_q)
+            exact = charlier_value(L + ell, a, L + zeta_q)
             num = mp.mpf(exact.numerator) / exact.denominator
             value = num / gamma_real(L + zeta_m + mp.mpf(1) / 2, prec + _GUARD_BITS)
             rows.append((L, value, abs(value - target)))

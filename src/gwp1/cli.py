@@ -195,6 +195,8 @@ def cmd_zmodel(cfg: RunConfig):
     degree = cfg.options["degree"]
     if n < 1 or degree < 1:
         raise UsageError("n and degree must be >= 1")
+    if degree >= n:
+        raise UsageError(f"zmodel needs n > degree, got n={n} and degree={degree}")
     check = cfg.options.get("check_stabilization")
     try:
         if check:
@@ -259,6 +261,28 @@ def cmd_charlier(cfg: RunConfig):
                     "value": mp.nstr(val, 17),
                     "target": mp.nstr(ref, 17),
                     "abs_error": mp.nstr(abs(val - ref), 6),
+                })
+        return {"rows": rows}
+    if check == "residuals":
+        eps_list = ([eps] if cfg.options.get("eps")
+                    else [Fraction(1, 2), Fraction(1), Fraction(2)])
+        rows = []
+        for e in eps_list:
+            for z in ("5.25", "10.25", "20.25"):
+                for which in ("f", "g"):
+                    res = ch.difference_equation_residual(mp.mpf(z), e, prec, which)
+                    rows.append({
+                        "input": {"check": "difference", "z": z, "eps": str(e),
+                                  "which": which},
+                        "abs_error": mp.nstr(res, 6),
+                    })
+            for z in ("7.25", "12.25"):
+                w = ch.numeric_wronskian(mp.mpf(z), e, prec)
+                rows.append({
+                    "input": {"check": "wronskian", "z": z, "eps": str(e)},
+                    "value": mp.nstr(w, 17),
+                    "target": "1",
+                    "abs_error": mp.nstr(abs(w - 1), 6),
                 })
         return {"rows": rows}
     if check == "asymptotics":
@@ -346,8 +370,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("charlier", parents=[common],
                        help="arbitrary-precision numeric checks")
     p.add_argument("--check", required=True,
-                   choices=("orthogonality", "limit", "charpoly", "asymptotics"))
-    p.add_argument("--eps", help='rational "p/q" (default 1)')
+                   choices=("orthogonality", "limit", "charpoly", "asymptotics",
+                            "residuals"))
+    p.add_argument("--eps", help='rational "p/q" (default 1; residuals sweeps '
+                                 '1/2, 1 and 2)')
     p.add_argument("--a", help='measure parameter "p/q" (default 1)')
     p.add_argument("--L", type=int, nargs="+", help="sizes for the limit check")
 

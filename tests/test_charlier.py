@@ -6,6 +6,7 @@ import pytest
 from mpmath import mp
 
 from gwp1.charlier import (
+    _GUARD_BITS,
     asymptotic_match_check,
     bessel_j,
     brute_force_expectation,
@@ -14,6 +15,7 @@ from gwp1.charlier import (
     charlier_poly,
     charlier_poly_recurrence,
     charlier_scaling_limit_check,
+    charlier_value,
     difference_equation_residual,
     gamma_real,
     numeric_f_g,
@@ -47,6 +49,17 @@ def test_bessel_small_argument_leading_term():
         bessel_j(1, -1, 64)
 
 
+@pytest.mark.parametrize("prec", [128, 640])
+def test_bessel_matches_mpmath(prec):
+    # -1 and -3 start the series past the Gamma poles at m = -nu
+    for nu in ("5.75", "-5.75", "0.5", "-0.5", "0", "2", "-1", "-3"):
+        for x in ("0.5", "1", "4", "8"):
+            val = bessel_j(mp.mpf(nu), mp.mpf(x), prec)
+            with mp.workprec(prec + 64):
+                ref = mp.besselj(mp.mpf(nu), mp.mpf(x))
+                assert abs(val - ref) < abs(ref) * mp.mpf(2) ** -(prec - 8), (nu, x)
+
+
 def test_charlier_poly_small_cases():
     assert charlier_poly(0, 1).coefficients == (Fraction(1),)
     assert charlier_poly(1, 1).coefficients == (Fraction(-3, 2), Fraction(1))
@@ -63,6 +76,39 @@ def test_explicit_sum_matches_recurrence(a):
             charlier_poly(ell, a).coefficients
             == charlier_poly_recurrence(ell, a).coefficients
         )
+
+
+@pytest.mark.parametrize("a", [1, Fraction(1, 2), Fraction(7, 3), Fraction(3, 40)])
+def test_charlier_value_matches_polynomial(a):
+    for ell in range(41):
+        explicit = charlier_poly(ell, a)
+        recurrence = charlier_poly_recurrence(ell, a)
+        # at x = k + 1/2 the factor (1/2 - x)_i vanishes from i = k + 1 on, so
+        # k < ell ends the sum early (k = ell - 1 is the scaling check's L + 1/2)
+        for x in (Fraction(0), Fraction(-5, 7), Fraction(1, 3), Fraction(ell + 3),
+                  Fraction(1, 2), Fraction(ell // 2) + Fraction(1, 2),
+                  Fraction(2 * ell - 1, 2), Fraction(2 * ell + 1, 2)):
+            value = charlier_value(ell, a, x)
+            assert value == explicit.eval_exact(x) == recurrence.eval_exact(x)
+    with pytest.raises(ValueError):
+        charlier_value(1, 0, 1)
+    with pytest.raises(ValueError):
+        charlier_value(-1, 1, 1)
+
+
+def test_scaling_rows_match_polynomial_route():
+    zeta, ell, eps, prec = Fraction(1, 2), 1, Fraction(1), 128
+    rep = charlier_scaling_limit_check(zeta, ell, eps, [40, 80], prec)
+    for L, value, _ in rep.rows:
+        exact = charlier_poly(L + ell, Fraction(1, L) / eps**2).eval_exact(L + zeta)
+        with mp.workprec(prec + _GUARD_BITS):
+            num = mp.mpf(exact.numerator) / exact.denominator
+            old = num / gamma_real(L + 1, prec + _GUARD_BITS)
+        with mp.workprec(prec):
+            assert value == +old
+    # mu = zeta - ell - 1/2 = -1 sits on a Gamma pole of the Bessel series
+    with mp.workprec(prec + 64):
+        assert abs(rep.target - mp.besselj(-1, 2)) < mp.mpf(2) ** -(prec - 8)
 
 
 def test_orthogonality_grid():

@@ -17,6 +17,8 @@ GOLDEN = {
     "invariant_2_by_genus": ["invariant", "--ks", "2", "--by-genus"],
     "free_energy_3": ["free-energy", "--max-weight", "3"],
     "zmodel_4_3_miwa": ["zmodel", "--n", "4", "--degree", "3", "--miwa"],
+    "charlier_limit": ["charlier", "--check", "limit"],
+    "charlier_asymptotics": ["charlier", "--check", "asymptotics"],
 }
 
 
@@ -111,6 +113,18 @@ def test_zmodel_past_window_is_usage_error(capsys, argv):
     assert "usage error" in err and "needs 6 variables" in err and "n <= 5" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["zmodel", "--n", "3", "--degree", "3"],
+    ["zmodel", "--n", "3", "--degree", "3", "--check-stabilization"],
+])
+def test_zmodel_degree_not_below_n_is_usage_error(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "usage error" in err and "n > degree" in err
+    assert "n=3" in err and "degree=3" in err
+
+
 def test_deterministic_output(capsys):
     _, out1 = run(capsys, "free-energy", "--max-weight", "2")
     _, out2 = run(capsys, "free-energy", "--max-weight", "2")
@@ -155,6 +169,16 @@ def test_charlier_limit_rows(capsys):
     assert doc["monotone_decreasing"] is True
     for row in doc["rows"]:
         assert set(row) == {"input", "value", "target", "abs_error"}
+
+
+def test_charlier_residual_rows(capsys):
+    code, doc = run_json(capsys, "charlier", "--check", "residuals", "--eps", "1")
+    assert code == 0
+    kinds = [r["input"]["check"] for r in doc["rows"]]
+    assert kinds.count("difference") == 6 and kinds.count("wronskian") == 2
+    for row in doc["rows"]:
+        assert row["input"]["eps"] == "1"
+        assert float(row["abs_error"]) < 2.0**-64
 
 
 def test_selftest_single_check(capsys):
