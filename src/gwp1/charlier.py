@@ -286,42 +286,60 @@ def charlier_orthogonality_check(ell: int, ellp: int, a, tol, prec: int = 128) -
 # Numeric wave functions
 # ---------------------------------------------------------------------------
 
-def numeric_f_g(z, eps, prec: int):
-    """(f(z), g(z)) through the Bessel representations at `prec` bits.
+def _wave_arguments(z, eps, prec: int):
+    """(z, eps, nu = z + 1/2, x = 2/eps) as mpf at the current working precision.
 
     Errors when z + 1/2 is too close to an integer, where the connection
     formula behind the f-representative degenerates.
     """
+    z_m = _to_mpf(z)
+    eps_m = _to_mpf(eps)
+    if eps_m <= 0:
+        raise ValueError("eps must be positive")
+    nu = z_m + mp.mpf(1) / 2
+    if abs(nu - mp.nint(nu)) < mp.mpf(2) ** (-prec // 2):
+        raise ValueError(
+            "z + 1/2 is too close to an integer; perturb the evaluation point"
+        )
+    return z_m, eps_m, nu, 2 / eps_m
+
+
+def numeric_f(z, eps, prec: int):
+    """f(z) through its Bessel representation at `prec` bits."""
     with mp.workprec(prec + _GUARD_BITS):
-        z_m = _to_mpf(z)
-        eps_m = _to_mpf(eps)
-        if eps_m <= 0:
-            raise ValueError("eps must be positive")
-        nu = z_m + mp.mpf(1) / 2
-        if abs(nu - mp.nint(nu)) < mp.mpf(2) ** (-prec // 2):
-            raise ValueError(
-                "z + 1/2 is too close to an integer; perturb the evaluation point"
-            )
-        x = 2 / eps_m
-        g = mp.sqrt(2 * mp.pi / eps_m) * bessel_j(nu, x, prec + _GUARD_BITS)
+        z_m, eps_m, nu, x = _wave_arguments(z, eps, prec)
         f = (
             mp.sqrt(mp.pi / (2 * eps_m))
             * bessel_j(-nu, x, prec + _GUARD_BITS)
             / mp.cos(mp.pi * z_m)
         )
     with mp.workprec(prec):
-        return +f, +g
+        return +f
+
+
+def numeric_g(z, eps, prec: int):
+    """g(z) through its Bessel representation at `prec` bits."""
+    with mp.workprec(prec + _GUARD_BITS):
+        _, eps_m, nu, x = _wave_arguments(z, eps, prec)
+        g = mp.sqrt(2 * mp.pi / eps_m) * bessel_j(nu, x, prec + _GUARD_BITS)
+    with mp.workprec(prec):
+        return +g
+
+
+def numeric_f_g(z, eps, prec: int):
+    """(f(z), g(z)) through the Bessel representations at `prec` bits."""
+    return numeric_f(z, eps, prec), numeric_g(z, eps, prec)
 
 
 def difference_equation_residual(z, eps, prec: int, which: str = "f"):
     """|w(z+1) + w(z-1) - eps*(z+1/2)*w(z)| for the numeric f or g."""
-    idx = {"f": 0, "g": 1}[which]
+    wave = {"f": numeric_f, "g": numeric_g}[which]
     with mp.workprec(prec + _GUARD_BITS):
         z_m = _to_mpf(z)
         eps_m = _to_mpf(eps)
-        w_up = numeric_f_g(z_m + 1, eps_m, prec + _GUARD_BITS)[idx]
-        w_dn = numeric_f_g(z_m - 1, eps_m, prec + _GUARD_BITS)[idx]
-        w_0 = numeric_f_g(z_m, eps_m, prec + _GUARD_BITS)[idx]
+        w_up = wave(z_m + 1, eps_m, prec + _GUARD_BITS)
+        w_dn = wave(z_m - 1, eps_m, prec + _GUARD_BITS)
+        w_0 = wave(z_m, eps_m, prec + _GUARD_BITS)
         res = abs(w_up + w_dn - eps_m * (z_m + mp.mpf(1) / 2) * w_0)
     with mp.workprec(prec):
         return +res
@@ -368,7 +386,7 @@ def asymptotic_match_check(z, eps, order: int, prec: int) -> AsymptoticReport:
     with mp.workprec(prec + _GUARD_BITS):
         z_m = _to_mpf(z)
         eps_m = _to_mpf(eps)
-        f, _ = numeric_f_g(z_m, eps_m, prec + _GUARD_BITS)
+        f = numeric_f(z_m, eps_m, prec + _GUARD_BITS)
         numeric = f * mp.power(eps_m * z_m / mp.e, -z_m)
         h = solve_formal_wave(+1, max(order, 1)).h
         formal = mp.mpf(0)

@@ -4,35 +4,67 @@ Every coefficient appearing in the expansions handled by this package lies in
 Q[eps, 1/eps]; divisions that occur during the triangular solves are always by
 monomials (or at worst by exactly-dividing Laurent polynomials), so no
 rational-function field is needed.
+
+Representation.  A value is sum_e num[e] * eps^e / den: integer numerators
+``num`` (a dict {exponent: int} that never stores a zero) over one positive
+integer denominator ``den``.  The form is canonical: gcd(den, *num.values())
+is 1, and zero is ({}, 1).  Every operation restores it with at most one
+``math.gcd`` over the result, so equality and hashing compare the two fields
+directly, and products, sums and negations run on plain ints: a convolution of numerators,
+plus an lcm of the denominators when they differ.  Values are immutable.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterator, Mapping, Union
 
 Scalar = Union[int, Fraction]
 
 
-def _as_fraction(x: Scalar) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
+def _make(num: dict[int, int], den: int) -> "EpsLaurent":
+    """Wrap fields that are already canonical."""
+    r = object.__new__(EpsLaurent)
+    r.num = num
+    r.den = den
+    return r
+
+
+def _canonical(num: dict[int, int], den: int) -> "EpsLaurent":
+    """Wrap zero-free numerators over den > 0, dividing out their common gcd."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {e: v // g for e, v in num.items()}
+            den //= g
+    return _make(num, den)
 
 
 class EpsLaurent:
-    """Laurent polynomial in eps: finite map {exponent: Fraction}, no zeros stored."""
+    """Laurent polynomial in eps: integer numerators {exp: int} over one denominator."""
 
-    __slots__ = ("c",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Mapping[int, Scalar] | None = None):
-        c: dict[int, Fraction] = {}
+        fr = {}
         if coeffs:
             for e, v in coeffs.items():
-                f = _as_fraction(v)
-                if f:
-                    c[int(e)] = f
-        self.c = c
+                if not isinstance(v, (int, Fraction)):
+                    v = Fraction(v)
+                if v:
+                    fr[int(e)] = v
+        # the lcm of reduced denominators leaves no common factor with the
+        # scaled numerators, so the result is already canonical
+        den = lcm(*(v.denominator for v in fr.values()))
+        self.num = {e: v.numerator * (den // v.denominator) for e, v in fr.items()}
+        self.den = den
+
+    @property
+    def c(self) -> dict[int, Fraction]:
+        """The coefficients as a fresh {exponent: Fraction} dict (read-only view)."""
+        den = self.den
+        return {e: Fraction(v, den) for e, v in self.num.items()}
 
     # -- constructors -------------------------------------------------------
 
@@ -61,37 +93,42 @@ class EpsLaurent:
     # -- ring structure -----------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.c)
+        return bool(self.num)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
             other = EpsLaurent.const(other)
         if not isinstance(other, EpsLaurent):
             return NotImplemented
-        return self.c == other.c
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.c.items()))
+        return hash((self.den, frozenset(self.num.items())))
 
     def __add__(self, other: "EpsLaurent | Scalar") -> "EpsLaurent":
         other = EpsLaurent.coerce(other)
-        out = dict(self.c)
-        for e, v in other.c.items():
-            s = out.get(e, Fraction(0)) + v
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            den = d1
+            out = dict(self.num)
+            items = other.num.items()
+        else:
+            den = lcm(d1, d2)
+            m1, m2 = den // d1, den // d2
+            out = {e: v * m1 for e, v in self.num.items()}
+            items = [(e, v * m2) for e, v in other.num.items()]
+        for e, v in items:
+            s = out.get(e, 0) + v
             if s:
                 out[e] = s
             else:
-                out.pop(e, None)
-        r = EpsLaurent()
-        r.c = out
-        return r
+                del out[e]
+        return _canonical(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "EpsLaurent":
-        r = EpsLaurent()
-        r.c = {e: -v for e, v in self.c.items()}
-        return r
+        return _make({e: -v for e, v in self.num.items()}, self.den)
 
     def __sub__(self, other: "EpsLaurent | Scalar") -> "EpsLaurent":
         return self + (-EpsLaurent.coerce(other))
@@ -101,24 +138,19 @@ class EpsLaurent:
 
     def __mul__(self, other: "EpsLaurent | Scalar") -> "EpsLaurent":
         if isinstance(other, (int, Fraction)):
-            f = _as_fraction(other)
-            if not f:
-                return EpsLaurent.zero()
-            r = EpsLaurent()
-            r.c = {e: v * f for e, v in self.c.items()}
-            return r
-        out: dict[int, Fraction] = {}
-        for e1, v1 in self.c.items():
-            for e2, v2 in other.c.items():
+            if not other:
+                return _make({}, 1)
+            p, q = other.numerator, other.denominator
+            return _canonical({e: v * p for e, v in self.num.items()}, self.den * q)
+        out: dict[int, int] = {}
+        n2 = other.num.items()
+        for e1, v1 in self.num.items():
+            for e2, v2 in n2:
                 e = e1 + e2
-                s = out.get(e, Fraction(0)) + v1 * v2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        r = EpsLaurent()
-        r.c = out
-        return r
+                out[e] = out.get(e, 0) + v1 * v2
+        if 0 in out.values():
+            out = {e: v for e, v in out.items() if v}
+        return _canonical(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -127,18 +159,21 @@ class EpsLaurent:
         if not other:
             raise ZeroDivisionError("division by zero EpsLaurent")
         if not self:
-            return EpsLaurent.zero()
-        if len(other.c) == 1:
-            (e, v), = other.c.items()
-            r = EpsLaurent()
-            r.c = {e1 - e: v1 / v for e1, v1 in self.c.items()}
-            return r
-        # general case: long division from the top exponent; an exact Laurent
-        # quotient cannot reach below min(self) - min(other)
-        num = dict(self.c)
-        de = max(other.c)
-        dv = other.c[de]
-        qe_floor = min(self.c) - min(other.c)
+            return _make({}, 1)
+        if len(other.num) == 1:
+            # (num/den) / (p/q eps^e) = (num*q) / (den*p) eps^-e
+            (e, p), = other.num.items()
+            q = other.den
+            if p < 0:
+                p, q = -p, -q
+            return _canonical({e1 - e: v * q for e1, v in self.num.items()}, self.den * p)
+        # general case: long division over Q from the top exponent; an exact
+        # Laurent quotient cannot reach below min(self) - min(other)
+        num = self.c
+        den = other.c
+        de = max(den)
+        dv = den[de]
+        qe_floor = min(num) - min(den)
         quot: dict[int, Fraction] = {}
         while num:
             ne = max(num)
@@ -147,9 +182,9 @@ class EpsLaurent:
                 raise ValueError("inexact EpsLaurent division")
             qv = num[ne] / dv
             quot[qe] = qv
-            for e2, v2 in other.c.items():
+            for e2, v2 in den.items():
                 e = qe + e2
-                s = num.get(e, Fraction(0)) - qv * v2
+                s = num.get(e, 0) - qv * v2
                 if s:
                     num[e] = s
                 else:
@@ -169,23 +204,23 @@ class EpsLaurent:
     # -- inspection ---------------------------------------------------------
 
     def min_exp(self) -> int:
-        return min(self.c)
+        return min(self.num)
 
     def max_exp(self) -> int:
-        return max(self.c)
+        return max(self.num)
 
     def exponents(self) -> Iterator[int]:
-        return iter(sorted(self.c))
+        return iter(sorted(self.num))
 
     def __getitem__(self, e: int) -> Fraction:
-        return self.c.get(e, Fraction(0))
+        return Fraction(self.num.get(e, 0), self.den)
 
     def __repr__(self) -> str:
-        if not self.c:
+        if not self.num:
             return "0"
         parts = []
-        for e in sorted(self.c):
-            v = self.c[e]
+        for e in sorted(self.num):
+            v = self[e]
             if e == 0:
                 parts.append(f"{v}")
             elif e == 1:
@@ -198,26 +233,27 @@ class EpsLaurent:
 
     def eval(self, eps):
         """Horner evaluation at a numeric eps (mpf, float, Fraction)."""
-        if not self.c:
+        if not self.num:
             return 0 * eps
-        exps = sorted(self.c, reverse=True)
+        exps = sorted(self.num, reverse=True)
         lo = exps[-1]
         if lo < 0 and eps == 0:
             raise ZeroDivisionError("negative eps-powers present, eps must be nonzero")
-        # Horner in eps on the polynomial self * eps^(-lo), then scale back
+        # Horner in eps on the polynomial self * eps^(-lo), then scale back;
+        # each coefficient enters as its exact Fraction
         acc = 0 * eps
         prev = None
         for e in exps:
             if prev is not None:
                 acc = acc * eps ** (prev - e)
-            acc = acc + self.c[e]
+            acc = acc + self[e]
             prev = e
         return acc * eps ** lo
 
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict[str, str]:
-        return {str(e): str(self.c[e]) for e in sorted(self.c)}
+        return {str(e): str(self[e]) for e in sorted(self.num)}
 
     @staticmethod
     def from_json(d: Mapping[str, str]) -> "EpsLaurent":

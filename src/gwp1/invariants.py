@@ -28,11 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import permutations
 from math import factorial
+from operator import add
 
-from .epslaurent import EpsLaurent
+from .epslaurent import ONE, ZERO, EpsLaurent
 from .waves import normalized_quartet, s1_series
 from .zseries import WindowError
 
@@ -85,20 +86,20 @@ def _cycle_sum(ks: tuple[int, ...], order: int) -> EpsLaurent:
 
     @lru_cache(maxsize=None)
     def edge(forward: bool, x: int, y: int) -> EpsLaurent:
-        g = EpsLaurent.zero()
         if forward:
-            for m in range(max(0, y), -x):
-                g = g + kernel(x + 1 + m, y - m)
+            terms = [kernel(x + 1 + m, y - m) for m in range(max(0, y), -x)]
         else:
-            for m in range(max(0, x), -y):
-                g = g - kernel(x - m, y + 1 + m)
-        return g
+            terms = [kernel(x - m, y + 1 + m) for m in range(max(0, x), -y)]
+        if not terms:
+            return ZERO
+        g = reduce(add, terms)
+        return g if forward else -g
 
-    total = EpsLaurent.zero()
+    total = ZERO
     for rest in permutations(range(1, n)):
         cyc = (0,) + rest
         for x0 in range(c[0] + 1, 0):
-            partial = {x0: EpsLaurent.one()}
+            partial = {x0: ONE}
             for u, v in zip(cyc, cyc[1:] + (0,)):
                 nxt: dict[int, EpsLaurent] = {}
                 for xu, p in partial.items():
@@ -108,9 +109,11 @@ def _cycle_sum(ks: tuple[int, ...], order: int) -> EpsLaurent:
                     for xv in xvs:
                         g = edge(u < v, xu, c[v] - xv)
                         if g:
-                            nxt[xv] = nxt.get(xv, EpsLaurent.zero()) + p * g
+                            pg = p * g
+                            nxt[xv] = nxt[xv] + pg if xv in nxt else pg
                 partial = nxt
-            total = total + partial.get(x0, EpsLaurent.zero())
+            if x0 in partial:
+                total = total + partial[x0]
     return total
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .epslaurent import EpsLaurent
+from .epslaurent import ZERO, EpsLaurent
 from .zseries import WindowError, ZSeries
 
 NEG_INF = float("-inf")
@@ -104,7 +104,7 @@ class MultiSeries:
             raise WindowError(
                 f"tuple {t} outside validity region lo={self.lo}, lo_tot={self.lo_tot}"
             )
-        return self.c.get(t, EpsLaurent.zero())
+        return self.c.get(t, ZERO)
 
     def is_zero(self) -> bool:
         return not self.c
@@ -122,11 +122,7 @@ class MultiSeries:
         hi = tuple(max(a, b) for a, b in zip(self.hi, other.hi))
         out = dict(self.c)
         for t, v in other.c.items():
-            s = out.get(t, EpsLaurent.zero()) + v
-            if s:
-                out[t] = s
-            else:
-                out.pop(t, None)
+            out[t] = out[t] + v if t in out else v
         return MultiSeries(
             self.n,
             out,
@@ -196,14 +192,8 @@ class MultiSeries:
                 if not r._valid(t):
                     continue
                 p = v1 * v2
-                if not p:
-                    continue
-                s = out.get(t, EpsLaurent.zero()) + p
-                if s:
-                    out[t] = s
-                else:
-                    out.pop(t, None)
-        r.c = out
+                out[t] = out[t] + p if t in out else p
+        r.c = {t: v for t, v in out.items() if v}
         return r
 
     __mul__ = mul
@@ -246,11 +236,7 @@ class MultiSeries:
             if tt[dst] < new_floor:
                 continue
             key = tuple(tt)
-            s = out.get(key, EpsLaurent.zero()) + v
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            out[key] = out[key] + v if key in out else v
         lo = list(self.lo)
         lo[src] = NEG_INF
         lo[dst] = new_floor
@@ -258,7 +244,7 @@ class MultiSeries:
         hi[dst] = self.hi[dst] + self.hi[src]
         hi[src] = 0
         r = self._like(lo, self.lo_tot, hi, self.hi_tot)
-        r.c = out
+        r.c = {t: v for t, v in out.items() if v}
         return r
 
     def divide_by_difference(self, b: int, a: int) -> "MultiSeries":
@@ -282,18 +268,13 @@ class MultiSeries:
             for t, v in levels.get(e, {}).items():
                 tt = list(t)
                 tt[b] = e - 1
-                key = tuple(tt)
-                nxt[key] = nxt.get(key, EpsLaurent.zero()) + v
+                nxt[tuple(tt)] = v
             for t, v in q_level.items():
                 tt = list(t)
                 tt[b] = e - 1
                 tt[a] += 1
                 key = tuple(tt)
-                s = nxt.get(key, EpsLaurent.zero()) + v
-                if s:
-                    nxt[key] = s
-                else:
-                    nxt.pop(key, None)
+                nxt[key] = nxt[key] + v if key in nxt else v
             q_level = {t: v for t, v in nxt.items() if v}
             out.update(q_level)
         lo = list(self.lo)

@@ -58,6 +58,8 @@ def _laplace_det(columns, min_total=NEG_INF) -> MultiSeries:
     """det(columns[c](z_j))_{j,c}, keeping only totals >= min_total."""
     n = len(columns)
     tops = [f.top for f in columns]
+    # column entries and their negatives, for odd placements
+    signed = [(list(f.c.items()), [(d, -w) for d, w in f.c.items()]) for f in columns]
     partial = {0: {(): EpsLaurent.one()}}
     for _ in range(n):
         nxt: dict[int, dict[tuple, EpsLaurent]] = {}
@@ -65,12 +67,11 @@ def _laplace_det(columns, min_total=NEG_INF) -> MultiSeries:
             free = [c for c in range(n) if not used >> c & 1]
             free_top = sum(tops[c] for c in free)
             for c in free:
-                odd = bin(used >> (c + 1)).count("1") & 1
+                col = signed[c][bin(used >> (c + 1)).count("1") & 1]
                 acc = nxt.setdefault(used | 1 << c, {})
                 for t, v in terms.items():
-                    v = -v if odd else v
                     floor = min_total - sum(t) - (free_top - tops[c])
-                    for d, w in columns[c].c.items():
+                    for d, w in col:
                         if d >= floor:
                             key, p = t + (d,), v * w
                             acc[key] = acc[key] + p if key in acc else p

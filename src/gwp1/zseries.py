@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .epslaurent import EpsLaurent, ONE
+from .epslaurent import EpsLaurent, ONE, ZERO
 
 
 class WindowError(Exception):
@@ -48,7 +48,7 @@ class ZSeries:
             raise WindowError(
                 f"coefficient of z^{d} outside valid window [-{self.order}, {self.top}]"
             )
-        return self.c.get(d, EpsLaurent.zero())
+        return self.c.get(d, ZERO)
 
     def residue_at_infinity(self) -> EpsLaurent:
         """Formal residue at infinity: minus the z^(-1) coefficient."""
@@ -61,7 +61,7 @@ class ZSeries:
         order = min(self.order, other.order)
         top = max(self.top, other.top)
         for d in range(-order, top + 1):
-            if self.c.get(d, EpsLaurent.zero()) != other.c.get(d, EpsLaurent.zero()):
+            if self.c.get(d, ZERO) != other.c.get(d, ZERO):
                 return False
         return True
 
@@ -76,11 +76,7 @@ class ZSeries:
         order = min(self.order, other.order)
         out = dict(self.c)
         for d, v in other.c.items():
-            s = out.get(d, EpsLaurent.zero()) + v
-            if s:
-                out[d] = s
-            else:
-                out.pop(d, None)
+            out[d] = out[d] + v if d in out else v
         return ZSeries(out, top=max(self.top, other.top), order=order)
 
     def __neg__(self) -> "ZSeries":
@@ -103,13 +99,7 @@ class ZSeries:
                 if d < -order:
                     continue
                 p = v1 * v2
-                if not p:
-                    continue
-                s = out.get(d, EpsLaurent.zero()) + p
-                if s:
-                    out[d] = s
-                else:
-                    out.pop(d, None)
+                out[d] = out[d] + p if d in out else p
         return ZSeries(out, top=top, order=order)
 
     def scale(self, k) -> "ZSeries":
@@ -138,20 +128,15 @@ class ZSeries:
             return self
         out: dict[int, EpsLaurent] = {}
         for d, v in self.c.items():
-            # (z+c)^d = sum_m binom(d, m) c^m z^(d-m), generalized binomial
-            binom = Fraction(1)
+            # (z+c)^d = sum_m binom(d, m) c^m z^(d-m); the generalized
+            # binomial of an integer d is an integer, so each step divides exactly
+            binom_cm = 1  # binom(d, m) * cshift^m
             m = 0
             while d - m >= -self.order:
-                if binom:
-                    t = v * (binom * Fraction(cshift) ** m)
-                    if t:
-                        e = d - m
-                        s = out.get(e, EpsLaurent.zero()) + t
-                        if s:
-                            out[e] = s
-                        else:
-                            out.pop(e, None)
-                binom = binom * Fraction(d - m, m + 1)
+                t = v * binom_cm
+                e = d - m
+                out[e] = out[e] + t if e in out else t
+                binom_cm = binom_cm * (d - m) * cshift // (m + 1)
                 m += 1
                 if d >= 0 and m > d:
                     break
@@ -180,10 +165,10 @@ class ZSeries:
         Factors out the leading monomial c*eps^k*z^top and inverts the rest.
         """
         lead = self.c.get(self.top)
-        if lead is None or len(lead.c) != 1:
+        if lead is None or len(lead.num) != 1:
             raise ValueError("leading coefficient must be a single eps-monomial")
-        (e, v), = lead.c.items()
-        inv_lead = EpsLaurent.mono(-e, 1 / v)
+        (e, v), = lead.num.items()
+        inv_lead = EpsLaurent.mono(-e, Fraction(lead.den, v))
         body = self.mul_zpow(-self.top).scale(inv_lead)  # constant term 1
         return body.invert().scale(inv_lead).mul_zpow(-self.top)
 

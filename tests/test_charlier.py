@@ -18,7 +18,9 @@ from gwp1.charlier import (
     charlier_value,
     difference_equation_residual,
     gamma_real,
+    numeric_f,
     numeric_f_g,
+    numeric_g,
     numeric_wronskian,
 )
 
@@ -130,6 +132,15 @@ def test_wronskian_unity():
     for z in ("7.25", "12.25"):
         for eps in (Fraction(1, 2), 1, 2):
             assert abs(numeric_wronskian(mp.mpf(z), eps, 128) - 1) < mp.mpf(2) ** -64
+
+
+@pytest.mark.parametrize("prec", [128, 640])
+def test_split_waves_match_pair(prec):
+    for z in ("5.25", "-3.75", "20.25"):
+        for eps in (Fraction(1, 2), 1, 2):
+            f, g = numeric_f_g(mp.mpf(z), eps, prec)
+            assert numeric_f(mp.mpf(z), eps, prec) == f
+            assert numeric_g(mp.mpf(z), eps, prec) == g
 
 
 def test_near_integer_order_rejected():

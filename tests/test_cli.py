@@ -16,7 +16,9 @@ GOLDEN = {
     "invariant_0_0_0_0": ["invariant", "--ks", "0,0,0,0"],
     "invariant_2_by_genus": ["invariant", "--ks", "2", "--by-genus"],
     "free_energy_3": ["free-energy", "--max-weight", "3"],
+    "free_energy_4": ["free-energy", "--max-weight", "4"],
     "zmodel_4_3_miwa": ["zmodel", "--n", "4", "--degree", "3", "--miwa"],
+    "zmodel_5_4_miwa": ["zmodel", "--n", "5", "--degree", "4", "--miwa"],
     "charlier_limit": ["charlier", "--check", "limit"],
     "charlier_asymptotics": ["charlier", "--check", "asymptotics"],
 }

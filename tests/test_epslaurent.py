@@ -1,6 +1,7 @@
 """Coefficient-ring unit and property tests."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +14,13 @@ scalars = st.fractions(
 laurents = st.dictionaries(
     st.integers(min_value=-6, max_value=6), scalars, max_size=5
 ).map(EpsLaurent)
+wide_scalars = st.fractions(
+    min_value=-10**9, max_value=10**9, max_denominator=10**7
+)
+wide_laurents = st.dictionaries(
+    st.integers(min_value=-6, max_value=6), wide_scalars, max_size=6
+).map(EpsLaurent)
+any_laurents = st.one_of(laurents, wide_laurents)
 
 
 def test_constructors_drop_zeros():
@@ -37,6 +45,8 @@ def test_arithmetic_known_values():
     assert a - a == ZERO
     assert (a * 2)[0] == Fraction(-1, 12)
     assert 3 * ONE == EpsLaurent.const(3)
+    # the eps^1 terms cancel and must not be stored
+    assert ((ONE + EPS) * (ONE - EPS)).c == {0: Fraction(1), 2: Fraction(-1)}
 
 
 def test_div_exact_monomial_and_long():
@@ -88,3 +98,133 @@ def test_exact_division_round_trip(a, b):
     if not b:
         return
     assert (a * b).div_exact(b) == a
+
+
+# -- differential tests against a {exp: Fraction} reference ------------------
+
+
+def ref(x: EpsLaurent) -> dict[int, Fraction]:
+    return {e: x[e] for e in x.exponents()}
+
+
+def ref_clean(d):
+    return {e: v for e, v in d.items() if v}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for e, v in b.items():
+        out[e] = out.get(e, 0) + v
+    return ref_clean(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, v1 in a.items():
+        for e2, v2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + v1 * v2
+    return ref_clean(out)
+
+
+def ref_div(a, b):
+    """a / b by polynomial division with remainder; None when not Laurent.
+
+    Both sides are shifted to polynomials with b(0) != 0; b is then prime to
+    eps, so the quotient is Laurent exactly when the remainder is zero.
+    """
+    if not a:
+        return {}
+    la, lb = min(a), min(b)
+    rem = {e - la: v for e, v in a.items()}
+    bp = {e - lb: v for e, v in b.items()}
+    top = max(bp)
+    quot = {}
+    while rem and max(rem) >= top:
+        k = max(rem)
+        q = rem[k] / bp[top]
+        quot[k - top] = q
+        for e, v in bp.items():
+            rem[e + k - top] = rem.get(e + k - top, 0) - q * v
+        rem = ref_clean(rem)
+    if rem:
+        return None
+    return {e + la - lb: v for e, v in quot.items()}
+
+
+def assert_canonical(x: EpsLaurent) -> None:
+    assert type(x.den) is int and x.den > 0
+    assert all(type(v) is int and v != 0 for v in x.num.values())
+    assert gcd(x.den, *x.num.values()) == 1
+    assert EpsLaurent.from_json(x.to_json()) == x
+
+
+def assert_matches(x: EpsLaurent, expected: dict[int, Fraction]) -> None:
+    assert_canonical(x)
+    assert ref(x) == expected
+    y = EpsLaurent(expected)
+    assert x == y and hash(x) == hash(y)
+
+
+@given(any_laurents, any_laurents)
+def test_ring_matches_fraction_reference(a, b):
+    ra, rb = ref(a), ref(b)
+    assert_canonical(a)
+    assert_matches(a + b, ref_add(ra, rb))
+    assert_matches(-a, {e: -v for e, v in ra.items()})
+    assert_matches(a - b, ref_add(ra, {e: -v for e, v in rb.items()}))
+    assert_matches(a * b, ref_mul(ra, rb))
+    assert hash(a * b) == hash(b * a) and hash(a + b) == hash(b + a)
+
+
+@given(any_laurents, st.integers(min_value=-10**6, max_value=10**6), wide_scalars)
+def test_scalar_products_match_reference(a, k, q):
+    ra = ref(a)
+    for s in (k, q):
+        expected = ref_clean({e: v * s for e, v in ra.items()})
+        assert_matches(a * s, expected)
+        assert_matches(s * a, expected)
+        assert_matches(a + s, ref_add(ra, ref_clean({0: Fraction(s)})))
+
+
+@given(any_laurents, any_laurents, st.integers(min_value=-8, max_value=8), wide_scalars)
+def test_div_exact_matches_reference(a, b, e, q):
+    ra, rb = ref(a), ref(b)
+    if q:
+        m = EpsLaurent.mono(e, q)
+        assert_matches(a.div_exact(m), {d - e: v / q for d, v in ra.items()})
+    if not b:
+        return
+    assert_matches((a * b).div_exact(b), ra)
+    expected = ref_div(ra, rb)
+    if expected is None:
+        with pytest.raises(ValueError):
+            a.div_exact(b)
+    else:
+        assert_matches(a.div_exact(b), expected)
+
+
+@given(laurents, st.integers(min_value=0, max_value=4))
+def test_pow_matches_reference(a, n):
+    expected = {0: Fraction(1)}
+    for _ in range(n):
+        expected = ref_mul(expected, ref(a))
+    assert_matches(a**n, expected)
+
+
+def test_products_and_sums_create_no_fraction(monkeypatch):
+    a = EpsLaurent({-2: Fraction(1, 3), 0: Fraction(-1, 24), 1: 5, 3: Fraction(7, 5760)})
+    b = EpsLaurent({-1: Fraction(2, 5), 0: 1, 2: Fraction(-3, 414720)})
+    created = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        created.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    product = a * b
+    total = product + a + b - a * 3
+    negated = -total
+    monkeypatch.undo()
+    assert created == []
+    assert negated == -(a * b + b - a * 2)
