@@ -10,11 +10,11 @@ from .multiseries import MultiSeries
 from .waves import (
     RMatrix,
     WaveExpansion,
+    closed_wave,
     normalized_quartet,
     r_matrix,
     s1_series,
     solve_formal_wave,
-    stirling_g_oracle,
     wave_residual,
     wave_shift,
 )
@@ -51,8 +51,8 @@ __version__ = "1.0.0"
 
 __all__ = [
     "EpsLaurent", "ZSeries", "WindowError", "MultiSeries",
-    "WaveExpansion", "RMatrix", "solve_formal_wave", "wave_shift",
-    "wave_residual", "stirling_g_oracle", "normalized_quartet", "r_matrix",
+    "WaveExpansion", "RMatrix", "closed_wave", "solve_formal_wave", "wave_shift",
+    "wave_residual", "normalized_quartet", "r_matrix",
     "s1_series", "InvariantRecord", "one_point_invariant", "n_point_invariant",
     "invariant_by_genus", "free_energy", "MiwaPolynomial", "symmetric_to_miwa",
     "ZModelExpansion", "zmodel_entry", "zmodel_expansion",

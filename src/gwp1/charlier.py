@@ -32,7 +32,7 @@ from math import factorial
 
 from mpmath import mp
 
-from .waves import solve_formal_wave
+from .waves import closed_wave
 
 _GUARD_BITS = 30
 
@@ -388,7 +388,7 @@ def asymptotic_match_check(z, eps, order: int, prec: int) -> AsymptoticReport:
         eps_m = _to_mpf(eps)
         f = numeric_f(z_m, eps_m, prec + _GUARD_BITS)
         numeric = f * mp.power(eps_m * z_m / mp.e, -z_m)
-        h = solve_formal_wave(+1, max(order, 1)).h
+        h = closed_wave(+1, order).h
         formal = mp.mpf(0)
         for d in range(h.top, -order - 1, -1):
             formal += h.coeff(d).eval(eps_m) * mp.power(z_m, d)

@@ -20,8 +20,8 @@ from .epslaurent import EpsLaurent
 from . import charlier as ch
 from .invariants import free_energy, invariant_by_genus, n_point_invariant
 from .miwa import MiwaPolynomial
-from .selftest import run_selftest
-from .waves import solve_formal_wave, stirling_g_oracle
+from .selftest import CHECKS, run_selftest
+from .waves import closed_wave, solve_formal_wave
 from .zmodel import stabilization_check, zmodel_expansion
 from .zseries import WindowError
 
@@ -153,16 +153,15 @@ def cmd_wave(cfg: RunConfig):
     if order < 0:
         raise UsageError("order must be >= 0")
     sigma = +1 if which == "f" else -1
-    h = solve_formal_wave(sigma, max(order, 1)).h.truncate(max(order, 1))
-    doc = {str(-d): _flat_eps(h.coeff(-d)) for d in range(order + 1) if h.coeff(-d)}
-    return doc
+    h = closed_wave(sigma, order).h
+    return {str(-d): _flat_eps(h.coeff(-d)) for d in range(order + 1) if h.coeff(-d)}
 
 
 def cmd_wave_oracle(cfg: RunConfig):
     order = cfg.options["order"]
     if order < 1:
         raise UsageError("order must be >= 1")
-    h = stirling_g_oracle(order).h
+    h = solve_formal_wave(-1, order).h
     return {str(-d): _flat_eps(h.coeff(-d)) for d in range(order + 1) if h.coeff(-d)}
 
 
@@ -222,6 +221,8 @@ def cmd_charlier(cfg: RunConfig):
     check = cfg.options["check"]
     prec = cfg.prec
     eps = _parse_rat(cfg.options.get("eps") or "1")
+    if check in ("limit", "residuals", "asymptotics") and eps <= 0:
+        raise UsageError(f"charlier --check {check} needs eps > 0, got eps={eps}")
     if check == "orthogonality":
         a = _parse_rat(cfg.options.get("a") or "1")
         tol = mp.mpf(10) ** -20
@@ -295,7 +296,11 @@ def cmd_charlier(cfg: RunConfig):
 
 
 def cmd_selftest(cfg: RunConfig):
-    results = run_selftest(cfg.options.get("only"))
+    only = cfg.options.get("only")
+    names = [name for name, _ in CHECKS]
+    if only is not None and only not in names:
+        raise UsageError(f"unknown check {only!r}; known checks: {', '.join(names)}")
+    results = run_selftest(only)
     doc = {"rows": [r.to_json() for r in results],
            "passed": all(r.passed for r in results)}
     return doc
@@ -344,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, required=True)
 
     p = sub.add_parser("wave-oracle", parents=[common],
-                       help="independent Stirling-series oracle for g")
+                       help="g-wave by the independent triangular solve")
     p.add_argument("--order", type=int, required=True)
 
     p = sub.add_parser("invariant", parents=[common],

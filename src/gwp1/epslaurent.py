@@ -77,6 +77,13 @@ class EpsLaurent:
         return EpsLaurent({0: 1})
 
     @staticmethod
+    def from_ints(num: Mapping[int, int], den: int = 1) -> "EpsLaurent":
+        """sum_e num[e] * eps^e / den, from integer numerators over an integer den > 0."""
+        if den <= 0:
+            raise ValueError("denominator must be positive")
+        return _canonical({e: v for e, v in num.items() if v}, den)
+
+    @staticmethod
     def mono(exp: int, coeff: Scalar = 1) -> "EpsLaurent":
         return EpsLaurent({exp: coeff})
 

@@ -2,7 +2,7 @@
 
 Each check is a named, argument-free callable returning a CheckResult; the
 registry order is the canonical reporting order.  The frozen rational values
-here were produced once by the independent oracle routes (Stirling expansion,
+here were produced once by the independent oracle routes (triangular solve,
 brute-force ensemble sums, doubled-truncation recomputation) and are treated
 as constants afterwards.
 """
@@ -20,11 +20,12 @@ from .zseries import ZSeries
 from . import charlier as ch
 from .invariants import free_energy, n_point_invariant, one_point_invariant
 from .waves import (
+    closed_wave,
     normalized_quartet,
     r_matrix,
     s1_series,
     solve_formal_wave,
-    stirling_g_oracle,
+    wave_shift,
 )
 from .zmodel import (
     characteristic_det_check,
@@ -83,7 +84,7 @@ DEGREE3_GENERATING_FUNCTION = {
 
 
 def check_wave_coefficients() -> CheckResult:
-    h = solve_formal_wave(+1, 3).h
+    h = closed_wave(+1, 3).h
     bad = [d for d, v in F_WAVE_COEFFS.items() if h.coeff(d) != v]
     return CheckResult(
         "wave-coefficients",
@@ -93,11 +94,18 @@ def check_wave_coefficients() -> CheckResult:
 
 
 def check_oracle_equivalence() -> CheckResult:
-    w = solve_formal_wave(-1, 8).h
-    o = stirling_g_oracle(8).h
-    ok = all(w.coeff(d) == o.coeff(d) for d in range(0, -9, -1))
+    order = 8
+    wa = solve_formal_wave(+1, order + 2)
+    wb = solve_formal_wave(-1, order + 2)
+    solved = (wa.h, wave_shift(wa, -1).h, wb.h, wave_shift(wb, +1).h)
+    ok = all(
+        s.coeff(d) == c.coeff(d)
+        for s, c in zip(solved, normalized_quartet(order))
+        for d in range(0, -order - 1, -1)
+    )
     return CheckResult(
-        "oracle-equivalence", ok, "g-wave vs Stirling-series oracle, order 8"
+        "oracle-equivalence", ok,
+        "closed-form A, Atilde, B, Btilde vs triangular solve and shift, order 8",
     )
 
 

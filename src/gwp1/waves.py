@@ -7,6 +7,32 @@ whose scalar equation carries eps*(z-1/2) instead (the matrix solution places
 it in the shifted second row).  All exponential and square-root prefactors are
 stripped: the module works with the plain series A, Atilde, B, Btilde whose
 pairwise products are prefactor-free.
+
+Closed form.  With nu = z + 1/2 and x = 2/eps the equation is the Bessel
+recurrence J_(nu-1)(x) + J_(nu+1)(x) = (2 nu / x) J_nu(x), and the waves are
+Bessel power series (g(z) = sqrt(2 pi/eps) J_(z+1/2)(2/eps)).  Writing
+Gamma(z+1/2) = sqrt(2 pi) (z/e)^z S(z) with Stirling's series
+
+    S(z) = exp sum_(k>=1) (-1)^(k+1) B_(k+1)(1/2) / (k(k+1)) z^(-k),
+    B_n(1/2) = (2^(1-n) - 1) B_n,
+
+each normalized series is S^(+-1) times a sum of Gamma ratios:
+
+    A      = S      sum_m eps^(-2m)   / m!          prod_(i=1..m)   (z-i+1/2)^(-1)
+    Atilde = S      sum_m eps^(-2m-1) / m!          prod_(i=1..m+1) (z-i+1/2)^(-1)
+    B      = S^(-1) sum_m (-1)^m eps^(-2m)   / m!   prod_(i=0..m-1) (z+i+1/2)^(-1)
+    Btilde = S^(-1) sum_m (-1)^m eps^(-2m-1) / m!   prod_(i=0..m)   (z+i+1/2)^(-1)
+
+In w = 1/z the products nest: with Q_0 = S^sigma and r_m = sigma*(m - 1/2),
+Q_m = w Q_(m-1) / (1 - r_m w) is one in-place pass over a list, and Q_m feeds
+the eps^(-2m) part of the plain series and the eps^(1-2m) part of its tilde
+partner.  Since log S is odd in 1/z, S^(-1)(z) = S(-z), so one Stirling series
+serves both sides.  A quartet costs one O(order^2) Fraction exponential and
+O(order^2) integer operations, and no series product.
+
+The triangular solve `solve_formal_wave` (the ansatz substituted into the
+equation and solved order by order) is kept as the independent oracle, with
+`wave_residual`; `wave_shift` re-bases a wave by whole steps in z.
 """
 
 from __future__ import annotations
@@ -14,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .epslaurent import EpsLaurent, EPS, EPS_INV
 from .zseries import ZSeries, log1p_inv_z
@@ -53,6 +79,10 @@ class RMatrix:
             self.order - 1,
         )
 
+
+# ---------------------------------------------------------------------------
+# Triangular solve (the oracle) and whole-step shifts
+# ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def step_exponent(order: int) -> ZSeries:
@@ -154,7 +184,7 @@ def wave_shift(w: WaveExpansion, c: int) -> WaveExpansion:
 
 
 # ---------------------------------------------------------------------------
-# Independent oracle for the sigma=-1 series via Stirling's expansion
+# Closed-form quartet and derived objects
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -168,41 +198,59 @@ def bernoulli_number(n: int) -> Fraction:
     return -s / (n + 1)
 
 
-def bernoulli_poly(n: int, x: Fraction) -> Fraction:
-    return sum(comb(n, k) * bernoulli_number(k) * x ** (n - k) for k in range(n + 1))
+def _stirling_series(order: int) -> list[Fraction]:
+    """Coefficients of w^0..w^order of S = exp(log S), with w = 1/z."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    # n s_n = sum_k k l_k s_(n-k); log S has odd powers of w only
+    kl = [Fraction(0)] * (order + 1)
+    for k in range(1, order + 1, 2):
+        kl[k] = (Fraction(1, 2 ** k) - 1) * bernoulli_number(k + 1) / (k + 1)
+    s = [Fraction(1)] + [Fraction(0)] * order
+    for n in range(1, order + 1):
+        s[n] = sum(kl[k] * s[n - k] for k in range(1, n + 1, 2)) / n
+    return s
 
 
-def stirling_g_oracle(order: int) -> WaveExpansion:
-    """sigma=-1 series computed from the Bessel sum plus Stirling's Gamma expansion.
+def _closed_pair(sigma: int, stirling: list[Fraction]) -> tuple[ZSeries, ZSeries]:
+    """(A, Atilde) for sigma=+1 or (B, Btilde) for sigma=-1, to the order of `stirling`.
 
-    g(z-1) = sqrt(2*pi/eps) * sum_m (-1)^m eps^(-(z-1/2)-2m) / (m! Gamma(z+1/2+m));
-    the m-th term lands at z^(-m) after normalizing by (eps*z/e)^(-z).
+    Q_m is held as integers q_m[j] = Q_m[j] * den * 2^j: den clears the
+    Stirling denominators and 2^j the halves in r_1..r_m, so the pass
+    Q_m = w Q_(m-1) / (1 - r_m w) reads q_m[j] = 2 q_(m-1)[j-1] + sigma (2m-1) q_m[j-1].
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    wo = order + 1
-    total = ZSeries.zero(order)
+    order = len(stirling) - 1
+    den = lcm(*(x.denominator for x in stirling))
+    # log S is odd in w, so S^(-1)(w) = S(-w)
+    q = [sigma**j * x.numerator * (den // x.denominator) << j for j, x in enumerate(stirling)]
+    plain: list[dict[int, int]] = [{} for _ in range(order + 1)]
+    tilde: list[dict[int, int]] = [{} for _ in range(order + 1)]
+    weight = factorial(order)  # sigma^m order!/m!, over a common order!
     for m in range(order + 1):
-        a = Fraction(2 * m + 1, 2)  # Gamma argument offset
-        expo = ZSeries(
-            {
-                -k: EpsLaurent.const(
-                    Fraction((-1) ** k) * bernoulli_poly(k + 1, a) / (k * (k + 1))
-                )
-                for k in range(1, wo + 1)
-            },
-            top=-1,
-            order=wo,
-        )
-        piece = expo.exp().mul_zpow(-m)
-        scale = EpsLaurent.mono(-2 * m, Fraction((-1) ** m, factorial(m)))
-        total = total + ZSeries(piece.c, top=piece.top, order=order).scale(scale)
-    return WaveExpansion(-1, ZSeries(total.c, top=0, order=order))
+        if m:
+            r = sigma * (2 * m - 1)
+            old, new = q[m - 1], 0
+            for j in range(m, order + 1):
+                old, new = q[j], 2 * old + r * new
+                q[j] = new
+            for j in range(m, order + 1):
+                tilde[j][1 - 2 * m] = weight * q[j]
+            weight = weight * sigma // m
+        for j in range(m, order + 1):
+            plain[j][-2 * m] = weight * q[j]
+    den *= factorial(order)
+    h = {-j: EpsLaurent.from_ints(plain[j], den << j) for j in range(order + 1)}
+    ht = {-j: EpsLaurent.from_ints(tilde[j], den << j) for j in range(order + 1)}
+    return ZSeries(h, top=0, order=order), ZSeries(ht, top=-1, order=order)
 
 
-# ---------------------------------------------------------------------------
-# Normalized quartet and derived objects
-# ---------------------------------------------------------------------------
+@lru_cache(maxsize=None)
+def closed_wave(sigma: int, order: int) -> WaveExpansion:
+    """The normalized wave of sign sigma from the closed form, exact to z^(-order)."""
+    if sigma not in (+1, -1):
+        raise ValueError("sigma must be +1 or -1")
+    return WaveExpansion(sigma, _closed_pair(sigma, _stirling_series(order))[0])
+
 
 @lru_cache(maxsize=None)
 def normalized_quartet(order: int):
@@ -210,14 +258,11 @@ def normalized_quartet(order: int):
 
     A(z): f-type solution; Atilde: f at z-1 on the same base; B: g-type at z-1;
     Btilde: g at z, i.e. B shifted one step up.  Atilde and Btilde have top
-    degree -1 with leading coefficient 1/(eps*z).
+    degree -1 with leading coefficient 1/(eps*z).  Built from the closed form.
     """
-    wa = solve_formal_wave(+1, order + 2)
-    wb = solve_formal_wave(-1, order + 2)
-    a = wa.h.truncate(order)
-    b = wb.h.truncate(order)
-    at = wave_shift(wa, -1).h.truncate(order)
-    bt = wave_shift(wb, +1).h.truncate(order)
+    stirling = _stirling_series(order)
+    a, at = _closed_pair(+1, stirling)
+    b, bt = _closed_pair(-1, stirling)
     return a, at, b, bt
 
 

@@ -6,11 +6,14 @@ a monic series z^(k-1)(1 + O(1/z)), and Delta = prod_{j<k}(z_k - z_j).  The
 quotient is a symmetric series 1 + O(1/z_j); its logarithm, rewritten in the
 time variables t_k, stabilizes in N at fixed degree.
 
-Columns.  One f-wave solve at order O + N + 1 feeds all N columns at order
-O: column k is the wave after k - 1 single `wave_shift` steps, truncated to O
-and scaled by eps^(1-k).  Shifting loses window, 0, 1, 2, 3, 5, 8, 12 orders
-after 0..6 steps, so the headroom N + 1 suffices up to N = 5 and every N >= 6
-raises WindowError.
+Columns.  One closed-form f-wave (`closed_wave`, no triangular solve) at
+order O + N + 1 feeds all N columns at order O: column k is the wave after
+k - 1 single `wave_shift` steps, truncated to O and scaled by eps^(1-k).
+Shifting loses window, 0, 1, 2, 3, 5, 8, 12 orders after 0..6 steps, so the
+headroom N + 1 suffices up to N = 5 and every N >= 6 raises WindowError.  The
+shifts, and this table, stay until the columns themselves are built in closed
+form (E_k is S(z) times a sum of Gamma ratios, each rational in z, so no
+window is lost).
 
 Determinant.  det(columns[c](z_j)) is expanded row by row (row j carries
 z_j), keeping partial sums per set S of columns used so far: N * 2^(N-1)
@@ -30,14 +33,14 @@ from functools import lru_cache
 from .epslaurent import EpsLaurent
 from .miwa import MiwaPolynomial, symmetric_to_miwa
 from .multiseries import NEG_INF, MultiSeries
-from .waves import normalized_quartet, solve_formal_wave, wave_shift
+from .waves import closed_wave, normalized_quartet, wave_shift
 from .zseries import ZSeries
 
 
 @lru_cache(maxsize=None)
 def _column_chain(nvars: int, order: int) -> tuple[ZSeries, ...]:
-    """E_1..E_nvars at one truncation order, from a single f-wave solve."""
-    w = solve_formal_wave(+1, order + nvars + 1)
+    """E_1..E_nvars at one truncation order, from a single closed-form f-wave."""
+    w = closed_wave(+1, order + nvars + 1)
     columns = []
     for k in range(1, nvars + 1):
         if k > 1:

@@ -21,6 +21,9 @@ GOLDEN = {
     "zmodel_5_4_miwa": ["zmodel", "--n", "5", "--degree", "4", "--miwa"],
     "charlier_limit": ["charlier", "--check", "limit"],
     "charlier_asymptotics": ["charlier", "--check", "asymptotics"],
+    "wave_f_8": ["wave", "--which", "f", "--order", "8"],
+    "wave_g_8": ["wave", "--which", "g", "--order", "8"],
+    "wave_oracle_8": ["wave-oracle", "--order", "8"],
 }
 
 
@@ -191,4 +194,21 @@ def test_selftest_single_check(capsys):
 
 
 def test_selftest_unknown_check_fails(capsys):
-    assert main(["selftest", "--only", "nonexistent"]) == 1
+    assert main(["selftest", "--only", "nonexistent"]) == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err and "'nonexistent'" in err
+    assert "wave-coefficients" in err and "asymptotics" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["charlier", "--check", "residuals", "--eps", "0"],
+    ["charlier", "--check", "residuals", "--eps", "-1"],
+    ["charlier", "--check", "asymptotics", "--eps", "0"],
+    ["charlier", "--check", "asymptotics", "--eps", "-1"],
+    ["charlier", "--check", "limit", "--eps=-1/2"],
+])
+def test_charlier_nonpositive_eps_is_usage_error(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "usage error" in err and "eps > 0" in err

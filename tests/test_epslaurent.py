@@ -176,6 +176,22 @@ def test_ring_matches_fraction_reference(a, b):
     assert hash(a * b) == hash(b * a) and hash(a + b) == hash(b + a)
 
 
+@given(
+    st.dictionaries(st.integers(min_value=-6, max_value=6),
+                    st.integers(min_value=-10**12, max_value=10**12), max_size=6),
+    st.integers(min_value=1, max_value=10**12),
+)
+def test_from_ints_matches_reference(num, den):
+    assert_matches(EpsLaurent.from_ints(num, den),
+                   ref_clean({e: Fraction(v, den) for e, v in num.items()}))
+
+
+def test_from_ints_rejects_nonpositive_denominator():
+    for den in (0, -3):
+        with pytest.raises(ValueError):
+            EpsLaurent.from_ints({0: 1}, den)
+
+
 @given(any_laurents, st.integers(min_value=-10**6, max_value=10**6), wide_scalars)
 def test_scalar_products_match_reference(a, k, q):
     ra = ref(a)

@@ -8,11 +8,11 @@ from gwp1.epslaurent import EpsLaurent
 from gwp1.zseries import ZSeries
 from gwp1.waves import (
     bernoulli_number,
+    closed_wave,
     normalized_quartet,
     r_matrix,
     s1_series,
     solve_formal_wave,
-    stirling_g_oracle,
     step_factor,
     wave_residual,
     wave_shift,
@@ -21,6 +21,22 @@ from gwp1.waves import (
 
 def eps(pairs):
     return EpsLaurent({e: Fraction(v) for e, v in pairs.items()})
+
+
+def fields(s):
+    return s.c, s.top, s.order
+
+
+def solved_quartet(order):
+    """The quartet by the triangular route: two solves, then one shift each."""
+    wa = solve_formal_wave(+1, order + 2)
+    wb = solve_formal_wave(-1, order + 2)
+    return (
+        wa.h.truncate(order),
+        wave_shift(wa, -1).h.truncate(order),
+        wb.h.truncate(order),
+        wave_shift(wb, +1).h.truncate(order),
+    )
 
 
 def test_known_f_coefficients():
@@ -44,13 +60,40 @@ def test_bad_inputs():
         solve_formal_wave(0, 4)
     with pytest.raises(ValueError):
         solve_formal_wave(+1, 0)
+    with pytest.raises(ValueError):
+        closed_wave(0, 4)
+    with pytest.raises(ValueError):
+        closed_wave(+1, -1)
+    with pytest.raises(ValueError):
+        normalized_quartet(-1)
 
 
-def test_stirling_oracle_matches_solver():
-    w = solve_formal_wave(-1, 8).h
-    o = stirling_g_oracle(8).h
-    for d in range(0, -9, -1):
-        assert w.coeff(d) == o.coeff(d)
+def test_closed_waves_match_solver():
+    for order in (1, 2, 5, 8, 10, 20):
+        for sigma in (+1, -1):
+            closed = closed_wave(sigma, order).h
+            assert fields(closed) == fields(solve_formal_wave(sigma, order).h), (sigma, order)
+
+
+def test_quartet_matches_triangular_route():
+    for order in range(1, 21):
+        assert list(map(fields, normalized_quartet(order))) == list(
+            map(fields, solved_quartet(order))
+        ), order
+
+
+def test_quartet_truncates_consistently():
+    big = normalized_quartet(24)
+    for order in range(24):
+        for small, large in zip(normalized_quartet(order), big):
+            assert fields(small) == fields(large.truncate(order)), order
+
+
+@pytest.mark.parametrize("sigma", [+1, -1])
+def test_residual_vanishes_on_closed_waves(sigma):
+    res = wave_residual(closed_wave(sigma, 9), 7)
+    assert res.order == 8 and res.top == 1
+    assert res.is_zero()
 
 
 def test_bernoulli_numbers():
@@ -82,6 +125,13 @@ def test_wronskian_is_one():
     a, at, b, bt = normalized_quartet(8)
     wr = a * b - at * bt
     assert wr.eq_on_window(ZSeries.const(1, wr.order))
+
+
+def test_wronskian_is_one_at_order_40():
+    a, at, b, bt = normalized_quartet(40)
+    wr = a * b - at * bt
+    assert wr.order == 40
+    assert wr.eq_on_window(ZSeries.const(1, 40))
 
 
 def test_tilde_leading_terms():

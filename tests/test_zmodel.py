@@ -7,7 +7,7 @@ import pytest
 
 from gwp1.epslaurent import EpsLaurent
 from gwp1.invariants import free_energy
-from gwp1.waves import solve_formal_wave, wave_shift
+from gwp1.waves import closed_wave, solve_formal_wave, wave_shift
 from gwp1.zmodel import (
     _column_chain,
     _laplace_det,
@@ -56,10 +56,15 @@ def test_entries_are_monic():
 
 
 def test_one_wave_solve_per_expansion():
+    # one closed-form f-wave feeds every column; the triangular solve is not used
     _column_chain.cache_clear()
+    closed_wave.cache_clear()
     solve_formal_wave.cache_clear()
     zmodel_expansion(5, 2)
-    assert solve_formal_wave.cache_info().misses == 1
+    assert closed_wave.cache_info().misses == 1
+    assert closed_wave.cache_info().hits == 0
+    info = solve_formal_wave.cache_info()
+    assert info.hits == info.misses == 0
 
 
 @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
