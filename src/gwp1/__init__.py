@@ -6,7 +6,6 @@ determinantal (matrix-model) expansion in scaled time variables.
 
 from .epslaurent import EpsLaurent
 from .zseries import WindowError, ZSeries
-from .multiseries import MultiSeries
 from .waves import (
     RMatrix,
     WaveExpansion,
@@ -25,7 +24,7 @@ from .invariants import (
     n_point_invariant,
     one_point_invariant,
 )
-from .miwa import MiwaPolynomial, symmetric_to_miwa
+from .miwa import MiwaPolynomial, power_sums_to_times
 from .zmodel import (
     ZModelExpansion,
     characteristic_det_check,
@@ -50,11 +49,11 @@ from .selftest import CheckResult, run_selftest
 __version__ = "1.0.0"
 
 __all__ = [
-    "EpsLaurent", "ZSeries", "WindowError", "MultiSeries",
+    "EpsLaurent", "ZSeries", "WindowError",
     "WaveExpansion", "RMatrix", "closed_wave", "solve_formal_wave", "wave_shift",
     "wave_residual", "normalized_quartet", "r_matrix",
     "s1_series", "InvariantRecord", "one_point_invariant", "n_point_invariant",
-    "invariant_by_genus", "free_energy", "MiwaPolynomial", "symmetric_to_miwa",
+    "invariant_by_genus", "free_energy", "MiwaPolynomial", "power_sums_to_times",
     "ZModelExpansion", "zmodel_entry", "zmodel_expansion",
     "stabilization_check", "characteristic_det_check", "CharlierPolynomial",
     "charlier_poly", "charlier_orthogonality_check", "gamma_real", "bessel_j",

@@ -23,7 +23,6 @@ from .miwa import MiwaPolynomial
 from .selftest import CHECKS, run_selftest
 from .waves import closed_wave, solve_formal_wave
 from .zmodel import stabilization_check, zmodel_expansion
-from .zseries import WindowError
 
 DEFAULT_PREC = 128
 PREC_ENV_VAR = "GWP1_PREC"
@@ -196,16 +195,10 @@ def cmd_zmodel(cfg: RunConfig):
         raise UsageError("n and degree must be >= 1")
     if degree >= n:
         raise UsageError(f"zmodel needs n > degree, got n={n} and degree={degree}")
-    check = cfg.options.get("check_stabilization")
-    try:
-        if check:
-            return {"degree": degree, "n": [n, n + 1],
-                    "stable": stabilization_check(degree, n, n + 1)}
-        exp = zmodel_expansion(n, degree)
-    except WindowError as exc:
-        raise UsageError(
-            f"zmodel needs {n + 1 if check else n} variables for n={n} at degree="
-            f"{degree} ({exc}); the limit is n <= 5, n <= 4 with --check-stabilization")
+    if cfg.options.get("check_stabilization"):
+        return {"degree": degree, "n": [n, n + 1],
+                "stable": stabilization_check(degree, n, n + 1)}
+    exp = zmodel_expansion(n, degree)
     if cfg.options.get("miwa"):
         return _miwa_json(exp.log_in_times)
     q = exp.quotient

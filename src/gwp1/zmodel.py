@@ -1,40 +1,52 @@
-"""Determinantal model: ratio of a shifted-wave determinant by the Vandermonde.
+"""Determinantal model in Plucker coordinates.
 
 The N-variable partition function is det(E_k(z_j))_{j,k=1..N} / Delta(z),
 where E_k(z) = eps^(1-k) * (the sigma=+1 normalized wave shifted by k-1),
-a monic series z^(k-1)(1 + O(1/z)), and Delta = prod_{j<k}(z_k - z_j).  The
-quotient is a symmetric series 1 + O(1/z_j); its logarithm, rewritten in the
-time variables t_k, stabilizes in N at fixed degree.
+a monic series z^(k-1)(1 + O(1/z)), and Delta = prod_{j<k}(z_k - z_j).  By
+Cauchy-Binet over the exponents of the columns it is the Sato-Grassmannian
+expansion of a KP tau function (Segal-Wilson 1985):
 
-Columns.  One closed-form f-wave (`closed_wave`, no triangular solve) at
-order O + N + 1 feeds all N columns at order O: column k is the wave after
-k - 1 single `wave_shift` steps, truncated to O and scaled by eps^(1-k).
-Shifting loses window, 0, 1, 2, 3, 5, 8, 12 orders after 0..6 steps, so the
-headroom N + 1 suffices up to N = 5 and every N >= 6 raises WindowError.  The
-shifts, and this table, stay until the columns themselves are built in closed
-form (E_k is S(z) times a sum of Gamma ratios, each rational in z, so no
-window is lost).
+    det(E_k(z_j)) / Delta(z) = sum_{l(lam) <= N} pi_lam s_lam(1/z_1, ..., 1/z_N),
+    pi_lam = det([z^(j-1-lam_j)] E_k)_{j,k=1..N}.
 
-Determinant.  det(columns[c](z_j)) is expanded row by row (row j carries
-z_j), keeping partial sums per set S of columns used so far: N * 2^(N-1)
-tensor steps instead of N! products.  Placing column c after S multiplies
-the sign by (-1)^#{s in S : s > c}.  A term is pruned when its exponent sum
-plus the tops of the still-unused columns is below `min_total`; the bound
-depends only on the unused set, so each surviving monomial collects the same
-permutation terms as a Leibniz sum pruned by the same bound.
+Normalised frame.  The columns may be changed by any unipotent upper
+triangular mix without changing a minor, and the characteristic entries
+G_k = z^(k-1) + O(1/z) (no other power z^0..z^(k-2)) are such a mix.  In that
+frame row j > l(lam) of the minor is the unit row e_j, so
+
+    pi_lam = det([z^(j-1-lam_j)] G_k)_{j,k=1..l(lam)},
+
+an l(lam) x l(lam) minor that does not depend on N (Zhou's affine
+coordinates, arXiv:1306.5429).  Its rows with lam_j < j are unit rows too, so
+the expansion along rows (`_det`) costs about C(l, r) products for Durfee
+rank r.  Coefficients down to z^(-degree) of G_1..G_degree fix every pi_lam
+with |lam| <= degree, with no window lost.  The logarithm is taken in the
+power-sum basis (`miwa.py`), where it is a polynomial in the times.
+
+E-frame chain.  `zmodel_entry` keeps the shifted-wave columns E_k, which the
+checks compare with the normalised frame: one closed-form f-wave at order
+O + N + 1 feeds all N columns at order O, column k being the wave after k - 1
+single `wave_shift` steps.  Shifting loses window, 0, 1, 2, 3, 5, 8, 12
+orders after 0..6 steps, so the headroom N + 1 suffices up to N = 5 and
+longer chains raise WindowError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .epslaurent import EpsLaurent
-from .miwa import MiwaPolynomial, symmetric_to_miwa
-from .multiseries import NEG_INF, MultiSeries
+from .epslaurent import ONE, ZERO, EpsLaurent
+from .miwa import (
+    MiwaPolynomial,
+    kostka,
+    log_power_sums,
+    partitions,
+    power_sums_to_times,
+    schur_to_power_sums,
+)
 from .waves import closed_wave, normalized_quartet, wave_shift
-from .zseries import ZSeries
+from .zseries import WindowError, ZSeries
 
 
 @lru_cache(maxsize=None)
@@ -57,101 +69,111 @@ def zmodel_entry(k: int, order: int) -> ZSeries:
     return _column_chain(k, order)[k - 1]
 
 
-def _laplace_det(columns, min_total=NEG_INF) -> MultiSeries:
-    """det(columns[c](z_j))_{j,c}, keeping only totals >= min_total."""
-    n = len(columns)
-    tops = [f.top for f in columns]
-    # column entries and their negatives, for odd placements
-    signed = [(list(f.c.items()), [(d, -w) for d, w in f.c.items()]) for f in columns]
-    partial = {0: {(): EpsLaurent.one()}}
-    for _ in range(n):
-        nxt: dict[int, dict[tuple, EpsLaurent]] = {}
-        for used, terms in partial.items():
-            free = [c for c in range(n) if not used >> c & 1]
-            free_top = sum(tops[c] for c in free)
-            for c in free:
-                col = signed[c][bin(used >> (c + 1)).count("1") & 1]
-                acc = nxt.setdefault(used | 1 << c, {})
-                for t, v in terms.items():
-                    floor = min_total - sum(t) - (free_top - tops[c])
-                    for d, w in col:
-                        if d >= floor:
-                            key, p = t + (d,), v * w
-                            acc[key] = acc[key] + p if key in acc else p
-        partial = {u: {t: v for t, v in acc.items() if v} for u, acc in nxt.items()}
-    lo = (max(-f.order for f in columns),) * n
-    return MultiSeries(n, partial[(1 << n) - 1], lo, lo_tot=min_total,
-                       hi=(max(tops),) * n, hi_tot=sum(tops))
+def _det(rows: list[dict[int, EpsLaurent]]) -> EpsLaurent:
+    """Determinant from sparse rows {column: entry}, expanded row by row.
+
+    Partial sums are kept per set of columns used so far; placing column c
+    after the set S multiplies the sign by (-1)^#{s in S : s > c}.
+    """
+    partial = {0: ONE}
+    for row in rows:
+        nxt: dict[int, EpsLaurent] = {}
+        for used, v in partial.items():
+            for c, x in row.items():
+                if used >> c & 1:
+                    continue
+                p = v * x if bin(used >> c).count("1") % 2 == 0 else -(v * x)
+                key = used | 1 << c
+                nxt[key] = nxt[key] + p if key in nxt else p
+        partial = nxt
+    return sum(partial.values(), ZERO)
+
+
+def _minor(lam: tuple[int, ...], columns) -> EpsLaurent:
+    """det([z^(j-1-lam_j)] columns[k])_{j,k}, lam padded with zeros to the size."""
+    rows = []
+    for j in range(len(columns)):
+        e = j - (lam[j] if j < len(lam) else 0)
+        rows.append({k: x for k, col in enumerate(columns) if (x := col.coeff(e))})
+    return _det(rows)
+
+
+def plucker_coordinates(degree: int) -> dict[tuple[int, ...], EpsLaurent]:
+    """pi_lam for every partition with |lam| <= degree, in the normalised frame."""
+    frame = _normalised_frame(degree, degree)
+    return {
+        lam: pi
+        for w in range(degree + 1)
+        for lam in partitions(w)
+        if (pi := _minor(lam, frame[:len(lam)]))
+    }
+
+
+@dataclass(frozen=True)
+class SymmetricQuotient:
+    """det/Delta in N variables: {exponent tuple: coefficient}, totals >= -degree."""
+
+    nvars: int
+    degree: int
+    c: dict[tuple[int, ...], EpsLaurent]
+
+    def coeff(self, t) -> EpsLaurent:
+        t = tuple(t)
+        if len(t) != self.nvars or sum(t) < -self.degree:
+            raise WindowError(
+                f"tuple {t} outside the expansion: {self.nvars} exponents with "
+                f"total >= -{self.degree}"
+            )
+        return self.c.get(t, ZERO)
+
+
+def _arrangements(values: tuple[int, ...]):
+    """The distinct orderings of a tuple with repeated entries."""
+    if not values:
+        yield ()
+        return
+    for v in set(values):
+        i = values.index(v)
+        for rest in _arrangements(values[:i] + values[i + 1:]):
+            yield (v,) + rest
 
 
 @dataclass(frozen=True)
 class ZModelExpansion:
     nvars: int
     degree: int
-    quotient: MultiSeries  # symmetric series, constant term 1
+    plucker: dict[tuple[int, ...], EpsLaurent]  # pi_lam, |lam| <= degree
     log_in_times: MiwaPolynomial
+
+    @cached_property
+    def quotient(self) -> SymmetricQuotient:
+        """sum pi_lam s_lam(1/z_1..1/z_N) in monomials, built on first access:
+        the coefficient of z^(-nu) for a partition nu is sum_lam pi_lam K_(lam,nu)."""
+        c = {}
+        for w in range(self.degree + 1):
+            for nu in partitions(w):
+                if len(nu) > self.nvars:
+                    continue
+                v = sum((pi * kostka(lam, nu) for lam, pi in self.plucker.items()
+                         if sum(lam) == w), ZERO)
+                if v:
+                    padded = tuple(-p for p in nu) + (0,) * (self.nvars - len(nu))
+                    c.update((t, v) for t in _arrangements(padded))
+        return SymmetricQuotient(self.nvars, self.degree, c)
 
 
 def zmodel_expansion(nvars: int, degree: int) -> ZModelExpansion:
     """Expand the partition function and its logarithm to a total degree.
 
-    Divides the determinant by each Vandermonde factor after certifying the
-    diagonal vanishing that makes the division exact, then checks symmetry
-    and unit constant term before taking the logarithm.
+    Every partition with |lam| <= degree < nvars has l(lam) <= nvars, so the
+    Plucker coordinates are those of the infinite-N tau function, and the
+    power sums p_1..p_degree of nvars > degree variables are independent.
     """
     if nvars <= degree:
         raise ValueError("need nvars > degree for a faithful time expansion")
-    npairs = nvars * (nvars - 1) // 2
-    # the per-variable truncation at -order can contaminate totals down to
-    # -order + npairs - nvars + 1 after the Vandermonde divisions, so the
-    # order must keep that contamination below the requested degree
-    order = degree + max(nvars, npairs - nvars + 1)
-    vtop = npairs  # total degree of the Vandermonde
-    num = _laplace_det(_column_chain(nvars, order), vtop - degree)
-    remaining = npairs
-    q = num
-    for b in range(1, nvars):
-        for a in range(b):
-            diag = q.subs_equal(b, a)
-            if not diag.is_zero():
-                raise RuntimeError(
-                    f"determinant not divisible by (z_{b} - z_{a}); "
-                    "numerator failed the diagonal vanishing check"
-                )
-            q = q.divide_by_difference(b, a)
-            remaining -= 1
-            q = q.truncate_total(remaining - degree)
-    _check_symmetric(q)
-    one = (0,) * nvars
-    if q.coeff(one) != EpsLaurent.one():
-        raise RuntimeError("quotient does not have constant term 1")
-    logq = _log_series(q, degree)
-    return ZModelExpansion(nvars, degree, q, symmetric_to_miwa(logq, degree))
-
-
-def _check_symmetric(q: MultiSeries) -> None:
-    n = q.n
-    for i in range(n - 1):
-        perm = list(range(n))
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        swapped = q.relabel(perm)
-        if swapped.c != q.c:
-            raise RuntimeError("quotient is not a symmetric series")
-
-
-def _log_series(q: MultiSeries, degree: int) -> MultiSeries:
-    """log(1 + u) with u = q - 1, truncated to total degree <= `degree`."""
-    n = q.n
-    u = q + (-MultiSeries.const(n, 1))
-    u = u.truncate_total(-degree)
-    acc = u
-    power = u
-    for m in range(2, degree + 1):
-        power = power.mul(u).truncate_total(-degree)
-        if power.is_zero():
-            break
-        acc = acc + power.scale(Fraction((-1) ** (m + 1), m))
-    return acc
+    plucker = plucker_coordinates(degree)
+    logs = log_power_sums(schur_to_power_sums(plucker), degree)
+    return ZModelExpansion(nvars, degree, plucker, power_sums_to_times(logs, degree))
 
 
 def stabilization_check(degree: int, n1: int, n2: int) -> bool:
@@ -165,30 +187,41 @@ def stabilization_check(degree: int, n1: int, n2: int) -> bool:
 # Characteristic-matrix representation
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _normalised_frame(count: int, order: int) -> tuple[ZSeries, ...]:
+    """G_1..G_count at one truncation order, from one quartet."""
+    a, at, b, bt = normalized_quartet(order + count)
+    columns = []
+    for k in range(1, count + 1):
+        acc = ZSeries.zero(order)
+        for m in range(k):
+            piece = a.scale(b.coeff(m + 1 - k)) - at.scale(bt.coeff(m + 1 - k))
+            acc = acc + piece.truncate(order + m).mul_zpow(m)
+        columns.append(ZSeries(acc.c, top=k - 1, order=order))
+    return tuple(columns)
+
+
 def characteristic_entry(k: int, order: int) -> ZSeries:
     """G_k(z) = sum_{m=0}^{k-1} z^m ([B]_{m+1-k} A(z) - [Bt]_{m+1-k} At(z)).
 
     [B]_e denotes the coefficient of z^e in the corresponding series; this is
-    the polynomial-part projection of z^(k-1) against the two-point kernel,
-    and must reproduce the determinantal-model entry E_k.
+    the polynomial-part projection of z^(k-1) against the two-point kernel:
+    z^(k-1) + O(1/z), a unipotent column mix of the entries E_1..E_k.
     """
-    a, at, b, bt = normalized_quartet(order + k)
-    acc = ZSeries.zero(order)
-    for m in range(k):
-        cb = b.coeff(m + 1 - k)
-        cbt = bt.coeff(m + 1 - k)
-        piece = a.scale(cb) - at.scale(cbt)
-        acc = acc + piece.truncate(order + m).mul_zpow(m)
-    return ZSeries(acc.c, top=k - 1, order=order)
+    if k < 1:
+        raise ValueError("column index k must be >= 1")
+    return _normalised_frame(k, order)[k - 1]
 
 
 def characteristic_det_check(nvars: int, order: int) -> bool:
-    """det G = det E for small sizes.
-
-    G and E agree only up to a unipotent right factor (columns mix), so the
-    comparison is between determinants as multivariate series.
-    """
-    g = _laplace_det([characteristic_entry(k, order) for k in range(1, nvars + 1)])
-    e = _laplace_det(_column_chain(nvars, order))
-    diff = g - e
-    return all(not diff._valid(t) for t in diff.c)
+    """The two frames agree: for every |lam| <= order with l(lam) <= nvars,
+    the nvars x nvars minor of the E-frame coefficients equals pi_lam from
+    the l(lam) x l(lam) minor of the normalised frame."""
+    e_frame = _column_chain(nvars, order)
+    g_frame = _normalised_frame(min(nvars, order), order)
+    return all(
+        _minor(lam, e_frame) == _minor(lam, g_frame[:len(lam)])
+        for w in range(order + 1)
+        for lam in partitions(w)
+        if len(lam) <= nvars
+    )

@@ -17,6 +17,8 @@ GOLDEN = {
     "invariant_2_by_genus": ["invariant", "--ks", "2", "--by-genus"],
     "free_energy_3": ["free-energy", "--max-weight", "3"],
     "free_energy_4": ["free-energy", "--max-weight", "4"],
+    "zmodel_4_3": ["zmodel", "--n", "4", "--degree", "3"],
+    "zmodel_5_4": ["zmodel", "--n", "5", "--degree", "4"],
     "zmodel_4_3_miwa": ["zmodel", "--n", "4", "--degree", "3", "--miwa"],
     "zmodel_5_4_miwa": ["zmodel", "--n", "5", "--degree", "4", "--miwa"],
     "charlier_limit": ["charlier", "--check", "limit"],
@@ -111,11 +113,22 @@ def test_zmodel_miwa_and_stabilization(capsys):
     ["zmodel", "--n", "6", "--degree", "1"],
     ["zmodel", "--n", "5", "--degree", "1", "--check-stabilization"],
 ])
-def test_zmodel_past_window_is_usage_error(capsys, argv):
-    code = main(argv)
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "usage error" in err and "needs 6 variables" in err and "n <= 5" in err
+def test_zmodel_past_old_window_matches_free_energy(capsys, argv):
+    # six variables were out of reach of the shifted-wave columns
+    code, doc = run_json(capsys, *argv)
+    assert code == 0
+    _, fe = run_json(capsys, "free-energy", "--max-weight", "1")
+    if "--check-stabilization" in argv:
+        assert doc == {"degree": 1, "n": [5, 6], "stable": True}
+        _, doc = run_json(capsys, "zmodel", "--n", "6", "--degree", "1", "--miwa")
+        assert doc == fe
+    else:
+        # 1 + pi_(1) p_1: the t_0 coefficient on each z_j^(-1)
+        assert [c["exp"] for c in doc["coeffs"]] == sorted(
+            [[-1 if i == j else 0 for i in range(6)] for j in range(6)]
+        ) + [[0] * 6]
+        assert all(c["val"] == fe["0"] for c in doc["coeffs"][:-1])
+        assert doc["coeffs"][-1]["val"] == "1"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,17 +1,24 @@
-"""Symmetric-to-time-variable conversion tests."""
+"""Symmetric functions: characters, Kostka numbers, the power-sum logarithm
+and the change to time variables."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from gwp1.epslaurent import EpsLaurent
-from gwp1.miwa import MiwaPolynomial, partitions, symmetric_to_miwa
-from gwp1.multiseries import MultiSeries
-from gwp1.zseries import ZSeries
+from gwp1.miwa import (
+    MiwaPolynomial,
+    character,
+    kostka,
+    log_power_sums,
+    partitions,
+    power_sums_to_times,
+    schur_to_power_sums,
+    z_mu,
+)
 
-
-def zs(coeffs, top, order):
-    return ZSeries({d: EpsLaurent.coerce(v) for d, v in coeffs.items()}, top, order)
+ONE = EpsLaurent.one()
 
 
 def test_partitions():
@@ -20,51 +27,117 @@ def test_partitions():
     assert list(partitions(3, max_part=2)) == [(2, 1), (1, 1, 1)]
 
 
-def sym_power_sum(m: int, nvars: int, order: int) -> MultiSeries:
-    """p_m = sum_j z_j^(-m) as a MultiSeries."""
-    acc = None
-    for j in range(nvars):
-        term = MultiSeries.from_zseries(zs({-m: 1}, 0, order), j, nvars)
-        acc = term if acc is None else acc + term
-    return acc
+# ---------------------------------------------------------------------------
+# Characters
+# ---------------------------------------------------------------------------
 
+def _pmul(a, b):
+    out = {}
+    for mu, x in a.items():
+        for nu, y in b.items():
+            key = tuple(sorted(mu + nu, reverse=True))
+            out[key] = out.get(key, 0) + x * y
+    return {k: v for k, v in out.items() if v}
+
+
+def _h(n):
+    """Complete symmetric function h_n = sum_mu p_mu / z_mu (zero for n < 0)."""
+    if n < 0:
+        return {}
+    return {mu: Fraction(1, z_mu(mu)) for mu in partitions(n)}
+
+
+def jacobi_trudi(lam):
+    """s_lam = det(h_(lam_i - i + j)) in the power-sum basis."""
+    n = len(lam)
+    total = {}
+    for sigma in permutations(range(n)):
+        sign = (-1) ** sum(sigma[i] > sigma[j] for i in range(n) for j in range(i + 1, n))
+        term = {(): Fraction(sign)}
+        for i in range(n):
+            term = _pmul(term, _h(lam[i] - i + sigma[i]))
+            if not term:
+                break
+        for mu, v in term.items():
+            total[mu] = total.get(mu, 0) + v
+    return {k: v for k, v in total.items() if v}
+
+
+@pytest.mark.parametrize("w", range(7))
+def test_characters_match_jacobi_trudi(w):
+    for lam in partitions(w):
+        s = jacobi_trudi(lam)
+        for mu in partitions(w):
+            assert character(lam, mu) == s.get(mu, 0) * z_mu(mu)
+
+
+def test_s4_character_table():
+    mus = [(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)]
+    table = {
+        (4,): [1, 1, 1, 1, 1],
+        (3, 1): [3, 1, -1, 0, -1],
+        (2, 2): [2, 0, 2, -1, 0],
+        (2, 1, 1): [3, -1, -1, 0, 1],
+        (1, 1, 1, 1): [1, -1, 1, 1, -1],
+    }
+    for lam, row in table.items():
+        assert [character(lam, mu) for mu in mus] == row
+
+
+def test_kostka_numbers():
+    for w in range(7):
+        for lam in partitions(w):
+            # content (1^w): standard tableaux, counted by chi^lam at the identity
+            assert kostka(lam, (1,) * w) == character(lam, (1,) * w)
+            assert kostka(lam, lam) == 1
+    assert kostka((2, 1), (1, 1, 1)) == 2
+    assert kostka((1, 1, 1), (2, 1)) == 0  # lam must dominate the content
+
+
+# ---------------------------------------------------------------------------
+# Power sums to times: p_m = eps^(m-1) t_(m-1) / (m-1)!
+# ---------------------------------------------------------------------------
 
 def test_single_power_sum():
     # p_1 = eps^0 t_0 / 0!  ->  coefficient of t_0 is 1
-    ms = sym_power_sum(1, 3, 4)
-    out = symmetric_to_miwa(ms, 2)
+    out = power_sums_to_times({(1,): ONE}, 2)
     assert out.coeff((0,)) == EpsLaurent.one()
     assert out.coeff((1,)) == EpsLaurent.zero()
 
 
 def test_p2_lands_on_t1():
     # p_2 = eps^1 t_1 / 1!
-    ms = sym_power_sum(2, 3, 4)
-    out = symmetric_to_miwa(ms, 2)
+    out = power_sums_to_times({(2,): ONE}, 2)
     assert out.coeff((1,)) == EpsLaurent.mono(1)
 
 
 def test_product_of_power_sums():
     # p_1^2 = t_0^2: its coefficient against the sorted key (0,0) is 1
-    ms = sym_power_sum(1, 3, 6).mul(sym_power_sum(1, 3, 6))
-    out = symmetric_to_miwa(ms, 2)
+    out = power_sums_to_times({(1, 1): ONE}, 2)
     assert out.coeff((0, 0)) == EpsLaurent.one()
     assert out.coeff((1,)) == EpsLaurent.zero()
 
 
 def test_elementary_symmetric_mix():
-    # e_2 = (p_1^2 - p_2)/2 in the reciprocal variables
-    p1sq = sym_power_sum(1, 3, 6).mul(sym_power_sum(1, 3, 6))
-    e2 = (p1sq - sym_power_sum(2, 3, 6)).scale(Fraction(1, 2))
-    out = symmetric_to_miwa(e2, 2)
+    # e_2 = s_(1,1) = (p_1^2 - p_2)/2 in the reciprocal variables
+    e2 = schur_to_power_sums({(1, 1): ONE})
+    half = EpsLaurent.const(Fraction(1, 2))
+    assert e2 == {(1, 1): half, (2,): -half}
+    out = power_sums_to_times(e2, 2)
     assert out.coeff((0, 0)) == EpsLaurent.const(Fraction(1, 2))
     assert out.coeff((1,)) == EpsLaurent.mono(1, Fraction(-1, 2))
 
 
-def test_faithfulness_guard():
-    ms = sym_power_sum(1, 2, 4)
-    with pytest.raises(ValueError):
-        symmetric_to_miwa(ms, 2)  # needs nvars > degree
+def test_log_power_sums():
+    # log(1 + p_1) = p_1 - p_1^2/2 + p_1^3/3 - ...
+    out = log_power_sums({(): ONE, (1,): ONE}, 3)
+    assert out == {(1,): ONE, (1, 1): EpsLaurent.const(Fraction(-1, 2)),
+                   (1, 1, 1): EpsLaurent.const(Fraction(1, 3))}
+    # log of an exponential: exp(p_2) to weight 4 is 1 + p_2 + p_2^2/2
+    out = log_power_sums({(): ONE, (2,): ONE, (2, 2): EpsLaurent.const(Fraction(1, 2))}, 4)
+    assert out == {(2,): ONE}
+    with pytest.raises(RuntimeError):
+        log_power_sums({(1,): ONE}, 2)  # constant term must be 1
 
 
 def test_miwa_polynomial_api():

@@ -7,16 +7,19 @@ import pytest
 
 from gwp1.epslaurent import EpsLaurent
 from gwp1.invariants import free_energy
-from gwp1.waves import closed_wave, solve_formal_wave, wave_shift
+from gwp1.waves import closed_wave, normalized_quartet, solve_formal_wave, wave_shift
 from gwp1.zmodel import (
+    ZModelExpansion,
     _column_chain,
-    _laplace_det,
+    _normalised_frame,
     characteristic_det_check,
     characteristic_entry,
+    plucker_coordinates,
     stabilization_check,
     zmodel_entry,
     zmodel_expansion,
 )
+from gwp1.zseries import WindowError
 
 
 def eps(pairs):
@@ -56,31 +59,54 @@ def test_entries_are_monic():
 
 
 def test_one_wave_solve_per_expansion():
-    # one closed-form f-wave feeds every column; the triangular solve is not used
-    _column_chain.cache_clear()
+    # one closed-form quartet feeds every normalised column; neither the
+    # triangular solve nor the shifted f-wave chain is used
+    _normalised_frame.cache_clear()
+    normalized_quartet.cache_clear()
     closed_wave.cache_clear()
     solve_formal_wave.cache_clear()
     zmodel_expansion(5, 2)
-    assert closed_wave.cache_info().misses == 1
-    assert closed_wave.cache_info().hits == 0
-    info = solve_formal_wave.cache_info()
-    assert info.hits == info.misses == 0
+    assert normalized_quartet.cache_info().misses == 1
+    assert normalized_quartet.cache_info().hits == 0
+    for fn in (closed_wave, solve_formal_wave):
+        info = fn.cache_info()
+        assert info.hits == info.misses == 0
+
+
+def vandermonde(nvars):
+    """prod_{j<k} (z_k - z_j) as {exponent tuple: int}."""
+    poly = {(0,) * nvars: 1}
+    for k in range(nvars):
+        for j in range(k):
+            nxt = {}
+            for t, v in poly.items():
+                for var, sign in ((k, 1), (j, -1)):
+                    tt = list(t)
+                    tt[var] += 1
+                    nxt[tuple(tt)] = nxt.get(tuple(tt), 0) + sign * v
+            poly = {t: v for t, v in nxt.items() if v}
+    return poly
 
 
 @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
-def test_laplace_det_matches_leibniz(nvars):
-    # unpruned, on a short window
-    columns = _column_chain(nvars, 1)
-    det = _laplace_det(columns)
-    assert det.c == leibniz_reference(columns, float("-inf"))
-    # pruned, with the order and total floor of zmodel_expansion(nvars, 1)
+def test_cauchy_binet_matches_leibniz(nvars):
+    # det(E_k(z_j)) = Delta(z) * sum_{l(lam) <= N} pi_lam s_lam(1/z), with the
+    # determinant by brute force over the shifted-wave columns and pi_lam from
+    # the normalised frame.  Degree 3 >= N for N <= 3 also checks that s_lam
+    # with l(lam) > N drop out of the N-variable quotient.
+    degree = 3
     npairs = nvars * (nvars - 1) // 2
-    order = 1 + max(nvars, npairs - nvars + 1)
-    columns = _column_chain(nvars, order)
-    det = _laplace_det(columns, npairs - 1)
-    assert det.c == leibniz_reference(columns, npairs - 1)
-    assert det.lo == (-order,) * nvars and det.lo_tot == npairs - 1
-    assert det.hi == (nvars - 1,) * nvars and det.hi_tot == npairs
+    quotient = ZModelExpansion(nvars, degree, plucker_coordinates(degree), None).quotient
+    product = {}
+    for t, v in quotient.c.items():
+        for s, n in vandermonde(nvars).items():
+            key = tuple(a + b for a, b in zip(t, s))
+            if sum(key) >= npairs - degree:
+                product[key] = product.get(key, EpsLaurent.zero()) + v * n
+    product = {t: v for t, v in product.items() if v}
+    # every exponent of a monomial with total >= npairs - degree is >= -degree
+    columns = _column_chain(nvars, degree)
+    assert product == leibniz_reference(columns, npairs - degree)
 
 
 def test_first_entry_is_f_wave():
@@ -101,6 +127,11 @@ def test_worked_example_coefficients():
     assert q.coeff((-2, -1, 0, 0)) == eps(
         {-6: "1/2", -4: "23/16", -2: "169/384", 0: "-1/27648"}
     )
+    # below the requested total degree the expansion certifies nothing
+    with pytest.raises(WindowError):
+        q.coeff((-4, 0, 0, 0))
+    with pytest.raises(WindowError):
+        q.coeff((-1, 0, 0))
 
 
 def test_quotient_is_symmetric():
@@ -114,6 +145,9 @@ def test_log_in_times_matches_free_energy():
     assert set(lt.coeffs) == set(fe)
     for ks, v in fe.items():
         assert lt.coeffs[ks] == v
+    # past the old six-variable window, on every monomial
+    assert zmodel_expansion(6, 5).log_in_times.coeffs == free_energy(5)
+    assert zmodel_expansion(7, 6).log_in_times.coeffs == free_energy(6)
 
 
 def test_stabilization():
@@ -133,6 +167,10 @@ def test_characteristic_entry_matches_model_entry_determinant():
 
 
 def test_characteristic_entry_monic():
-    for k in (1, 2, 3):
+    for k in (1, 2, 3, 4):
         g = characteristic_entry(k, 4)
         assert g.coeff(k - 1) == EpsLaurent.one()
+        # the normalised frame: z^(k-1) + O(1/z), nothing in between
+        assert all(not g.coeff(m) for m in range(k - 1))
+    with pytest.raises(ValueError):
+        characteristic_entry(0, 4)
