@@ -132,6 +132,20 @@ def test_zmodel_past_old_window_matches_free_energy(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["zmodel", "--n", "6", "--degree", "6"],
+    ["zmodel", "--n", "6", "--degree", "7", "--check-stabilization"],
+])
+def test_zmodel_past_window_is_usage_error(capsys, argv):
+    # the only window left is n > degree: six variables no longer hit a
+    # separate variable-count limit
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "usage error" in err and "n > degree" in err and "n=6" in err
+    assert "n <= 5" not in err and "needs 6 variables" not in err
+
+
+@pytest.mark.parametrize("argv", [
     ["zmodel", "--n", "3", "--degree", "3"],
     ["zmodel", "--n", "3", "--degree", "3", "--check-stabilization"],
 ])

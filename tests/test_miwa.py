@@ -17,6 +17,7 @@ from gwp1.miwa import (
     schur_to_power_sums,
     z_mu,
 )
+from gwp1.zmodel import zmodel_expansion
 
 ONE = EpsLaurent.one()
 
@@ -138,6 +139,23 @@ def test_log_power_sums():
     assert out == {(2,): ONE}
     with pytest.raises(RuntimeError):
         log_power_sums({(1,): ONE}, 2)  # constant term must be 1
+
+
+def test_faithfulness_guard():
+    # power sums are faithful only while the variable count exceeds the
+    # weight: e_3 = s_(1,1,1) is the monomial m_(1,1,1), zero in two variables,
+    # yet its power-sum image is not zero
+    assert [kostka((1, 1, 1), nu) for nu in partitions(3)] == [0, 0, 1]
+    e3 = schur_to_power_sums({(1, 1, 1): ONE})
+    assert e3 == {
+        (1, 1, 1): EpsLaurent.const(Fraction(1, 6)),
+        (2, 1): EpsLaurent.const(Fraction(-1, 2)),
+        (3,): EpsLaurent.const(Fraction(1, 3)),
+    }
+    assert power_sums_to_times(e3, 3).coeffs
+    # so the determinantal route needs nvars > degree
+    with pytest.raises(ValueError):
+        zmodel_expansion(2, 2)
 
 
 def test_miwa_polynomial_api():

@@ -7,10 +7,13 @@ import pytest
 
 from gwp1.epslaurent import EpsLaurent
 from gwp1.invariants import free_energy
+from gwp1.miwa import partitions
 from gwp1.waves import closed_wave, normalized_quartet, solve_formal_wave, wave_shift
 from gwp1.zmodel import (
     ZModelExpansion,
     _column_chain,
+    _det,
+    _minor,
     _normalised_frame,
     characteristic_det_check,
     characteristic_entry,
@@ -86,6 +89,33 @@ def vandermonde(nvars):
                     nxt[tuple(tt)] = nxt.get(tuple(tt), 0) + sign * v
             poly = {t: v for t, v in nxt.items() if v}
     return poly
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_laplace_det_matches_leibniz(nvars):
+    # the row-by-row expansion over sets of used columns, on the N x N
+    # E-frame coefficient matrices [z^(j-1-lam_j)] E_k whose determinants are
+    # the Plucker coordinates pi_lam for l(lam) <= N
+    order = 4
+    columns = _column_chain(nvars, order)
+    for w in range(order + 1):
+        for lam in partitions(w):
+            if len(lam) > nvars:
+                continue
+            lam_j = lam + (0,) * (nvars - len(lam))
+            matrix = [[col.coeff(j - lam_j[j]) for col in columns] for j in range(nvars)]
+            leibniz = EpsLaurent.zero()
+            for sigma in permutations(range(nvars)):
+                inversions = sum(
+                    sigma[i] > sigma[j] for i in range(nvars) for j in range(i + 1, nvars)
+                )
+                term = EpsLaurent.one() if inversions % 2 == 0 else -EpsLaurent.one()
+                for j in range(nvars):
+                    term = term * matrix[j][sigma[j]]
+                leibniz = leibniz + term
+            rows = [{k: x for k, x in enumerate(row) if x} for row in matrix]
+            assert _det(rows) == leibniz
+            assert _minor(lam, columns) == leibniz
 
 
 @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
