@@ -14,9 +14,15 @@ and have unit Wronskian, and it validates the scaling limit
     lim_L  pi_{L+l}(L + zeta; 1/(L eps^2)) / Gamma(L + zeta + 1/2)
          = eps^(zeta - l - 1/2) * J_{zeta - l - 1/2}(2/eps).
 
-The scaling check evaluates pi at one point in O(L) exact rational
-operations (`charlier_value`), cross-checked against the three-term
-recurrence at that point, instead of building the degree-L polynomial.
+The polynomials come from the monic three-term recurrence
+(`charlier_poly`).  The explicit sum
+
+    pi_l(x; a) = (-a)^l sum_i (-l)_i (1/2 - x)_i / i! (-1/a)^i
+
+is the independent route, evaluated point by point in O(l) exact rational
+operations (`charlier_value`) and cross-checked there against the recurrence
+at the same point; the scaling check reads its values from it instead of
+building the degree-L polynomial.
 `bessel_j` sums its power series by the ratio of successive terms, with one
 reciprocal-Gamma evaluation per call.
 
@@ -145,57 +151,19 @@ class CharlierPolynomial:
         return acc
 
 
-def _poly_mul_linear(poly: list[Fraction], c0: Fraction) -> list[Fraction]:
-    """Multiply a coefficient list by (c0 - x)."""
-    out = [Fraction(0)] * (len(poly) + 1)
-    for i, v in enumerate(poly):
-        out[i] += c0 * v
-        out[i + 1] -= v
-    return out
-
-
 def charlier_poly(ell: int, a) -> CharlierPolynomial:
-    """pi_l(x; a) = (-a)^l sum_i [(-l)_i (1/2 - x)_i / i!] (-1/a)^i, exact."""
+    """pi_l(x; a) from the monic three-term recurrence, exact:
+    p_(n+1) = (x - n - a - 1/2) p_n - n a p_(n-1), p_0 = 1."""
     a = _as_fraction(a)
     if ell < 0:
         raise ValueError("degree must be >= 0")
     if a <= 0:
         raise ValueError("parameter a must be positive")
-    total = [Fraction(0)] * (ell + 1)
-    rising = [Fraction(1)]  # (1/2 - x)_i as a coefficient list
-    poch = Fraction(1)  # (-l)_i
-    inv = Fraction(1)  # (-1/a)^i
-    for i in range(ell + 1):
-        coef = poch * inv / factorial(i)
-        if coef:
-            for j, v in enumerate(rising):
-                total[j] += coef * v
-        if i < ell:
-            rising = _poly_mul_linear(rising, Fraction(1, 2) + i)
-            poch *= -ell + i
-            inv *= Fraction(-1) / a
-    lead = Fraction(-a) ** ell
-    coeffs = tuple(lead * c for c in total)
-    if coeffs[-1] != 1:
-        raise RuntimeError("explicit sum failed to produce a monic polynomial")
-    return CharlierPolynomial(ell, a, coeffs)
-
-
-def charlier_poly_recurrence(ell: int, a) -> CharlierPolynomial:
-    """Same polynomial from the monic three-term recurrence
-    p_{n+1} = (x - (n + a + 1/2)) p_n - n*a*p_{n-1}  (independent oracle)."""
-    a = _as_fraction(a)
-    if a <= 0:
-        raise ValueError("parameter a must be positive")
-    prev = [Fraction(1)]
-    if ell == 0:
-        return CharlierPolynomial(0, a, tuple(prev))
-    cur = [-a - Fraction(1, 2), Fraction(1)]
-    for n in range(1, ell):
+    prev, cur = [], [Fraction(1)]
+    for n in range(ell):
         b_n = n + a + Fraction(1, 2)
-        nxt = [Fraction(0)] * (len(cur) + 1)
+        nxt = [Fraction(0)] + cur  # x p_n
         for i, v in enumerate(cur):
-            nxt[i + 1] += v
             nxt[i] -= b_n * v
         for i, v in enumerate(prev):
             nxt[i] -= n * a * v
@@ -413,17 +381,6 @@ class ScalingLimitReport:
     rows: tuple  # (L, value, abs_error)
     monotone_decreasing: bool
 
-    def to_json(self) -> dict:
-        return {
-            "input": {"zeta": str(self.zeta), "ell": self.ell, "eps": str(self.eps)},
-            "target": mp.nstr(self.target, 17),
-            "rows": [
-                {"L": L, "value": mp.nstr(v, 17), "abs_error": mp.nstr(e, 6)}
-                for (L, v, e) in self.rows
-            ],
-            "monotone_decreasing": self.monotone_decreasing,
-        }
-
 
 def charlier_scaling_limit_check(zeta, ell: int, eps, L_list, prec: int) -> ScalingLimitReport:
     """Ratio pi_{L+l}(L + zeta; 1/(L eps^2)) / Gamma(L + zeta + 1/2) along L_list
@@ -479,7 +436,7 @@ def char_poly_expectation(L: int, a, us, prec: int = 128):
                     raise ValueError("evaluation points must be distinct")
         polys = [charlier_poly(L + k, a) for k in range(n)]
         mat = [[polys[k].eval_mpf(us_m[j]) for k in range(n)] for j in range(n)]
-        det = _det_mpf(mat)
+        det = mp.det(mp.matrix(mat))
         vdm = mp.mpf(1)
         for j in range(n):
             for k in range(j + 1, n):
@@ -487,25 +444,6 @@ def char_poly_expectation(L: int, a, us, prec: int = 128):
         val = det / vdm
     with mp.workprec(prec):
         return +val
-
-
-def _det_mpf(mat):
-    n = len(mat)
-    m = [row[:] for row in mat]
-    det = mp.mpf(1)
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(m[r][col]))
-        if m[piv][col] == 0:
-            return mp.mpf(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] / m[col][col]
-            for c in range(col, n):
-                m[r][c] -= f * m[col][c]
-    return det
 
 
 def brute_force_expectation(L: int, a, us, n_max: int, prec: int = 128):

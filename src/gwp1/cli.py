@@ -216,8 +216,11 @@ def cmd_charlier(cfg: RunConfig):
     eps = _parse_rat(cfg.options.get("eps") or "1")
     if check in ("limit", "residuals", "asymptotics") and eps <= 0:
         raise UsageError(f"charlier --check {check} needs eps > 0, got eps={eps}")
-    if check == "orthogonality":
+    if check in ("orthogonality", "charpoly"):
         a = _parse_rat(cfg.options.get("a") or "1")
+        if a <= 0:
+            raise UsageError(f"charlier --check {check} needs a > 0, got a={a}")
+    if check == "orthogonality":
         tol = mp.mpf(10) ** -20
         rows = []
         for l in range(5):
@@ -232,6 +235,8 @@ def cmd_charlier(cfg: RunConfig):
         return {"rows": rows}
     if check == "limit":
         ls = cfg.options.get("L") or [20, 40, 80]
+        if min(ls) < 1:
+            raise UsageError(f"charlier --check limit needs L >= 1, got L={min(ls)}")
         rep = ch.charlier_scaling_limit_check(0, 0, eps, ls, prec)
         rows = [
             {
@@ -244,7 +249,6 @@ def cmd_charlier(cfg: RunConfig):
         ]
         return {"rows": rows, "monotone_decreasing": rep.monotone_decreasing}
     if check == "charpoly":
-        a = _parse_rat(cfg.options.get("a") or "1")
         rows = []
         for L in (1, 2):
             for us in ((mp.mpf(3),), (mp.mpf(3), mp.mpf("4.5"))):

@@ -210,12 +210,6 @@ class EpsLaurent:
 
     # -- inspection ---------------------------------------------------------
 
-    def min_exp(self) -> int:
-        return min(self.num)
-
-    def max_exp(self) -> int:
-        return max(self.num)
-
     def exponents(self) -> Iterator[int]:
         return iter(sorted(self.num))
 

@@ -34,6 +34,7 @@ from math import factorial
 from operator import add
 
 from .epslaurent import ONE, ZERO, EpsLaurent
+from .miwa import partitions
 from .waves import normalized_quartet, s1_series
 from .zseries import WindowError
 
@@ -162,23 +163,14 @@ def free_energy(max_weight: int) -> dict[tuple[int, ...], EpsLaurent]:
     multiset), i.e. <tau_{k_1}...tau_{k_n}> / prod_k m_k!.
     """
     out: dict[tuple[int, ...], EpsLaurent] = {}
-    for ks in _weighted_multisets(max_weight):
-        aut = Fraction(1)
-        for k in set(ks):
-            aut *= factorial(ks.count(k))
-        rec = n_point_invariant(ks)
-        val = rec.value * Fraction(1, aut)
-        if val:
-            out[ks] = val
+    for w in range(1, max_weight + 1):
+        for mu in partitions(w):
+            # a part m is the insertion tau_(m-1), as in power_sums_to_times
+            ks = tuple(sorted(m - 1 for m in mu))
+            aut = Fraction(1)
+            for k in set(ks):
+                aut *= factorial(ks.count(k))
+            val = n_point_invariant(ks).value * Fraction(1, aut)
+            if val:
+                out[ks] = val
     return out
-
-
-def _weighted_multisets(max_weight: int, min_k: int = 0):
-    """Nonempty sorted tuples ks with sum(k+1) <= max_weight and ks[i] >= min_k."""
-    for k in range(min_k, max_weight):
-        w = k + 1
-        if w > max_weight:
-            break
-        yield (k,)
-        for rest in _weighted_multisets(max_weight - w, k):
-            yield (k,) + rest

@@ -32,7 +32,8 @@ O(order^2) integer operations, and no series product.
 
 The triangular solve `solve_formal_wave` (the ansatz substituted into the
 equation and solved order by order) is kept as the independent oracle, with
-`wave_residual`; `wave_shift` re-bases a wave by whole steps in z.
+`wave_residual`; `wave_shift` re-bases a wave by whole steps in z, which
+gives the oracle its tilde series.
 """
 
 from __future__ import annotations

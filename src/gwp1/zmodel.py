@@ -23,20 +23,24 @@ rank r.  Coefficients down to z^(-degree) of G_1..G_degree fix every pi_lam
 with |lam| <= degree, with no window lost.  The logarithm is taken in the
 power-sum basis (`miwa.py`), where it is a polynomial in the times.
 
-E-frame chain.  `zmodel_entry` keeps the shifted-wave columns E_k, which the
-checks compare with the normalised frame: one closed-form f-wave at order
-O + N + 1 feeds all N columns at order O, column k being the wave after k - 1
-single `wave_shift` steps.  Shifting loses window, 0, 1, 2, 3, 5, 8, 12
-orders after 0..6 steps, so the headroom N + 1 suffices up to N = 5 and
-longer chains raise WindowError.
+E-frame.  `zmodel_entry` keeps the shifted-wave columns E_k, which the
+checks compare with the normalised frame.  The difference equation at
+z + k - 1 ties three consecutive columns together, a three-term recurrence
+in the column index:
+
+    E_(k+1) = (z + k - 1/2) E_k - eps^(-2) E_(k-1),   E_0 = eps Atilde, E_1 = A.
+
+Each step multiplies by z once and so gives up one order of window, and
+nothing else: one quartet at order O + N - 1 gives E_1..E_N exactly to z^(-O).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .epslaurent import ONE, ZERO, EpsLaurent
+from .epslaurent import EPS, ONE, ZERO, EpsLaurent
 from .miwa import (
     MiwaPolynomial,
     kostka,
@@ -45,19 +49,22 @@ from .miwa import (
     power_sums_to_times,
     schur_to_power_sums,
 )
-from .waves import closed_wave, normalized_quartet, wave_shift
+from .waves import normalized_quartet
 from .zseries import WindowError, ZSeries
 
 
 @lru_cache(maxsize=None)
 def _column_chain(nvars: int, order: int) -> tuple[ZSeries, ...]:
-    """E_1..E_nvars at one truncation order, from a single closed-form f-wave."""
-    w = closed_wave(+1, order + nvars + 1)
-    columns = []
-    for k in range(1, nvars + 1):
-        if k > 1:
-            w = wave_shift(w, 1)
-        columns.append(w.h.truncate(order).scale(EpsLaurent.mono(1 - k)))
+    """E_1..E_nvars at one truncation order, by the recurrence from one quartet."""
+    a, at, _, _ = normalized_quartet(order + nvars - 1)
+    eps_inv2 = EpsLaurent.mono(-2)
+    prev, cur = at.scale(EPS), a
+    columns = [cur.truncate(order)]
+    for k in range(1, nvars):
+        prev, cur = cur, (
+            cur.mul_zpow(1) + cur.scale(Fraction(2 * k - 1, 2)) - prev.scale(eps_inv2)
+        )
+        columns.append(cur.truncate(order))
     return tuple(columns)
 
 

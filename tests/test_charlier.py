@@ -13,7 +13,6 @@ from gwp1.charlier import (
     char_poly_expectation,
     charlier_orthogonality_check,
     charlier_poly,
-    charlier_poly_recurrence,
     charlier_scaling_limit_check,
     charlier_value,
     difference_equation_residual,
@@ -73,25 +72,27 @@ def test_charlier_poly_small_cases():
 
 @pytest.mark.parametrize("a", [1, Fraction(1, 2), Fraction(7, 3)])
 def test_explicit_sum_matches_recurrence(a):
-    for ell in range(7):
-        assert (
-            charlier_poly(ell, a).coefficients
-            == charlier_poly_recurrence(ell, a).coefficients
-        )
+    # the recurrence polynomial of degree ell against the explicit sum at
+    # ell + 1 distinct points, which fix a polynomial of that degree
+    for ell in range(9):
+        p = charlier_poly(ell, a)
+        assert len(p.coefficients) == ell + 1 and p.coefficients[-1] == 1
+        for i in range(ell + 1):
+            x = Fraction(2 * i - 3, 3)
+            assert p.eval_exact(x) == charlier_value(ell, a, x)
 
 
 @pytest.mark.parametrize("a", [1, Fraction(1, 2), Fraction(7, 3), Fraction(3, 40)])
 def test_charlier_value_matches_polynomial(a):
     for ell in range(41):
-        explicit = charlier_poly(ell, a)
-        recurrence = charlier_poly_recurrence(ell, a)
+        poly = charlier_poly(ell, a)
         # at x = k + 1/2 the factor (1/2 - x)_i vanishes from i = k + 1 on, so
         # k < ell ends the sum early (k = ell - 1 is the scaling check's L + 1/2)
         for x in (Fraction(0), Fraction(-5, 7), Fraction(1, 3), Fraction(ell + 3),
                   Fraction(1, 2), Fraction(ell // 2) + Fraction(1, 2),
                   Fraction(2 * ell - 1, 2), Fraction(2 * ell + 1, 2)):
             value = charlier_value(ell, a, x)
-            assert value == explicit.eval_exact(x) == recurrence.eval_exact(x)
+            assert value == poly.eval_exact(x)
     with pytest.raises(ValueError):
         charlier_value(1, 0, 1)
     with pytest.raises(ValueError):

@@ -233,9 +233,22 @@ def test_selftest_unknown_check_fails(capsys):
     ["charlier", "--check", "asymptotics", "--eps", "0"],
     ["charlier", "--check", "asymptotics", "--eps", "-1"],
     ["charlier", "--check", "limit", "--eps=-1/2"],
+    ["charlier", "--check", "limit", "--L", "0"],
+    ["charlier", "--check", "limit", "--L", "20", "-3"],
+    ["charlier", "--check", "orthogonality", "--a", "0"],
+    ["charlier", "--check", "orthogonality", "--a=-1"],
+    ["charlier", "--check", "charpoly", "--a", "0"],
+    ["charlier", "--check", "charpoly", "--a=-2/3"],
 ])
 def test_charlier_nonpositive_eps_is_usage_error(capsys, argv):
+    # the message names the limit of the offending option
+    if "--L" in argv:
+        limit = "L >= 1"
+    elif any(arg.startswith("--a") for arg in argv):
+        limit = "a > 0"
+    else:
+        limit = "eps > 0"
     code = main(argv)
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
-    assert "usage error" in err and "eps > 0" in err
+    assert "usage error" in err and limit in err

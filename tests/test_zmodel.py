@@ -196,6 +196,15 @@ def test_characteristic_entry_matches_model_entry_determinant():
     assert characteristic_det_check(3, 5)
 
 
+def test_e_frame_recurrence_loses_no_window():
+    # the column recurrence reaches every N from one quartet at O + N - 1
+    assert characteristic_det_check(6, 5)
+    assert characteristic_det_check(8, 6)
+    e = zmodel_entry(7, 3)
+    assert (e.top, e.order) == (6, 3)
+    assert e.coeff(6) == EpsLaurent.one()
+
+
 def test_characteristic_entry_monic():
     for k in (1, 2, 3, 4):
         g = characteristic_entry(k, 4)
