@@ -26,6 +26,11 @@ building the degree-L polynomial.
 `bessel_j` sums its power series by the ratio of successive terms, with one
 reciprocal-Gamma evaluation per call.
 
+`brute_force_expectation` averages over the atoms directly, in O(n_max): as
+x_i - x_j = i - j, its L = 2 pair sums are moment forms (Heine's identity for a
+2 x 2 Hankel determinant), sum_{i,j} v_i v_j (x_i - x_j)^2 = 2 (M0 M2 - M1^2)
+with M_k = sum_i v_i i^k, for v_i = det_i w_i and for v_i = w_i.
+
 All truncated sums carry explicit tail bounds; precision is always an
 explicit argument, applied through a local working-precision context.
 """
@@ -44,11 +49,7 @@ _GUARD_BITS = 30
 
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (Fraction, int, str)):
         return Fraction(x)
     if isinstance(x, float):
         return Fraction(x).limit_denominator(10**12)
@@ -138,17 +139,15 @@ class CharlierPolynomial:
         return acc
 
     def eval_mpf(self, x):
-        acc = mp.mpf(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
+        return _horner(self.coefficients, x)
 
-    def abs_eval(self, x):
-        """Upper bound sum |c_i| x^i, monotone for x > 0 (for tail bounds)."""
-        acc = mp.mpf(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + abs(c)
-        return acc
+
+def _horner(coefficients, x):
+    """sum_i c_i x^i in mpf arithmetic, coefficients in ascending powers."""
+    acc = mp.mpf(0)
+    for c in reversed(coefficients):
+        acc = acc * x + c
+    return acc
 
 
 def charlier_poly(ell: int, a) -> CharlierPolynomial:
@@ -216,13 +215,17 @@ def charlier_orthogonality_sum(ell: int, ellp: int, a, tol, prec: int = 128):
         if tol_m <= 0:
             raise ValueError("tol must be positive")
         a_m = mp.mpf(a.numerator) / a.denominator
+        # converted once: acc*x + c rounds a Fraction c to the working
+        # precision in the same way, so the sums are bit-identical
+        p_m, q_m = ([mp.convert(c) for c in f.coefficients] for f in (p, q))
+        p_abs, q_abs = ([abs(c) for c in m] for m in (p_m, q_m))
         weight = mp.e ** (-a_m)  # running e^(-a) a^n / n!
         acc = mp.mpf(0)
         n = 0
         n_cap = 64 * (prec + deg + int(a_m) + 4)
         while True:
             x = mp.mpf(2 * n + 1) / 2
-            acc += p.eval_mpf(x) * q.eval_mpf(x) * weight
+            acc += _horner(p_m, x) * _horner(q_m, x) * weight
             n += 1
             weight *= a_m / n
             if a_m / (n + 1) < mp.mpf(1) / 2:
@@ -231,7 +234,7 @@ def charlier_orthogonality_sum(ell: int, ellp: int, a, tol, prec: int = 128):
                 r = (a_m / (n + 1)) * g
                 if r < mp.mpf(1) / 2:
                     x = mp.mpf(2 * n + 1) / 2
-                    tail = p.abs_eval(x) * q.abs_eval(x) * weight / (1 - r)
+                    tail = _horner(p_abs, x) * _horner(q_abs, x) * weight / (1 - r)
                     if tail < tol_m / 4:
                         break
             if n > n_cap:
@@ -426,24 +429,23 @@ def char_poly_expectation(L: int, a, us, prec: int = 128):
     a = _as_fraction(a)
     if L < 1:
         raise ValueError("L must be >= 1")
-    us = list(us)
-    n = len(us)
     with mp.workprec(prec + _GUARD_BITS):
         us_m = [mp.mpf(u) for u in us]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if us_m[i] == us_m[j]:
-                    raise ValueError("evaluation points must be distinct")
+        n = len(us_m)
+        if len(set(us_m)) < n:
+            raise ValueError("evaluation points must be distinct")
         polys = [charlier_poly(L + k, a) for k in range(n)]
-        mat = [[polys[k].eval_mpf(us_m[j]) for k in range(n)] for j in range(n)]
-        det = mp.det(mp.matrix(mat))
-        vdm = mp.mpf(1)
-        for j in range(n):
-            for k in range(j + 1, n):
-                vdm *= us_m[k] - us_m[j]
-        val = det / vdm
+        mat = [[polys[k].eval_mpf(u) for k in range(n)] for u in us_m]
+        vdm = mp.fprod(us_m[k] - us_m[j] for j in range(n) for k in range(j + 1, n))
+        val = mp.det(mp.matrix(mat)) / vdm
     with mp.workprec(prec):
         return +val
+
+
+def _pair_sum(v):
+    """sum_{i,j} v_i v_j (i - j)^2 = 2 (M0 M2 - M1^2), M_k = sum_i v_i i^k."""
+    m0, m1, m2 = (mp.fdot(v, [i**k for i in range(len(v))]) for k in range(3))
+    return 2 * (m0 * m2 - m1 * m1)
 
 
 def brute_force_expectation(L: int, a, us, n_max: int, prec: int = 128):
@@ -451,9 +453,11 @@ def brute_force_expectation(L: int, a, us, n_max: int, prec: int = 128):
 
     Sums over atom tuples (x_i = n_i + 1/2, n_i <= n_max) of the squared
     Vandermonde times the product weights, normalized by the same truncated
-    partition sum.  The last shell n_i = n_max must sit below a ratio-1/2
-    geometric bound relative to the accumulated sums, otherwise an error asks
-    for a larger n_max.
+    partition sum.  For L = 2 both are 2 (M0 M2 - M1^2) in the moments
+    M_k = sum_i v_i i^k.  The last shell, n_i = n_max or n_j = n_max, is twice
+    its row 2 sum_j (|v_n v_j| + w_n w_j)(n - j)^2 ((n, n) adds 0); it must sit
+    below a ratio-1/2 geometric bound relative to the accumulated sums,
+    otherwise an error asks for a larger n_max.
     """
     a = _as_fraction(a)
     if L not in (1, 2):
@@ -470,23 +474,16 @@ def brute_force_expectation(L: int, a, us, n_max: int, prec: int = 128):
             weights.append(w)
             w *= a_m / (nn + 1)
         xs = [mp.mpf(2 * nn + 1) / 2 for nn in range(n_max + 1)]
-        dets = [mp.fprod(u - x for u in us_m) for x in xs]
+        vs = [mp.fprod(u - x for u in us_m) * w for x, w in zip(xs, weights)]
         if L == 1:
-            num = mp.fsum(d * w for d, w in zip(dets, weights))
+            num = mp.fsum(vs)
             den = mp.fsum(weights)
-            shell = abs(dets[-1] * weights[-1]) + weights[-1]
+            shell = abs(vs[-1]) + weights[-1]
         else:
-            num = mp.mpf(0)
-            den = mp.mpf(0)
-            shell = mp.mpf(0)
-            for i in range(n_max + 1):
-                for j in range(n_max + 1):
-                    vdm2 = (xs[i] - xs[j]) ** 2
-                    ww = weights[i] * weights[j]
-                    num += dets[i] * dets[j] * vdm2 * ww
-                    den += vdm2 * ww
-                    if i == n_max or j == n_max:
-                        shell += abs(dets[i] * dets[j] * vdm2 * ww) + vdm2 * ww
+            num = _pair_sum(vs)
+            den = _pair_sum(weights)
+            shell = 2 * mp.fsum((abs(vs[-1] * v) + weights[-1] * w) * (n_max - j) ** 2
+                                for j, (v, w) in enumerate(zip(vs, weights)))
         # ratio-1/4 weight decay makes each further shell at most ~half the
         # previous one even against polynomial growth, so 2*shell bounds the tail
         if 2 * shell > abs(den) * mp.mpf(2) ** (-prec // 2):

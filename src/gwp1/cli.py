@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -53,10 +54,6 @@ def _flat_eps(v: EpsLaurent):
     if list(j) in ([], ["0"]):
         return j.get("0", "0")
     return j
-
-
-def _series_json(h) -> dict:
-    return {str(d): _flat_eps(h.coeff(d)) for d in sorted(h.c)}
 
 
 def _emit(doc, cfg: RunConfig) -> None:
@@ -249,11 +246,17 @@ def cmd_charlier(cfg: RunConfig):
         ]
         return {"rows": rows, "monotone_decreasing": rep.monotone_decreasing}
     if check == "charpoly":
+        # past n = 8a the weights a^n/n! fall by 1/8 per step, which puts the
+        # tail far below 2^-(prec/2); the cap bounds the run time, linear in n_max
+        n_max = 60 + prec // 8 + math.ceil(8 * a)
+        if n_max > 10_000:
+            raise UsageError(f"charlier --check charpoly sums 60 + prec/8 + 8a atoms, "
+                             f"at most 10000; got {n_max} (a={a}, prec={prec})")
         rows = []
         for L in (1, 2):
             for us in ((mp.mpf(3),), (mp.mpf(3), mp.mpf("4.5"))):
                 val = ch.char_poly_expectation(L, a, us, prec)
-                ref = ch.brute_force_expectation(L, a, us, 60, prec)
+                ref = ch.brute_force_expectation(L, a, us, n_max, prec)
                 rows.append({
                     "input": {"L": L, "us": [float(u) for u in us], "a": str(a)},
                     "value": mp.nstr(val, 17),

@@ -1,6 +1,7 @@
 """Numeric pipeline: Bessel series, Charlier polynomials, limits, ensembles."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from mpmath import mp
@@ -12,6 +13,7 @@ from gwp1.charlier import (
     brute_force_expectation,
     char_poly_expectation,
     charlier_orthogonality_check,
+    charlier_orthogonality_sum,
     charlier_poly,
     charlier_scaling_limit_check,
     charlier_value,
@@ -114,6 +116,53 @@ def test_scaling_rows_match_polynomial_route():
         assert abs(rep.target - mp.besselj(-1, 2)) < mp.mpf(2) ** -(prec - 8)
 
 
+def orthogonality_reference(ell, ellp, a, tol, prec):
+    """The orthogonality pairing with a Fraction-coefficient Horner step per atom."""
+    p, q = charlier_poly(ell, a).coefficients, charlier_poly(ellp, a).coefficients
+
+    def horner(coefficients, x):
+        acc = mp.mpf(0)
+        for c in reversed(coefficients):
+            acc = acc * x + c
+        return acc
+
+    deg = ell + ellp
+    with mp.workprec(prec + _GUARD_BITS):
+        tol_m = mp.mpf(tol)
+        a_m = mp.mpf(a.numerator) / a.denominator
+        weight = mp.e ** (-a_m)
+        acc = mp.mpf(0)
+        n = 0
+        while True:
+            x = mp.mpf(2 * n + 1) / 2
+            acc += horner(p, x) * horner(q, x) * weight
+            n += 1
+            weight *= a_m / n
+            if a_m / (n + 1) < mp.mpf(1) / 2:
+                g = (1 + 1 / (n + mp.mpf(1) / 2)) ** deg
+                r = (a_m / (n + 1)) * g
+                if r < mp.mpf(1) / 2:
+                    x = mp.mpf(2 * n + 1) / 2
+                    tail = (horner([abs(c) for c in p], x) * horner([abs(c) for c in q], x)
+                            * weight / (1 - r))
+                    if tail < tol_m / 4:
+                        break
+        target = a_m**ell * factorial(ell) if ell == ellp else mp.mpf(0)
+    with mp.workprec(prec):
+        return +acc, +target
+
+
+# 1 and 5/2 give dyadic coefficients; 7/3 makes every conversion round
+@pytest.mark.parametrize("prec", [128, 640])
+@pytest.mark.parametrize("a", [Fraction(1), Fraction(5, 2), Fraction(7, 3)])
+def test_orthogonality_sums_bit_identical(a, prec):
+    tol = mp.mpf(2) ** -(prec // 2)
+    for ell in range(4):
+        for ellp in range(ell, 4):
+            assert (charlier_orthogonality_sum(ell, ellp, a, tol, prec)
+                    == orthogonality_reference(ell, ellp, a, tol, prec)), (ell, ellp)
+
+
 def test_orthogonality_grid():
     tol = mp.mpf(10) ** -20
     for l in range(5):
@@ -188,3 +237,79 @@ def test_brute_force_agrees_with_determinant():
         brute_force_expectation(3, 1, [mp.mpf(3)], 60, 64)
     with pytest.raises(ValueError):
         brute_force_expectation(1, 1, [mp.mpf(3)], 2, 64)
+
+
+def pair_sum_reference(a, us, n_max, prec):
+    """The L = 2 ensemble average as the literal double sum over atom pairs,
+    with the same n_max and tail checks as `brute_force_expectation`."""
+    with mp.workprec(prec + _GUARD_BITS):
+        a_m = mp.mpf(a.numerator) / a.denominator
+        if a_m / (n_max + 1) >= mp.mpf(1) / 4:
+            raise ValueError("n_max too small for a convergent tail bound")
+        weights = []
+        w = mp.e ** (-a_m)
+        for nn in range(n_max + 1):
+            weights.append(w)
+            w *= a_m / (nn + 1)
+        xs = [mp.mpf(2 * nn + 1) / 2 for nn in range(n_max + 1)]
+        dets = [mp.fprod(mp.mpf(u) - x for u in us) for x in xs]
+        num = den = shell = mp.mpf(0)
+        for i in range(n_max + 1):
+            for j in range(n_max + 1):
+                vdm2 = (xs[i] - xs[j]) ** 2
+                ww = weights[i] * weights[j]
+                num += dets[i] * dets[j] * vdm2 * ww
+                den += vdm2 * ww
+                if i == n_max or j == n_max:
+                    shell += abs(dets[i] * dets[j] * vdm2 * ww) + vdm2 * ww
+        if 2 * shell > abs(den) * mp.mpf(2) ** (-prec // 2):
+            raise ValueError("truncation tail too large; increase n_max")
+        val = num / den
+    with mp.workprec(prec):
+        return +val
+
+
+def smallest_n_max(a, us, prec):
+    """The least n_max that `brute_force_expectation(2, ...)` accepts."""
+    n_max = 1
+    while True:
+        try:
+            brute_force_expectation(2, a, us, n_max, prec)
+            return n_max
+        except ValueError:
+            n_max += 1
+
+
+BRUTE_AS = [Fraction(1, 1000), Fraction(1, 2), Fraction(3), Fraction(10)]
+BRUTE_US = [("3",), ("3", "4.5"), ("1.5", "2.5")]
+
+
+@pytest.mark.parametrize("prec", [128, 640])
+@pytest.mark.parametrize("a", BRUTE_AS)
+def test_pair_moments_match_double_sum(a, prec):
+    for us in BRUTE_US:
+        us_m = [mp.mpf(u) for u in us]
+        n_max = smallest_n_max(a, us_m, prec)
+        val = brute_force_expectation(2, a, us_m, n_max, prec)
+        ref = pair_sum_reference(a, us_m, n_max, prec)
+        with mp.workprec(prec + _GUARD_BITS):
+            assert abs(val - ref) <= abs(ref) * mp.mpf(2) ** -(prec - 2), (us, n_max)
+
+
+@pytest.mark.parametrize("a", BRUTE_AS)
+def test_pair_moments_keep_error_thresholds(a):
+    prec, us = 128, [mp.mpf(3), mp.mpf("4.5")]
+    n_max = smallest_n_max(a, us, prec)
+    pair_sum_reference(a, us, n_max, prec)
+    with pytest.raises(ValueError) as new:
+        brute_force_expectation(2, a, us, n_max - 1, prec)
+    with pytest.raises(ValueError) as old:
+        pair_sum_reference(a, us, n_max - 1, prec)
+    assert str(new.value) == str(old.value)
+    # below n_max = 4a the convergence check fires before any sum is taken
+    small = int(4 * a) - 1
+    if small >= 1:
+        with pytest.raises(ValueError, match="n_max too small"):
+            brute_force_expectation(2, a, us, small, prec)
+        with pytest.raises(ValueError, match="n_max too small"):
+            pair_sum_reference(a, us, small, prec)

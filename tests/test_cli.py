@@ -213,6 +213,15 @@ def test_charlier_residual_rows(capsys):
         assert float(row["abs_error"]) < 2.0**-64
 
 
+@pytest.mark.parametrize("option", [["--a", "16"], ["--prec", "1024"]])
+def test_charlier_charpoly_sizes_its_sum(capsys, option):
+    # the brute-force sum reaches further for larger a and precision
+    code, doc = run_json(capsys, "charlier", "--check", "charpoly", *option)
+    assert code == 0 and len(doc["rows"]) == 4
+    for row in doc["rows"]:
+        assert float(row["abs_error"]) < 1e-15
+
+
 def test_selftest_single_check(capsys):
     code, doc = run_json(capsys, "selftest", "--only", "wave-coefficients", "--json")
     assert code == 0
@@ -239,11 +248,15 @@ def test_selftest_unknown_check_fails(capsys):
     ["charlier", "--check", "orthogonality", "--a=-1"],
     ["charlier", "--check", "charpoly", "--a", "0"],
     ["charlier", "--check", "charpoly", "--a=-2/3"],
+    ["charlier", "--check", "charpoly", "--a", "2000"],
+    ["charlier", "--check", "charpoly", "--prec", "80000"],
 ])
 def test_charlier_nonpositive_eps_is_usage_error(capsys, argv):
     # the message names the limit of the offending option
     if "--L" in argv:
         limit = "L >= 1"
+    elif argv[-1] in ("2000", "80000"):
+        limit = "60 + prec/8 + 8a atoms, at most 10000"
     elif any(arg.startswith("--a") for arg in argv):
         limit = "a > 0"
     else:
