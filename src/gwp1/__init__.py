@@ -9,7 +9,6 @@ from .zseries import WindowError, ZSeries
 from .waves import (
     RMatrix,
     WaveExpansion,
-    closed_wave,
     normalized_quartet,
     r_matrix,
     s1_series,
@@ -22,7 +21,6 @@ from .invariants import (
     free_energy,
     invariant_by_genus,
     n_point_invariant,
-    one_point_invariant,
 )
 from .miwa import MiwaPolynomial, power_sums_to_times
 from .zmodel import (
@@ -50,9 +48,9 @@ __version__ = "1.0.0"
 
 __all__ = [
     "EpsLaurent", "ZSeries", "WindowError",
-    "WaveExpansion", "RMatrix", "closed_wave", "solve_formal_wave", "wave_shift",
+    "WaveExpansion", "RMatrix", "solve_formal_wave", "wave_shift",
     "wave_residual", "normalized_quartet", "r_matrix",
-    "s1_series", "InvariantRecord", "one_point_invariant", "n_point_invariant",
+    "s1_series", "InvariantRecord", "n_point_invariant",
     "invariant_by_genus", "free_energy", "MiwaPolynomial", "power_sums_to_times",
     "ZModelExpansion", "zmodel_entry", "zmodel_expansion",
     "stabilization_check", "characteristic_det_check", "CharlierPolynomial",

@@ -43,7 +43,7 @@ from math import factorial
 
 from mpmath import mp
 
-from .waves import closed_wave
+from .waves import normalized_quartet
 
 _GUARD_BITS = 30
 
@@ -359,7 +359,7 @@ def asymptotic_match_check(z, eps, order: int, prec: int) -> AsymptoticReport:
         eps_m = _to_mpf(eps)
         f = numeric_f(z_m, eps_m, prec + _GUARD_BITS)
         numeric = f * mp.power(eps_m * z_m / mp.e, -z_m)
-        h = closed_wave(+1, order).h
+        h = normalized_quartet(order)[0]
         formal = mp.mpf(0)
         for d in range(h.top, -order - 1, -1):
             formal += h.coeff(d).eval(eps_m) * mp.power(z_m, d)
@@ -462,6 +462,8 @@ def brute_force_expectation(L: int, a, us, n_max: int, prec: int = 128):
     a = _as_fraction(a)
     if L not in (1, 2):
         raise ValueError("brute force supports L = 1 or 2 only")
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1 (two atoms or more), got {n_max}")
     us = list(us)
     with mp.workprec(prec + _GUARD_BITS):
         a_m = mp.mpf(a.numerator) / a.denominator

@@ -22,7 +22,7 @@ from . import charlier as ch
 from .invariants import free_energy, invariant_by_genus, n_point_invariant
 from .miwa import MiwaPolynomial
 from .selftest import CHECKS, run_selftest
-from .waves import closed_wave, solve_formal_wave
+from .waves import normalized_quartet, solve_formal_wave
 from .zmodel import stabilization_check, zmodel_expansion
 
 DEFAULT_PREC = 128
@@ -148,8 +148,7 @@ def cmd_wave(cfg: RunConfig):
     order = cfg.options["order"]
     if order < 0:
         raise UsageError("order must be >= 0")
-    sigma = +1 if which == "f" else -1
-    h = closed_wave(sigma, order).h
+    h = normalized_quartet(order)[0 if which == "f" else 2]
     return {str(-d): _flat_eps(h.coeff(-d)) for d in range(order + 1) if h.coeff(-d)}
 
 

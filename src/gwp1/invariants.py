@@ -1,41 +1,39 @@
-"""Stationary descendent invariants from the connected correlation series.
+"""Stationary descendent invariants as traces of edge matrices of the wave kernel.
 
-The one-point series comes from the derivative pairing of the wave quartet.
-An n-point value is the coefficient of prod_v z_v^(c_v), c_v = -k_v - 2, in
-the sum over cycles 0 -> s_1 -> ... -> s_(n-1) -> 0 of the products of the
-edge factors K(z_u, z_v)/(z_u - z_v), each difference expanded in the nested
-region |z_1| > ... > |z_n|.  It is computed as a finite sum of traces of
-kernel matrices.  The kernel coefficients are
+With K(z, w) = A(z)B(w) - Atilde(z)Btilde(w), an n-point value is the
+coefficient of prod_v z_v^(c_v), c_v = -k_v - 2, in the sum over cycles
+0 -> s_1 -> ... -> s_(n-1) -> 0 of the products of the edge factors
+K(z_u, z_v)/(z_u - z_v), each difference expanded in the nested region
+|z_1| > ... > |z_n|; for n = 1 the one edge z_0 -> z_0 is the regular part
+a(z, z) of K(z, w)/(z - w) at w = z.  Every edge is read from the affine
+coordinates a(x, y) of (K(z, w) - 1)/(z - w) (`waves.affine_coordinates`):
+for every n >= 1 the edge factor sum_{x,y} G(x, y) z_u^x z_v^y has
 
-    K[i, j] = A_i B_j - Atilde_i Btilde_j    for i, j <= 0 (zero otherwise),
+    G(x, y) = a(x, y) + [x + y = -1] * (+1 if u < v and x < 0,
+                                        -1 if u > v and x >= 0),
 
-and the edge factor sum_{a,b} G(a, b) z_u^a z_v^b has
-
-    u < v:  G(a, b) =  sum_{m=max(0,b)}^{-a-1} K[a+1+m, b-m],
-    u > v:  G(a, b) = -sum_{m=max(0,a)}^{-b-1} K[a-m, b+1+m].
-
+the bracket being 1/(z_u - z_v) expanded in |z_u| > |z_v| or |z_u| < |z_v|.
 With x_v the exponent of z_v in the edge leaving v, a cycle contributes the
 trace of the product of the matrices M[x_u, x_v] = G(x_u, c_v - x_v).  The
-sum is finite: G vanishes unless a + b <= -1 and the n edge totals a + b add
+sum is finite: G vanishes unless x + y <= -1 and the n edge totals x + y add
 up to sum(c), so each edge total lies in [sum(c) + n - 1, -1]; x_0 lies in
-[c_0 + 1, -1] because a <= -1 on the edge leaving 0 and b <= -1 on the edge
-entering it.  Every kernel read then has both indices >= sum(c) + n, i.e.
-the quartet must be exact down to z^(n - sum(k+2)); a read below the
-quartet's window raises WindowError.
+[c_0 + 1, -1] because x <= -1 on the edge leaving 0 and y <= -1 on the edge
+entering it.  The affine coordinates on the lowest total need the quartet
+exact down to z^(n - sum(k+2)); a read below its window raises WindowError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import permutations
 from math import factorial
-from operator import add
+from typing import Callable
 
 from .epslaurent import ONE, ZERO, EpsLaurent
 from .miwa import partitions
-from .waves import normalized_quartet, s1_series
+from .waves import affine_coordinates
 from .zseries import WindowError
 
 
@@ -50,10 +48,9 @@ class InvariantRecord:
 def _weight(ks) -> EpsLaurent:
     """Per-insertion residue weight eps^k / (k+1)!.
 
-    The multi-point series built from the projector matrix carries no overall
-    eps power (unlike the one-point series, whose display has an explicit
-    1/eps), so the eps^(k+1) of the residue integrand combines with a 1/eps
-    per variable; the normalization is calibrated on <tau_0 tau_0> = eps^-2.
+    The kernel K carries no overall eps power, so the eps^(k+1) of the residue
+    integrand combines with a 1/eps per variable; the normalization is
+    calibrated on <tau_0 tau_0> = eps^-2.
     """
     w = EpsLaurent.one()
     for k in ks:
@@ -61,41 +58,21 @@ def _weight(ks) -> EpsLaurent:
     return w
 
 
-@lru_cache(maxsize=None)
-def one_point_invariant(k: int) -> InvariantRecord:
-    """<tau_k> extracted from the z^(-k-2) coefficient of the one-point series."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    order = k + 3
-    s1 = s1_series(order)
-    # the one-point series already carries its 1/eps, so the full residue
-    # weight eps^(k+1)/(k+1)! applies
-    value = EpsLaurent.mono(k + 1, Fraction(1, factorial(k + 1))) * s1.coeff(-k - 2)
-    return InvariantRecord((k,), value, order, True)
+def _edge(aff: Callable[[int, int], EpsLaurent], forward: bool, x: int, y: int) -> EpsLaurent:
+    """G(x, y) of an edge u -> v, forward when u < v; a(x, y) = 0 on x + y = -1."""
+    if x + y != -1:
+        return aff(x, y)
+    if forward:
+        return ONE if x < 0 else ZERO
+    return ZERO if x < 0 else -ONE
 
 
 def _cycle_sum(ks: tuple[int, ...], order: int) -> EpsLaurent:
-    """Sum over the cycles through all insertions of the kernel-matrix traces."""
-    a, at, b, bt = normalized_quartet(order)
+    """Sum over the cycles through all insertions of the edge-matrix traces."""
+    aff = affine_coordinates(order)
     n = len(ks)
     c = [-k - 2 for k in ks]
     edge_lo = sum(c) + n - 1
-
-    @lru_cache(maxsize=None)
-    def kernel(i: int, j: int) -> EpsLaurent:
-        return a.coeff(i) * b.coeff(j) - at.coeff(i) * bt.coeff(j)
-
-    @lru_cache(maxsize=None)
-    def edge(forward: bool, x: int, y: int) -> EpsLaurent:
-        if forward:
-            terms = [kernel(x + 1 + m, y - m) for m in range(max(0, y), -x)]
-        else:
-            terms = [kernel(x - m, y + 1 + m) for m in range(max(0, x), -y)]
-        if not terms:
-            return ZERO
-        g = reduce(add, terms)
-        return g if forward else -g
-
     total = ZERO
     for rest in permutations(range(1, n)):
         cyc = (0,) + rest
@@ -108,7 +85,7 @@ def _cycle_sum(ks: tuple[int, ...], order: int) -> EpsLaurent:
                     # closing edge returns to the starting x0
                     xvs = range(xu + c[v] + 1, xu + c[v] - edge_lo + 1) if v else (x0,)
                     for xv in xvs:
-                        g = edge(u < v, xu, c[v] - xv)
+                        g = _edge(aff, u < v, xu, c[v] - xv)
                         if g:
                             pg = p * g
                             nxt[xv] = nxt[xv] + pg if xv in nxt else pg
@@ -130,8 +107,6 @@ def n_point_invariant(ks: tuple[int, ...], check_stability: bool = True) -> Inva
         raise ValueError("all k must be >= 0")
     if len(ks) == 0:
         raise ValueError("need at least one insertion")
-    if len(ks) == 1:
-        return one_point_invariant(ks[0])
     order = sum(k + 2 for k in ks) + len(ks)
     value = -_weight(ks) * _cycle_sum(ks, order)
     if check_stability:

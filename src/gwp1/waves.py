@@ -42,9 +42,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
+from typing import Callable
 
-from .epslaurent import EpsLaurent, EPS, EPS_INV
-from .zseries import ZSeries, log1p_inv_z
+from .epslaurent import EpsLaurent, EPS, EPS_INV, ZERO
+from .zseries import WindowError, ZSeries, log1p_inv_z
 
 
 @dataclass(frozen=True)
@@ -246,14 +247,6 @@ def _closed_pair(sigma: int, stirling: list[Fraction]) -> tuple[ZSeries, ZSeries
 
 
 @lru_cache(maxsize=None)
-def closed_wave(sigma: int, order: int) -> WaveExpansion:
-    """The normalized wave of sign sigma from the closed form, exact to z^(-order)."""
-    if sigma not in (+1, -1):
-        raise ValueError("sigma must be +1 or -1")
-    return WaveExpansion(sigma, _closed_pair(sigma, _stirling_series(order))[0])
-
-
-@lru_cache(maxsize=None)
 def normalized_quartet(order: int):
     """(A, Atilde, B, Btilde): the four prefactor-stripped series at one order.
 
@@ -267,6 +260,36 @@ def normalized_quartet(order: int):
     return a, at, b, bt
 
 
+@lru_cache(maxsize=None)
+def affine_coordinates(order: int) -> Callable[[int, int], EpsLaurent]:
+    """Reader of a(x, y), the coefficients of a(z, w) = (K(z, w) - 1)/(z - w).
+
+    K(z, w) = A(z)B(w) - Atilde(z)Btilde(w) has K(z, z) = 1, so a is a series
+    in 1/z and 1/w (Zhou's affine coordinates, arXiv:1306.5429): a(x, y) = 0
+    unless x, y <= -1.  From (z - w) a = K - 1, a(x, y) = a(x+1, y-1) + K[x+1, y]
+    is a running sum along the diagonal x + y = s that reads K[i, j] on
+    i + j = s + 1, so the diagonals s >= -order - 1 are exact; a read below
+    them raises WindowError naming the order it needs.  A diagonal is summed
+    on its first read, so a caller pays only for the totals it uses.
+    """
+    a, at, b, bt = normalized_quartet(order)
+    diagonals: dict[int, dict[int, EpsLaurent]] = {}
+
+    def read(x: int, y: int) -> EpsLaurent:
+        s = x + y
+        if s < -order - 1:
+            raise WindowError(f"a({x}, {y}) needs the quartet to order {-s - 1}, not {order}")
+        if s not in diagonals:
+            diagonal, acc = {}, ZERO  # a(0, s)
+            for i in range(-1, s, -1):
+                acc = acc + (a.coeff(i + 1) * b.coeff(s - i) - at.coeff(i + 1) * bt.coeff(s - i))
+                diagonal[i] = acc
+            diagonals[s] = diagonal
+        return diagonals[s].get(x, ZERO)
+
+    return read
+
+
 def r_matrix(order: int) -> RMatrix:
     """Rank-one projector column(B, Btilde) * row(A, -Atilde)."""
     a, at, b, bt = normalized_quartet(order + 1)
@@ -274,7 +297,7 @@ def r_matrix(order: int) -> RMatrix:
 
 
 def s1_series(order: int) -> ZSeries:
-    """One-point series: (1/eps) * (A*B' - Atilde*Btilde').
+    """One-point series (1/eps) * (A*B' - Atilde*Btilde') = -a(z, z)/eps.
 
     The coefficient of log(eps*z) in the derivative pairing, 1 + Atilde*Btilde
     - A*B, must vanish identically (the unit-Wronskian cancellation); a

@@ -11,17 +11,21 @@ expansion of a KP tau function (Segal-Wilson 1985):
 
 Normalised frame.  The columns may be changed by any unipotent upper
 triangular mix without changing a minor, and the characteristic entries
-G_k = z^(k-1) + O(1/z) (no other power z^0..z^(k-2)) are such a mix.  In that
-frame row j > l(lam) of the minor is the unit row e_j, so
+
+    G_k(z) = z^(k-1) - sum_(x<=-1) a(x, -k) z^x,
+
+read off the affine coordinates a(x, y) of the kernel (Zhou, arXiv:1306.5429;
+`waves.affine_coordinates`), are such a mix.  In that frame row j > l(lam)
+of the minor is the unit row e_j, so
 
     pi_lam = det([z^(j-1-lam_j)] G_k)_{j,k=1..l(lam)},
 
-an l(lam) x l(lam) minor that does not depend on N (Zhou's affine
-coordinates, arXiv:1306.5429).  Its rows with lam_j < j are unit rows too, so
-the expansion along rows (`_det`) costs about C(l, r) products for Durfee
-rank r.  Coefficients down to z^(-degree) of G_1..G_degree fix every pi_lam
-with |lam| <= degree, with no window lost.  The logarithm is taken in the
-power-sum basis (`miwa.py`), where it is a polynomial in the times.
+an l(lam) x l(lam) minor that does not depend on N.  Its rows with
+lam_j < j are unit rows too, so the expansion along rows (`_det`) costs
+about C(l, r) products for Durfee rank r.  Coefficients down to z^(-degree)
+of G_1..G_degree fix every pi_lam with |lam| <= degree, with no window lost.
+The logarithm is taken in the power-sum basis (`miwa.py`), where it is a
+polynomial in the times.
 
 E-frame.  `zmodel_entry` keeps the shifted-wave columns E_k, which the
 checks compare with the normalised frame.  The difference equation at
@@ -49,7 +53,7 @@ from .miwa import (
     power_sums_to_times,
     schur_to_power_sums,
 )
-from .waves import normalized_quartet
+from .waves import affine_coordinates, normalized_quartet
 from .zseries import WindowError, ZSeries
 
 
@@ -196,24 +200,22 @@ def stabilization_check(degree: int, n1: int, n2: int) -> bool:
 
 @lru_cache(maxsize=None)
 def _normalised_frame(count: int, order: int) -> tuple[ZSeries, ...]:
-    """G_1..G_count at one truncation order, from one quartet."""
-    a, at, b, bt = normalized_quartet(order + count)
+    """G_1..G_count at one truncation order, from one table of affine coordinates."""
+    aff = affine_coordinates(order + count)
     columns = []
     for k in range(1, count + 1):
-        acc = ZSeries.zero(order)
-        for m in range(k):
-            piece = a.scale(b.coeff(m + 1 - k)) - at.scale(bt.coeff(m + 1 - k))
-            acc = acc + piece.truncate(order + m).mul_zpow(m)
-        columns.append(ZSeries(acc.c, top=k - 1, order=order))
+        g = {x: -aff(x, -k) for x in range(-order, 0)}
+        g[k - 1] = ONE
+        columns.append(ZSeries(g, top=k - 1, order=order))
     return tuple(columns)
 
 
 def characteristic_entry(k: int, order: int) -> ZSeries:
-    """G_k(z) = sum_{m=0}^{k-1} z^m ([B]_{m+1-k} A(z) - [Bt]_{m+1-k} At(z)).
+    """G_k(z) = z^(k-1) - sum_(x<=-1) a(x, -k) z^x, with a the affine coordinates.
 
-    [B]_e denotes the coefficient of z^e in the corresponding series; this is
-    the polynomial-part projection of z^(k-1) against the two-point kernel:
-    z^(k-1) + O(1/z), a unipotent column mix of the entries E_1..E_k.
+    The projection of z^(k-1) against the two-point kernel,
+    G_k(z) = [w^(-k)] K(z, w)/(w - z) expanded in |w| > |z|: z^(k-1) + O(1/z),
+    a unipotent column mix of the entries E_1..E_k.
     """
     if k < 1:
         raise ValueError("column index k must be >= 1")

@@ -239,6 +239,15 @@ def test_brute_force_agrees_with_determinant():
         brute_force_expectation(1, 1, [mp.mpf(3)], 2, 64)
 
 
+def test_brute_force_rejects_fewer_than_two_atoms():
+    # one atom has no pairs, so the L = 2 partition sum would be 0
+    us = (mp.mpf(3), mp.mpf("4.5"))
+    for L in (1, 2):
+        for n_max in (0, -1):
+            with pytest.raises(ValueError, match="n_max must be >= 1"):
+                brute_force_expectation(L, Fraction(1, 1000), us, n_max, 128)
+
+
 def pair_sum_reference(a, us, n_max, prec):
     """The L = 2 ensemble average as the literal double sum over atom pairs,
     with the same n_max and tail checks as `brute_force_expectation`."""

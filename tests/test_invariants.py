@@ -1,6 +1,7 @@
 """Stationary descendent invariants: frozen values, structure, properties."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,8 +12,8 @@ from gwp1.invariants import (
     free_energy,
     invariant_by_genus,
     n_point_invariant,
-    one_point_invariant,
 )
+from gwp1.waves import s1_series
 from gwp1.zmodel import zmodel_expansion
 from gwp1.zseries import WindowError
 
@@ -22,11 +23,26 @@ def eps(pairs):
 
 
 def test_one_point_values():
-    assert one_point_invariant(0).value == eps({-2: 1, 0: "-1/24"})
-    assert one_point_invariant(1).value == EpsLaurent.zero()
-    assert one_point_invariant(2).value == eps({-2: "1/4", 0: "1/24", 2: "7/5760"})
+    assert n_point_invariant((0,)).value == eps({-2: 1, 0: "-1/24"})
+    assert n_point_invariant((1,)).value == EpsLaurent.zero()
+    assert n_point_invariant((2,)).value == eps({-2: "1/4", 0: "1/24", 2: "7/5760"})
     with pytest.raises(ValueError):
-        one_point_invariant(-1)
+        n_point_invariant((-1,))
+
+
+def test_one_point_trace_matches_derivative_pairing():
+    # the diagonal of the affine coordinates is -eps times the one-point series
+    for k in range(11):
+        weight = EpsLaurent.mono(k + 1, Fraction(1, factorial(k + 1)))
+        expected = weight * s1_series(k + 3).coeff(-k - 2)
+        assert n_point_invariant((k,)).value == expected, k
+
+
+def test_one_point_stability_flag():
+    rec = n_point_invariant((2,), check_stability=False)
+    assert rec.stability_checked is False
+    assert rec.order == 5
+    assert n_point_invariant((2,)).stability_checked is True
 
 
 def test_two_point_values():
@@ -75,11 +91,13 @@ def test_free_energy_weight_4_matches_determinantal_route():
 
 
 def test_cycle_sum_window():
-    # kernel reads reach z^(n - sum(k+2)) = z^-6 for ks=(2,2)
-    assert _cycle_sum((2, 2), 6) == _cycle_sum((2, 2), 10)
-    for order in (4, 5):
-        with pytest.raises(WindowError):
-            _cycle_sum((2, 2), order)
+    # edge reads reach z^(n - sum(k+2)): z^-6 for (2, 2), z^-4 for (3,)
+    for ks in ((2, 2), (3,)):
+        order = sum(k + 2 for k in ks) - len(ks)
+        assert _cycle_sum(ks, order) == _cycle_sum(ks, order + 4)
+        for short in (order - 2, order - 1):
+            with pytest.raises(WindowError):
+                _cycle_sum(ks, short)
 
 
 small_ks = st.lists(

@@ -5,10 +5,13 @@ from fractions import Fraction
 import pytest
 
 from gwp1.epslaurent import EpsLaurent
-from gwp1.zseries import ZSeries
+from gwp1.invariants import _edge
+from gwp1.zmodel import _normalised_frame
+from gwp1.zseries import WindowError, ZSeries
 from gwp1.waves import (
+    WaveExpansion,
+    affine_coordinates,
     bernoulli_number,
-    closed_wave,
     normalized_quartet,
     r_matrix,
     s1_series,
@@ -61,17 +64,13 @@ def test_bad_inputs():
     with pytest.raises(ValueError):
         solve_formal_wave(+1, 0)
     with pytest.raises(ValueError):
-        closed_wave(0, 4)
-    with pytest.raises(ValueError):
-        closed_wave(+1, -1)
-    with pytest.raises(ValueError):
         normalized_quartet(-1)
 
 
 def test_closed_waves_match_solver():
     for order in (1, 2, 5, 8, 10, 20):
         for sigma in (+1, -1):
-            closed = closed_wave(sigma, order).h
+            closed = normalized_quartet(order)[0 if sigma == +1 else 2]
             assert fields(closed) == fields(solve_formal_wave(sigma, order).h), (sigma, order)
 
 
@@ -91,9 +90,50 @@ def test_quartet_truncates_consistently():
 
 @pytest.mark.parametrize("sigma", [+1, -1])
 def test_residual_vanishes_on_closed_waves(sigma):
-    res = wave_residual(closed_wave(sigma, 9), 7)
+    h = normalized_quartet(9)[0 if sigma == +1 else 2]
+    res = wave_residual(WaveExpansion(sigma, h), 7)
     assert res.order == 8 and res.top == 1
     assert res.is_zero()
+
+
+def kernel_edge_reference(quartet, forward, x, y):
+    """The edge factor of a cycle as a two-sided sum of kernel coefficients."""
+    a, at, b, bt = quartet
+
+    def kernel(i, j):
+        return a.coeff(i) * b.coeff(j) - at.coeff(i) * bt.coeff(j)
+
+    if forward:
+        return sum((kernel(x + 1 + m, y - m) for m in range(max(0, y), -x)), EpsLaurent.zero())
+    return -sum((kernel(x - m, y + 1 + m) for m in range(max(0, x), -y)), EpsLaurent.zero())
+
+
+def frame_reference(quartet, k, order):
+    """G_k = sum_m z^m ([B]_(m+1-k) A - [Bt]_(m+1-k) At), truncated at z^(-order)."""
+    a, at, b, bt = quartet
+    acc = ZSeries.zero(order)
+    for m in range(k):
+        piece = a.scale(b.coeff(m + 1 - k)) - at.scale(bt.coeff(m + 1 - k))
+        acc = acc + piece.truncate(order + m).mul_zpow(m)
+    return ZSeries(acc.c, top=k - 1, order=order)
+
+
+def test_affine_coordinates_match_kernel_sums():
+    # both sides agree only because K(z, z) = 1
+    for order in range(1, 15):
+        quartet = normalized_quartet(order)
+        aff = affine_coordinates(order)
+        for x in range(-order - 2, order + 2):
+            for y in range(-order - 1 - x, order + 2):
+                for forward in (True, False):
+                    got = _edge(aff, forward, x, y)
+                    assert got == kernel_edge_reference(quartet, forward, x, y), (order, x, y)
+        for count in range(1, order + 1):
+            frame = _normalised_frame(count, order - count)
+            for k, g in enumerate(frame, 1):
+                assert fields(g) == fields(frame_reference(quartet, k, order - count))
+        with pytest.raises(WindowError):
+            aff(-1, -order - 1)
 
 
 def test_bernoulli_numbers():
