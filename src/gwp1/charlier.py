@@ -19,12 +19,17 @@ The polynomials come from the monic three-term recurrence
 
     pi_l(x; a) = (-a)^l sum_i (-l)_i (1/2 - x)_i / i! (-1/a)^i
 
-is the independent route, evaluated point by point in O(l) exact rational
-operations (`charlier_value`) and cross-checked there against the recurrence
-at the same point; the scaling check reads its values from it instead of
-building the degree-L polynomial.
-`bessel_j` sums its power series by the ratio of successive terms, with one
-reciprocal-Gamma evaluation per call.
+is the independent route, evaluated point by point (`charlier_value`) and
+cross-checked there against the recurrence at the same point; the scaling
+check reads its values from it instead of building the degree-L polynomial.
+With a = p/q and x = r/s both routes run in O(l) integer steps over one
+common denominator each, are compared by cross-multiplication, and build a
+single Fraction at the end.
+`bessel_j` makes one reciprocal-Gamma evaluation per call for the first term
+past the Gamma poles, then sums the power series in fixed point over Python
+ints: each later term is one exact integer product and one floor division by
+m (nu + m), at a scale of about 20 bits beyond the working precision, until
+the ratio-1/2 tail certificate holds.
 
 `brute_force_expectation` averages over the atoms directly, in O(n_max): as
 x_i - x_j = i - j, its L = 2 pair sums are moment forms (Heine's identity for a
@@ -56,6 +61,12 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
+def _dyadic(v) -> tuple[int, int, int]:
+    """(M, e, bits of |M|) with v = M 2^e exactly, for an mpf v."""
+    sign, man, exp, bc = v._mpf_
+    return (-man if sign else man), exp, bc
+
+
 def _to_mpf(x):
     if isinstance(x, Fraction):
         return mp.mpf(x.numerator) / x.denominator
@@ -82,42 +93,65 @@ def bessel_j(nu, x, prec: int):
 
     Terms with nu+m+1 at a pole of Gamma are zero, so the sum starts at the
     first m off the poles (m = -nu for a negative integer nu, else 0); that
-    term is computed directly and each later one from its predecessor by the
-    ratio -(x/2)^2 / (m (nu+m)).  Summation stops once the ratio bound
-    certifies the remainder below the target precision.
+    term is computed with `rgamma`.  The sum runs in fixed point: the working
+    nu = N 2^-K and q = (x/2)^2 = Q 2^e are dyadic, so with the first term
+    scaled to about wp + 20 bits (more when nu + m comes near zero) each
+    later term is one integer step
+    T <- -T Q 2^(e+K) / (m (N + m 2^K)), exact up to one floor.  Summation
+    stops once the ratio bound certifies the remainder below the target
+    precision.
     """
-    with mp.workprec(prec + _GUARD_BITS):
+    wp = prec + _GUARD_BITS
+    with mp.workprec(wp):
         nu_m = _to_mpf(nu)
         x_m = _to_mpf(x)
         if x_m <= 0:
             raise ValueError("x must be positive")
         half = x_m / 2
         quarter_sq = half * half
-        acc = mp.mpf(0)
-        m = int(-nu_m) if nu_m < 0 and nu_m == mp.floor(nu_m) else 0
-        term = (
+        nu_man, nu_exp, _ = _dyadic(nu_m)
+        n_int, k = (nu_man << nu_exp, 0) if nu_exp >= 0 else (nu_man, -nu_exp)
+        m = -n_int if k == 0 and n_int < 0 else 0
+        term0 = (
             mp.power(half, nu_m) * (-quarter_sq) ** m / mp.factorial(m)
             * mp.rgamma(nu_m + m + 1)
         )
-        max_abs = mp.mpf(0)
-        rel_tol = mp.mpf(2) ** (-(prec + _GUARD_BITS))
-        abs_tol = mp.mpf(2) ** (-(prec + 4 * _GUARD_BITS))
-        while True:
-            acc += term
-            max_abs = max(max_abs, abs(term))
-            m += 1
-            ratio = quarter_sq / (m * (nu_m + m))
-            term *= -ratio
-            # once m+nu is safely positive the term magnitudes decay faster
-            # than a ratio-1/2 geometric series; bound the whole remainder
-            # by twice the next term
-            if (nu_m + m + 1 > 0 and m > 1 and ratio < mp.mpf(1) / 2
-                    and abs(term) * 2 < max(max_abs, abs(acc)) * rel_tol + abs_tol):
-                break
-            if m > 10 * (prec + int(abs(nu_m)) + int(x_m) + 10):
-                raise RuntimeError("Bessel series failed to converge")
+    # the scale 2^F puts term0 at wp + 20 bits; it has at most wp, so T is exact.
+    # A negative non-integer nu = N 2^-K comes closest to a pole at
+    # |nu + m| = d 2^-K (d >= 1), and dividing by that scales the later terms
+    # up by 2^K / d against the floors before it: carry that many more bits.
+    top = wp + 20
+    if k and n_int < 0:
+        r = n_int % (1 << k)
+        top += k + 1 - min(r, (1 << k) - r).bit_length()
+    t_man, t_exp, t_bits = _dyadic(term0)
+    frac_bits = top - (t_exp + t_bits)
+    term = t_man << (top - t_bits)
+    q_man, q_exp, _ = _dyadic(quarter_sq)
+    shift = q_exp + k
+    q_num = q_man << max(shift, 0)
+    den_shift = max(-shift, 0)
+    # the tail test 2 |T| 2^wp < max(max_abs, |acc|) + 2^(F - 3 guard); both
+    # sides are integers, so a last term 2^(F - 3 guard) <= 1 may be read as 1
+    abs_tol = 1 << max(frac_bits - 3 * _GUARD_BITS, 0)
+    cap = 10 * (prec + int(abs(nu_m)) + int(x_m) + 10)
+    acc = max_abs = 0
+    while True:
+        acc += term
+        max_abs = max(max_abs, abs(term))
+        m += 1
+        den = (m * (n_int + (m << k))) << den_shift
+        term = -(term * q_num) // den
+        # once nu+m > 0 and the ratio q/(m (nu+m)) < 1/2, every later ratio
+        # is smaller, so twice the next term bounds the whole remainder; with
+        # nu+m in (-1, 0) the ratio is negative but the one after it unbounded
+        if (m > 1 and 2 * q_num < den
+                and abs(term) << (wp + 1) < max(max_abs, abs(acc)) + abs_tol):
+            break
+        if m > cap:
+            raise RuntimeError("Bessel series failed to converge")
     with mp.workprec(prec):
-        return +acc
+        return mp.ldexp(mp.mpf(acc), -frac_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +205,16 @@ def charlier_poly(ell: int, a) -> CharlierPolynomial:
 
 
 def charlier_value(ell: int, a, x) -> Fraction:
-    """pi_l(x; a) at one rational point in O(l) exact operations.
+    """pi_l(x; a) at one rational point in O(l) integer operations.
 
-    Sums the explicit series term by term, each term the previous one times
-    (-l+i)(1/2-x+i) / ((i+1)(-a)), and cross-checks the result against the
-    monic three-term recurrence evaluated at x; a disagreement is an error.
+    With a = p/q and x = r/s, both routes run over integers and build one
+    Fraction at the end, so no gcd is taken per step.  The explicit sum
+    total/den carries its current term as term/den; term i+1 is term i times
+    num_i/den_i with num_i = (i-l)(s-2r+2is)(-q) and den_i = 2sp(i+1), the
+    ratio (-l+i)(1/2-x+i) / ((i+1)(-a)), and the sum stops at the first
+    num_i = 0.  The monic three-term recurrence runs as C_n / M^n with
+    M = 2sq.  The two routes are compared by cross-multiplication; a
+    disagreement is an error.
     """
     a = _as_fraction(a)
     x = _as_fraction(x)
@@ -183,20 +222,28 @@ def charlier_value(ell: int, a, x) -> Fraction:
         raise ValueError("degree must be >= 0")
     if a <= 0:
         raise ValueError("parameter a must be positive")
-    half = Fraction(1, 2)
-    total = term = Fraction(1)
+    p, q = a.numerator, a.denominator
+    r, s = x.numerator, x.denominator
+    total = term = den = 1
     for i in range(ell):
-        term *= (i - ell) * (half - x + i) / ((i + 1) * -a)
-        if not term:
+        num_i = (i - ell) * (s - 2 * r + 2 * i * s) * -q
+        if not num_i:
             break  # (1/2 - x)_i vanishes from here on
-        total += term
-    value = total * (-a) ** ell
-    prev, cur = Fraction(0), Fraction(1)
+        den_i = 2 * s * p * (i + 1)
+        term *= num_i
+        total = total * den_i + term
+        den *= den_i
+    # value = total (-p)^l / (den q^l)
+    m = 2 * s * q
+    b_0 = 2 * q * r - 2 * s * p - s * q
+    step = 4 * p * s * s * q
+    prev, cur = 0, 1
     for n in range(ell):
-        prev, cur = cur, (x - (n + a + half)) * cur - n * a * prev
-    if value != cur:
+        prev, cur = cur, (b_0 - n * m) * cur - n * step * prev
+    m_l = m**ell
+    if total * (-p) ** ell * m_l != cur * den * q**ell:
         raise RuntimeError("explicit sum and recurrence disagree at this point")
-    return value
+    return Fraction(cur, m_l)
 
 
 def charlier_orthogonality_sum(ell: int, ellp: int, a, tol, prec: int = 128):
@@ -220,15 +267,23 @@ def charlier_orthogonality_sum(ell: int, ellp: int, a, tol, prec: int = 128):
         p_m, q_m = ([mp.convert(c) for c in f.coefficients] for f in (p, q))
         p_abs, q_abs = ([abs(c) for c in m] for m in (p_m, q_m))
         weight = mp.e ** (-a_m)  # running e^(-a) a^n / n!
+        half_tol = tol_m / 2
         acc = mp.mpf(0)
         n = 0
         n_cap = 64 * (prec + deg + int(a_m) + 4)
         while True:
             x = mp.mpf(2 * n + 1) / 2
-            acc += _horner(p_m, x) * _horner(q_m, x) * weight
+            p_x = _horner(p_m, x)
+            acc += p_x * (p_x if ell == ellp else _horner(q_m, x)) * weight
             n += 1
             weight *= a_m / n
-            if a_m / (n + 1) < mp.mpf(1) / 2:
+            # Here n >= 1, so x >= 3/2, and the abs-coefficient Horner value of
+            # a monic pi_l is >= x^l >= 1; with 1/(1 - r) >= 1 the tail below
+            # is >= weight.
+            # The tail test can only pass once weight < tol/4, so skipping it
+            # while weight >= tol/2 (the 2 absorbs rounding) never moves the
+            # stopping index.
+            if weight < half_tol and a_m / (n + 1) < mp.mpf(1) / 2:
                 # growth of the absolute-coefficient majorant per unit step
                 g = (1 + 1 / (n + mp.mpf(1) / 2)) ** deg
                 r = (a_m / (n + 1)) * g
@@ -400,6 +455,9 @@ def charlier_scaling_limit_check(zeta, ell: int, eps, L_list, prec: int) -> Scal
     L_list = sorted(int(L) for L in L_list)
     if any(L < ell + 1 for L in L_list):
         raise ValueError("every L must be at least ell + 1")
+    repeated = sorted({L for L in L_list if L_list.count(L) > 1})
+    if repeated:
+        raise ValueError(f"sizes L must be distinct; repeated: {repeated}")
     with mp.workprec(prec + _GUARD_BITS):
         eps_m = mp.mpf(eps_q.numerator) / eps_q.denominator
         zeta_m = mp.mpf(zeta_q.numerator) / zeta_q.denominator

@@ -233,6 +233,10 @@ def cmd_charlier(cfg: RunConfig):
         ls = cfg.options.get("L") or [20, 40, 80]
         if min(ls) < 1:
             raise UsageError(f"charlier --check limit needs L >= 1, got L={min(ls)}")
+        repeated = sorted({L for L in ls if ls.count(L) > 1})
+        if repeated:
+            raise UsageError(f"charlier --check limit needs distinct L, "
+                             f"got {' '.join(map(str, repeated))} more than once")
         rep = ch.charlier_scaling_limit_check(0, 0, eps, ls, prec)
         rows = [
             {

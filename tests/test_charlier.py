@@ -52,15 +52,32 @@ def test_bessel_small_argument_leading_term():
         bessel_j(1, -1, 64)
 
 
-@pytest.mark.parametrize("prec", [128, 640])
+# the orders of the numeric sweep: f and g at z = 5.25, 10.25, 20.25 take
+# nu = -/+(z + 1/2), the scaling targets mu = zeta - l - 1/2 = -1/2, 1/2, -1
+@pytest.mark.parametrize("prec", [128, 640, 768])
 def test_bessel_matches_mpmath(prec):
     # -1 and -3 start the series past the Gamma poles at m = -nu
-    for nu in ("5.75", "-5.75", "0.5", "-0.5", "0", "2", "-1", "-3"):
-        for x in ("0.5", "1", "4", "8"):
+    for nu in ("5.75", "-5.75", "10.75", "-10.75", "20.75", "-20.75",
+               "0.5", "-0.5", "0", "2", "-1", "-3"):
+        for x in ("0.5", "1", "2", "4", "8"):
             val = bessel_j(mp.mpf(nu), mp.mpf(x), prec)
             with mp.workprec(prec + 64):
                 ref = mp.besselj(mp.mpf(nu), mp.mpf(x))
                 assert abs(val - ref) < abs(ref) * mp.mpf(2) ** -(prec - 8), (nu, x)
+
+
+@pytest.mark.parametrize("prec, gap_exp, x_exp", [(128, -150, -39), (640, -660, -150)])
+def test_bessel_near_negative_integer_order(prec, gap_exp, x_exp):
+    # nu + m = +-2^gap_exp at m = -round(nu): the term before it is below the
+    # tail test, but dividing by nu + m brings the next one back up
+    x = mp.mpf(2) ** x_exp
+    for base in (-3, -1):
+        for sign in (1, -1):
+            with mp.workprec(prec + 800):
+                nu = base + sign * mp.mpf(2) ** gap_exp
+                val = bessel_j(nu, x, prec)
+                ref = mp.besselj(nu, x)
+                assert abs(val - ref) < abs(ref) * mp.mpf(2) ** -(prec - 8), (base, sign)
 
 
 def test_charlier_poly_small_cases():
@@ -99,6 +116,19 @@ def test_charlier_value_matches_polynomial(a):
         charlier_value(1, 0, 1)
     with pytest.raises(ValueError):
         charlier_value(-1, 1, 1)
+
+
+# (L + l, a, x): the numeric sweep's largest scaling points, L = 320 for its
+# three (zeta, l, eps), a = 1/(L eps^2) and x = L + zeta; then a non-dyadic a
+# at negative non-dyadic x, where no factor of the sum vanishes
+@pytest.mark.parametrize("ell, a, x", [
+    (320, Fraction(1, 320), Fraction(320)),
+    (321, Fraction(1, 320), Fraction(641, 2)),
+    (320, Fraction(1, 80), Fraction(321)),
+    (120, Fraction(7, 3), Fraction(-41, 6)),
+])
+def test_charlier_value_at_bench_scale(ell, a, x):
+    assert charlier_value(ell, a, x) == charlier_poly(ell, a).eval_exact(x)
 
 
 def test_scaling_rows_match_polynomial_route():
@@ -152,9 +182,12 @@ def orthogonality_reference(ell, ellp, a, tol, prec):
         return +acc, +target
 
 
-# 1 and 5/2 give dyadic coefficients; 7/3 makes every conversion round
+# 1 and 5/2 give dyadic coefficients; 7/3 makes every conversion round.  At
+# a = 1/1000 the ratio a/(n+1) is below 1/2 from the first step on, so only the
+# weight gates the tail test; at a = 9 the weights peak late, near n = 9.
 @pytest.mark.parametrize("prec", [128, 640])
-@pytest.mark.parametrize("a", [Fraction(1), Fraction(5, 2), Fraction(7, 3)])
+@pytest.mark.parametrize("a", [Fraction(1), Fraction(5, 2), Fraction(7, 3),
+                               Fraction(1, 1000), Fraction(9)])
 def test_orthogonality_sums_bit_identical(a, prec):
     tol = mp.mpf(2) ** -(prec // 2)
     for ell in range(4):
@@ -218,6 +251,8 @@ def test_scaling_limit():
     assert rep.monotone_decreasing
     with pytest.raises(ValueError):
         charlier_scaling_limit_check(0, 2, 1, [2], 64)
+    with pytest.raises(ValueError, match=r"repeated: \[20\]"):
+        charlier_scaling_limit_check(0, 0, 1, [20, 40, 20], 64)
 
 
 def test_char_poly_expectation_small():

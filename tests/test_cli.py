@@ -203,6 +203,14 @@ def test_charlier_limit_rows(capsys):
         assert set(row) == {"input", "value", "target", "abs_error"}
 
 
+def test_charlier_limit_repeated_size_is_usage_error(capsys):
+    # a repeated L would compare a row with itself in the monotonicity flag
+    code = main(["charlier", "--check", "limit", "--L", "20", "40", "20"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "usage error" in err and "distinct L" in err and "got 20 more than once" in err
+
+
 def test_charlier_residual_rows(capsys):
     code, doc = run_json(capsys, "charlier", "--check", "residuals", "--eps", "1")
     assert code == 0
