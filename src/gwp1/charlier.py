@@ -25,11 +25,19 @@ check reads its values from it instead of building the degree-L polynomial.
 With a = p/q and x = r/s both routes run in O(l) integer steps over one
 common denominator each, are compared by cross-multiplication, and build a
 single Fraction at the end.
-`bessel_j` makes one reciprocal-Gamma evaluation per call for the first term
-past the Gamma poles, then sums the power series in fixed point over Python
-ints: each later term is one exact integer product and one floor division by
-m (nu + m), at a scale of about 20 bits beyond the working precision, until
-the ratio-1/2 tail certificate holds.
+`bessel_j` takes an mpf order exactly, makes one reciprocal-Gamma evaluation
+per call for the first term past the Gamma poles, then sums the power series
+in fixed point over Python ints: each later term is one exact integer product
+and one floor division by m (nu + m), at a scale of about 20 bits beyond the
+working precision, until the ratio-1/2 tail certificate holds.
+
+The orthogonality sums and the brute-force ensemble read one shared table of
+atoms per (a, working precision), `_atoms`, memoised for the most recent pair
+only: the weights e^(-a) a^n / n!, each pi_l's coefficients (plain and
+absolute) and the values pi_l(n + 1/2), all raw libmp tuples, grown one atom
+at a time when a caller first needs it.  A pairing is then three libmp
+operations per atom, acc += (pi_l pi_l') w, rounded to nearest as the mpf
+expressions they replace, so every sum is bit-identical to a fresh one.
 
 `brute_force_expectation` averages over the atoms directly, in O(n_max): as
 x_i - x_j = i - j, its L = 2 pair sums are moment forms (Heine's identity for a
@@ -44,9 +52,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from mpmath import mp
+from mpmath.libmp import (
+    fzero, from_int, from_man_exp, mpf_abs, mpf_add, mpf_div, mpf_lt, mpf_mul,
+    round_nearest as _RND,
+)
 
 from .waves import normalized_quartet
 
@@ -93,29 +106,31 @@ def bessel_j(nu, x, prec: int):
 
     Terms with nu+m+1 at a pole of Gamma are zero, so the sum starts at the
     first m off the poles (m = -nu for a negative integer nu, else 0); that
-    term is computed with `rgamma`.  The sum runs in fixed point: the working
-    nu = N 2^-K and q = (x/2)^2 = Q 2^e are dyadic, so with the first term
-    scaled to about wp + 20 bits (more when nu + m comes near zero) each
-    later term is one integer step
-    T <- -T Q 2^(e+K) / (m (N + m 2^K)), exact up to one floor.  Summation
-    stops once the ratio bound certifies the remainder below the target
-    precision.
+    term is computed with `rgamma`.  An mpf nu is taken exactly, not rounded
+    to the working precision (which could move it onto a pole), and the
+    `rgamma` argument nu + m + 1 is formed at a precision that holds it
+    exactly.  The sum runs in fixed point: nu = N 2^-K
+    and q = (x/2)^2 = Q 2^e are dyadic, so with the first term scaled to
+    about wp + 20 bits (more when nu + m comes near zero) each later term is
+    one integer step T <- -T Q 2^(e+K) / (m (N + m 2^K)), exact up to one
+    floor.  Summation stops once the ratio bound certifies the remainder below
+    the target precision.
     """
     wp = prec + _GUARD_BITS
     with mp.workprec(wp):
-        nu_m = _to_mpf(nu)
         x_m = _to_mpf(x)
         if x_m <= 0:
             raise ValueError("x must be positive")
+        nu_m = nu if isinstance(nu, mp.mpf) else _to_mpf(nu)
+    nu_man, nu_exp, _ = _dyadic(nu_m)
+    n_int, k = (nu_man << nu_exp, 0) if nu_exp >= 0 else (nu_man, -nu_exp)
+    m = -n_int if k == 0 and n_int < 0 else 0
+    with mp.workprec(max(wp, (n_int + ((m + 1) << k)).bit_length())):
+        rgamma_0 = mp.rgamma(nu_m + (m + 1))
+    with mp.workprec(wp):
         half = x_m / 2
         quarter_sq = half * half
-        nu_man, nu_exp, _ = _dyadic(nu_m)
-        n_int, k = (nu_man << nu_exp, 0) if nu_exp >= 0 else (nu_man, -nu_exp)
-        m = -n_int if k == 0 and n_int < 0 else 0
-        term0 = (
-            mp.power(half, nu_m) * (-quarter_sq) ** m / mp.factorial(m)
-            * mp.rgamma(nu_m + m + 1)
-        )
+        term0 = mp.power(half, nu_m) * (-quarter_sq) ** m / mp.factorial(m) * rgamma_0
     # the scale 2^F puts term0 at wp + 20 bits; it has at most wp, so T is exact.
     # A negative non-integer nu = N 2^-K comes closest to a pole at
     # |nu + m| = d 2^-K (d >= 1), and dividing by that scales the later terms
@@ -173,15 +188,10 @@ class CharlierPolynomial:
         return acc
 
     def eval_mpf(self, x):
-        return _horner(self.coefficients, x)
-
-
-def _horner(coefficients, x):
-    """sum_i c_i x^i in mpf arithmetic, coefficients in ascending powers."""
-    acc = mp.mpf(0)
-    for c in reversed(coefficients):
-        acc = acc * x + c
-    return acc
+        acc = mp.mpf(0)
+        for c in reversed(self.coefficients):
+            acc = acc * x + c
+        return acc
 
 
 def charlier_poly(ell: int, a) -> CharlierPolynomial:
@@ -246,50 +256,109 @@ def charlier_value(ell: int, a, x) -> Fraction:
     return Fraction(cur, m_l)
 
 
+class _Atoms:
+    """The atoms x_n = n + 1/2 of one (a, wp), grown one atom at a time.
+
+    Raw mpf tuples at wp bits: `weights[n]` = e^(-a) a^n / n!,
+    `coefficients[l]` = (pi_l's coefficients, their absolute values) and
+    `values[l][n]` = pi_l(x_n).  Each is rounded by the same operations, in
+    the same order, as the mpf steps weight *= a/n and acc*x + c, so a sum
+    read from the table is bit-identical to one evaluated afresh.  The
+    weights always reach one atom past the longest row of values.
+    """
+
+    def __init__(self, a: Fraction, wp: int):
+        self.a, self.wp = a, wp
+        with mp.workprec(wp):
+            self.a_m = mp.mpf(a.numerator) / a.denominator
+            self.weights = [(mp.e ** (-self.a_m))._mpf_]
+        self.coefficients: dict[int, tuple[list, list]] = {}
+        self.values: dict[int, list] = {}
+
+    def grow(self, count: int, *degrees: int) -> None:
+        """Hold the weights of atoms 0..count and, for each listed degree l,
+        pi_l at the atoms below count."""
+        wp, weights = self.wp, self.weights
+        while len(weights) <= count:
+            ratio = mpf_div(self.a_m._mpf_, from_int(len(weights)), wp, _RND)
+            weights.append(mpf_mul(weights[-1], ratio, wp, _RND))
+        for ell in degrees:
+            if ell not in self.values:
+                with mp.workprec(wp):
+                    plain = [mp.convert(c)._mpf_ for c in charlier_poly(ell, self.a).coefficients]
+                self.coefficients[ell] = (plain, [mpf_abs(c) for c in plain])
+                self.values[ell] = []
+            values = self.values[ell]
+            while len(values) < count:
+                values.append(_horner_raw(self.coefficients[ell][0], len(values), wp))
+
+
+@lru_cache(maxsize=1)
+def _atoms(a: Fraction, wp: int) -> _Atoms:
+    """The atom table of the most recent (a, wp) only: callers pair all their
+    degrees at one a before moving on, and one table keeps memory bounded."""
+    return _Atoms(a, wp)
+
+
+def _horner_raw(coefficients, n: int, wp: int):
+    """sum_i c_i x_n^i over raw mpf tuples, each step acc*x + c rounded to wp."""
+    x, acc = from_man_exp(2 * n + 1, -1), fzero
+    for c in reversed(coefficients):
+        acc = mpf_add(mpf_mul(acc, x, wp, _RND), c, wp, _RND)
+    return acc
+
+
 def charlier_orthogonality_sum(ell: int, ellp: int, a, tol, prec: int = 128):
     """(sum, target): the pairing of pi_l and pi_l' against the atom weights,
     alongside the exact norm a^l l! delta_{l,l'}.
 
     The truncation index is raised until a geometric bound certifies the
-    discarded tail below tol/4; failing that is an error.
+    discarded tail below tol/4; failing that is an error.  Weights and
+    polynomial values are read from the shared atom table `_atoms(a, wp)`,
+    so each atom costs three libmp operations at wp: acc += (p q) w.
     """
     a = _as_fraction(a)
-    p = charlier_poly(ell, a)
-    q = charlier_poly(ellp, a)
+    if ell < 0 or ellp < 0:
+        raise ValueError(f"degrees must be >= 0, got l={ell}, l'={ellp}")
+    if a <= 0:
+        raise ValueError(f"parameter a must be positive, got a={a}")
     deg = ell + ellp
-    with mp.workprec(prec + _GUARD_BITS):
+    wp = prec + _GUARD_BITS
+    with mp.workprec(wp):
         tol_m = _to_mpf(tol)
         if tol_m <= 0:
-            raise ValueError("tol must be positive")
-        a_m = mp.mpf(a.numerator) / a.denominator
-        # converted once: acc*x + c rounds a Fraction c to the working
-        # precision in the same way, so the sums are bit-identical
-        p_m, q_m = ([mp.convert(c) for c in f.coefficients] for f in (p, q))
-        p_abs, q_abs = ([abs(c) for c in m] for m in (p_m, q_m))
-        weight = mp.e ** (-a_m)  # running e^(-a) a^n / n!
-        half_tol = tol_m / 2
-        acc = mp.mpf(0)
-        n = 0
+            raise ValueError(f"tol must be positive, got tol={tol}")
+        atoms = _atoms(a, wp)
+        atoms.grow(0, ell, ellp)
+        a_m, weights = atoms.a_m, atoms.weights
+        p_x, q_x = atoms.values[ell], atoms.values[ellp]
+        half_tol = (tol_m / 2)._mpf_
+        acc = fzero
+        n = held = 0
         n_cap = 64 * (prec + deg + int(a_m) + 4)
         while True:
-            x = mp.mpf(2 * n + 1) / 2
-            p_x = _horner(p_m, x)
-            acc += p_x * (p_x if ell == ellp else _horner(q_m, x)) * weight
+            if n == held:
+                atoms.grow(n + 1, ell, ellp)
+                held = min(len(p_x), len(q_x))
+            acc = mpf_add(acc, mpf_mul(mpf_mul(p_x[n], q_x[n], wp, _RND),
+                                       weights[n], wp, _RND), wp, _RND)
             n += 1
-            weight *= a_m / n
             # Here n >= 1, so x >= 3/2, and the abs-coefficient Horner value of
             # a monic pi_l is >= x^l >= 1; with 1/(1 - r) >= 1 the tail below
             # is >= weight.
             # The tail test can only pass once weight < tol/4, so skipping it
             # while weight >= tol/2 (the 2 absorbs rounding) never moves the
             # stopping index.
-            if weight < half_tol and a_m / (n + 1) < mp.mpf(1) / 2:
+            if mpf_lt(weights[n], half_tol) and a_m / (n + 1) < mp.mpf(1) / 2:
                 # growth of the absolute-coefficient majorant per unit step
                 g = (1 + 1 / (n + mp.mpf(1) / 2)) ** deg
                 r = (a_m / (n + 1)) * g
                 if r < mp.mpf(1) / 2:
-                    x = mp.mpf(2 * n + 1) / 2
-                    tail = _horner(p_abs, x) * _horner(q_abs, x) * weight / (1 - r)
+                    p_abs, q_abs = (
+                        mp.make_mpf(_horner_raw(atoms.coefficients[l][1], n, wp))
+                        for l in (ell, ellp)
+                    )
+                    tail = p_abs * q_abs * mp.make_mpf(weights[n]) / (1 - r)
                     if tail < tol_m / 4:
                         break
             if n > n_cap:
@@ -298,7 +367,7 @@ def charlier_orthogonality_sum(ell: int, ellp: int, a, tol, prec: int = 128):
                 )
         target = a_m**ell * factorial(ell) if ell == ellp else mp.mpf(0)
     with mp.workprec(prec):
-        return +acc, +target
+        return +mp.make_mpf(acc), +target
 
 
 def charlier_orthogonality_check(ell: int, ellp: int, a, tol, prec: int = 128) -> bool:
@@ -515,11 +584,14 @@ def brute_force_expectation(L: int, a, us, n_max: int, prec: int = 128):
     M_k = sum_i v_i i^k.  The last shell, n_i = n_max or n_j = n_max, is twice
     its row 2 sum_j (|v_n v_j| + w_n w_j)(n - j)^2 ((n, n) adds 0); it must sit
     below a ratio-1/2 geometric bound relative to the accumulated sums,
-    otherwise an error asks for a larger n_max.
+    otherwise an error asks for a larger n_max.  The weights e^(-a) a^n / n!
+    are read from the shared atom table `_atoms(a, prec + _GUARD_BITS)`.
     """
     a = _as_fraction(a)
     if L not in (1, 2):
         raise ValueError("brute force supports L = 1 or 2 only")
+    if a <= 0:
+        raise ValueError(f"parameter a must be positive, got a={a}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1 (two atoms or more), got {n_max}")
     us = list(us)
@@ -528,11 +600,9 @@ def brute_force_expectation(L: int, a, us, n_max: int, prec: int = 128):
         if a_m / (n_max + 1) >= mp.mpf(1) / 4:
             raise ValueError("n_max too small for a convergent tail bound")
         us_m = [mp.mpf(u) for u in us]
-        weights = []
-        w = mp.e ** (-a_m)
-        for nn in range(n_max + 1):
-            weights.append(w)
-            w *= a_m / (nn + 1)
+        atoms = _atoms(a, prec + _GUARD_BITS)
+        atoms.grow(n_max)
+        weights = [mp.make_mpf(w) for w in atoms.weights[:n_max + 1]]
         xs = [mp.mpf(2 * nn + 1) / 2 for nn in range(n_max + 1)]
         vs = [mp.fprod(u - x for u in us_m) * w for x, w in zip(xs, weights)]
         if L == 1:

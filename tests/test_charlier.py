@@ -8,6 +8,7 @@ from mpmath import mp
 
 from gwp1.charlier import (
     _GUARD_BITS,
+    _atoms,
     asymptotic_match_check,
     bessel_j,
     brute_force_expectation,
@@ -66,10 +67,13 @@ def test_bessel_matches_mpmath(prec):
                 assert abs(val - ref) < abs(ref) * mp.mpf(2) ** -(prec - 8), (nu, x)
 
 
-@pytest.mark.parametrize("prec, gap_exp, x_exp", [(128, -150, -39), (640, -660, -150)])
+@pytest.mark.parametrize("prec, gap_exp, x_exp",
+                         [(128, -150, -39), (640, -660, -150), (128, -200, -40)])
 def test_bessel_near_negative_integer_order(prec, gap_exp, x_exp):
     # nu + m = +-2^gap_exp at m = -round(nu): the term before it is below the
-    # tail test, but dividing by nu + m brings the next one back up
+    # tail test, but dividing by nu + m brings the next one back up.  At
+    # gap_exp = -200 nu needs more bits than prec + guard and must not be
+    # rounded onto the pole.
     x = mp.mpf(2) ** x_exp
     for base in (-3, -1):
         for sign in (1, -1):
@@ -194,6 +198,46 @@ def test_orthogonality_sums_bit_identical(a, prec):
         for ellp in range(ell, 4):
             assert (charlier_orthogonality_sum(ell, ellp, a, tol, prec)
                     == orthogonality_reference(ell, ellp, a, tol, prec)), (ell, ellp)
+
+
+def test_orthogonality_sums_ignore_table_state():
+    # interleaved (a, prec), so each group starts on a new table; both orders
+    # of a pair, the same pair cold and warm, and a table whose weights
+    # brute_force_expectation grew first
+    _atoms.cache_clear()
+    us = [mp.mpf(3), mp.mpf("4.5")]
+    brute_force_expectation(2, Fraction(1), us, 60, 128)
+    for a, prec, pairs in [
+        (Fraction(1), 128, [(3, 1), (1, 3), (0, 0)]),
+        (Fraction(7, 3), 640, [(2, 0), (0, 2), (3, 3)]),
+        (Fraction(1), 640, [(3, 3), (1, 0), (0, 1)]),
+        (Fraction(1, 1000), 128, [(2, 2), (3, 0)]),
+        (Fraction(1), 128, [(3, 2), (2, 3), (0, 0)]),
+    ]:
+        tol = mp.mpf(2) ** -(prec // 2)
+        for ell, ellp in pairs + pairs:
+            assert (charlier_orthogonality_sum(ell, ellp, a, tol, prec)
+                    == orthogonality_reference(ell, ellp, a, tol, prec)), (a, prec, ell, ellp)
+        assert _atoms.cache_info().currsize <= 1
+
+
+def test_orthogonality_rejects_bad_input_before_the_table():
+    _atoms.cache_clear()
+    tol = mp.mpf(2) ** -64
+    for args, message in [
+        ((-1, 0, 1, tol), "degrees must be >= 0"),
+        ((0, -2, 1, tol), "degrees must be >= 0"),
+        ((1, 1, 0, tol), "parameter a must be positive"),
+        ((1, 1, Fraction(-1, 2), tol), "parameter a must be positive"),
+        ((1, 1, 1, 0), "tol must be positive"),
+        ((1, 1, 1, -tol), "tol must be positive"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            charlier_orthogonality_sum(*args, 128)
+    with pytest.raises(ValueError, match="parameter a must be positive"):
+        brute_force_expectation(1, 0, [mp.mpf(3)], 60, 128)
+    info = _atoms.cache_info()
+    assert info.currsize == 0 and info.misses == 0
 
 
 def test_orthogonality_grid():
@@ -357,3 +401,38 @@ def test_pair_moments_keep_error_thresholds(a):
             brute_force_expectation(2, a, us, small, prec)
         with pytest.raises(ValueError, match="n_max too small"):
             pair_sum_reference(a, us, small, prec)
+
+
+def brute_force_reference(L, a, us, n_max, prec):
+    """`brute_force_expectation` with its own running-weight loop."""
+    with mp.workprec(prec + _GUARD_BITS):
+        a_m = mp.mpf(a.numerator) / a.denominator
+        us_m = [mp.mpf(u) for u in us]
+        weights = []
+        w = mp.e ** (-a_m)
+        for nn in range(n_max + 1):
+            weights.append(w)
+            w *= a_m / (nn + 1)
+        xs = [mp.mpf(2 * nn + 1) / 2 for nn in range(n_max + 1)]
+        vs = [mp.fprod(u - x for u in us_m) * w for x, w in zip(xs, weights)]
+        if L == 1:
+            num, den = mp.fsum(vs), mp.fsum(weights)
+        else:
+            def pair_sum(v):
+                m0, m1, m2 = (mp.fdot(v, [i**k for i in range(len(v))]) for k in range(3))
+                return 2 * (m0 * m2 - m1 * m1)
+            num, den = pair_sum(vs), pair_sum(weights)
+        val = num / den
+    with mp.workprec(prec):
+        return +val
+
+
+@pytest.mark.parametrize("prec", [128, 640])
+@pytest.mark.parametrize("a", [Fraction(1), Fraction(7, 3)])
+def test_brute_force_weights_bit_identical(a, prec):
+    n_max = 40 + prec // 8
+    for L in (1, 2):
+        for us in BRUTE_US:
+            us_m = [mp.mpf(u) for u in us]
+            assert (brute_force_expectation(L, a, us_m, n_max, prec)
+                    == brute_force_reference(L, a, us_m, n_max, prec)), (L, us)
