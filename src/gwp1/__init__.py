@@ -7,10 +7,8 @@ determinantal (matrix-model) expansion in scaled time variables.
 from .epslaurent import EpsLaurent
 from .zseries import WindowError, ZSeries
 from .waves import (
-    RMatrix,
     WaveExpansion,
     normalized_quartet,
-    r_matrix,
     s1_series,
     solve_formal_wave,
     wave_residual,
@@ -48,8 +46,8 @@ __version__ = "1.0.0"
 
 __all__ = [
     "EpsLaurent", "ZSeries", "WindowError",
-    "WaveExpansion", "RMatrix", "solve_formal_wave", "wave_shift",
-    "wave_residual", "normalized_quartet", "r_matrix",
+    "WaveExpansion", "solve_formal_wave", "wave_shift",
+    "wave_residual", "normalized_quartet",
     "s1_series", "InvariantRecord", "n_point_invariant",
     "invariant_by_genus", "free_energy", "MiwaPolynomial", "power_sums_to_times",
     "ZModelExpansion", "zmodel_entry", "zmodel_expansion",

@@ -91,9 +91,15 @@ def _to_mpf(x):
 # ---------------------------------------------------------------------------
 
 def gamma_real(x, prec: int):
-    """Gamma(x) at `prec` bits; errors on nonpositive-integer poles."""
-    with mp.workprec(prec + _GUARD_BITS):
-        xm = _to_mpf(x)
+    """Gamma(x) at `prec` bits; errors on nonpositive-integer poles.
+
+    An mpf x is taken exactly, not rounded to the working precision (which
+    could move it onto a pole), and evaluated at a precision that holds it.
+    """
+    wp = prec + _GUARD_BITS
+    with mp.workprec(wp):
+        xm = x if isinstance(x, mp.mpf) else _to_mpf(x)
+    with mp.workprec(max(wp, _dyadic(xm)[2])):
         if xm <= 0 and xm == mp.floor(xm):
             raise ValueError(f"Gamma pole at {x}")
         val = mp.gamma(xm)
@@ -183,12 +189,6 @@ class CharlierPolynomial:
 
     def eval_exact(self, x: Fraction) -> Fraction:
         acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
-    def eval_mpf(self, x):
-        acc = mp.mpf(0)
         for c in reversed(self.coefficients):
             acc = acc * x + c
         return acc
@@ -290,7 +290,8 @@ class _Atoms:
                 self.values[ell] = []
             values = self.values[ell]
             while len(values) < count:
-                values.append(_horner_raw(self.coefficients[ell][0], len(values), wp))
+                x = from_man_exp(2 * len(values) + 1, -1)
+                values.append(_horner_raw(self.coefficients[ell][0], x, wp))
 
 
 @lru_cache(maxsize=1)
@@ -300,9 +301,9 @@ def _atoms(a: Fraction, wp: int) -> _Atoms:
     return _Atoms(a, wp)
 
 
-def _horner_raw(coefficients, n: int, wp: int):
-    """sum_i c_i x_n^i over raw mpf tuples, each step acc*x + c rounded to wp."""
-    x, acc = from_man_exp(2 * n + 1, -1), fzero
+def _horner_raw(coefficients, x, wp: int):
+    """sum_i c_i x^i over raw mpf tuples, each step acc*x + c rounded to wp."""
+    acc = fzero
     for c in reversed(coefficients):
         acc = mpf_add(mpf_mul(acc, x, wp, _RND), c, wp, _RND)
     return acc
@@ -354,8 +355,9 @@ def charlier_orthogonality_sum(ell: int, ellp: int, a, tol, prec: int = 128):
                 g = (1 + 1 / (n + mp.mpf(1) / 2)) ** deg
                 r = (a_m / (n + 1)) * g
                 if r < mp.mpf(1) / 2:
+                    x = from_man_exp(2 * n + 1, -1)
                     p_abs, q_abs = (
-                        mp.make_mpf(_horner_raw(atoms.coefficients[l][1], n, wp))
+                        mp.make_mpf(_horner_raw(atoms.coefficients[l][1], x, wp))
                         for l in (ell, ellp)
                     )
                     tail = p_abs * q_abs * mp.make_mpf(weights[n]) / (1 - r)
@@ -552,17 +554,27 @@ def charlier_scaling_limit_check(zeta, ell: int, eps, L_list, prec: int) -> Scal
 # ---------------------------------------------------------------------------
 
 def char_poly_expectation(L: int, a, us, prec: int = 128):
-    """det( pi_{L+k-1}(u_j) )_{j,k=1..N} / prod_{j<k} (u_k - u_j)."""
+    """det( pi_{L+k-1}(u_j) )_{j,k=1..N} / prod_{j<k} (u_k - u_j).
+
+    The coefficients of each pi are read from the shared atom table
+    `_atoms(a, prec + _GUARD_BITS)`, which a brute-force average at the same
+    a and precision then reuses.
+    """
     a = _as_fraction(a)
     if L < 1:
         raise ValueError("L must be >= 1")
-    with mp.workprec(prec + _GUARD_BITS):
+    if a <= 0:
+        raise ValueError(f"parameter a must be positive, got a={a}")
+    wp = prec + _GUARD_BITS
+    with mp.workprec(wp):
         us_m = [mp.mpf(u) for u in us]
         n = len(us_m)
         if len(set(us_m)) < n:
             raise ValueError("evaluation points must be distinct")
-        polys = [charlier_poly(L + k, a) for k in range(n)]
-        mat = [[polys[k].eval_mpf(u) for k in range(n)] for u in us_m]
+        atoms = _atoms(a, wp)
+        atoms.grow(0, *range(L, L + n))
+        mat = [[mp.make_mpf(_horner_raw(atoms.coefficients[L + k][0], u._mpf_, wp))
+                for k in range(n)] for u in us_m]
         vdm = mp.fprod(us_m[k] - us_m[j] for j in range(n) for k in range(j + 1, n))
         val = mp.det(mp.matrix(mat)) / vdm
     with mp.workprec(prec):

@@ -324,12 +324,13 @@ COMMANDS = {
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+def _output_options(**kw) -> argparse.ArgumentParser:
+    """A parser of the options shared by every command, the ones a config sets."""
+    common = argparse.ArgumentParser(add_help=False, **kw)
     grp = common.add_argument_group("output options")
     # SUPPRESS keeps a subcommand parse from clobbering values given before it
     grp.add_argument("--config", default=argparse.SUPPRESS,
-                     help="JSON file with default option values")
+                     help="JSON file with defaults for --format, --output, --prec")
     grp.add_argument("--format", choices=("json", "csv", "text"),
                      default=argparse.SUPPRESS)
     grp.add_argument("--output", default=argparse.SUPPRESS,
@@ -337,7 +338,11 @@ def _build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--prec", type=int, default=argparse.SUPPRESS,
                      help=f"precision in bits (default from ${PREC_ENV_VAR} or "
                           f"{DEFAULT_PREC})")
+    return common
 
+
+def _build_parser() -> argparse.ArgumentParser:
+    common = _output_options()
     parser = argparse.ArgumentParser(
         prog="gwp1",
         parents=[common],
@@ -405,7 +410,17 @@ def _load_config_defaults(argv, parser):
             raise UsageError(f"cannot read config {ns.config}: {exc}")
         if not isinstance(data, dict):
             raise UsageError("config file must hold a JSON object")
-        parser.set_defaults(**{k.replace("-", "_"): v for k, v in data.items()})
+        # each value goes through its flag's type and choices, exact names only
+        check = _output_options(allow_abbrev=False, exit_on_error=False)
+        for key, value in data.items():
+            try:
+                ns, rest = check.parse_known_args([f"--{key.replace('_', '-')}={value}"])
+            except argparse.ArgumentError as exc:
+                raise UsageError(f"config key {key!r}: {exc}")
+            if rest or key == "config":
+                raise UsageError(f"unknown config key {key!r}; a config file sets "
+                                 "only format, output and prec")
+            parser.set_defaults(**vars(ns))
 
 
 def main(argv=None) -> int:

@@ -2,8 +2,7 @@
 
 Every coefficient appearing in the expansions handled by this package lies in
 Q[eps, 1/eps]; divisions that occur during the triangular solves are always by
-monomials (or at worst by exactly-dividing Laurent polynomials), so no
-rational-function field is needed.
+monomials, so no rational-function field is needed.
 
 Representation.  A value is sum_e num[e] * eps^e / den: integer numerators
 ``num`` (a dict {exponent: int} that never stores a zero) over one positive
@@ -162,51 +161,17 @@ class EpsLaurent:
     __rmul__ = __mul__
 
     def div_exact(self, other: "EpsLaurent") -> "EpsLaurent":
-        """Exact division in Q[eps, 1/eps]; raises if the quotient is not Laurent."""
+        """Exact division by a monomial c*eps^e; any other divisor is refused."""
         if not other:
             raise ZeroDivisionError("division by zero EpsLaurent")
-        if not self:
-            return _make({}, 1)
-        if len(other.num) == 1:
-            # (num/den) / (p/q eps^e) = (num*q) / (den*p) eps^-e
-            (e, p), = other.num.items()
-            q = other.den
-            if p < 0:
-                p, q = -p, -q
-            return _canonical({e1 - e: v * q for e1, v in self.num.items()}, self.den * p)
-        # general case: long division over Q from the top exponent; an exact
-        # Laurent quotient cannot reach below min(self) - min(other)
-        num = self.c
-        den = other.c
-        de = max(den)
-        dv = den[de]
-        qe_floor = min(num) - min(den)
-        quot: dict[int, Fraction] = {}
-        while num:
-            ne = max(num)
-            qe = ne - de
-            if qe < qe_floor:
-                raise ValueError("inexact EpsLaurent division")
-            qv = num[ne] / dv
-            quot[qe] = qv
-            for e2, v2 in den.items():
-                e = qe + e2
-                s = num.get(e, 0) - qv * v2
-                if s:
-                    num[e] = s
-                else:
-                    num.pop(e, None)
-            if num and max(num) >= ne:
-                raise ValueError("inexact EpsLaurent division")
-        return EpsLaurent(quot)
-
-    def __pow__(self, n: int) -> "EpsLaurent":
-        if n < 0:
-            raise ValueError("negative powers not supported; use div_exact")
-        r = EpsLaurent.one()
-        for _ in range(n):
-            r = r * self
-        return r
+        if len(other.num) != 1:
+            raise ValueError("div_exact accepts only monomial divisors c*eps^e")
+        # (num/den) / (p/q eps^e) = (num*q) / (den*p) eps^-e
+        (e, p), = other.num.items()
+        q = other.den
+        if p < 0:
+            p, q = -p, -q
+        return _canonical({e1 - e: v * q for e1, v in self.num.items()}, self.den * p)
 
     # -- inspection ---------------------------------------------------------
 
@@ -255,10 +220,6 @@ class EpsLaurent:
 
     def to_json(self) -> dict[str, str]:
         return {str(e): str(self[e]) for e in sorted(self.num)}
-
-    @staticmethod
-    def from_json(d: Mapping[str, str]) -> "EpsLaurent":
-        return EpsLaurent({int(e): Fraction(v) for e, v in d.items()})
 
 
 ZERO = EpsLaurent.zero()

@@ -21,7 +21,6 @@ from . import charlier as ch
 from .invariants import free_energy, n_point_invariant
 from .waves import (
     normalized_quartet,
-    r_matrix,
     s1_series,
     solve_formal_wave,
     wave_shift,
@@ -153,13 +152,14 @@ def check_stabilization() -> CheckResult:
 
 def check_projector() -> CheckResult:
     order = 8
-    r = r_matrix(order + 1)
-    sq = r.square()
-    ok = True
-    ok &= r.trace().eq_on_window(ZSeries.const(1, order))
-    ok &= r.det().eq_on_window(ZSeries.zero(order - 1))
+    a, at, b, bt = normalized_quartet(order + 2)
+    # the rank-one projector column(B, Btilde) * row(A, -Atilde)
+    e11, e12, e21, e22 = b * a, -(b * at), bt * a, -(bt * at)
+    ok = (e11 + e22).eq_on_window(ZSeries.const(1, order))
+    ok &= (e11 * e22 - e12 * e21).eq_on_window(ZSeries.zero(order - 1))
     for e, e2 in (
-        (r.e11, sq.e11), (r.e12, sq.e12), (r.e21, sq.e21), (r.e22, sq.e22),
+        (e11, e11 * e11 + e12 * e21), (e12, e11 * e12 + e12 * e22),
+        (e21, e21 * e11 + e22 * e21), (e22, e21 * e12 + e22 * e22),
     ):
         ok &= e.eq_on_window(e2)
     a, at, b, bt = normalized_quartet(order + 1)

@@ -56,51 +56,20 @@ class WaveExpansion:
     h: ZSeries
 
 
-@dataclass(frozen=True)
-class RMatrix:
-    """2x2 projector-valued series: rank one, trace 1, constant term E11."""
-
-    e11: ZSeries
-    e12: ZSeries
-    e21: ZSeries
-    e22: ZSeries
-    order: int
-
-    def trace(self) -> ZSeries:
-        return self.e11 + self.e22
-
-    def det(self) -> ZSeries:
-        return self.e11 * self.e22 - self.e12 * self.e21
-
-    def square(self) -> "RMatrix":
-        return RMatrix(
-            self.e11 * self.e11 + self.e12 * self.e21,
-            self.e11 * self.e12 + self.e12 * self.e22,
-            self.e21 * self.e11 + self.e22 * self.e21,
-            self.e21 * self.e12 + self.e22 * self.e22,
-            self.order - 1,
-        )
-
-
 # ---------------------------------------------------------------------------
 # Triangular solve (the oracle) and whole-step shifts
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def step_exponent(order: int) -> ZSeries:
-    """Series of (z+1)*log(1+1/z) - 1, the exponent of the one-step prefactor ratio."""
-    lg = log1p_inv_z(order + 1)
-    s = lg.mul_zpow(1) + lg.truncate(order)
-    return (s - ZSeries.const(1, order)).truncate(order)
-
-
-@lru_cache(maxsize=None)
 def step_factor(order: int) -> ZSeries:
     """r(z) = eps*z*exp((z+1)log(1+1/z)-1), so (eps(z+1)/e)^(z+1) = (eps z/e)^z * r(z)."""
-    return step_exponent(order + 1).exp().truncate(order + 1).mul_zpow(1).scale(EPS)
+    lg = log1p_inv_z(order + 2)
+    s = lg.mul_zpow(1) + lg.truncate(order + 1)
+    exponent = (s - ZSeries.const(1, order + 1)).truncate(order + 1)
+    return exponent.exp().truncate(order + 1).mul_zpow(1).scale(EPS)
 
 
-def _lam(sigma: int, h: ZSeries, cp: ZSeries, cm: ZSeries, drift: ZSeries) -> ZSeries:
+def _lam(h: ZSeries, cp: ZSeries, cm: ZSeries, drift: ZSeries) -> ZSeries:
     """Difference-equation operator applied to h, prefactors already divided out."""
     return cp * h.shift(1) + cm * h.shift(-1) - drift * h
 
@@ -133,9 +102,9 @@ def solve_formal_wave(sigma: int, order: int) -> WaveExpansion:
         raise ValueError("order must be >= 1")
     cp, cm, drift = _operator_pieces(sigma, order)
     h = ZSeries.const(1, order + 2)
-    resid = _lam(sigma, h, cp, cm, drift)
+    resid = _lam(h, cp, cm, drift)
     for m in range(1, order + 1):
-        basis = _lam(sigma, ZSeries.zpow(-m, order + 2), cp, cm, drift)
+        basis = _lam(ZSeries.zpow(-m, order + 2), cp, cm, drift)
         # locate the pivot: top nonzero coefficient of the basis image
         pivot_deg = None
         for d in range(basis.top, -basis.order - 1, -1):
@@ -158,7 +127,7 @@ def wave_residual(w: WaveExpansion, order: int) -> ZSeries:
     """Substitute the wave back into its difference equation; zero on the window."""
     cp, cm, drift = _operator_pieces(w.sigma, order)
     h = ZSeries(w.h.c, top=w.h.top, order=min(w.h.order, order + 2))
-    return _lam(w.sigma, h, cp, cm, drift)
+    return _lam(h, cp, cm, drift)
 
 
 def wave_shift(w: WaveExpansion, c: int) -> WaveExpansion:
@@ -288,12 +257,6 @@ def affine_coordinates(order: int) -> Callable[[int, int], EpsLaurent]:
         return diagonals[s].get(x, ZERO)
 
     return read
-
-
-def r_matrix(order: int) -> RMatrix:
-    """Rank-one projector column(B, Btilde) * row(A, -Atilde)."""
-    a, at, b, bt = normalized_quartet(order + 1)
-    return RMatrix(b * a, -(b * at), bt * a, -(bt * at), order)
 
 
 def s1_series(order: int) -> ZSeries:

@@ -50,10 +50,6 @@ class ZSeries:
             )
         return self.c.get(d, ZERO)
 
-    def residue_at_infinity(self) -> EpsLaurent:
-        """Formal residue at infinity: minus the z^(-1) coefficient."""
-        return -self.coeff(-1)
-
     def is_zero(self) -> bool:
         return not self.c
 

@@ -37,6 +37,15 @@ def test_gamma_classical_values():
         gamma_real(-3, 96)
 
 
+def test_gamma_near_a_pole_takes_mpf_argument_exactly():
+    # x sits 2^-200 from the pole at -3, closer than prec + guard bits resolve
+    prec = 128
+    with mp.workprec(528):
+        x = mp.mpf(-3) + mp.mpf(2) ** -200
+        ref = mp.gamma(x)
+        assert abs(gamma_real(x, prec) - ref) < abs(ref) * mp.mpf(2) ** -(prec - 8)
+
+
 def test_bessel_half_integer_closed_forms():
     with mp.workprec(140):
         x = mp.mpf(2)
@@ -236,6 +245,8 @@ def test_orthogonality_rejects_bad_input_before_the_table():
             charlier_orthogonality_sum(*args, 128)
     with pytest.raises(ValueError, match="parameter a must be positive"):
         brute_force_expectation(1, 0, [mp.mpf(3)], 60, 128)
+    with pytest.raises(ValueError, match="parameter a must be positive"):
+        char_poly_expectation(1, 0, [mp.mpf(3)], 128)
     info = _atoms.cache_info()
     assert info.currsize == 0 and info.misses == 0
 
@@ -303,6 +314,37 @@ def test_char_poly_expectation_small():
     assert abs(char_poly_expectation(1, 1, [mp.mpf(3)], 128) - mp.mpf(3) / 2) < mp.mpf(2) ** -100
     with pytest.raises(ValueError):
         char_poly_expectation(1, 1, [mp.mpf(3), mp.mpf(3)], 64)
+
+
+def char_poly_reference(L, a, us, prec):
+    """The determinant with each pi evaluated by an mpf Horner on its Fraction
+    coefficients, each step acc*x + c at the working precision."""
+    a = Fraction(a)
+    with mp.workprec(prec + _GUARD_BITS):
+        us_m = [mp.mpf(u) for u in us]
+        n = len(us_m)
+        mat = []
+        for u in us_m:
+            row = []
+            for k in range(n):
+                acc = mp.mpf(0)
+                for c in reversed(charlier_poly(L + k, a).coefficients):
+                    acc = acc * u + c
+                row.append(acc)
+            mat.append(row)
+        vdm = mp.fprod(us_m[k] - us_m[j] for j in range(n) for k in range(j + 1, n))
+        val = mp.det(mp.matrix(mat)) / vdm
+    with mp.workprec(prec):
+        return +val
+
+
+@pytest.mark.parametrize("prec", [128, 640])
+@pytest.mark.parametrize("a", [Fraction(1), Fraction(7, 3)])
+def test_char_poly_expectation_bit_identical(a, prec):
+    for L in (1, 2):
+        for us in ((3,), (3, 4.5)):
+            assert (char_poly_expectation(L, a, us, prec)
+                    == char_poly_reference(L, a, us, prec)), (L, us)
 
 
 def test_brute_force_agrees_with_determinant():

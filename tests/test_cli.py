@@ -184,6 +184,17 @@ def test_config_file(tmp_path, capsys):
     assert out.splitlines()[0] == "key,value"
 
 
+@pytest.mark.parametrize("config, key", [({"format": "xml"}, "format"),
+                                         ({"bogus": 1}, "bogus")])
+def test_config_value_is_checked_like_its_flag(tmp_path, capsys, config, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code = main(["--config", str(cfg), "invariant", "--ks", "0"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "usage error" in err and repr(key) in err
+
+
 def test_bad_prec_env_is_usage_error(monkeypatch, capsys):
     monkeypatch.setenv("GWP1_PREC", "abc")
     code = main(["charlier", "--check", "limit"])

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import gwp1
 from gwp1.epslaurent import EpsLaurent
 from gwp1.invariants import _edge
 from gwp1.zmodel import _normalised_frame
@@ -13,13 +14,17 @@ from gwp1.waves import (
     affine_coordinates,
     bernoulli_number,
     normalized_quartet,
-    r_matrix,
     s1_series,
     solve_formal_wave,
     step_factor,
     wave_residual,
     wave_shift,
 )
+
+
+def test_package_exports_resolve():
+    missing = [name for name in gwp1.__all__ if not hasattr(gwp1, name)]
+    assert not missing
 
 
 def eps(pairs):
@@ -183,14 +188,17 @@ def test_tilde_leading_terms():
 
 
 def test_projector_identities():
-    r = r_matrix(6)
-    sq = r.square()
-    assert r.trace().eq_on_window(ZSeries.const(1, r.order))
-    assert r.det().eq_on_window(ZSeries.zero(r.order - 1))
-    for e, e2 in ((r.e11, sq.e11), (r.e12, sq.e12), (r.e21, sq.e21), (r.e22, sq.e22)):
+    # column(B, Btilde) * row(A, -Atilde): rank one, trace 1, constant term E11
+    order = 6
+    a, at, b, bt = normalized_quartet(order + 1)
+    e11, e12, e21, e22 = b * a, -(b * at), bt * a, -(bt * at)
+    assert (e11 + e22).eq_on_window(ZSeries.const(1, order))
+    assert (e11 * e22 - e12 * e21).eq_on_window(ZSeries.zero(order - 1))
+    for e, e2 in ((e11, e11 * e11 + e12 * e21), (e12, e11 * e12 + e12 * e22),
+                  (e21, e21 * e11 + e22 * e21), (e22, e21 * e12 + e22 * e22)):
         assert e.eq_on_window(e2)
-    assert r.e11.coeff(0) == EpsLaurent.one()
-    assert r.e22.coeff(0) == EpsLaurent.zero()
+    assert e11.coeff(0) == EpsLaurent.one()
+    assert e22.coeff(0) == EpsLaurent.zero()
 
 
 def test_s1_series_log_part_cancels_and_values():

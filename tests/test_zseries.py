@@ -21,11 +21,6 @@ def test_coeff_window_enforcement():
         s.coeff(-4)
 
 
-def test_residue_at_infinity():
-    s = mk({-1: 5}, top=0, order=2)
-    assert s.residue_at_infinity() == -5
-
-
 def test_mul_window_is_pessimistic():
     a = mk({0: 1}, top=0, order=5)
     b = mk({2: 1}, top=2, order=5)
