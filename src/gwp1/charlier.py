@@ -482,6 +482,8 @@ def asymptotic_match_check(z, eps, order: int, prec: int) -> AsymptoticReport:
     """Compare (eps*z/e)^(-z) f(z) against the truncated formal wave series."""
     with mp.workprec(prec + _GUARD_BITS):
         z_m = _to_mpf(z)
+        if z_m <= 0:
+            raise ValueError(f"the formal series expands at z -> +oo: need z > 0, got z={z}")
         eps_m = _to_mpf(eps)
         f = numeric_f(z_m, eps_m, prec + _GUARD_BITS)
         numeric = f * mp.power(eps_m * z_m / mp.e, -z_m)
@@ -529,6 +531,8 @@ def charlier_scaling_limit_check(zeta, ell: int, eps, L_list, prec: int) -> Scal
     repeated = sorted({L for L in L_list if L_list.count(L) > 1})
     if repeated:
         raise ValueError(f"sizes L must be distinct; repeated: {repeated}")
+    if len(L_list) < 2:
+        raise ValueError(f"the monotonicity flag needs at least two sizes L, got {L_list}")
     with mp.workprec(prec + _GUARD_BITS):
         eps_m = mp.mpf(eps_q.numerator) / eps_q.denominator
         zeta_m = mp.mpf(zeta_q.numerator) / zeta_q.denominator
@@ -569,6 +573,8 @@ def char_poly_expectation(L: int, a, us, prec: int = 128):
     with mp.workprec(wp):
         us_m = [mp.mpf(u) for u in us]
         n = len(us_m)
+        if n < 1:
+            raise ValueError("need at least one evaluation point")
         if len(set(us_m)) < n:
             raise ValueError("evaluation points must be distinct")
         atoms = _atoms(a, wp)
@@ -606,12 +612,13 @@ def brute_force_expectation(L: int, a, us, n_max: int, prec: int = 128):
         raise ValueError(f"parameter a must be positive, got a={a}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1 (two atoms or more), got {n_max}")
-    us = list(us)
     with mp.workprec(prec + _GUARD_BITS):
         a_m = mp.mpf(a.numerator) / a.denominator
         if a_m / (n_max + 1) >= mp.mpf(1) / 4:
             raise ValueError("n_max too small for a convergent tail bound")
         us_m = [mp.mpf(u) for u in us]
+        if not us_m:
+            raise ValueError("need at least one evaluation point")
         atoms = _atoms(a, prec + _GUARD_BITS)
         atoms.grow(n_max)
         weights = [mp.make_mpf(w) for w in atoms.weights[:n_max + 1]]

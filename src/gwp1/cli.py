@@ -237,6 +237,8 @@ def cmd_charlier(cfg: RunConfig):
         if repeated:
             raise UsageError(f"charlier --check limit needs distinct L, "
                              f"got {' '.join(map(str, repeated))} more than once")
+        if len(ls) < 2:
+            raise UsageError(f"charlier --check limit needs at least two sizes L, got L={ls[0]}")
         rep = ch.charlier_scaling_limit_check(0, 0, eps, ls, prec)
         rows = [
             {

@@ -6,11 +6,12 @@ series are handled in the power-sum basis, keyed by partitions mu (descending
 tuples, p_mu = prod_i p_(mu_i)), which is faithful while the number of
 variables exceeds the weight.
 
-Schur functions enter through the characters of the symmetric group:
-s_lam = sum_(mu |- |lam|) chi^lam_mu p_mu / z_mu, with chi^lam_mu from the
-Murnaghan-Nakayama rule (Macdonald, Symmetric Functions, I.7) and
-z_mu = prod_i i^(m_i) m_i! for mu with m_i parts equal to i.  In monomials,
-s_lam = sum_nu K_(lam,nu) m_nu with the Kostka numbers K.
+Schur functions change basis by strip removal on Maya diagrams, the fermionic
+Murnaghan-Nakayama rule (Macdonald, Symmetric Functions, I.5-I.7; Miwa-Jimbo-Date,
+Solitons, ch. 9): s_lam = sum_(mu |- |lam|) chi^lam_mu p_mu / z_mu, chi^lam_mu the
+signed count of ways to remove border strips of mu_1, mu_2, ... boxes and
+z_mu = prod_i i^(m_i) m_i! for m_i parts equal to i; s_lam = sum_nu K_(lam,nu) m_nu,
+the Kostka number K counting horizontal strips instead.  One walk serves both.
 
 The logarithm of a series 1 + (terms of weight >= 1) is taken in the graded
 ring of power-sum monomials: with F = log T and the Euler operator (weight w
@@ -24,9 +25,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
-from math import factorial
+from math import factorial, prod
 
 from .epslaurent import EpsLaurent
 
@@ -67,30 +67,6 @@ class MiwaPolynomial:
         }
 
 
-@lru_cache(maxsize=None)
-def character(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
-    """chi^lam at cycle type mu (|lam| = |mu|), by Murnaghan-Nakayama.
-
-    Removing a border strip of length r from lam moves one beta-number
-    b = lam_i + (len(lam) - i) down to a free b - r; the strip's height is the
-    number of beta-numbers jumped over.
-    """
-    if not mu:
-        return 1
-    r, rest = mu[0], mu[1:]
-    n = len(lam)
-    beta = [part + n - 1 - i for i, part in enumerate(lam)]
-    total = 0
-    for b in beta:
-        if b < r or b - r in beta:
-            continue
-        height = sum(b - r < c < b for c in beta)
-        moved = sorted((b - r if c == b else c for c in beta), reverse=True)
-        nu = tuple(p for i, c in enumerate(moved) if (p := c - (n - 1 - i)))
-        total += (-1) ** height * character(nu, rest)
-    return total
-
-
 def z_mu(mu: tuple[int, ...]) -> int:
     """Order of the centralizer of a permutation of cycle type mu."""
     out = 1
@@ -99,33 +75,54 @@ def z_mu(mu: tuple[int, ...]) -> int:
     return out
 
 
+def _border_strips(lam: tuple[int, ...], m: int):
+    """(nu, sign) for each border strip of m boxes removed from lam: on the
+    beta-numbers b = lam_i + (len(lam) - i), one bead moves from b down to a
+    free b - m >= 0, with sign (-1)^(beads jumped over)."""
+    n = len(lam)
+    beta = {part + n - 1 - i for i, part in enumerate(lam)}
+    for b in beta:
+        if b >= m and b - m not in beta:
+            moved = sorted(beta - {b} | {b - m}, reverse=True)
+            yield (tuple(p for i, c in enumerate(moved) if (p := c - n + 1 + i)),
+                   (-1) ** sum(b - m < c < b for c in beta))
+
+
+def _horizontal_strips(lam: tuple[int, ...], m: int):
+    """(nu, 1) for each nu interlacing lam (lam_(i+1) <= nu_i <= lam_i) with
+    |lam| - |nu| = m: the horizontal strips of m boxes."""
+    for nu in product(*(range(low, part + 1) for part, low in zip(lam, lam[1:] + (0,)))):
+        if sum(nu) == sum(lam) - m:
+            yield tuple(p for p in nu if p), 1
+
+
+def _strip_sums(coeffs: dict, strips, mu: tuple[int, ...] = ()) -> dict:
+    """{mu: v_mu} over partitions mu, v_mu != 0 the coefficient of () once strips
+    of mu_1, mu_2, ... boxes are removed from sum_lam c_lam lam.  The walk is
+    depth-first over mu, parts largest first; a call extends the prefix mu by
+    one removal step on the whole vector, so a prefix is applied once for every lam."""
+    vec = {lam: c for lam, c in coeffs.items() if c}
+    out = {mu: vec[()]} if () in vec else {}
+    top = max(map(sum, vec), default=0)
+    for m in range(min(mu[-1], top) if mu else top, 0, -1):
+        nxt = {}
+        for lam, c in vec.items():
+            for nu, sign in strips(lam, m):
+                t = c if sign > 0 else -c
+                nxt[nu] = nxt[nu] + t if nu in nxt else t
+        out.update(_strip_sums(nxt, strips, mu + (m,)))
+    return out
+
+
 def schur_to_power_sums(coeffs: dict[tuple[int, ...], EpsLaurent]) -> PowerSums:
-    """sum_lam c_lam s_lam rewritten as sum_mu d_mu p_mu."""
-    out: PowerSums = {}
-    for lam, c in coeffs.items():
-        for mu in partitions(sum(lam)):
-            chi = character(lam, mu)
-            if chi:
-                term = c * Fraction(chi, z_mu(mu))
-                out[mu] = out[mu] + term if mu in out else term
-    return {mu: v for mu, v in out.items() if v}
+    """sum_lam c_lam s_lam as sum_mu d_mu p_mu, d_mu = sum_lam c_lam chi^lam_mu / z_mu."""
+    return {mu: v * Fraction(1, z_mu(mu))
+            for mu, v in _strip_sums(coeffs, _border_strips).items()}
 
 
-@lru_cache(maxsize=None)
-def kostka(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
-    """K_(lam,mu): semistandard tableaux of shape lam and content mu.
-
-    The boxes holding the largest entry form a horizontal strip of mu[-1]
-    boxes; removing it leaves a shape nu interlacing lam.
-    """
-    if not mu:
-        return int(not lam)
-    ranges = [range(lam[i + 1] if i + 1 < len(lam) else 0, part + 1)
-              for i, part in enumerate(lam)]
-    return sum(
-        kostka(tuple(p for p in nu if p), mu[:-1])
-        for nu in product(*ranges) if sum(nu) == sum(lam) - mu[-1]
-    )
+def schur_to_monomials(coeffs: dict[tuple[int, ...], EpsLaurent]) -> dict:
+    """sum_lam c_lam s_lam as sum_nu e_nu m_nu, e_nu = sum_lam c_lam K_(lam,nu)."""
+    return _strip_sums(coeffs, _horizontal_strips)
 
 
 def log_power_sums(series: PowerSums, degree: int) -> PowerSums:
@@ -156,14 +153,8 @@ def power_sums_to_times(series: PowerSums, degree: int) -> MiwaPolynomial:
     for mu, v in series.items():
         if v and mu:
             scale = EpsLaurent.mono(
-                sum(m - 1 for m in mu), Fraction(1, prod_factorials(mu))
+                sum(m - 1 for m in mu), Fraction(1, prod(factorial(m - 1) for m in mu))
             )
             out[tuple(sorted(m - 1 for m in mu))] = v * scale
     return MiwaPolynomial(out, degree)
 
-
-def prod_factorials(mu) -> int:
-    p = 1
-    for m in mu:
-        p *= factorial(m - 1)
-    return p

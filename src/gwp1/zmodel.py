@@ -47,10 +47,10 @@ from functools import cached_property, lru_cache
 from .epslaurent import EPS, ONE, ZERO, EpsLaurent
 from .miwa import (
     MiwaPolynomial,
-    kostka,
     log_power_sums,
     partitions,
     power_sums_to_times,
+    schur_to_monomials,
     schur_to_power_sums,
 )
 from .waves import affine_coordinates, normalized_quartet
@@ -158,18 +158,13 @@ class ZModelExpansion:
 
     @cached_property
     def quotient(self) -> SymmetricQuotient:
-        """sum pi_lam s_lam(1/z_1..1/z_N) in monomials, built on first access:
-        the coefficient of z^(-nu) for a partition nu is sum_lam pi_lam K_(lam,nu)."""
+        """sum pi_lam s_lam(1/z_1..1/z_N) in monomials, built on first access: the
+        coefficient of z^(-nu), l(nu) <= N, is sum_lam pi_lam K_(lam,nu) by strip removal."""
         c = {}
-        for w in range(self.degree + 1):
-            for nu in partitions(w):
-                if len(nu) > self.nvars:
-                    continue
-                v = sum((pi * kostka(lam, nu) for lam, pi in self.plucker.items()
-                         if sum(lam) == w), ZERO)
-                if v:
-                    padded = tuple(-p for p in nu) + (0,) * (self.nvars - len(nu))
-                    c.update((t, v) for t in _arrangements(padded))
+        for nu, v in schur_to_monomials(self.plucker).items():
+            if len(nu) <= self.nvars:
+                padded = tuple(-p for p in nu) + (0,) * (self.nvars - len(nu))
+                c.update((t, v) for t in _arrangements(padded))
         return SymmetricQuotient(self.nvars, self.degree, c)
 
 

@@ -298,6 +298,13 @@ def test_asymptotic_match():
     assert abs(r0.abs_error / abs(r0.numeric) / expected - 1) < mp.mpf("0.1")
 
 
+@pytest.mark.parametrize("z", [0, -5])
+def test_asymptotic_match_rejects_nonpositive_z(z):
+    # the formal series is an expansion at z -> +oo
+    with pytest.raises(ValueError, match=r"need z > 0"):
+        asymptotic_match_check(z, 1, 3, 128)
+
+
 def test_scaling_limit():
     rep = charlier_scaling_limit_check(0, 0, 1, [20, 40, 80], 192)
     with mp.workprec(200):
@@ -310,10 +317,28 @@ def test_scaling_limit():
         charlier_scaling_limit_check(0, 0, 1, [20, 40, 20], 64)
 
 
+@pytest.mark.parametrize("sizes", [[], [20]])
+def test_scaling_limit_needs_two_sizes(sizes):
+    # with fewer than two rows the monotonicity flag would hold vacuously
+    with pytest.raises(ValueError, match="at least two sizes"):
+        charlier_scaling_limit_check(0, 0, 1, sizes, 64)
+
+
 def test_char_poly_expectation_small():
     assert abs(char_poly_expectation(1, 1, [mp.mpf(3)], 128) - mp.mpf(3) / 2) < mp.mpf(2) ** -100
     with pytest.raises(ValueError):
         char_poly_expectation(1, 1, [mp.mpf(3), mp.mpf(3)], 64)
+
+
+def test_char_poly_expectation_needs_a_point():
+    with pytest.raises(ValueError, match="at least one evaluation point"):
+        char_poly_expectation(1, 1, [], 64)
+
+
+def test_brute_force_expectation_needs_a_point():
+    # an empty product would average to 1 over any ensemble
+    with pytest.raises(ValueError, match="at least one evaluation point"):
+        brute_force_expectation(1, 1, [], 40, 64)
 
 
 def char_poly_reference(L, a, us, prec):

@@ -269,10 +269,13 @@ def test_selftest_unknown_check_fails(capsys):
     ["charlier", "--check", "charpoly", "--a=-2/3"],
     ["charlier", "--check", "charpoly", "--a", "2000"],
     ["charlier", "--check", "charpoly", "--prec", "80000"],
+    ["charlier", "--check", "limit", "--L", "20"],
 ])
 def test_charlier_nonpositive_eps_is_usage_error(capsys, argv):
     # the message names the limit of the offending option
-    if "--L" in argv:
+    if argv[-2:] == ["--L", "20"]:
+        limit = "at least two sizes"
+    elif "--L" in argv:
         limit = "L >= 1"
     elif argv[-1] in ("2000", "80000"):
         limit = "60 + prec/8 + 8a atoms, at most 10000"

@@ -1,25 +1,73 @@
-"""Symmetric functions: characters, Kostka numbers, the power-sum logarithm
-and the change to time variables."""
+"""Symmetric functions: the Schur basis changes against per-pair characters
+and Kostka numbers, the power-sum logarithm and the change to time variables."""
 
 from fractions import Fraction
-from itertools import permutations
+from functools import lru_cache
+from itertools import permutations, product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gwp1.epslaurent import EpsLaurent
 from gwp1.miwa import (
     MiwaPolynomial,
-    character,
-    kostka,
     log_power_sums,
     partitions,
     power_sums_to_times,
+    schur_to_monomials,
     schur_to_power_sums,
     z_mu,
 )
-from gwp1.zmodel import zmodel_expansion
+from gwp1.zmodel import plucker_coordinates, zmodel_expansion
 
 ONE = EpsLaurent.one()
+
+
+@lru_cache(maxsize=None)
+def character(lam, mu):
+    """chi^lam at cycle type mu (|lam| = |mu|), by the Murnaghan-Nakayama
+    recursion on beta-numbers, one (lam, mu) pair at a time."""
+    if not mu:
+        return 1
+    r, rest = mu[0], mu[1:]
+    n = len(lam)
+    beta = [part + n - 1 - i for i, part in enumerate(lam)]
+    total = 0
+    for b in beta:
+        if b < r or b - r in beta:
+            continue
+        height = sum(b - r < c < b for c in beta)
+        moved = sorted((b - r if c == b else c for c in beta), reverse=True)
+        nu = tuple(p for i, c in enumerate(moved) if (p := c - (n - 1 - i)))
+        total += (-1) ** height * character(nu, rest)
+    return total
+
+
+@lru_cache(maxsize=None)
+def kostka(lam, mu):
+    """K_(lam,mu) by removing a horizontal strip of mu[-1] boxes, one pair at a time."""
+    if not mu:
+        return int(not lam)
+    ranges = [range(lam[i + 1] if i + 1 < len(lam) else 0, part + 1)
+              for i, part in enumerate(lam)]
+    return sum(
+        kostka(tuple(p for p in nu if p), mu[:-1])
+        for nu in product(*ranges) if sum(nu) == sum(lam) - mu[-1]
+    )
+
+
+def reference_sums(coeffs, pair):
+    """{mu: sum_lam c_lam pair(lam, mu)} over mu |- |lam|, zeros dropped."""
+    out = {}
+    for lam, c in coeffs.items():
+        for mu in partitions(sum(lam)):
+            out[mu] = out.get(mu, 0) + c * pair(lam, mu)
+    return {mu: v for mu, v in out.items() if v}
+
+
+def reference_power_sums(coeffs):
+    return {mu: v * Fraction(1, z_mu(mu))
+            for mu, v in reference_sums(coeffs, character).items()}
 
 
 def test_partitions():
@@ -93,6 +141,34 @@ def test_kostka_numbers():
             assert kostka(lam, lam) == 1
     assert kostka((2, 1), (1, 1, 1)) == 2
     assert kostka((1, 1, 1), (2, 1)) == 0  # lam must dominate the content
+
+
+# ---------------------------------------------------------------------------
+# The strip-removal walk against the per-pair sums
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("d", range(11))
+def test_walk_matches_per_pair_sums_on_plucker_coordinates(d):
+    pi = plucker_coordinates(d)
+    assert schur_to_power_sums(pi) == reference_power_sums(pi)
+    assert schur_to_monomials(pi) == reference_sums(pi, kostka)
+
+
+sparse_schur = st.dictionaries(
+    st.sampled_from([lam for w in range(9) for lam in partitions(w)]),
+    st.fractions(max_denominator=50),
+    max_size=6,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_schur)
+@example({})
+@example({(): Fraction(1)})
+@example({(3, 1): Fraction(2), (2, 1, 1): Fraction(-2), (): Fraction(0)})
+def test_walk_matches_per_pair_sums_on_sparse_coefficients(coeffs):
+    assert schur_to_power_sums(coeffs) == reference_power_sums(coeffs)
+    assert schur_to_monomials(coeffs) == reference_sums(coeffs, kostka)
 
 
 # ---------------------------------------------------------------------------
