@@ -24,11 +24,11 @@ each normalized series is S^(+-1) times a sum of Gamma ratios:
     Btilde = S^(-1) sum_m (-1)^m eps^(-2m-1) / m!   prod_(i=0..m)   (z+i+1/2)^(-1)
 
 In w = 1/z the products nest: with Q_0 = S^sigma and r_m = sigma*(m - 1/2),
-Q_m = w Q_(m-1) / (1 - r_m w) is one in-place pass over a list, and Q_m feeds
-the eps^(-2m) part of the plain series and the eps^(1-2m) part of its tilde
-partner.  Since log S is odd in 1/z, S^(-1)(z) = S(-z), so one Stirling series
-serves both sides.  A quartet costs one O(order^2) Fraction exponential and
-O(order^2) integer operations, and no series product.
+Q_m = w Q_(m-1) / (1 - r_m w), i.e. Q_m[j] = Q_(m-1)[j-1] + r_m Q_m[j-1], and
+Q_m feeds the eps^(-2m) part of the plain series and the eps^(1-2m) part of
+its tilde partner.  Since log S is odd in 1/z, S^(-1)(z) = S(-z), so one
+Stirling series serves both sides.  The quartet and its affine table run on
+integers, with one Fraction per Stirling coefficient and no series product.
 
 The triangular solve `solve_formal_wave` (the ansatz substituted into the
 equation and solved order by order) is kept as the independent oracle, with
@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import factorial, lcm, perm
 from typing import Callable
 
 from .epslaurent import EpsLaurent, EPS, EPS_INV, ZERO
@@ -160,59 +160,61 @@ def wave_shift(w: WaveExpansion, c: int) -> WaveExpansion:
 
 @lru_cache(maxsize=None)
 def bernoulli_number(n: int) -> Fraction:
-    if n == 0:
-        return Fraction(1)
-    # B_n from sum_{k=0}^{n} C(n+1, k) B_k = 0
-    s = Fraction(0)
-    for k in range(n):
-        s += comb(n + 1, k) * bernoulli_number(k)
-    return -s / (n + 1)
+    """B_n, with B_1 = -1/2 and B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)): the tangent
+    numbers T_m come from Brent and Harvey's in-place integer pass (arXiv:1108.0286)."""
+    if n < 2 or n % 2:
+        return Fraction(-1, 2) if n == 1 else Fraction(1 if n == 0 else 0)
+    m = n // 2
+    t = [0] + [factorial(k) for k in range(m)]  # t_k = (k-1)!, the first pass
+    for k in range(2, m + 1):
+        for j in range(k, m + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return Fraction((-1) ** (m - 1) * n * t[m], 4**m * (4**m - 1))
 
 
 def _stirling_series(order: int) -> list[Fraction]:
-    """Coefficients of w^0..w^order of S = exp(log S), with w = 1/z."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    # n s_n = sum_k k l_k s_(n-k); log S has odd powers of w only
-    kl = [Fraction(0)] * (order + 1)
-    for k in range(1, order + 1, 2):
-        kl[k] = (Fraction(1, 2 ** k) - 1) * bernoulli_number(k + 1) / (k + 1)
-    s = [Fraction(1)] + [Fraction(0)] * order
+    """w^0..w^order of S = exp(log S), w = 1/z.  n s_n = sum_k k l_k s_(n-k) over odd k
+    runs on the integers sigma_n = s_n D_n n!, D_n = lcm_k(den(k l_k) D_(n-k)), D_0 = 1:
+    sigma_n = sum_k k l_k D_n / D_(n-k) (n-1)!/(n-k)! sigma_(n-k)."""
+    kl = {k: (Fraction(1, 2**k) - 1) * bernoulli_number(k + 1) / (k + 1)
+          for k in range(1, order + 1, 2)}
+    big_d, sigma = [1], [1]
     for n in range(1, order + 1):
-        s[n] = sum(kl[k] * s[n - k] for k in range(1, n + 1, 2)) / n
-    return s
+        ks = range(1, n + 1, 2)
+        big_d.append(lcm(*(kl[k].denominator * big_d[n - k] for k in ks)))
+        sigma.append(sum(kl[k].numerator * (big_d[n] // (kl[k].denominator * big_d[n - k]))
+                         * perm(n - 1, k - 1) * sigma[n - k] for k in ks))
+    return [Fraction(x, d * factorial(n)) for n, (x, d) in enumerate(zip(sigma, big_d))]
 
 
-def _closed_pair(sigma: int, stirling: list[Fraction]) -> tuple[ZSeries, ZSeries]:
+def _closed_pair(sigma: int, stirling: list[Fraction]):
     """(A, Atilde) for sigma=+1 or (B, Btilde) for sigma=-1, to the order of `stirling`.
 
-    Q_m is held as integers q_m[j] = Q_m[j] * den * 2^j: den clears the
-    Stirling denominators and 2^j the halves in r_1..r_m, so the pass
-    Q_m = w Q_(m-1) / (1 - r_m w) reads q_m[j] = 2 q_(m-1)[j-1] + sigma (2m-1) q_m[j-1].
+    Lists of numerator dicts {eps power: int}, entry j the coefficient of z^(-j) over
+    D_j = L_j 2^j j! (L_j the lcm of the Stirling denominators to w^j), and of the D_j.
+    Row j holds q_m[j] = Q_m[j] L_j 2^j = (L_j/L_(j-1)) (2 q_(m-1)[j-1] + sigma (2m-1) q_m[j-1]),
+    m <= j, and Q_m[j] enters eps^(-2m) with the weight sigma^m j!/m!.
     """
-    order = len(stirling) - 1
-    den = lcm(*(x.denominator for x in stirling))
-    # log S is odd in w, so S^(-1)(w) = S(-w)
-    q = [sigma**j * x.numerator * (den // x.denominator) << j for j, x in enumerate(stirling)]
-    plain: list[dict[int, int]] = [{} for _ in range(order + 1)]
-    tilde: list[dict[int, int]] = [{} for _ in range(order + 1)]
-    weight = factorial(order)  # sigma^m order!/m!, over a common order!
-    for m in range(order + 1):
-        if m:
-            r = sigma * (2 * m - 1)
-            old, new = q[m - 1], 0
-            for j in range(m, order + 1):
-                old, new = q[j], 2 * old + r * new
-                q[j] = new
-            for j in range(m, order + 1):
-                tilde[j][1 - 2 * m] = weight * q[j]
-            weight = weight * sigma // m
-        for j in range(m, order + 1):
-            plain[j][-2 * m] = weight * q[j]
-    den *= factorial(order)
-    h = {-j: EpsLaurent.from_ints(plain[j], den << j) for j in range(order + 1)}
-    ht = {-j: EpsLaurent.from_ints(tilde[j], den << j) for j in range(order + 1)}
-    return ZSeries(h, top=0, order=order), ZSeries(ht, top=-1, order=order)
+    plain, tilde, dens, q, big_l = [], [], [], [], 1
+    for j, x in enumerate(stirling):
+        rho = lcm(big_l, x.denominator) // big_l
+        big_l *= rho
+        q.append(0)  # Q_j[j-1] = 0; log S is odd in w, so S^(-1)(w) = S(-w)
+        q = [sigma**j * x.numerator * (big_l // x.denominator) << j] + [
+            rho * (2 * q[m - 1] + sigma * (2 * m - 1) * q[m]) for m in range(1, j + 1)]
+        w = [sigma**m * perm(j, j - m) for m in range(j + 1)]
+        plain.append({-2 * m: w[m] * v for m, v in enumerate(q)})
+        tilde.append({1 - 2 * m: w[m - 1] * q[m] for m in range(1, j + 1)})
+        dens.append(big_l * factorial(j) << j)
+    return plain, tilde, dens
+
+
+@lru_cache(maxsize=None)
+def _quartet_ints(order: int):
+    """Numerator lists of A, Atilde, B, Btilde and their shared D_j, from `_closed_pair`."""
+    stirling = _stirling_series(order)
+    a, at, dens = _closed_pair(+1, stirling)
+    return (a, at) + _closed_pair(-1, stirling)[:2] + (dens,)
 
 
 @lru_cache(maxsize=None)
@@ -223,10 +225,9 @@ def normalized_quartet(order: int):
     Btilde: g at z, i.e. B shifted one step up.  Atilde and Btilde have top
     degree -1 with leading coefficient 1/(eps*z).  Built from the closed form.
     """
-    stirling = _stirling_series(order)
-    a, at = _closed_pair(+1, stirling)
-    b, bt = _closed_pair(-1, stirling)
-    return a, at, b, bt
+    *series, dens = _quartet_ints(order)
+    return tuple(ZSeries({-j: EpsLaurent.from_ints(p[j], dens[j]) for j in range(order + 1)},
+                         top=top, order=order) for p, top in zip(series, (0, -1, 0, -1)))
 
 
 @lru_cache(maxsize=None)
@@ -238,10 +239,12 @@ def affine_coordinates(order: int) -> Callable[[int, int], EpsLaurent]:
     unless x, y <= -1.  From (z - w) a = K - 1, a(x, y) = a(x+1, y-1) + K[x+1, y]
     is a running sum along the diagonal x + y = s that reads K[i, j] on
     i + j = s + 1, so the diagonals s >= -order - 1 are exact; a read below
-    them raises WindowError naming the order it needs.  A diagonal is summed
-    on its first read, so a caller pays only for the totals it uses.
+    them raises WindowError naming the order it needs.  K[i, j] is over
+    D_(-i) D_(-j) (`_closed_pair`); a diagonal is summed on its first read, over
+    one shared denominator, the lcm of those products, as an integer
+    convolution of numerators wrapped once per stored coordinate.
     """
-    a, at, b, bt = normalized_quartet(order)
+    a, at, b, bt, dens = _quartet_ints(order)
     diagonals: dict[int, dict[int, EpsLaurent]] = {}
 
     def read(x: int, y: int) -> EpsLaurent:
@@ -249,10 +252,17 @@ def affine_coordinates(order: int) -> Callable[[int, int], EpsLaurent]:
         if s < -order - 1:
             raise WindowError(f"a({x}, {y}) needs the quartet to order {-s - 1}, not {order}")
         if s not in diagonals:
-            diagonal, acc = {}, ZERO  # a(0, s)
-            for i in range(-1, s, -1):
-                acc = acc + (a.coeff(i + 1) * b.coeff(s - i) - at.coeff(i + 1) * bt.coeff(s - i))
-                diagonal[i] = acc
+            # a(-1-j, s+1+j) = a(-j, s+j) + K[-j, j+1+s], j = 0, ..., -s-2
+            den = lcm(*(dens[j] * dens[-s - 1 - j] for j in range(-s - 1)))
+            diagonal, acc = {}, {}
+            for j in range(-s - 1):
+                f = den // (dens[j] * dens[-s - 1 - j])
+                for u, v, g in ((a, b, f), (at, bt, -f)):
+                    for e1, n1 in u[j].items():
+                        n1 *= g
+                        for e2, n2 in v[-s - 1 - j].items():
+                            acc[e1 + e2] = acc.get(e1 + e2, 0) + n1 * n2
+                diagonal[-1 - j] = EpsLaurent.from_ints(acc, den)
             diagonals[s] = diagonal
         return diagonals[s].get(x, ZERO)
 

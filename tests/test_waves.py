@@ -1,16 +1,21 @@
 """Formal wave solutions: difference equation, oracle, quartet identities."""
 
 from fractions import Fraction
+from functools import lru_cache
+from math import comb, factorial, lcm
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gwp1
 from gwp1.epslaurent import EpsLaurent
-from gwp1.invariants import _edge
+from gwp1.invariants import _cycle_sum, _edge, _weight, n_point_invariant
 from gwp1.zmodel import _normalised_frame
 from gwp1.zseries import WindowError, ZSeries
 from gwp1.waves import (
     WaveExpansion,
+    _stirling_series,
     affine_coordinates,
     bernoulli_number,
     normalized_quartet,
@@ -147,6 +152,117 @@ def test_bernoulli_numbers():
     assert bernoulli_number(2) == Fraction(1, 6)
     assert bernoulli_number(3) == 0
     assert bernoulli_number(12) == Fraction(-691, 2730)
+
+
+# References for the integer closed form, which must reproduce them exactly: a
+# recursive Bernoulli sum, a Fraction exponential for the Stirling series, and
+# the column-by-column pass over one common denominator.
+
+@lru_cache(maxsize=None)
+def recursive_bernoulli(n):
+    if n == 0:
+        return Fraction(1)
+    # B_n from sum_{k=0}^{n} C(n+1, k) B_k = 0
+    s = Fraction(0)
+    for k in range(n):
+        s += comb(n + 1, k) * recursive_bernoulli(k)
+    return -s / (n + 1)
+
+
+def fraction_stirling_series(order):
+    kl = [Fraction(0)] * (order + 1)
+    for k in range(1, order + 1, 2):
+        kl[k] = (Fraction(1, 2 ** k) - 1) * recursive_bernoulli(k + 1) / (k + 1)
+    s = [Fraction(1)] + [Fraction(0)] * order
+    for n in range(1, order + 1):
+        s[n] = sum(kl[k] * s[n - k] for k in range(1, n + 1, 2)) / n
+    return s
+
+
+def column_pass_pair(sigma, stirling):
+    order = len(stirling) - 1
+    den = lcm(*(x.denominator for x in stirling))
+    q = [sigma**j * x.numerator * (den // x.denominator) << j for j, x in enumerate(stirling)]
+    plain = [{} for _ in range(order + 1)]
+    tilde = [{} for _ in range(order + 1)]
+    weight = factorial(order)
+    for m in range(order + 1):
+        if m:
+            r = sigma * (2 * m - 1)
+            old, new = q[m - 1], 0
+            for j in range(m, order + 1):
+                old, new = q[j], 2 * old + r * new
+                q[j] = new
+            for j in range(m, order + 1):
+                tilde[j][1 - 2 * m] = weight * q[j]
+            weight = weight * sigma // m
+        for j in range(m, order + 1):
+            plain[j][-2 * m] = weight * q[j]
+    den *= factorial(order)
+    h = {-j: EpsLaurent.from_ints(plain[j], den << j) for j in range(order + 1)}
+    ht = {-j: EpsLaurent.from_ints(tilde[j], den << j) for j in range(order + 1)}
+    return ZSeries(h, top=0, order=order), ZSeries(ht, top=-1, order=order)
+
+
+def epslaurent_affine_reader(order):
+    """a(x, y) summed along each diagonal in EpsLaurent arithmetic."""
+    a, at, b, bt = normalized_quartet(order)
+    diagonals = {}
+
+    def read(x, y):
+        s = x + y
+        if s < -order - 1:
+            raise WindowError(f"a({x}, {y}) below the window of order {order}")
+        if s not in diagonals:
+            diagonal, acc = {}, EpsLaurent.zero()
+            for i in range(-1, s, -1):
+                acc = acc + (a.coeff(i + 1) * b.coeff(s - i) - at.coeff(i + 1) * bt.coeff(s - i))
+                diagonal[i] = acc
+            diagonals[s] = diagonal
+        return diagonals[s].get(x, EpsLaurent.zero())
+
+    return read
+
+
+def test_integer_bernoulli_and_stirling_match_fraction_recursions():
+    assert [bernoulli_number(n) for n in range(65)] == [recursive_bernoulli(n) for n in range(65)]
+    reference = fraction_stirling_series(48)
+    for order in range(49):
+        assert _stirling_series(order) == reference[:order + 1], order
+
+
+def test_row_pass_quartet_matches_column_pass():
+    for order in range(49):
+        stirling = fraction_stirling_series(order)
+        reference = column_pass_pair(+1, stirling) + column_pass_pair(-1, stirling)
+        assert list(map(fields, normalized_quartet(order))) == list(map(fields, reference)), order
+
+
+@pytest.mark.parametrize("order", [20, 26])
+def test_affine_coordinates_match_kernel_sums_at_recheck_orders(order):
+    # the doubled orders at which tau_7 and tau_10 are rechecked
+    quartet = normalized_quartet(order)
+    aff = affine_coordinates(order)
+    for s in range(-14, 2):
+        for x in range(s - 2, 3):
+            for forward in (True, False):
+                got = _edge(aff, forward, x, s - x)
+                assert got == kernel_edge_reference(quartet, forward, x, s - x), (order, x, s)
+
+
+trace_ks = st.integers(min_value=1, max_value=3).flatmap(
+    lambda n: st.lists(st.integers(min_value=0, max_value=12 - 2 * n), min_size=n, max_size=n)
+).filter(lambda ks: sum(k + 2 for k in ks) <= 12)
+
+
+@settings(max_examples=12, deadline=None)
+@given(trace_ks)
+def test_cycle_trace_matches_epslaurent_reader(ks):
+    ks = tuple(ks)
+    order = sum(k + 2 for k in ks) + len(ks)
+    with mock.patch("gwp1.invariants.affine_coordinates", epslaurent_affine_reader):
+        expected = -_weight(ks) * _cycle_sum(ks, order)
+    assert n_point_invariant(ks, check_stability=False).value == expected
 
 
 def test_step_factor_consistency():

@@ -8,7 +8,7 @@ import pytest
 from gwp1.epslaurent import EpsLaurent
 from gwp1.invariants import free_energy
 from gwp1.miwa import partitions
-from gwp1.waves import affine_coordinates, normalized_quartet, solve_formal_wave, wave_shift
+from gwp1.waves import _quartet_ints, affine_coordinates, solve_formal_wave, wave_shift
 from gwp1.zmodel import (
     ZModelExpansion,
     _column_chain,
@@ -62,16 +62,16 @@ def test_entries_are_monic():
 
 
 def test_one_wave_solve_per_expansion():
-    # one closed-form quartet feeds every normalised column; neither the
+    # one closed-form quartet table feeds every normalised column; neither the
     # triangular solve nor the shifted f-wave chain is used
     _normalised_frame.cache_clear()
     affine_coordinates.cache_clear()
-    normalized_quartet.cache_clear()
+    _quartet_ints.cache_clear()
     solve_formal_wave.cache_clear()
     zmodel_expansion(5, 2)
     assert affine_coordinates.cache_info().misses == 1
-    assert normalized_quartet.cache_info().misses == 1
-    assert normalized_quartet.cache_info().hits == 0
+    assert _quartet_ints.cache_info().misses == 1
+    assert _quartet_ints.cache_info().hits == 0
     info = solve_formal_wave.cache_info()
     assert info.hits == info.misses == 0
 
