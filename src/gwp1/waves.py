@@ -23,12 +23,11 @@ each normalized series is S^(+-1) times a sum of Gamma ratios:
     B      = S^(-1) sum_m (-1)^m eps^(-2m)   / m!   prod_(i=0..m-1) (z+i+1/2)^(-1)
     Btilde = S^(-1) sum_m (-1)^m eps^(-2m-1) / m!   prod_(i=0..m)   (z+i+1/2)^(-1)
 
-In w = 1/z the products nest: with Q_0 = S^sigma and r_m = sigma*(m - 1/2),
-Q_m = w Q_(m-1) / (1 - r_m w), i.e. Q_m[j] = Q_(m-1)[j-1] + r_m Q_m[j-1], and
-Q_m feeds the eps^(-2m) part of the plain series and the eps^(1-2m) part of
-its tilde partner.  Since log S is odd in 1/z, S^(-1)(z) = S(-z), so one
-Stirling series serves both sides.  The quartet and its affine table run on
-integers, with one Fraction per Stirling coefficient and no series product.
+Since log S is odd in 1/z, S^(-1)(z) = S(-z), so B(z) = A(-z) and Btilde(z) = -Atilde(-z).
+In w = 1/z the products of A nest: with Q_0 = S and r_m = m - 1/2, Q_m = w Q_(m-1) /
+(1 - r_m w), i.e. Q_m[j] = Q_(m-1)[j-1] + r_m Q_m[j-1], feeding eps^(-2m) of A and
+eps^(1-2m) of Atilde.  Row j needs only the Stirling coefficients to w^j, so one table of
+integer rows, one Fraction per Stirling coefficient, grows to the highest order asked.
 
 The triangular solve `solve_formal_wave` (the ansatz substituted into the
 equation and solved order by order) is kept as the independent oracle, with
@@ -158,63 +157,72 @@ def wave_shift(w: WaveExpansion, c: int) -> WaveExpansion:
 # Closed-form quartet and derived objects
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def bernoulli_number(n: int) -> Fraction:
-    """B_n, with B_1 = -1/2 and B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)): the tangent
-    numbers T_m come from Brent and Harvey's in-place integer pass (arXiv:1108.0286)."""
+    """B_n, with B_1 = -1/2 and B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)), T_m the
+    tangent number of the row table (`_Rows.tangents`)."""
     if n < 2 or n % 2:
         return Fraction(-1, 2) if n == 1 else Fraction(1 if n == 0 else 0)
     m = n // 2
-    t = [0] + [factorial(k) for k in range(m)]  # t_k = (k-1)!, the first pass
-    for k in range(2, m + 1):
-        for j in range(k, m + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return Fraction((-1) ** (m - 1) * n * t[m], 4**m * (4**m - 1))
+    return Fraction((-1) ** (m - 1) * n * _ROWS.tangents(m)[m], 4**m * (4**m - 1))
+
+
+class _Rows:
+    """The row table: numerator dicts {eps power: int} `a[j]`, `at[j]` of A and Atilde at
+    z^(-j) over `dens[j]` = D_j, with the Stirling and row state that the next row extends."""
+
+    def __init__(self):
+        self.t, self.kl, self.big_d, self.sigma = [0], {}, [1], [1]  # t[m] = T_m, t[0] = 0
+        self.stirling, self.q, self.big_l, self.a, self.at, self.dens = [], [], 1, [], [], []
+
+    def tangents(self, m: int) -> list[int]:
+        """T_0..T_m, by Brent and Harvey's in-place integer pass (arXiv:1108.0286)."""
+        if len(self.t) <= m:
+            self.t = t = [0] + [factorial(k) for k in range(m)]  # t_k = (k-1)!, the first pass
+            for k in range(2, m + 1):
+                for j in range(k, m + 1):
+                    t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+        return self.t
+
+    def grow(self, order: int) -> None:
+        """Append rows len(dens)..order.  n s_n = sum_k k l_k s_(n-k), odd k, runs on sigma_n
+        = s_n D_n n!, D_n = lcm_k(den(k l_k) D_(n-k)): sigma_n = sum_k k l_k D_n/D_(n-k)
+        (n-1)!/(n-k)! sigma_(n-k).  With L_j = lcm den(s_0..s_j), D_j = L_j 2^j j!; row j holds
+        q_m[j] = Q_m[j] L_j 2^j = (L_j/L_(j-1)) (2 q_(m-1)[j-1] + (2m-1) q_m[j-1]) times j!/m!."""
+        kl, big_d, sigma = self.kl, self.big_d, self.sigma
+        self.tangents((order + 1) // 2)  # one pass serves every B_(j+1) below
+        for j in range(len(self.dens), order + 1):
+            if j % 2:
+                kl[j] = (Fraction(1, 2**j) - 1) * bernoulli_number(j + 1) / (j + 1)
+            if j:
+                ks = range(1, j + 1, 2)
+                big_d.append(lcm(*(kl[k].denominator * big_d[j - k] for k in ks)))
+                sigma.append(sum(kl[k].numerator * (big_d[j] // (kl[k].denominator * big_d[j - k]))
+                                 * perm(j - 1, k - 1) * sigma[j - k] for k in ks))
+            self.stirling.append(x := Fraction(sigma[j], big_d[j] * factorial(j)))
+            rho = lcm(self.big_l, x.denominator) // self.big_l
+            self.big_l *= rho
+            q = self.q + [0]  # Q_j[j-1] = 0
+            self.q = q = [x.numerator * (self.big_l // x.denominator) << j] + [
+                rho * (2 * q[m - 1] + (2 * m - 1) * q[m]) for m in range(1, j + 1)]
+            self.a.append({-2 * m: perm(j, j - m) * v for m, v in enumerate(q)})
+            self.at.append({1 - 2 * m: perm(j, j + 1 - m) * q[m] for m in range(1, j + 1)})
+            self.dens.append(self.big_l * factorial(j) << j)
+
+
+_ROWS = _Rows()
+
+
+def _quartet_ints(order: int):
+    """Rows of A and Atilde and the D_j, from the row table grown to at least `order`."""
+    if len(_ROWS.dens) <= order:
+        _ROWS.grow(order)
+    return _ROWS.a, _ROWS.at, _ROWS.dens
 
 
 def _stirling_series(order: int) -> list[Fraction]:
-    """w^0..w^order of S = exp(log S), w = 1/z.  n s_n = sum_k k l_k s_(n-k) over odd k
-    runs on the integers sigma_n = s_n D_n n!, D_n = lcm_k(den(k l_k) D_(n-k)), D_0 = 1:
-    sigma_n = sum_k k l_k D_n / D_(n-k) (n-1)!/(n-k)! sigma_(n-k)."""
-    kl = {k: (Fraction(1, 2**k) - 1) * bernoulli_number(k + 1) / (k + 1)
-          for k in range(1, order + 1, 2)}
-    big_d, sigma = [1], [1]
-    for n in range(1, order + 1):
-        ks = range(1, n + 1, 2)
-        big_d.append(lcm(*(kl[k].denominator * big_d[n - k] for k in ks)))
-        sigma.append(sum(kl[k].numerator * (big_d[n] // (kl[k].denominator * big_d[n - k]))
-                         * perm(n - 1, k - 1) * sigma[n - k] for k in ks))
-    return [Fraction(x, d * factorial(n)) for n, (x, d) in enumerate(zip(sigma, big_d))]
-
-
-def _closed_pair(sigma: int, stirling: list[Fraction]):
-    """(A, Atilde) for sigma=+1 or (B, Btilde) for sigma=-1, to the order of `stirling`.
-
-    Lists of numerator dicts {eps power: int}, entry j the coefficient of z^(-j) over
-    D_j = L_j 2^j j! (L_j the lcm of the Stirling denominators to w^j), and of the D_j.
-    Row j holds q_m[j] = Q_m[j] L_j 2^j = (L_j/L_(j-1)) (2 q_(m-1)[j-1] + sigma (2m-1) q_m[j-1]),
-    m <= j, and Q_m[j] enters eps^(-2m) with the weight sigma^m j!/m!.
-    """
-    plain, tilde, dens, q, big_l = [], [], [], [], 1
-    for j, x in enumerate(stirling):
-        rho = lcm(big_l, x.denominator) // big_l
-        big_l *= rho
-        q.append(0)  # Q_j[j-1] = 0; log S is odd in w, so S^(-1)(w) = S(-w)
-        q = [sigma**j * x.numerator * (big_l // x.denominator) << j] + [
-            rho * (2 * q[m - 1] + sigma * (2 * m - 1) * q[m]) for m in range(1, j + 1)]
-        w = [sigma**m * perm(j, j - m) for m in range(j + 1)]
-        plain.append({-2 * m: w[m] * v for m, v in enumerate(q)})
-        tilde.append({1 - 2 * m: w[m - 1] * q[m] for m in range(1, j + 1)})
-        dens.append(big_l * factorial(j) << j)
-    return plain, tilde, dens
-
-
-@lru_cache(maxsize=None)
-def _quartet_ints(order: int):
-    """Numerator lists of A, Atilde, B, Btilde and their shared D_j, from `_closed_pair`."""
-    stirling = _stirling_series(order)
-    a, at, dens = _closed_pair(+1, stirling)
-    return (a, at) + _closed_pair(-1, stirling)[:2] + (dens,)
+    """w^0..w^order of S, w = 1/z, from the row table."""
+    _quartet_ints(order)
+    return _ROWS.stirling[:order + 1]
 
 
 @lru_cache(maxsize=None)
@@ -223,11 +231,13 @@ def normalized_quartet(order: int):
 
     A(z): f-type solution; Atilde: f at z-1 on the same base; B: g-type at z-1;
     Btilde: g at z, i.e. B shifted one step up.  Atilde and Btilde have top
-    degree -1 with leading coefficient 1/(eps*z).  Built from the closed form.
+    degree -1 with leading coefficient 1/(eps*z).  Built from the row table.
     """
-    *series, dens = _quartet_ints(order)
-    return tuple(ZSeries({-j: EpsLaurent.from_ints(p[j], dens[j]) for j in range(order + 1)},
-                         top=top, order=order) for p, top in zip(series, (0, -1, 0, -1)))
+    a, at, dens = _quartet_ints(order)
+    pa, pat = ({-j: EpsLaurent.from_ints(u[j], dens[j]) for j in range(order + 1)} for u in (a, at))
+    return (ZSeries(pa, 0, order), ZSeries(pat, -1, order),  # B(z) = A(-z), Btilde(z) = -Atilde(-z)
+            ZSeries({d: -v if d % 2 else v for d, v in pa.items()}, 0, order),
+            ZSeries({d: v if d % 2 else -v for d, v in pat.items()}, -1, order))
 
 
 @lru_cache(maxsize=None)
@@ -239,12 +249,12 @@ def affine_coordinates(order: int) -> Callable[[int, int], EpsLaurent]:
     unless x, y <= -1.  From (z - w) a = K - 1, a(x, y) = a(x+1, y-1) + K[x+1, y]
     is a running sum along the diagonal x + y = s that reads K[i, j] on
     i + j = s + 1, so the diagonals s >= -order - 1 are exact; a read below
-    them raises WindowError naming the order it needs.  K[i, j] is over
-    D_(-i) D_(-j) (`_closed_pair`); a diagonal is summed on its first read, over
-    one shared denominator, the lcm of those products, as an integer
-    convolution of numerators wrapped once per stored coordinate.
+    them raises WindowError naming the order it needs.  As B(z) = A(-z), K[-i, -j]
+    = (-1)^j (A[-i]A[-j] + Atilde[-i]Atilde[-j]) over D_i D_j (`_Rows`); a diagonal
+    is summed on its first read, over one shared denominator, the lcm of those
+    products, as an integer convolution of numerators wrapped once per coordinate.
     """
-    a, at, b, bt, dens = _quartet_ints(order)
+    a, at, dens = _quartet_ints(order)
     diagonals: dict[int, dict[int, EpsLaurent]] = {}
 
     def read(x: int, y: int) -> EpsLaurent:
@@ -256,11 +266,11 @@ def affine_coordinates(order: int) -> Callable[[int, int], EpsLaurent]:
             den = lcm(*(dens[j] * dens[-s - 1 - j] for j in range(-s - 1)))
             diagonal, acc = {}, {}
             for j in range(-s - 1):
-                f = den // (dens[j] * dens[-s - 1 - j])
-                for u, v, g in ((a, b, f), (at, bt, -f)):
+                f = (-1) ** (-s - 1 - j) * (den // (dens[j] * dens[-s - 1 - j]))
+                for u in (a, at):
                     for e1, n1 in u[j].items():
-                        n1 *= g
-                        for e2, n2 in v[-s - 1 - j].items():
+                        n1 *= f
+                        for e2, n2 in u[-s - 1 - j].items():
                             acc[e1 + e2] = acc.get(e1 + e2, 0) + n1 * n2
                 diagonal[-1 - j] = EpsLaurent.from_ints(acc, den)
             diagonals[s] = diagonal

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gwp1
+from gwp1 import waves
 from gwp1.epslaurent import EpsLaurent
 from gwp1.invariants import _cycle_sum, _edge, _weight, n_point_invariant
 from gwp1.zmodel import _normalised_frame
@@ -236,6 +237,38 @@ def test_row_pass_quartet_matches_column_pass():
         stirling = fraction_stirling_series(order)
         reference = column_pass_pair(+1, stirling) + column_pass_pair(-1, stirling)
         assert list(map(fields, normalized_quartet(order))) == list(map(fields, reference)), order
+
+
+def table_rows(rows):
+    return rows.a, rows.at, rows.dens, rows.stirling, rows.t
+
+
+def test_row_table_is_independent_of_growth_order(monkeypatch):
+    straight, stepped = waves._Rows(), waves._Rows()
+    straight.grow(48)
+    for order in (0, 7, 20, 48):
+        stepped.grow(order)
+    assert table_rows(stepped) == table_rows(straight)
+    # one tangent pass per growth covers every Bernoulli number the rows read
+    monkeypatch.setattr(waves, "_ROWS", stepped)
+    tangents = stepped.t
+    assert [bernoulli_number(n) for n in range(50)] == [recursive_bernoulli(n) for n in range(50)]
+    assert stepped.t is tangents
+    # B and Btilde from the rows of A and Atilde by sign, against the sigma = -1 column pass
+    stirling = fraction_stirling_series(48)
+    reference = column_pass_pair(+1, stirling) + column_pass_pair(-1, stirling)
+    quartet = normalized_quartet.__wrapped__(48)
+    assert list(map(fields, quartet)) == list(map(fields, reference))
+    assert len(stepped.dens) == 49
+
+
+def test_invariant_recheck_reads_its_own_doubled_order():
+    n_point_invariant.cache_clear()
+    affine_coordinates.cache_clear()
+    with mock.patch("gwp1.invariants.affine_coordinates", wraps=affine_coordinates) as spy:
+        n_point_invariant((3,))
+    assert [call.args[0] for call in spy.call_args_list] == [6, 12]
+    assert affine_coordinates.cache_info().misses == 2
 
 
 @pytest.mark.parametrize("order", [20, 26])

@@ -2,13 +2,15 @@
 
 from fractions import Fraction
 from itertools import permutations
+from unittest import mock
 
 import pytest
 
 from gwp1.epslaurent import EpsLaurent
 from gwp1.invariants import free_energy
 from gwp1.miwa import partitions
-from gwp1.waves import _quartet_ints, affine_coordinates, solve_formal_wave, wave_shift
+from gwp1 import waves
+from gwp1.waves import affine_coordinates, solve_formal_wave, wave_shift
 from gwp1.zmodel import (
     ZModelExpansion,
     _column_chain,
@@ -61,17 +63,19 @@ def test_entries_are_monic():
         zmodel_entry(0, 5)
 
 
-def test_one_wave_solve_per_expansion():
-    # one closed-form quartet table feeds every normalised column; neither the
-    # triangular solve nor the shifted f-wave chain is used
+def test_one_wave_solve_per_expansion(monkeypatch):
+    # one closed-form row table, grown once, feeds every normalised column;
+    # neither the triangular solve nor the shifted f-wave chain is used
+    monkeypatch.setattr(waves, "_ROWS", waves._Rows())
     _normalised_frame.cache_clear()
     affine_coordinates.cache_clear()
-    _quartet_ints.cache_clear()
     solve_formal_wave.cache_clear()
-    zmodel_expansion(5, 2)
+    grow = waves._Rows.grow
+    with mock.patch.object(waves._Rows, "grow", autospec=True, side_effect=grow) as spy:
+        zmodel_expansion(5, 2)
+    assert [call.args[1] for call in spy.call_args_list] == [4]
+    assert len(waves._ROWS.dens) == 5
     assert affine_coordinates.cache_info().misses == 1
-    assert _quartet_ints.cache_info().misses == 1
-    assert _quartet_ints.cache_info().hits == 0
     info = solve_formal_wave.cache_info()
     assert info.hits == info.misses == 0
 
