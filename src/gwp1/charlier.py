@@ -25,11 +25,14 @@ check reads its values from it instead of building the degree-L polynomial.
 With a = p/q and x = r/s both routes run in O(l) integer steps over one
 common denominator each, are compared by cross-multiplication, and build a
 single Fraction at the end.
-`bessel_j` takes an mpf order exactly, makes one reciprocal-Gamma evaluation
-per call for the first term past the Gamma poles, then sums the power series
-in fixed point over Python ints: each later term is one exact integer product
-and one floor division by m (nu + m), at a scale of about 20 bits beyond the
-working precision, until the ratio-1/2 tail certificate holds.
+`bessel_j` takes an mpf order exactly and reads its first term past the Gamma
+poles from one held 1/Gamma(1 + phi) per fractional part phi of the order
+times an exact integer ratio, so the orders of one check, which differ by
+integers, share one `rgamma` evaluation, and a warm process makes none.  It
+then sums the power series in fixed point over Python ints: each later term is
+one exact integer product and one floor division by m (nu + m), at a scale of
+about 20 bits beyond the working precision, until the ratio-1/2 tail
+certificate holds.
 
 The orthogonality sums and the brute-force ensemble read one shared table of
 atoms per (a, working precision), `_atoms`, memoised for the most recent pair
@@ -53,12 +56,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from mpmath import mp
 from mpmath.libmp import (
-    fzero, from_int, from_man_exp, mpf_abs, mpf_add, mpf_div, mpf_lt, mpf_mul,
-    round_nearest as _RND,
+    fone, fzero, from_int, from_man_exp, mpf_abs, mpf_add, mpf_div, mpf_lt, mpf_mul,
+    mpf_shift, round_nearest as _RND,
 )
 
 from .waves import normalized_quartet
@@ -107,20 +110,59 @@ def gamma_real(x, prec: int):
         return +val
 
 
+# 1/Gamma(1 + r 2^-k) per (r, k) as (bits, raw mpf), held at the highest
+# precision asked so far, as mpmath holds pi; the _RGAMMA_HELD most recently
+# used stay.
+_RGAMMA_HELD = 16
+_rgamma_memo: dict[tuple[int, int], tuple[int, tuple]] = {}
+
+
+def _rgamma_dyadic(a_num: int, k: int, wp: int):
+    """1/Gamma(a) as a raw mpf rounded to wp bits, for a = a_num 2^-k exactly.
+
+    With a = 1 + phi + n, phi = r 2^-k in [0, 1) and n an integer, Gamma(a)
+    is Gamma(1 + phi) times prod_{j=1..n} (phi + j) for n >= 0, and divided
+    by prod_{j=n+1..0} (phi + j) for n < 0 (DLMF 5.5.1).  Each product is the
+    exact integer prod (r + j 2^k) over 2^(k |n|), so the held 1/Gamma(1 + phi)
+    is rounded once.  phi = 0 needs no Gamma, and a pole (phi = 0, n < 0) has
+    the factor j = 0 and gives zero.
+    """
+    one = 1 << k
+    r, n = a_num % one, (a_num >> k) - 1
+    ratio = from_int(prod(r + j * one for j in range(min(n, 0) + 1, max(n, 0) + 1)))
+    base = fone
+    if r:
+        held = _rgamma_memo.pop((r, k), None)
+        if held is None or held[0] < wp:
+            bits = max(wp, k + 2)  # 1 + phi exactly
+            with mp.workprec(bits):
+                held = bits, mp.rgamma(mp.make_mpf(from_man_exp(r + one, -k)))._mpf_
+        _rgamma_memo[r, k] = held
+        if len(_rgamma_memo) > _RGAMMA_HELD:
+            del _rgamma_memo[next(iter(_rgamma_memo))]
+        base = held[1]
+    step = mpf_div if n >= 0 else mpf_mul
+    return mpf_shift(step(base, ratio, wp, _RND), k * n)
+
+
 def bessel_j(nu, x, prec: int):
     """J_nu(x) by its power series with an explicit geometric tail bound.
 
     Terms with nu+m+1 at a pole of Gamma are zero, so the sum starts at the
-    first m off the poles (m = -nu for a negative integer nu, else 0); that
-    term is computed with `rgamma`.  An mpf nu is taken exactly, not rounded
-    to the working precision (which could move it onto a pole), and the
-    `rgamma` argument nu + m + 1 is formed at a precision that holds it
-    exactly.  The sum runs in fixed point: nu = N 2^-K
-    and q = (x/2)^2 = Q 2^e are dyadic, so with the first term scaled to
-    about wp + 20 bits (more when nu + m comes near zero) each later term is
-    one integer step T <- -T Q 2^(e+K) / (m (N + m 2^K)), exact up to one
-    floor.  Summation stops once the ratio bound certifies the remainder below
-    the target precision.
+    first m off the poles (m = -nu for a negative integer nu, else 0).  An mpf
+    nu is taken exactly, not rounded to the working precision (which could
+    move it onto a pole).  That term's 1/Gamma(nu + m + 1) comes from
+    `_rgamma_dyadic`: one 1/Gamma(1 + phi) per fractional part phi of nu,
+    held for the `_RGAMMA_HELD` most recent phi at the highest precision
+    asked so far, times an exact integer ratio.  The sum runs in fixed
+    point: nu = N 2^-K and q = (x/2)^2 = Q 2^e are dyadic, so with the first
+    term scaled to about wp + 20 bits (more when nu + m comes near zero) each
+    later term is one integer step T <- -T Q 2^(e+K) / (m (N + m 2^K)), exact
+    up to one floor.  Summation stops once the ratio bound certifies the remainder below
+    2^-wp of the sum's scale, with no absolute floor, so the result is within
+    2^-prec of |J_nu(x)| relative however small J is.  That holds while the
+    terms cancel fewer bits than the guard holds (tested for |nu| <= 48 and
+    0 < x <= 16); from x of about 26 on the relative error can exceed it.
     """
     wp = prec + _GUARD_BITS
     with mp.workprec(wp):
@@ -131,8 +173,7 @@ def bessel_j(nu, x, prec: int):
     nu_man, nu_exp, _ = _dyadic(nu_m)
     n_int, k = (nu_man << nu_exp, 0) if nu_exp >= 0 else (nu_man, -nu_exp)
     m = -n_int if k == 0 and n_int < 0 else 0
-    with mp.workprec(max(wp, (n_int + ((m + 1) << k)).bit_length())):
-        rgamma_0 = mp.rgamma(nu_m + (m + 1))
+    rgamma_0 = mp.make_mpf(_rgamma_dyadic(n_int + ((m + 1) << k), k, wp))
     with mp.workprec(wp):
         half = x_m / 2
         quarter_sq = half * half
@@ -152,9 +193,9 @@ def bessel_j(nu, x, prec: int):
     shift = q_exp + k
     q_num = q_man << max(shift, 0)
     den_shift = max(-shift, 0)
-    # the tail test 2 |T| 2^wp < max(max_abs, |acc|) + 2^(F - 3 guard); both
-    # sides are integers, so a last term 2^(F - 3 guard) <= 1 may be read as 1
-    abs_tol = 1 << max(frac_bits - 3 * _GUARD_BITS, 0)
+    # the tail test 2 |T| 2^wp < max(max_abs, |acc|) + 1 is relative to the
+    # sum's own scale; the 1 is one unit of the scaled sum, the resolution of
+    # the floors, so no absolute floor cuts a J far below 1 short
     cap = 10 * (prec + int(abs(nu_m)) + int(x_m) + 10)
     acc = max_abs = 0
     while True:
@@ -167,7 +208,7 @@ def bessel_j(nu, x, prec: int):
         # is smaller, so twice the next term bounds the whole remainder; with
         # nu+m in (-1, 0) the ratio is negative but the one after it unbounded
         if (m > 1 and 2 * q_num < den
-                and abs(term) << (wp + 1) < max(max_abs, abs(acc)) + abs_tol):
+                and abs(term) << (wp + 1) < max(max_abs, abs(acc)) + 1):
             break
         if m > cap:
             raise RuntimeError("Bessel series failed to converge")

@@ -4,11 +4,15 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
+from gwp1 import charlier
 from gwp1.charlier import (
     _GUARD_BITS,
+    _RGAMMA_HELD,
     _atoms,
+    _rgamma_dyadic,
     asymptotic_match_check,
     bessel_j,
     brute_force_expectation,
@@ -62,18 +66,89 @@ def test_bessel_small_argument_leading_term():
         bessel_j(1, -1, 64)
 
 
+def _ulps(val, ref, prec):
+    """|val - ref| in units of the last place of ref at prec bits."""
+    with mp.workprec(prec + 64):
+        return abs(val - ref) / mp.ldexp(1, mp.mag(ref) - prec)
+
+
+# a = A 2^-K: positive, negative non-integer (-3 + 2^-40 and -2 - 2^-40 sit
+# next to poles), integer, and poles (zero)
+RGAMMA_ARGUMENTS = [(5, 1), (41, 3), (1, 5), (2**40 + 1, 40), (-5, 1), (-41, 3),
+                    (-3 * 2**40 + 1, 40), (-2 * 2**40 - 1, 40), (1, 0), (7, 0),
+                    (0, 0), (-3, 0)]
+
+
+def test_rgamma_dyadic_matches_mpmath():
+    charlier._rgamma_memo.clear()
+    for precs in ([53, 128, 300, 700], [700, 300, 128, 53]):
+        for a_num, k in RGAMMA_ARGUMENTS:
+            for prec in precs:
+                val = mp.make_mpf(_rgamma_dyadic(a_num, k, prec))
+                with mp.workprec(max(prec, a_num.bit_length() + 2)):
+                    ref = mp.rgamma(mp.ldexp(a_num, -k))
+                with mp.workprec(prec):
+                    ref = +ref
+                if not ref:
+                    assert not val, (a_num, k)
+                else:
+                    assert _ulps(val, ref, prec) <= 2, (a_num, k, prec)
+
+
+def test_rgamma_calls_one_per_fractional_order(monkeypatch):
+    calls = []
+    rgamma = mp.rgamma
+    monkeypatch.setattr(mp, "rgamma", lambda a: calls.append(a) or rgamma(a))
+
+    def count(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    charlier._rgamma_memo.clear()
+    residual = difference_equation_residual
+    assert count(residual, mp.mpf("5.25"), 1, 300, "f") <= 1
+    assert count(residual, mp.mpf("5.25"), 1, 300, "f") == 0
+    assert count(residual, mp.mpf("5.25"), 1, 200, "f") == 0
+    assert count(residual, mp.mpf("5.25"), 1, 400, "f") == 1
+    charlier._rgamma_memo.clear()
+    assert count(numeric_wronskian, mp.mpf("7.25"), 1, 300) <= 2
+    assert count(numeric_wronskian, mp.mpf("7.25"), 1, 300) == 0
+    assert count(numeric_wronskian, mp.mpf("7.25"), 1, 256) == 0
+    assert count(numeric_wronskian, mp.mpf("7.25"), 1, 512) == 2
+
+
+def test_rgamma_memo_is_bounded():
+    for i in range(100):
+        bessel_j(mp.mpf(2 * i + 1) / 256, 1, 128)
+    assert len(charlier._rgamma_memo) <= _RGAMMA_HELD
+
+
 # the orders of the numeric sweep: f and g at z = 5.25, 10.25, 20.25 take
-# nu = -/+(z + 1/2), the scaling targets mu = zeta - l - 1/2 = -1/2, 1/2, -1
-@pytest.mark.parametrize("prec", [128, 640, 768])
+# nu = -/+(z + 1/2), the scaling targets mu = zeta - l - 1/2 = -1/2, 1/2, -1;
+# J_-37(1/8) ~ -5.4e-94 and J_20(1/8) fall far below 1
+@pytest.mark.parametrize("prec", [128, 148, 640, 768])
 def test_bessel_matches_mpmath(prec):
-    # -1 and -3 start the series past the Gamma poles at m = -nu
+    # -1, -3 and -37 start the series past the Gamma poles at m = -nu
     for nu in ("5.75", "-5.75", "10.75", "-10.75", "20.75", "-20.75",
-               "0.5", "-0.5", "0", "2", "-1", "-3"):
-        for x in ("0.5", "1", "2", "4", "8"):
+               "0.5", "-0.5", "0", "2", "-1", "-3", "20", "-37"):
+        for x in ("0.125", "0.5", "1", "2", "4", "8"):
             val = bessel_j(mp.mpf(nu), mp.mpf(x), prec)
             with mp.workprec(prec + 64):
                 ref = mp.besselj(mp.mpf(nu), mp.mpf(x))
-                assert abs(val - ref) < abs(ref) * mp.mpf(2) ** -(prec - 8), (nu, x)
+                assert abs(val - ref) <= abs(ref) * mp.mpf(2) ** -prec, (nu, x)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(-40 * 64, 40 * 64), st.integers(0, 6),
+       st.integers(1, 16 * 64), st.integers(64, 400))
+def test_bessel_recurrence(nu_num, k, x_num, prec):
+    # J_(nu-1) + J_(nu+1) = (2 nu / x) J_nu, each J within 2^-prec relative
+    nu, x = mp.ldexp(nu_num, -k), mp.ldexp(x_num, -6)
+    lo, mid, hi = (bessel_j(nu + d, x, prec) for d in (-1, 0, 1))
+    with mp.workprec(prec + 64):
+        gap = abs(lo + hi - 2 * nu / x * mid)
+        assert gap <= max(abs(lo), abs(hi)) * mp.mpf(2) ** -(prec - 3)
 
 
 @pytest.mark.parametrize("prec, gap_exp, x_exp",
