@@ -67,6 +67,7 @@ from mpmath.libmp import (
 from .waves import normalized_quartet
 
 _GUARD_BITS = 30
+_SPARE_BITS = 25  # of the guard, that bessel_j's sum may cancel in one pass
 
 
 def _as_fraction(x) -> Fraction:
@@ -145,6 +146,27 @@ def _rgamma_dyadic(a_num: int, k: int, wp: int):
     return mpf_shift(step(base, ratio, wp, _RND), k * n)
 
 
+def _bessel_sum(term: int, m: int, q_num: int, den_shift: int, n_int: int, k: int,
+                tail_bits: int, cap: int) -> tuple[int, int]:
+    """(sum, largest |T|) of `bessel_j`'s scaled series from T_m on, to 2 |T| 2^tail_bits <
+    max(max_abs, |acc|) + 1: relative to the sum's scale, the 1 one unit of the floors."""
+    acc = max_abs = 0
+    while True:
+        acc += term
+        max_abs = max(max_abs, abs(term))
+        m += 1
+        den = (m * (n_int + (m << k))) << den_shift
+        term = -(term * q_num) // den
+        # once nu+m > 0 and the ratio q/(m (nu+m)) < 1/2, every later ratio
+        # is smaller, so twice the next term bounds the whole remainder; with
+        # nu+m in (-1, 0) the ratio is negative but the one after it unbounded
+        if (m > 1 and 2 * q_num < den
+                and abs(term) << (tail_bits + 1) < max(max_abs, abs(acc)) + 1):
+            return acc, max_abs
+        if m > cap:
+            raise RuntimeError("Bessel series failed to converge")
+
+
 def bessel_j(nu, x, prec: int):
     """J_nu(x) by its power series with an explicit geometric tail bound.
 
@@ -160,9 +182,9 @@ def bessel_j(nu, x, prec: int):
     later term is one integer step T <- -T Q 2^(e+K) / (m (N + m 2^K)), exact
     up to one floor.  Summation stops once the ratio bound certifies the remainder below
     2^-wp of the sum's scale, with no absolute floor, so the result is within
-    2^-prec of |J_nu(x)| relative however small J is.  That holds while the
-    terms cancel fewer bits than the guard holds (tested for |nu| <= 48 and
-    0 < x <= 16); from x of about 26 on the relative error can exceed it.
+    2^-prec of |J_nu(x)| relative however small J is.  Where the terms cancel
+    more than `_SPARE_BITS` of the guard (past x of about 16, or near a zero
+    of J) it sums again with the scale and the tail test raised by as many bits.
     """
     wp = prec + _GUARD_BITS
     with mp.workprec(wp):
@@ -187,33 +209,22 @@ def bessel_j(nu, x, prec: int):
         r = n_int % (1 << k)
         top += k + 1 - min(r, (1 << k) - r).bit_length()
     t_man, t_exp, t_bits = _dyadic(term0)
-    frac_bits = top - (t_exp + t_bits)
     term = t_man << (top - t_bits)
     q_man, q_exp, _ = _dyadic(quarter_sq)
     shift = q_exp + k
     q_num = q_man << max(shift, 0)
     den_shift = max(-shift, 0)
-    # the tail test 2 |T| 2^wp < max(max_abs, |acc|) + 1 is relative to the
-    # sum's own scale; the 1 is one unit of the scaled sum, the resolution of
-    # the floors, so no absolute floor cuts a J far below 1 short
+    # the sum cancels about log2(max_abs / |acc|) bits, e^x / sqrt(x) or so for large x
     cap = 10 * (prec + int(abs(nu_m)) + int(x_m) + 10)
-    acc = max_abs = 0
+    lost = 0
     while True:
-        acc += term
-        max_abs = max(max_abs, abs(term))
-        m += 1
-        den = (m * (n_int + (m << k))) << den_shift
-        term = -(term * q_num) // den
-        # once nu+m > 0 and the ratio q/(m (nu+m)) < 1/2, every later ratio
-        # is smaller, so twice the next term bounds the whole remainder; with
-        # nu+m in (-1, 0) the ratio is negative but the one after it unbounded
-        if (m > 1 and 2 * q_num < den
-                and abs(term) << (wp + 1) < max(max_abs, abs(acc)) + 1):
+        acc, max_abs = _bessel_sum(term << lost, m, q_num, den_shift, n_int, k, wp + lost, cap)
+        cancelled = max_abs.bit_length() - abs(acc).bit_length()
+        if cancelled <= lost + _SPARE_BITS:
             break
-        if m > cap:
-            raise RuntimeError("Bessel series failed to converge")
+        lost = cancelled
     with mp.workprec(prec):
-        return mp.ldexp(mp.mpf(acc), -frac_bits)
+        return mp.ldexp(mp.mpf(acc), t_exp + t_bits - top - lost)
 
 
 # ---------------------------------------------------------------------------

@@ -99,8 +99,8 @@ def _cycle_sum(ks: tuple[int, ...], order: int) -> EpsLaurent:
 def n_point_invariant(ks: tuple[int, ...], check_stability: bool = True) -> InvariantRecord:
     """Connected stationary invariant <tau_{k_1} ... tau_{k_n}>.
 
-    The truncation order is chosen from the weights; with check_stability the
-    computation is repeated at doubled order and must agree exactly.
+    The truncation order is chosen from the weights; with check_stability the cycle trace is
+    redone on its own diagonals of the same rows, windowed at doubled order, and must agree.
     """
     ks = tuple(int(k) for k in ks)
     if any(k < 0 for k in ks):

@@ -27,7 +27,7 @@ Since log S is odd in 1/z, S^(-1)(z) = S(-z), so B(z) = A(-z) and Btilde(z) = -A
 In w = 1/z the products of A nest: with Q_0 = S and r_m = m - 1/2, Q_m = w Q_(m-1) /
 (1 - r_m w), i.e. Q_m[j] = Q_(m-1)[j-1] + r_m Q_m[j-1], feeding eps^(-2m) of A and
 eps^(1-2m) of Atilde.  Row j needs only the Stirling coefficients to w^j, so one table of
-integer rows, one Fraction per Stirling coefficient, grows to the highest order asked.
+integer rows, one Fraction per Stirling coefficient, grows only as far as it is read.
 
 The triangular solve `solve_formal_wave` (the ansatz substituted into the
 equation and solved order by order) is kept as the independent oracle, with
@@ -168,7 +168,8 @@ def bernoulli_number(n: int) -> Fraction:
 
 class _Rows:
     """The row table: numerator dicts {eps power: int} `a[j]`, `at[j]` of A and Atilde at
-    z^(-j) over `dens[j]` = D_j, with the Stirling and row state that the next row extends."""
+    z^(-j) over `dens[j]` = D_j, with the Stirling and row state that the next row extends.
+    Rows grow on the first read of a diagonal that needs them, or to a whole quartet's order."""
 
     def __init__(self):
         self.t, self.kl, self.big_d, self.sigma = [0], {}, [1], [1]  # t[m] = T_m, t[0] = 0
@@ -251,10 +252,11 @@ def affine_coordinates(order: int) -> Callable[[int, int], EpsLaurent]:
     i + j = s + 1, so the diagonals s >= -order - 1 are exact; a read below
     them raises WindowError naming the order it needs.  As B(z) = A(-z), K[-i, -j]
     = (-1)^j (A[-i]A[-j] + Atilde[-i]Atilde[-j]) over D_i D_j (`_Rows`); a diagonal
-    is summed on its first read, over one shared denominator, the lcm of those
-    products, as an integer convolution of numerators wrapped once per coordinate.
+    is summed on its first read, which grows the rows to -s - 1, over one shared denominator,
+    the lcm of those products, as an integer convolution of numerators wrapped once per coordinate.
     """
-    a, at, dens = _quartet_ints(order)
+    rows = _ROWS
+    a, at, dens = rows.a, rows.at, rows.dens
     diagonals: dict[int, dict[int, EpsLaurent]] = {}
 
     def read(x: int, y: int) -> EpsLaurent:
@@ -262,6 +264,8 @@ def affine_coordinates(order: int) -> Callable[[int, int], EpsLaurent]:
         if s < -order - 1:
             raise WindowError(f"a({x}, {y}) needs the quartet to order {-s - 1}, not {order}")
         if s not in diagonals:
+            if len(dens) < -s:
+                rows.grow(-s - 1)
             # a(-1-j, s+1+j) = a(-j, s+j) + K[-j, j+1+s], j = 0, ..., -s-2
             den = lcm(*(dens[j] * dens[-s - 1 - j] for j in range(-s - 1)))
             diagonal, acc = {}, {}

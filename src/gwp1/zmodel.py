@@ -198,11 +198,11 @@ def _normalised_frame(count: int, order: int) -> tuple[ZSeries, ...]:
     """G_1..G_count at one truncation order, from one table of affine coordinates."""
     aff = affine_coordinates(order + count)
     columns = []
-    for k in range(1, count + 1):
+    for k in range(count, 0, -1):  # the deepest diagonal first, so the rows grow once
         g = {x: -aff(x, -k) for x in range(-order, 0)}
         g[k - 1] = ONE
         columns.append(ZSeries(g, top=k - 1, order=order))
-    return tuple(columns)
+    return tuple(reversed(columns))
 
 
 def characteristic_entry(k: int, order: int) -> ZSeries:

@@ -1,5 +1,6 @@
 """Numeric pipeline: Bessel series, Charlier polynomials, limits, ensembles."""
 
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -166,6 +167,60 @@ def test_bessel_near_negative_integer_order(prec, gap_exp, x_exp):
                 val = bessel_j(nu, x, prec)
                 ref = mp.besselj(nu, x)
                 assert abs(val - ref) < abs(ref) * mp.mpf(2) ** -(prec - 8), (base, sign)
+
+
+def test_bessel_large_argument_keeps_relative_accuracy():
+    # past x of about 26 the terms exceed |J| by more than the guard bits
+    rng = random.Random(20)
+    for _ in range(200):
+        k = rng.randint(0, 5)
+        nu = mp.ldexp(rng.randint(-48 << k, 48 << k), -k)
+        x = mp.ldexp(rng.randint(26 * 64 + 1, 40 * 64), -6)
+        prec = rng.randint(53, 800)
+        val = bessel_j(nu, x, prec)
+        with mp.workprec(prec + 200):
+            ref = mp.besselj(nu, x)
+            assert abs(val - ref) <= abs(ref) * mp.mpf(2) ** -prec, (nu, x, prec)
+    for nu, x, prec in ((4, "30.75", 333), (0, 28, 128)):
+        val = bessel_j(nu, mp.mpf(x), prec)
+        with mp.workprec(prec + 200):
+            ref = mp.besselj(nu, mp.mpf(x))
+            assert abs(val - ref) <= abs(ref) * mp.mpf(2) ** -prec, (nu, x, prec)
+
+
+def test_bessel_sums_once_up_to_x_16(monkeypatch):
+    # the deterministic Bessel tests, all at x <= 16, never take the second pass,
+    # so their values are those of the one-pass sum
+    calls, passes = [], []
+    bessel_sum, bessel = charlier._bessel_sum, charlier.bessel_j
+
+    def counted(*args):
+        value = bessel(*args)
+        calls.append(args)
+        return value
+
+    monkeypatch.setattr(charlier, "_bessel_sum", lambda *args: passes.append(args) or bessel_sum(*args))
+    monkeypatch.setattr(charlier, "bessel_j", counted)
+    monkeypatch.setitem(globals(), "bessel_j", counted)
+    test_bessel_half_integer_closed_forms()
+    test_bessel_small_argument_leading_term()
+    test_rgamma_memo_is_bounded()
+    for prec in (128, 148, 640, 768):
+        test_bessel_matches_mpmath(prec)
+    for args in ((128, -150, -39), (640, -660, -150), (128, -200, -40)):
+        test_bessel_near_negative_integer_order(*args)
+    test_difference_equation_residuals()
+    test_wronskian_unity()
+    for prec in (128, 640):
+        test_split_waves_match_pair(prec)
+    test_asymptotic_match()
+    test_scaling_limit()
+    # and a grid near x = 16, where J_nu(x) cancels the most, up to 25 bits
+    for nu in range(-192, 193):
+        for x in range(28, 33):
+            bessel_j(mp.ldexp(nu, -2), mp.ldexp(x, -1), 64)
+    assert len(calls) > 500
+    assert len(passes) == len(calls)
 
 
 def test_charlier_poly_small_cases():

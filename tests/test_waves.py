@@ -271,6 +271,68 @@ def test_invariant_recheck_reads_its_own_doubled_order():
     assert affine_coordinates.cache_info().misses == 2
 
 
+@pytest.fixture
+def fresh_rows(monkeypatch):
+    """An empty row table, with no cached reader or invariant bound to another one."""
+    rows = waves._Rows()
+    monkeypatch.setattr(waves, "_ROWS", rows)
+    affine_coordinates.cache_clear()
+    n_point_invariant.cache_clear()
+    yield rows
+    affine_coordinates.cache_clear()
+    n_point_invariant.cache_clear()
+
+
+@pytest.mark.parametrize("ks", [(3,), (10,), (0, 0), (1, 2), (0, 0, 0), (0, 1, 2)])
+def test_invariant_grows_rows_only_for_the_diagonals_it_reads(fresh_rows, ks):
+    # the deepest edge total sum(c) + n - 1 needs rows 0..sum(k+2) - n, at both orders
+    grows_after_pass = []
+
+    def counted_pass(*args):
+        value = _cycle_sum(*args)
+        grows_after_pass.append(spy.call_count)
+        return value
+
+    grow = waves._Rows.grow
+    with mock.patch.object(waves._Rows, "grow", autospec=True, side_effect=grow) as spy, \
+            mock.patch("gwp1.invariants._cycle_sum", counted_pass):
+        n_point_invariant(ks)
+    # the doubled-order recheck reads the same diagonals and grows nothing
+    assert len(grows_after_pass) == 2
+    assert grows_after_pass[0] == grows_after_pass[1] > 0
+    assert len(fresh_rows.dens) == sum(k + 2 for k in ks) - len(ks) + 1
+
+
+def read_every_diagonal(order, shallowest_first):
+    aff = affine_coordinates(order)
+    totals = range(-1, -order - 2, -1) if shallowest_first else range(-order - 1, 0)
+    return {(x, s - x): aff(x, s - x) for s in totals for x in range(s + 1, 0)}
+
+
+def test_reading_order_does_not_change_coordinates(monkeypatch):
+    tables = []
+    for shallowest_first in (True, False):
+        monkeypatch.setattr(waves, "_ROWS", rows := waves._Rows())
+        affine_coordinates.cache_clear()
+        tables.append(read_every_diagonal(20, shallowest_first))
+        assert len(rows.dens) == 21
+    affine_coordinates.cache_clear()
+    assert tables[0] == tables[1]
+    assert tables[0][(-1, -20)] == kernel_edge_reference(normalized_quartet(20), True, -1, -20)
+
+
+def test_read_below_window_raises_before_growing(fresh_rows):
+    aff = affine_coordinates(5)
+    with pytest.raises(WindowError, match="order 8"):
+        aff(-4, -5)
+    assert len(fresh_rows.dens) == 0
+    aff(-1, -2)
+    assert len(fresh_rows.dens) == 3
+    with pytest.raises(WindowError):
+        aff(-10, -1)
+    assert len(fresh_rows.dens) == 3
+
+
 @pytest.mark.parametrize("order", [20, 26])
 def test_affine_coordinates_match_kernel_sums_at_recheck_orders(order):
     # the doubled orders at which tau_7 and tau_10 are rechecked

@@ -73,8 +73,8 @@ def test_one_wave_solve_per_expansion(monkeypatch):
     grow = waves._Rows.grow
     with mock.patch.object(waves._Rows, "grow", autospec=True, side_effect=grow) as spy:
         zmodel_expansion(5, 2)
-    assert [call.args[1] for call in spy.call_args_list] == [4]
-    assert len(waves._ROWS.dens) == 5
+    assert [call.args[1] for call in spy.call_args_list] == [3]
+    assert len(waves._ROWS.dens) == 4
     assert affine_coordinates.cache_info().misses == 1
     info = solve_formal_wave.cache_info()
     assert info.hits == info.misses == 0
