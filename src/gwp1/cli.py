@@ -367,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ks", required=True, help="comma-separated insertion indices")
     p.add_argument("--by-genus", action="store_true", dest="by_genus")
     p.add_argument("--no-stability", action="store_true", dest="no_stability",
-                   help="skip the doubled-order stability recomputation")
+                   help="skip the check of each trace (see gwp1.invariants)")
 
     p = sub.add_parser("free-energy", parents=[common],
                        help="generating-function coefficients")

@@ -20,11 +20,19 @@ up to sum(c), so each edge total lies in [sum(c) + n - 1, -1]; x_0 lies in
 [c_0 + 1, -1] because x <= -1 on the edge leaving 0 and y <= -1 on the edge
 entering it.  The affine coordinates on the lowest total need the quartet
 exact down to z^(n - sum(k+2)); a read below its window raises WindowError.
+
+Each tau_0 is derived, not traced: on P^1, <tau_0 prod tau_k>_(g,d) = d <prod tau_k>_(g,d) with
+d = (sum k - 2g + 2)/2 (divisor equation; Okounkov-Pandharipande, arXiv:math/0204305).  With
+check_stability a trace must equal, else WindowError: for n = 1, [z^(2g)] S(z)^(2d-1) / d!^2,
+S = sinh(z/2)/(z/2) (the one-point formula there; no table); for n >= 2, the trace of reversed
+ks, whose other start and nesting move each bracket's +-1; for palindromes, the trace of
+(0,) + ks by the divisor equation (d != 0 terms; one diagonal deeper).  They catch a moved or
+flipped bracket and a wrong one-point coefficient, not a(y, x) read for a(x, y); goldens do.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -95,27 +103,53 @@ def _cycle_sum(ks: tuple[int, ...], order: int) -> EpsLaurent:
     return total
 
 
+def _divisor_scaled(x: EpsLaurent, total: int, m: int) -> EpsLaurent:
+    """m more tau_0 on insertions of sum(k) = total: eps^e times d^m, d = (total - e)/2."""
+    return EpsLaurent.from_ints({e: v * ((total - e) // 2) ** m for e, v in x.num.items()}, x.den)
+
+
+def _one_point_closed_form(k: int) -> EpsLaurent:
+    """<tau_k> = sum_g eps^(2g-2) [z^(2g)] S(z)^(2d-1) / d!^2, d = k/2 + 1 - g, in u = z^2:
+    S = s(u)/den, S^(-1) over den^t by exact steps of S^(-1) S = 1, each S^2 adding den^2."""
+    if k % 2:
+        return ZERO
+    t, den = k // 2 + 1, 4 ** (k // 2 + 1) * factorial(k + 3)  # t: genus of the degree-0 term
+    s = [den // (4**j * factorial(2 * j + 1)) for j in range(t + 1)]
+    p, num = [den**t], {}
+    for n in range(1, t + 1):
+        p.append(-sum(s[j] * p[n - j] for j in range(1, n + 1)) // den)
+    s2 = [sum(s[i] * s[n - i] for i in range(n + 1)) for n in range(t + 1)]
+    for d in range(t + 1):  # p is S^(2d-1) to u^(t-d) over den^(t+2d); all to den^(3t) t!^2
+        num[2 * (t - d) - 2] = p[t - d] * den ** (2 * (t - d)) * (factorial(t) // factorial(d)) ** 2
+        p = [sum(p[i] * s2[n - i] for i in range(n + 1)) for n in range(t - d)]
+    return EpsLaurent.from_ints(num, den ** (3 * t) * factorial(t) ** 2)
+
+
 @lru_cache(maxsize=None)
 def n_point_invariant(ks: tuple[int, ...], check_stability: bool = True) -> InvariantRecord:
-    """Connected stationary invariant <tau_{k_1} ... tau_{k_n}>.
-
-    The truncation order is chosen from the weights; with check_stability the cycle trace is
-    redone on its own diagonals of the same rows, windowed at doubled order, and must agree.
-    """
+    """Connected stationary invariant <tau_{k_1} ... tau_{k_n}>.  Zeros are derived from the rest,
+    called in the callers' usual form to share its cache entry, whose order the record keeps."""
     ks = tuple(int(k) for k in ks)
     if any(k < 0 for k in ks):
         raise ValueError("all k must be >= 0")
     if len(ks) == 0:
         raise ValueError("need at least one insertion")
+    base = tuple(k for k in ks if k) or (0,)
+    if base != ks:
+        rec = n_point_invariant(base) if check_stability else n_point_invariant(base, False)
+        return replace(rec, ks=ks, value=_divisor_scaled(rec.value, sum(ks), len(ks) - len(base)))
     order = sum(k + 2 for k in ks) + len(ks)
     value = -_weight(ks) * _cycle_sum(ks, order)
     if check_stability:
-        value2 = -_weight(ks) * _cycle_sum(ks, 2 * order)
-        if value != value2:
-            raise WindowError(
-                f"invariant for ks={ks} did not stabilize between orders "
-                f"{order} and {2 * order}"
-            )
+        if len(ks) == 1:
+            got, want = value, _one_point_closed_form(ks[0])
+        elif ks[::-1] != ks:
+            got, want = value, -_weight(ks) * _cycle_sum(ks[::-1], order)
+        else:
+            got = _divisor_scaled(value, sum(ks), 1)
+            want = -_weight(ks) * _cycle_sum((0,) + ks, order + 3)
+        if got != want:
+            raise WindowError(f"invariant for ks={ks} failed its check: {got} against {want}")
     return InvariantRecord(ks, value, order, check_stability)
 
 

@@ -120,7 +120,7 @@ def check_multi_point() -> CheckResult:
     return CheckResult(
         "multi-point",
         not bad,
-        "two- and three-point values with doubled-order stability",
+        "two- and three-point values, each trace checked by reversal or the divisor equation",
     )
 
 

@@ -168,12 +168,13 @@ def bernoulli_number(n: int) -> Fraction:
 
 class _Rows:
     """The row table: numerator dicts {eps power: int} `a[j]`, `at[j]` of A and Atilde at
-    z^(-j) over `dens[j]` = D_j, with the Stirling and row state that the next row extends.
+    z^(-j) over `dens[j]` = D_j, the state that the next row extends, and the affine `diagonals`.
     Rows grow on the first read of a diagonal that needs them, or to a whole quartet's order."""
 
     def __init__(self):
         self.t, self.kl, self.big_d, self.sigma = [0], {}, [1], [1]  # t[m] = T_m, t[0] = 0
         self.stirling, self.q, self.big_l, self.a, self.at, self.dens = [], [], 1, [], [], []
+        self.diagonals: dict[int, dict[int, EpsLaurent]] = {}
 
     def tangents(self, m: int) -> list[int]:
         """T_0..T_m, by Brent and Harvey's in-place integer pass (arXiv:1108.0286)."""
@@ -209,6 +210,25 @@ class _Rows:
             self.at.append({1 - 2 * m: perm(j, j + 1 - m) * q[m] for m in range(1, j + 1)})
             self.dens.append(self.big_l * factorial(j) << j)
 
+    def diagonal(self, s: int) -> dict[int, EpsLaurent]:
+        """{x: a(x, s - x)}, summed on the first read of s (see `affine_coordinates`)."""
+        if s not in self.diagonals:
+            if len(dens := self.dens) < -s:
+                self.grow(-s - 1)
+            # a(-1-j, s+1+j) = a(-j, s+j) + K[-j, j+1+s], j = 0, ..., -s-2
+            den = lcm(*(dens[j] * dens[-s - 1 - j] for j in range(-s - 1)))
+            diagonal, acc = {}, {}
+            for j in range(-s - 1):
+                f = (-1) ** (-s - 1 - j) * (den // (dens[j] * dens[-s - 1 - j]))
+                for u in (self.a, self.at):
+                    for e1, n1 in u[j].items():
+                        n1 *= f
+                        for e2, n2 in u[-s - 1 - j].items():
+                            acc[e1 + e2] = acc.get(e1 + e2, 0) + n1 * n2
+                diagonal[-1 - j] = EpsLaurent.from_ints(acc, den)
+            self.diagonals[s] = diagonal
+        return self.diagonals[s]
+
 
 _ROWS = _Rows()
 
@@ -241,7 +261,6 @@ def normalized_quartet(order: int):
             ZSeries({d: v if d % 2 else -v for d, v in pat.items()}, -1, order))
 
 
-@lru_cache(maxsize=None)
 def affine_coordinates(order: int) -> Callable[[int, int], EpsLaurent]:
     """Reader of a(x, y), the coefficients of a(z, w) = (K(z, w) - 1)/(z - w).
 
@@ -251,34 +270,16 @@ def affine_coordinates(order: int) -> Callable[[int, int], EpsLaurent]:
     is a running sum along the diagonal x + y = s that reads K[i, j] on
     i + j = s + 1, so the diagonals s >= -order - 1 are exact; a read below
     them raises WindowError naming the order it needs.  As B(z) = A(-z), K[-i, -j]
-    = (-1)^j (A[-i]A[-j] + Atilde[-i]Atilde[-j]) over D_i D_j (`_Rows`); a diagonal
-    is summed on its first read, which grows the rows to -s - 1, over one shared denominator,
-    the lcm of those products, as an integer convolution of numerators wrapped once per coordinate.
+    = (-1)^j (A[-i]A[-j] + Atilde[-i]Atilde[-j]) over D_i D_j.  The order only sets the window:
+    every reader reads the current `_ROWS`, which sums each diagonal once (`_Rows.diagonal`),
+    as an integer convolution over the lcm of those products, wrapped once per coordinate.
     """
-    rows = _ROWS
-    a, at, dens = rows.a, rows.at, rows.dens
-    diagonals: dict[int, dict[int, EpsLaurent]] = {}
 
     def read(x: int, y: int) -> EpsLaurent:
         s = x + y
         if s < -order - 1:
             raise WindowError(f"a({x}, {y}) needs the quartet to order {-s - 1}, not {order}")
-        if s not in diagonals:
-            if len(dens) < -s:
-                rows.grow(-s - 1)
-            # a(-1-j, s+1+j) = a(-j, s+j) + K[-j, j+1+s], j = 0, ..., -s-2
-            den = lcm(*(dens[j] * dens[-s - 1 - j] for j in range(-s - 1)))
-            diagonal, acc = {}, {}
-            for j in range(-s - 1):
-                f = (-1) ** (-s - 1 - j) * (den // (dens[j] * dens[-s - 1 - j]))
-                for u in (a, at):
-                    for e1, n1 in u[j].items():
-                        n1 *= f
-                        for e2, n2 in u[-s - 1 - j].items():
-                            acc[e1 + e2] = acc.get(e1 + e2, 0) + n1 * n2
-                diagonal[-1 - j] = EpsLaurent.from_ints(acc, den)
-            diagonals[s] = diagonal
-        return diagonals[s].get(x, ZERO)
+        return _ROWS.diagonal(s).get(x, ZERO)
 
     return read
 

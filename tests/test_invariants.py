@@ -6,9 +6,12 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gwp1.epslaurent import EpsLaurent
+from gwp1 import invariants
+from gwp1.epslaurent import ONE, ZERO, EpsLaurent
 from gwp1.invariants import (
     _cycle_sum,
+    _one_point_closed_form,
+    _weight,
     free_energy,
     invariant_by_genus,
     n_point_invariant,
@@ -60,6 +63,99 @@ def test_divisor_like_cross_check():
 def test_three_point_values():
     assert n_point_invariant((0, 0, 0)).value == eps({-2: 1})
     assert n_point_invariant((0, 1, 2)).value == EpsLaurent.zero()
+
+
+def test_tau_0_insertions_by_the_divisor_equation():
+    # every tau_0 multiplies the genus-g term by the degree d = (sum k - 2g + 2)/2, so a
+    # degree-0 term drops out: <tau_0> at genus 1 and <tau_2> at genus 2
+    assert n_point_invariant((0,)).value == eps({-2: 1, 0: "-1/24"})
+    assert n_point_invariant((0, 0, 0, 0)).value == eps({-2: 1})
+    assert invariant_by_genus((2,))[2] == Fraction(7, 5760)
+    assert invariant_by_genus((0, 2)) == {0: Fraction(1, 2), 1: Fraction(1, 24)}
+    assert invariant_by_genus((0, 0, 2)) == {0: Fraction(1), 1: Fraction(1, 24)}
+    rec = n_point_invariant((0, 3, 0, 1))
+    assert (rec.ks, rec.order, rec.stability_checked) == ((0, 3, 0, 1), 10, True)
+
+
+@pytest.fixture
+def uncached():
+    n_point_invariant.cache_clear()
+    yield
+    n_point_invariant.cache_clear()
+
+
+def test_tau_0_insertions_trace_their_base_once(uncached):
+    n_point_invariant((0, 2))
+    n_point_invariant((0, 0, 2))
+    n_point_invariant((2,))
+    info = n_point_invariant.cache_info()
+    assert (info.misses, info.hits) == (3, 2)
+
+
+def multisets_with_a_zero(max_n, max_weight):
+    """Sorted ks with a 0, at most max_n entries and sum(k+2) <= max_weight."""
+    out = [(0,)]
+    for ks in out:
+        if len(ks) < max_n:
+            for k in range(ks[-1], max_weight):
+                if sum(j + 2 for j in ks) + k + 2 <= max_weight:
+                    out.append(ks + (k,))
+    return out
+
+
+def test_derived_tau_0_values_match_their_traces():
+    cases = multisets_with_a_zero(5, 12)
+    assert len(cases) == 41
+    for ks in cases:
+        order = sum(k + 2 for k in ks) + len(ks)
+        assert n_point_invariant(ks).value == -_weight(ks) * _cycle_sum(ks, order), ks
+
+
+def test_one_point_closed_form_matches_trace():
+    for k in range(15):
+        assert _one_point_closed_form(k) == -_weight((k,)) * _cycle_sum((k,), k + 3), k
+
+
+def forward_boundary_moved(aff, forward, x, y):
+    if x + y != -1:
+        return aff(x, y)
+    if forward:
+        return ONE if x < -1 else ZERO
+    return ZERO if x < 0 else -ONE
+
+
+def backward_sign_flipped(aff, forward, x, y):
+    if x + y != -1:
+        return aff(x, y)
+    if forward:
+        return ONE if x < 0 else ZERO
+    return ZERO if x < 0 else ONE
+
+
+@pytest.mark.parametrize("mutant", [forward_boundary_moved, backward_sign_flipped])
+@pytest.mark.parametrize("ks", [(1, 2), (1, 1), (2, 2, 2), (1, 1, 2, 2)])
+def test_check_catches_a_wrong_edge_bracket(uncached, monkeypatch, mutant, ks):
+    monkeypatch.setattr(invariants, "_edge", mutant)
+    n_point_invariant(ks, check_stability=False)
+    with pytest.raises(WindowError, match="failed its check"):
+        n_point_invariant(ks)
+
+
+def top_genus_off(f):
+    """f with the coefficient of its top genus term, eps^k of <tau_k>, moved."""
+
+    def wrong(*args):
+        return f(*args) + EpsLaurent.mono(0 if f is _cycle_sum else args[0], Fraction(1, 7))
+
+    return wrong
+
+
+@pytest.mark.parametrize("name", ["_cycle_sum", "_one_point_closed_form"])
+@pytest.mark.parametrize("ks", [(2,), (4,)])
+def test_check_catches_a_wrong_one_point_coefficient(uncached, monkeypatch, name, ks):
+    monkeypatch.setattr(invariants, name, top_genus_off(getattr(invariants, name)))
+    with pytest.raises(WindowError, match="failed its check"):
+        n_point_invariant(ks)
 
 
 def test_bad_inputs():

@@ -12,7 +12,7 @@ import gwp1
 from gwp1 import waves
 from gwp1.epslaurent import EpsLaurent
 from gwp1.invariants import _cycle_sum, _edge, _weight, n_point_invariant
-from gwp1.zmodel import _normalised_frame
+from gwp1.zmodel import _normalised_frame, zmodel_expansion
 from gwp1.zseries import WindowError, ZSeries
 from gwp1.waves import (
     WaveExpansion,
@@ -262,30 +262,33 @@ def test_row_table_is_independent_of_growth_order(monkeypatch):
     assert len(stepped.dens) == 49
 
 
-def test_invariant_recheck_reads_its_own_doubled_order():
-    n_point_invariant.cache_clear()
-    affine_coordinates.cache_clear()
-    with mock.patch("gwp1.invariants.affine_coordinates", wraps=affine_coordinates) as spy:
-        n_point_invariant((3,))
-    assert [call.args[0] for call in spy.call_args_list] == [6, 12]
-    assert affine_coordinates.cache_info().misses == 2
-
-
 @pytest.fixture
 def fresh_rows(monkeypatch):
-    """An empty row table, with no cached reader or invariant bound to another one."""
+    """An empty row table, with no cached invariant read from another one."""
     rows = waves._Rows()
     monkeypatch.setattr(waves, "_ROWS", rows)
-    affine_coordinates.cache_clear()
     n_point_invariant.cache_clear()
     yield rows
-    affine_coordinates.cache_clear()
     n_point_invariant.cache_clear()
+
+
+def test_readers_follow_a_swapped_row_table(monkeypatch):
+    expected = kernel_edge_reference(normalized_quartet(6), True, -2, -4)
+    monkeypatch.setattr(waves, "_ROWS", old := waves._Rows())
+    aff = affine_coordinates(6)
+    aff(-1, -2)
+    monkeypatch.setattr(waves, "_ROWS", new := waves._Rows())
+    for reader in (aff, affine_coordinates(6)):
+        assert reader(-2, -4) == expected
+    assert len(new.dens) == 6 and set(new.diagonals) == {-6}
+    assert len(old.dens) == 3 and set(old.diagonals) == {-3}
 
 
 @pytest.mark.parametrize("ks", [(3,), (10,), (0, 0), (1, 2), (0, 0, 0), (0, 1, 2)])
 def test_invariant_grows_rows_only_for_the_diagonals_it_reads(fresh_rows, ks):
-    # the deepest edge total sum(c) + n - 1 needs rows 0..sum(k+2) - n, at both orders
+    # the deepest edge total sum(c) + n - 1 needs rows 0..sum(k+2) - n of the multiset traced,
+    # ks without its zeros or (0,); its check, the one-point closed form or the reversed trace,
+    # reads no deeper
     grows_after_pass = []
 
     def counted_pass(*args):
@@ -297,10 +300,73 @@ def test_invariant_grows_rows_only_for_the_diagonals_it_reads(fresh_rows, ks):
     with mock.patch.object(waves._Rows, "grow", autospec=True, side_effect=grow) as spy, \
             mock.patch("gwp1.invariants._cycle_sum", counted_pass):
         n_point_invariant(ks)
-    # the doubled-order recheck reads the same diagonals and grows nothing
-    assert len(grows_after_pass) == 2
-    assert grows_after_pass[0] == grows_after_pass[1] > 0
-    assert len(fresh_rows.dens) == sum(k + 2 for k in ks) - len(ks) + 1
+    traced = tuple(k for k in ks if k) or (0,)
+    assert len(grows_after_pass) == min(len(traced), 2)
+    assert grows_after_pass[0] == spy.call_count > 0
+    assert len(fresh_rows.dens) == sum(k + 2 for k in traced) - len(traced) + 1
+
+
+def test_palindrome_check_reads_one_diagonal_deeper(fresh_rows):
+    # reversing (2, 2) changes nothing, so its check traces (0, 2, 2), whose edge totals
+    # reach one diagonal below those of (2, 2)
+    n_point_invariant((2, 2), check_stability=False)
+    assert len(fresh_rows.dens) == 7
+    n_point_invariant.cache_clear()
+    n_point_invariant((2, 2))
+    assert len(fresh_rows.dens) == 8
+
+
+class CountedEpsLaurent(EpsLaurent):
+    """EpsLaurent whose `from_ints`, called once per affine coordinate stored, is counted."""
+
+    __slots__ = ()
+    built = 0
+
+    @staticmethod
+    def from_ints(num, den=1):
+        CountedEpsLaurent.built += 1
+        return EpsLaurent.from_ints(num, den)
+
+
+def test_each_diagonal_is_summed_once_per_process(fresh_rows, monkeypatch):
+    monkeypatch.setattr(waves, "EpsLaurent", CountedEpsLaurent)
+    monkeypatch.setattr(CountedEpsLaurent, "built", 0)
+    for ks in ((3,), (1, 2), (2, 1), (2, 2), (1, 1, 2), (0, 1, 2), (4,)):
+        n_point_invariant(ks)
+    zmodel_expansion(4, 3)
+    for order in (6, 12, 24):
+        read_every_diagonal(order, shallowest_first=False)
+    # every reader, at every order, read the one table; each coordinate was built once
+    assert min(fresh_rows.diagonals) == -25
+    assert CountedEpsLaurent.built == sum(-s - 1 for s in fresh_rows.diagonals if s < -1)
+
+
+traced_ks = [(3,), (10,), (1, 2), (2, 2, 2), (1, 1, 2, 2), (0, 0, 1)]
+
+
+@pytest.mark.parametrize("ks", traced_ks)
+def test_affine_coordinates_agree_at_doubled_order_on_every_read_of_a_trace(monkeypatch, ks):
+    # the window of a trace's reader does not change what it reads: every coordinate a
+    # trace reads at its order is read alike at twice that order from another table
+    order = sum(k + 2 for k in ks) + len(ks)
+    reads = {}
+
+    def recording_reader(o):
+        aff = affine_coordinates(o)
+
+        def read(x, y):
+            reads[x, y] = aff(x, y)
+            return reads[x, y]
+
+        return read
+
+    monkeypatch.setattr(waves, "_ROWS", waves._Rows())
+    with mock.patch("gwp1.invariants.affine_coordinates", recording_reader):
+        _cycle_sum(ks, order)
+    monkeypatch.setattr(waves, "_ROWS", waves._Rows())
+    doubled = affine_coordinates(2 * order)
+    for x, y in sorted(reads, key=sum):
+        assert doubled(x, y) == reads[x, y], (ks, x, y)
 
 
 def read_every_diagonal(order, shallowest_first):
@@ -313,10 +379,8 @@ def test_reading_order_does_not_change_coordinates(monkeypatch):
     tables = []
     for shallowest_first in (True, False):
         monkeypatch.setattr(waves, "_ROWS", rows := waves._Rows())
-        affine_coordinates.cache_clear()
         tables.append(read_every_diagonal(20, shallowest_first))
         assert len(rows.dens) == 21
-    affine_coordinates.cache_clear()
     assert tables[0] == tables[1]
     assert tables[0][(-1, -20)] == kernel_edge_reference(normalized_quartet(20), True, -1, -20)
 
@@ -335,7 +399,7 @@ def test_read_below_window_raises_before_growing(fresh_rows):
 
 @pytest.mark.parametrize("order", [20, 26])
 def test_affine_coordinates_match_kernel_sums_at_recheck_orders(order):
-    # the doubled orders at which tau_7 and tau_10 are rechecked
+    # windows far below the diagonals read: the order sets only where a read raises
     quartet = normalized_quartet(order)
     aff = affine_coordinates(order)
     for s in range(-14, 2):
