@@ -174,7 +174,7 @@ def check_characteristic_det() -> CheckResult:
     ok = characteristic_det_check(1, 4) and characteristic_det_check(2, 4)
     return CheckResult(
         "characteristic-det", ok,
-        "Plucker coordinates of the shifted-wave and normalised frames, |lam| <= 4",
+        "Plucker coordinates as shifted-wave minors and hook determinants, |lam| <= 4",
     )
 
 

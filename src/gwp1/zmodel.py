@@ -9,26 +9,22 @@ expansion of a KP tau function (Segal-Wilson 1985):
     det(E_k(z_j)) / Delta(z) = sum_{l(lam) <= N} pi_lam s_lam(1/z_1, ..., 1/z_N),
     pi_lam = det([z^(j-1-lam_j)] E_k)_{j,k=1..N}.
 
-Normalised frame.  The columns may be changed by any unipotent upper
-triangular mix without changing a minor, and the characteristic entries
+Giambelli.  In Frobenius coordinates lam = (alpha_1..alpha_r | beta_1..beta_r),
+alpha_i = lam_i - i and beta_i = lam'_i - i for the Durfee rank r, every pi_lam
+is an r x r determinant of hooks, and each hook is one affine coordinate
+a(x, y) of the kernel (Zhou, arXiv:1306.5429; `waves.affine_coordinates`):
 
-    G_k(z) = z^(k-1) - sum_(x<=-1) a(x, -k) z^x,
+    pi_lam = det(pi_(alpha_i | beta_j))_{i,j=1..r},
+    pi_(a|b) = (-1)^(b+1) a(-a-1, -b-1).
 
-read off the affine coordinates a(x, y) of the kernel (Zhou, arXiv:1306.5429;
-`waves.affine_coordinates`), are such a mix.  In that frame row j > l(lam)
-of the minor is the unit row e_j, so
-
-    pi_lam = det([z^(j-1-lam_j)] G_k)_{j,k=1..l(lam)},
-
-an l(lam) x l(lam) minor that does not depend on N.  Its rows with
-lam_j < j are unit rows too, so the expansion along rows (`_det`) costs
-about C(l, r) products for Durfee rank r.  Coefficients down to z^(-degree)
-of G_1..G_degree fix every pi_lam with |lam| <= degree, with no window lost.
+None of it depends on N.  As r^2 <= |lam|, degree <= 24 needs at most 4 x 4
+determinants (`_det`), and the hooks with a + b < degree, on the diagonals
+down to -(degree + 1), fix every pi_lam with |lam| <= degree.
 The logarithm is taken in the power-sum basis (`miwa.py`), where it is a
 polynomial in the times.
 
-E-frame.  `zmodel_entry` keeps the shifted-wave columns E_k, which the
-checks compare with the normalised frame.  The difference equation at
+E-frame.  `zmodel_entry` keeps the shifted-wave columns E_k, whose minors
+the checks compare with the hook determinants.  The difference equation at
 z + k - 1 ties three consecutive columns together, a three-term recurrence
 in the column index:
 
@@ -110,14 +106,21 @@ def _minor(lam: tuple[int, ...], columns) -> EpsLaurent:
 
 
 def plucker_coordinates(degree: int) -> dict[tuple[int, ...], EpsLaurent]:
-    """pi_lam for every partition with |lam| <= degree, in the normalised frame."""
-    frame = _normalised_frame(degree, degree)
-    return {
-        lam: pi
-        for w in range(degree + 1)
-        for lam in partitions(w)
-        if (pi := _minor(lam, frame[:len(lam)]))
-    }
+    """pi_lam for every partition with |lam| <= degree, by Giambelli over the hooks."""
+    aff = affine_coordinates(degree)
+    # pi_(a|b) for a + b < degree, the deepest diagonal first, so the rows grow once
+    hook = {(a, n - 1 - a): (-1) ** (n - a) * aff(-a - 1, a - n)
+            for n in range(degree, 0, -1) for a in range(n)}
+    out = {}
+    for w in range(degree + 1):
+        for lam in partitions(w):
+            rank = sum(p > i for i, p in enumerate(lam))
+            alpha = [lam[i] - i - 1 for i in range(rank)]
+            beta = [sum(p > i for p in lam) - i - 1 for i in range(rank)]
+            rows = [{j: h for j, b in enumerate(beta) if (h := hook[a, b])} for a in alpha]
+            if pi := _det(rows):
+                out[lam] = pi
+    return out
 
 
 @dataclass(frozen=True)
@@ -189,42 +192,14 @@ def stabilization_check(degree: int, n1: int, n2: int) -> bool:
     return e1.log_in_times == e2.log_in_times
 
 
-# ---------------------------------------------------------------------------
-# Characteristic-matrix representation
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _normalised_frame(count: int, order: int) -> tuple[ZSeries, ...]:
-    """G_1..G_count at one truncation order, from one table of affine coordinates."""
-    aff = affine_coordinates(order + count)
-    columns = []
-    for k in range(count, 0, -1):  # the deepest diagonal first, so the rows grow once
-        g = {x: -aff(x, -k) for x in range(-order, 0)}
-        g[k - 1] = ONE
-        columns.append(ZSeries(g, top=k - 1, order=order))
-    return tuple(reversed(columns))
-
-
-def characteristic_entry(k: int, order: int) -> ZSeries:
-    """G_k(z) = z^(k-1) - sum_(x<=-1) a(x, -k) z^x, with a the affine coordinates.
-
-    The projection of z^(k-1) against the two-point kernel,
-    G_k(z) = [w^(-k)] K(z, w)/(w - z) expanded in |w| > |z|: z^(k-1) + O(1/z),
-    a unipotent column mix of the entries E_1..E_k.
-    """
-    if k < 1:
-        raise ValueError("column index k must be >= 1")
-    return _normalised_frame(k, order)[k - 1]
-
-
 def characteristic_det_check(nvars: int, order: int) -> bool:
-    """The two frames agree: for every |lam| <= order with l(lam) <= nvars,
+    """The two routes agree: for every |lam| <= order with l(lam) <= nvars,
     the nvars x nvars minor of the E-frame coefficients equals pi_lam from
-    the l(lam) x l(lam) minor of the normalised frame."""
+    the hook determinant."""
     e_frame = _column_chain(nvars, order)
-    g_frame = _normalised_frame(min(nvars, order), order)
+    plucker = plucker_coordinates(order)
     return all(
-        _minor(lam, e_frame) == _minor(lam, g_frame[:len(lam)])
+        _minor(lam, e_frame) == plucker.get(lam, ZERO)
         for w in range(order + 1)
         for lam in partitions(w)
         if len(lam) <= nvars

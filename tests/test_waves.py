@@ -12,7 +12,7 @@ import gwp1
 from gwp1 import waves
 from gwp1.epslaurent import EpsLaurent
 from gwp1.invariants import _cycle_sum, _edge, _weight, n_point_invariant
-from gwp1.zmodel import _normalised_frame, zmodel_expansion
+from gwp1.zmodel import zmodel_expansion
 from gwp1.zseries import WindowError, ZSeries
 from gwp1.waves import (
     WaveExpansion,
@@ -26,6 +26,7 @@ from gwp1.waves import (
     wave_residual,
     wave_shift,
 )
+from test_zmodel import normalised_frame
 
 
 def test_package_exports_resolve():
@@ -140,7 +141,7 @@ def test_affine_coordinates_match_kernel_sums():
                     got = _edge(aff, forward, x, y)
                     assert got == kernel_edge_reference(quartet, forward, x, y), (order, x, y)
         for count in range(1, order + 1):
-            frame = _normalised_frame(count, order - count)
+            frame = normalised_frame(count, order - count)
             for k, g in enumerate(frame, 1):
                 assert fields(g) == fields(frame_reference(quartet, k, order - count))
         with pytest.raises(WindowError):

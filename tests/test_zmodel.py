@@ -16,19 +16,37 @@ from gwp1.zmodel import (
     _column_chain,
     _det,
     _minor,
-    _normalised_frame,
     characteristic_det_check,
-    characteristic_entry,
     plucker_coordinates,
     stabilization_check,
     zmodel_entry,
     zmodel_expansion,
 )
-from gwp1.zseries import WindowError
+from gwp1.zseries import WindowError, ZSeries
 
 
 def eps(pairs):
     return EpsLaurent({e: Fraction(v) for e, v in pairs.items()})
+
+
+def normalised_frame(count, order):
+    """G_1..G_count, G_k = z^(k-1) - sum_(x<=-1) a(x, -k) z^x: the columns of the
+    characteristic matrix, a unipotent column mix of E_1..E_k read off the affine
+    coordinates (Zhou, arXiv:1306.5429), in which pi_lam is an l(lam) x l(lam) minor."""
+    aff = affine_coordinates(order + count)
+    columns = []
+    for k in range(1, count + 1):
+        g = {x: -aff(x, -k) for x in range(-order, 0)}
+        g[k - 1] = EpsLaurent.one()
+        columns.append(ZSeries(g, top=k - 1, order=order))
+    return tuple(columns)
+
+
+def characteristic_entry(k, order):
+    """G_k(z) = [w^(-k)] K(z, w)/(w - z) expanded in |w| > |z|: z^(k-1) + O(1/z)."""
+    if k < 1:
+        raise ValueError("column index k must be >= 1")
+    return normalised_frame(k, order)[k - 1]
 
 
 def leibniz_reference(columns, min_total):
@@ -64,17 +82,16 @@ def test_entries_are_monic():
 
 
 def test_one_wave_solve_per_expansion(monkeypatch):
-    # one closed-form row table, grown once, feeds every normalised column;
-    # neither the triangular solve nor the shifted f-wave chain is used
+    # one closed-form row table, grown once, feeds every hook; neither the
+    # triangular solve nor the shifted f-wave chain is used
     monkeypatch.setattr(waves, "_ROWS", waves._Rows())
-    _normalised_frame.cache_clear()
     solve_formal_wave.cache_clear()
     grow = waves._Rows.grow
     with mock.patch.object(waves._Rows, "grow", autospec=True, side_effect=grow) as spy, \
             mock.patch("gwp1.zmodel.affine_coordinates", wraps=affine_coordinates) as reader:
         zmodel_expansion(5, 2)
-    assert [call.args[1] for call in spy.call_args_list] == [3]
-    assert len(waves._ROWS.dens) == 4
+    assert [call.args[1] for call in spy.call_args_list] == [2]
+    assert len(waves._ROWS.dens) == 3
     assert reader.call_count == 1
     info = solve_formal_wave.cache_info()
     assert info.hits == info.misses == 0
@@ -126,7 +143,7 @@ def test_laplace_det_matches_leibniz(nvars):
 def test_cauchy_binet_matches_leibniz(nvars):
     # det(E_k(z_j)) = Delta(z) * sum_{l(lam) <= N} pi_lam s_lam(1/z), with the
     # determinant by brute force over the shifted-wave columns and pi_lam from
-    # the normalised frame.  Degree 3 >= N for N <= 3 also checks that s_lam
+    # the hook determinants.  Degree 3 >= N for N <= 3 also checks that s_lam
     # with l(lam) > N drop out of the N-variable quotient.
     degree = 3
     npairs = nvars * (nvars - 1) // 2
@@ -207,6 +224,20 @@ def test_e_frame_recurrence_loses_no_window():
     e = zmodel_entry(7, 3)
     assert (e.top, e.order) == (6, 3)
     assert e.coeff(6) == EpsLaurent.one()
+
+
+def test_giambelli_matches_frame_minors():
+    # pi_lam as the l(lam) x l(lam) minor of G_1..G_l(lam), the route that
+    # the hook determinants replaced, for every |lam| <= 12
+    degree = 12
+    frame = normalised_frame(degree, degree)
+    minors = {
+        lam: pi
+        for w in range(degree + 1)
+        for lam in partitions(w)
+        if (pi := _minor(lam, frame[:len(lam)]))
+    }
+    assert plucker_coordinates(degree) == minors
 
 
 def test_characteristic_entry_monic():
