@@ -102,10 +102,10 @@ class EpsLaurent:
         return bool(self.num)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, EpsLaurent):  # first: Fraction's ABCMeta isinstance runs Python
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = EpsLaurent.const(other)
-        if not isinstance(other, EpsLaurent):
-            return NotImplemented
         return self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
@@ -143,7 +143,9 @@ class EpsLaurent:
         return EpsLaurent.coerce(other) - self
 
     def __mul__(self, other: "EpsLaurent | Scalar") -> "EpsLaurent":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, EpsLaurent):  # EpsLaurent first, as in __eq__
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             if not other:
                 return _make({}, 1)
             p, q = other.numerator, other.denominator

@@ -32,12 +32,12 @@ flipped bracket and a wrong one-point coefficient, not a(y, x) read for a(x, y);
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import factorial
-from typing import Callable
+from math import factorial, prod
+from typing import Callable, Iterable
 
 from .epslaurent import ONE, ZERO, EpsLaurent
 from .miwa import partitions
@@ -60,10 +60,7 @@ def _weight(ks) -> EpsLaurent:
     integrand combines with a 1/eps per variable; the normalization is
     calibrated on <tau_0 tau_0> = eps^-2.
     """
-    w = EpsLaurent.one()
-    for k in ks:
-        w = w * EpsLaurent.mono(k, Fraction(1, factorial(k + 1)))
-    return w
+    return EpsLaurent.from_ints({sum(ks): 1}, prod(factorial(k + 1) for k in ks))
 
 
 def _edge(aff: Callable[[int, int], EpsLaurent], forward: bool, x: int, y: int) -> EpsLaurent:
@@ -125,19 +122,24 @@ def _one_point_closed_form(k: int) -> EpsLaurent:
     return EpsLaurent.from_ints(num, den ** (3 * t) * factorial(t) ** 2)
 
 
+def n_point_invariant(ks: Iterable[int], check_stability: bool = True) -> InvariantRecord:
+    """Connected stationary invariant <tau_{k_1} ... tau_{k_n}>.  The arguments are normalised
+    before the cache, so every call form of one query shares one entry."""
+    return _n_point_invariant(tuple(int(k) for k in ks), bool(check_stability))
+
+
 @lru_cache(maxsize=None)
-def n_point_invariant(ks: tuple[int, ...], check_stability: bool = True) -> InvariantRecord:
-    """Connected stationary invariant <tau_{k_1} ... tau_{k_n}>.  Zeros are derived from the rest,
-    called in the callers' usual form to share its cache entry, whose order the record keeps."""
-    ks = tuple(int(k) for k in ks)
+def _n_point_invariant(ks: tuple[int, ...], check_stability: bool) -> InvariantRecord:
+    """Zeros are derived from the rest of ks, whose order the record keeps."""
     if any(k < 0 for k in ks):
         raise ValueError("all k must be >= 0")
     if len(ks) == 0:
         raise ValueError("need at least one insertion")
     base = tuple(k for k in ks if k) or (0,)
     if base != ks:
-        rec = n_point_invariant(base) if check_stability else n_point_invariant(base, False)
-        return replace(rec, ks=ks, value=_divisor_scaled(rec.value, sum(ks), len(ks) - len(base)))
+        rec = n_point_invariant(base, check_stability)
+        value = _divisor_scaled(rec.value, sum(ks), len(ks) - len(base))
+        return InvariantRecord(ks, value, rec.order, rec.stability_checked)
     order = sum(k + 2 for k in ks) + len(ks)
     value = -_weight(ks) * _cycle_sum(ks, order)
     if check_stability:
@@ -153,9 +155,13 @@ def n_point_invariant(ks: tuple[int, ...], check_stability: bool = True) -> Inva
     return InvariantRecord(ks, value, order, check_stability)
 
 
+n_point_invariant.cache_info = _n_point_invariant.cache_info
+n_point_invariant.cache_clear = _n_point_invariant.cache_clear
+
+
 def invariant_by_genus(ks) -> dict[int, Fraction]:
     """Split an invariant into genus contributions: genus g sits at eps^(2g-2)."""
-    rec = n_point_invariant(tuple(ks))
+    rec = n_point_invariant(ks)
     out: dict[int, Fraction] = {}
     for e in rec.value.exponents():
         if (e + 2) % 2 != 0 or e < -2:

@@ -22,7 +22,6 @@ per pair of weights.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -68,11 +67,9 @@ class MiwaPolynomial:
 
 
 def z_mu(mu: tuple[int, ...]) -> int:
-    """Order of the centralizer of a permutation of cycle type mu."""
-    out = 1
-    for part, mult in Counter(mu).items():
-        out *= part ** mult * factorial(mult)
-    return out
+    """Order of the centralizer of a permutation of cycle type mu, prod_i i^(m_i) m_i!.
+    The parts are counted on the tuple: a first Counter in a process walks the Mapping ABC."""
+    return prod(part ** mu.count(part) * factorial(mu.count(part)) for part in set(mu))
 
 
 def _border_strips(lam: tuple[int, ...], m: int):

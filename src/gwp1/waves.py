@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm, perm
+from math import factorial, gcd, lcm, perm
 from typing import Callable
 
 from .epslaurent import EpsLaurent, EPS, EPS_INV, ZERO
@@ -188,18 +188,22 @@ class _Rows:
     def grow(self, order: int) -> None:
         """Append rows len(dens)..order.  n s_n = sum_k k l_k s_(n-k), odd k, runs on sigma_n
         = s_n D_n n!, D_n = lcm_k(den(k l_k) D_(n-k)): sigma_n = sum_k k l_k D_n/D_(n-k)
-        (n-1)!/(n-k)! sigma_(n-k).  With L_j = lcm den(s_0..s_j), D_j = L_j 2^j j!; row j holds
-        q_m[j] = Q_m[j] L_j 2^j = (L_j/L_(j-1)) (2 q_(m-1)[j-1] + (2m-1) q_m[j-1]) times j!/m!."""
+        (n-1)!/(n-k)! sigma_(n-k), each k l_k = (-1)^m (2^k - 1) T_m / (2^(2k+1) (2^(k+1) - 1)),
+        m = (k+1)/2, one reduced integer pair.  With L_j = lcm den(s_0..s_j), D_j = L_j 2^j j!;
+        row j holds q_m[j] = Q_m[j] L_j 2^j = (L_j/L_(j-1)) (2 q_(m-1)[j-1] + (2m-1) q_m[j-1])
+        times j!/m!."""
         kl, big_d, sigma = self.kl, self.big_d, self.sigma
-        self.tangents((order + 1) // 2)  # one pass serves every B_(j+1) below
+        t = self.tangents((order + 1) // 2)  # one pass serves every T_m below
         for j in range(len(self.dens), order + 1):
             if j % 2:
-                kl[j] = (Fraction(1, 2**j) - 1) * bernoulli_number(j + 1) / (j + 1)
+                m = (j + 1) // 2
+                num, den = (-1) ** m * ((1 << j) - 1) * t[m], ((2 << j) - 1) << (2 * j + 1)
+                kl[j] = (num // (g := gcd(num, den)), den // g)
             if j:
-                ks = range(1, j + 1, 2)
-                big_d.append(lcm(*(kl[k].denominator * big_d[j - k] for k in ks)))
-                sigma.append(sum(kl[k].numerator * (big_d[j] // (kl[k].denominator * big_d[j - k]))
-                                 * perm(j - 1, k - 1) * sigma[j - k] for k in ks))
+                terms = [(kl[k][0] * perm(j - 1, k - 1), kl[k][1] * big_d[j - k], sigma[j - k])
+                         for k in range(1, j + 1, 2)]
+                big_d.append(d := lcm(*(den for _, den, _ in terms)))
+                sigma.append(sum(num * (d // den) * s for num, den, s in terms))
             self.stirling.append(x := Fraction(sigma[j], big_d[j] * factorial(j)))
             rho = lcm(self.big_l, x.denominator) // self.big_l
             self.big_l *= rho

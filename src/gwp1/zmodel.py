@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .epslaurent import EPS, ONE, ZERO, EpsLaurent
 from .miwa import (
@@ -159,10 +159,10 @@ class ZModelExpansion:
     plucker: dict[tuple[int, ...], EpsLaurent]  # pi_lam, |lam| <= degree
     log_in_times: MiwaPolynomial
 
-    @cached_property
+    @property
     def quotient(self) -> SymmetricQuotient:
-        """sum pi_lam s_lam(1/z_1..1/z_N) in monomials, built on first access: the
-        coefficient of z^(-nu), l(nu) <= N, is sum_lam pi_lam K_(lam,nu) by strip removal."""
+        """sum pi_lam s_lam(1/z_1..1/z_N) in monomials, built on each access; callers hold it.
+        The coefficient of z^(-nu), l(nu) <= N, is sum_lam pi_lam K_(lam,nu) by strip removal."""
         c = {}
         for nu, v in schur_to_monomials(self.plucker).items():
             if len(nu) <= self.nvars:

@@ -201,3 +201,14 @@ def test_products_and_sums_create_no_fraction(monkeypatch):
     monkeypatch.undo()
     assert created == []
     assert negated == -(a * b + b - a * 2)
+
+
+@pytest.mark.parametrize("bad", [1.5, "x", None, [1]])
+def test_products_with_a_foreign_operand_raise_type_error(bad):
+    one = EpsLaurent.one()
+    with pytest.raises(TypeError):
+        one * bad
+    with pytest.raises(TypeError):
+        bad * one
+    assert one.__mul__(bad) is NotImplemented and one.__eq__(bad) is NotImplemented
+    assert not one == bad and one != bad

@@ -92,6 +92,15 @@ def test_tau_0_insertions_trace_their_base_once(uncached):
     assert (info.misses, info.hits) == (3, 2)
 
 
+def test_every_call_form_of_one_query_shares_one_cache_entry(uncached):
+    first = n_point_invariant((2,))
+    for rec in (n_point_invariant((2,), True), n_point_invariant((2,), check_stability=True),
+                n_point_invariant([2])):
+        assert rec is first
+    info = n_point_invariant.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
 def multisets_with_a_zero(max_n, max_weight):
     """Sorted ks with a 0, at most max_n entries and sum(k+2) <= max_weight."""
     out = [(0,)]

@@ -1,9 +1,11 @@
 """Symmetric functions: the Schur basis changes against per-pair characters
 and Kostka numbers, the power-sum logarithm and the change to time variables."""
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
+from math import factorial, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -241,3 +243,12 @@ def test_miwa_polynomial_api():
     assert p.to_json() == {"0,1": {"0": "1"}}
     q = MiwaPolynomial({(0, 1): EpsLaurent.one()}, 3)
     assert p == q
+
+
+def test_z_mu_against_counter_and_the_class_equation():
+    for n in range(13):
+        mus = list(partitions(n))
+        for mu in mus:
+            assert z_mu(mu) == prod(i ** m * factorial(m) for i, m in Counter(mu).items()), mu
+        # one over the centralizer order of each cycle type sums to 1 over S_n
+        assert sum(Fraction(1, z_mu(mu)) for mu in mus) == 1, n

@@ -263,16 +263,6 @@ def test_row_table_is_independent_of_growth_order(monkeypatch):
     assert len(stepped.dens) == 49
 
 
-@pytest.fixture
-def fresh_rows(monkeypatch):
-    """An empty row table, with no cached invariant read from another one."""
-    rows = waves._Rows()
-    monkeypatch.setattr(waves, "_ROWS", rows)
-    n_point_invariant.cache_clear()
-    yield rows
-    n_point_invariant.cache_clear()
-
-
 def test_readers_follow_a_swapped_row_table(monkeypatch):
     expected = kernel_edge_reference(normalized_quartet(6), True, -2, -4)
     monkeypatch.setattr(waves, "_ROWS", old := waves._Rows())
