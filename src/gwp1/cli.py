@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath import mp
@@ -27,17 +26,6 @@ from .zmodel import stabilization_check, zmodel_expansion
 
 DEFAULT_PREC = 128
 PREC_ENV_VAR = "GWP1_PREC"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: one command plus its options and output policy."""
-
-    command: str
-    options: dict = field(default_factory=dict)
-    fmt: str = "json"
-    output: str | None = None
-    prec: int = DEFAULT_PREC
 
 
 class UsageError(Exception):
@@ -56,15 +44,15 @@ def _flat_eps(v: EpsLaurent):
     return j
 
 
-def _emit(doc, cfg: RunConfig) -> None:
-    if cfg.fmt == "json":
+def _emit(doc, fmt: str, output: str | None) -> None:
+    if fmt == "json":
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    elif cfg.fmt == "csv":
+    elif fmt == "csv":
         text = _to_csv(doc)
     else:
         text = _to_text(doc)
-    if cfg.output:
-        with open(cfg.output, "w") as fh:
+    if output:
+        with open(output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -143,38 +131,36 @@ def _parse_ks(text: str) -> tuple[int, ...]:
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_wave(cfg: RunConfig):
-    which = cfg.options["which"]
-    order = cfg.options["order"]
+def cmd_wave(ns: argparse.Namespace):
+    order = ns.order
     if order < 0:
         raise UsageError("order must be >= 0")
-    h = normalized_quartet(order)[0 if which == "f" else 2]
+    h = normalized_quartet(order)[0 if ns.which == "f" else 2]
     return {str(-d): _flat_eps(h.coeff(-d)) for d in range(order + 1) if h.coeff(-d)}
 
 
-def cmd_wave_oracle(cfg: RunConfig):
-    order = cfg.options["order"]
+def cmd_wave_oracle(ns: argparse.Namespace):
+    order = ns.order
     if order < 1:
         raise UsageError("order must be >= 1")
     h = solve_formal_wave(-1, order).h
     return {str(-d): _flat_eps(h.coeff(-d)) for d in range(order + 1) if h.coeff(-d)}
 
 
-def cmd_invariant(cfg: RunConfig):
-    ks = _parse_ks(cfg.options["ks"])
-    if cfg.options.get("by_genus"):
+def cmd_invariant(ns: argparse.Namespace):
+    ks = _parse_ks(ns.ks)
+    if ns.by_genus:
         table = invariant_by_genus(ks)
         d_shift = sum(ks) // 2 + 1
         return {f"{g},{d_shift - g}": str(v) for g, v in sorted(table.items())}
-    rec = n_point_invariant(ks, check_stability=not cfg.options.get("no_stability"))
+    rec = n_point_invariant(ks, check_stability=not ns.no_stability)
     return rec.value.to_json()
 
 
-def cmd_free_energy(cfg: RunConfig):
-    w = cfg.options["max_weight"]
-    if w < 1:
+def cmd_free_energy(ns: argparse.Namespace):
+    if ns.max_weight < 1:
         raise UsageError("max weight must be >= 1")
-    fe = free_energy(w)
+    fe = free_energy(ns.max_weight)
     return {",".join(map(str, ks)): v.to_json() for ks, v in sorted(fe.items())}
 
 
@@ -184,18 +170,18 @@ def _miwa_json(p: MiwaPolynomial) -> dict:
     }
 
 
-def cmd_zmodel(cfg: RunConfig):
-    n = cfg.options["n"]
-    degree = cfg.options["degree"]
+def cmd_zmodel(ns: argparse.Namespace):
+    n = ns.n
+    degree = ns.degree
     if n < 1 or degree < 1:
         raise UsageError("n and degree must be >= 1")
     if degree >= n:
         raise UsageError(f"zmodel needs n > degree, got n={n} and degree={degree}")
-    if cfg.options.get("check_stabilization"):
+    if ns.check_stabilization:
         return {"degree": degree, "n": [n, n + 1],
                 "stable": stabilization_check(degree, n, n + 1)}
     exp = zmodel_expansion(n, degree)
-    if cfg.options.get("miwa"):
+    if ns.miwa:
         return _miwa_json(exp.log_in_times)
     q = exp.quotient
     coeffs = [
@@ -206,14 +192,14 @@ def cmd_zmodel(cfg: RunConfig):
     return {"vars": n, "degree": degree, "coeffs": coeffs}
 
 
-def cmd_charlier(cfg: RunConfig):
-    check = cfg.options["check"]
-    prec = cfg.prec
-    eps = _parse_rat(cfg.options.get("eps") or "1")
+def cmd_charlier(ns: argparse.Namespace):
+    check = ns.check
+    prec = ns.prec
+    eps = _parse_rat(ns.eps or "1")
     if check in ("limit", "residuals", "asymptotics") and eps <= 0:
         raise UsageError(f"charlier --check {check} needs eps > 0, got eps={eps}")
     if check in ("orthogonality", "charpoly"):
-        a = _parse_rat(cfg.options.get("a") or "1")
+        a = _parse_rat(ns.a or "1")
         if a <= 0:
             raise UsageError(f"charlier --check {check} needs a > 0, got a={a}")
     if check == "orthogonality":
@@ -230,7 +216,7 @@ def cmd_charlier(cfg: RunConfig):
                 })
         return {"rows": rows}
     if check == "limit":
-        ls = cfg.options.get("L") or [20, 40, 80]
+        ls = ns.L or [20, 40, 80]
         if min(ls) < 1:
             raise UsageError(f"charlier --check limit needs L >= 1, got L={min(ls)}")
         repeated = sorted({L for L in ls if ls.count(L) > 1})
@@ -270,7 +256,7 @@ def cmd_charlier(cfg: RunConfig):
                 })
         return {"rows": rows}
     if check == "residuals":
-        eps_list = ([eps] if cfg.options.get("eps")
+        eps_list = ([eps] if ns.eps
                     else [Fraction(1, 2), Fraction(1), Fraction(2)])
         rows = []
         for e in eps_list:
@@ -300,12 +286,11 @@ def cmd_charlier(cfg: RunConfig):
     raise UsageError(f"unknown charlier check {check!r}")
 
 
-def cmd_selftest(cfg: RunConfig):
-    only = cfg.options.get("only")
+def cmd_selftest(ns: argparse.Namespace):
     names = [name for name, _ in CHECKS]
-    if only is not None and only not in names:
-        raise UsageError(f"unknown check {only!r}; known checks: {', '.join(names)}")
-    results = run_selftest(only)
+    if ns.only is not None and ns.only not in names:
+        raise UsageError(f"unknown check {ns.only!r}; known checks: {', '.join(names)}")
+    results = run_selftest(ns.only)
     doc = {"rows": [r.to_json() for r in results],
            "passed": all(r.passed for r in results)}
     return doc
@@ -434,24 +419,17 @@ def main(argv=None) -> int:
         if not ns.command:
             parser.print_usage(sys.stderr)
             return 2
-        prec = getattr(ns, "prec", None)
-        if prec is None:
+        if getattr(ns, "prec", None) is None:
             try:
-                prec = int(os.environ.get(PREC_ENV_VAR, DEFAULT_PREC))
+                ns.prec = int(os.environ.get(PREC_ENV_VAR, DEFAULT_PREC))
             except ValueError:
                 raise UsageError(f"{PREC_ENV_VAR} must be an integer number of bits")
-        if prec < 8:
+        if ns.prec < 8:
             raise UsageError("precision must be at least 8 bits")
-        options = {
-            k: v
-            for k, v in vars(ns).items()
-            if k not in ("command", "config", "format", "output", "prec")
-        }
-        fmt = "json" if options.pop("json", False) else getattr(ns, "format", "json")
-        cfg = RunConfig(ns.command, options, fmt, getattr(ns, "output", None), prec)
-        doc = COMMANDS[cfg.command](cfg)
-        _emit(doc, cfg)
-        if cfg.command == "selftest" and not doc["passed"]:
+        doc = COMMANDS[ns.command](ns)
+        _emit(doc, "json" if getattr(ns, "json", False) else getattr(ns, "format", "json"),
+              getattr(ns, "output", None))
+        if ns.command == "selftest" and not doc["passed"]:
             return 1
         return 0
     except UsageError as exc:

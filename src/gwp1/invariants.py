@@ -23,7 +23,7 @@ exact down to z^(n - sum(k+2)); a read below its window raises WindowError.
 
 Each tau_0 is derived, not traced: on P^1, <tau_0 prod tau_k>_(g,d) = d <prod tau_k>_(g,d) with
 d = (sum k - 2g + 2)/2 (divisor equation; Okounkov-Pandharipande, arXiv:math/0204305).  With
-check_stability a trace must equal, else WindowError: for n = 1, [z^(2g)] S(z)^(2d-1) / d!^2,
+check_stability a trace must equal, else RuntimeError: for n = 1, [z^(2g)] S(z)^(2d-1) / d!^2,
 S = sinh(z/2)/(z/2) (the one-point formula there; no table); for n >= 2, the trace of reversed
 ks, whose other start and nesting move each bracket's +-1; for palindromes, the trace of
 (0,) + ks by the divisor equation (d != 0 terms; one diagonal deeper).  They catch a moved or
@@ -42,7 +42,6 @@ from typing import Callable, Iterable
 from .epslaurent import ONE, ZERO, EpsLaurent
 from .miwa import partitions
 from .waves import affine_coordinates
-from .zseries import WindowError
 
 
 @dataclass(frozen=True)
@@ -151,7 +150,7 @@ def _n_point_invariant(ks: tuple[int, ...], check_stability: bool) -> InvariantR
             got = _divisor_scaled(value, sum(ks), 1)
             want = -_weight(ks) * _cycle_sum((0,) + ks, order + 3)
         if got != want:
-            raise WindowError(f"invariant for ks={ks} failed its check: {got} against {want}")
+            raise RuntimeError(f"invariant for ks={ks} failed its check: {got} against {want}")
     return InvariantRecord(ks, value, order, check_stability)
 
 

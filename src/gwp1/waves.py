@@ -60,12 +60,13 @@ class WaveExpansion:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def step_factor(order: int) -> ZSeries:
-    """r(z) = eps*z*exp((z+1)log(1+1/z)-1), so (eps(z+1)/e)^(z+1) = (eps z/e)^z * r(z)."""
+def step_factor(order: int, power: int) -> ZSeries:
+    """r(z)^power, power = +-1: r(z) = eps*z*exp(x), x = (z+1)log(1+1/z) - 1, so
+    (eps(z+1)/e)^(z+1) = (eps z/e)^z * r(z) and 1/r = (eps*z)^(-1) exp(-x)."""
     lg = log1p_inv_z(order + 2)
-    s = lg.mul_zpow(1) + lg.truncate(order + 1)
-    exponent = (s - ZSeries.const(1, order + 1)).truncate(order + 1)
-    return exponent.exp().truncate(order + 1).mul_zpow(1).scale(EPS)
+    x = (lg.mul_zpow(1) + lg.truncate(order + 1) - ZSeries.const(1, order + 1)).truncate(order + 1)
+    e = (x if power == 1 else -x).exp().truncate(order + 1)
+    return e.mul_zpow(power).scale(EPS if power == 1 else EPS_INV)
 
 
 def _lam(h: ZSeries, cp: ZSeries, cm: ZSeries, drift: ZSeries) -> ZSeries:
@@ -74,17 +75,9 @@ def _lam(h: ZSeries, cp: ZSeries, cm: ZSeries, drift: ZSeries) -> ZSeries:
 
 
 def _operator_pieces(sigma: int, order: int):
-    r = step_factor(order + 2)  # top degree 1
-    r_down = r.shift(-1)  # eps*(z-1)*E(z-1)
-    if sigma == +1:
-        cp = r
-        cm = r_down.invert_unit_leading()
-        half = Fraction(1, 2)
-    else:
-        cp = r.invert_unit_leading()
-        cm = r_down
-        half = Fraction(-1, 2)
-    drift = ZSeries({1: EPS, 0: EpsLaurent.mono(1, half)}, top=1, order=order + 2)
+    cp = step_factor(order + 2, sigma)
+    cm = step_factor(order + 2, -sigma).shift(-1)  # r(z-1)^(-sigma)
+    drift = ZSeries({1: EPS, 0: EpsLaurent.mono(1, Fraction(sigma, 2))}, top=1, order=order + 2)
     return cp, cm, drift
 
 
@@ -132,24 +125,12 @@ def wave_residual(w: WaveExpansion, order: int) -> ZSeries:
 def wave_shift(w: WaveExpansion, c: int) -> WaveExpansion:
     """Re-express z -> (eps(z+c)/e)^(sigma(z+c)) h(z+c) on the base prefactor.
 
-    Composed from single steps; each step multiplies or divides by the one-step
-    prefactor ratio r(z) = eps*z*exp(...), raising or lowering the top degree.
+    Composed from single steps; a step up multiplies by r(z)^sigma, a step down by
+    r(z-1)^(-sigma), r(z) = eps*z*exp(...) the one-step prefactor ratio (`step_factor`).
     """
-    h = w.h
-    steps = abs(c)
-    for _ in range(steps):
-        if c > 0:
-            r = step_factor(h.order + 1)
-            if w.sigma == +1:
-                h = r * h.shift(1)
-            else:
-                h = r.invert_unit_leading() * h.shift(1)
-        else:
-            r = step_factor(h.order + 1).shift(-1)
-            if w.sigma == +1:
-                h = r.invert_unit_leading() * h.shift(-1)
-            else:
-                h = r * h.shift(-1)
+    h, d = w.h, 1 if c > 0 else -1
+    for _ in range(abs(c)):
+        h = step_factor(h.order + 1, w.sigma * d).shift(min(d, 0)) * h.shift(d)
     return WaveExpansion(w.sigma, h)
 
 

@@ -125,11 +125,13 @@ def plucker_coordinates(degree: int) -> dict[tuple[int, ...], EpsLaurent]:
 
 @dataclass(frozen=True)
 class SymmetricQuotient:
-    """det/Delta in N variables: {exponent tuple: coefficient}, totals >= -degree."""
+    """det/Delta in N variables, a symmetric series: {nu: coefficient of z^(-nu)} for
+    l(nu) <= N and |nu| <= degree.  An exponent tuple reads its sorted partition; one with a
+    positive exponent reads none, so zero."""
 
     nvars: int
     degree: int
-    c: dict[tuple[int, ...], EpsLaurent]
+    monomials: dict[tuple[int, ...], EpsLaurent]
 
     def coeff(self, t) -> EpsLaurent:
         t = tuple(t)
@@ -138,7 +140,13 @@ class SymmetricQuotient:
                 f"tuple {t} outside the expansion: {self.nvars} exponents with "
                 f"total >= -{self.degree}"
             )
-        return self.c.get(t, ZERO)
+        return self.monomials.get(tuple(sorted((-x for x in t if x), reverse=True)), ZERO)
+
+    @property
+    def c(self) -> dict[tuple[int, ...], EpsLaurent]:
+        """{exponent tuple: coefficient}, every arrangement of every nu written out."""
+        return {t: v for nu, v in self.monomials.items()
+                for t in _arrangements(tuple(-p for p in nu) + (0,) * (self.nvars - len(nu)))}
 
 
 def _arrangements(values: tuple[int, ...]):
@@ -163,12 +171,9 @@ class ZModelExpansion:
     def quotient(self) -> SymmetricQuotient:
         """sum pi_lam s_lam(1/z_1..1/z_N) in monomials, built on each access; callers hold it.
         The coefficient of z^(-nu), l(nu) <= N, is sum_lam pi_lam K_(lam,nu) by strip removal."""
-        c = {}
-        for nu, v in schur_to_monomials(self.plucker).items():
-            if len(nu) <= self.nvars:
-                padded = tuple(-p for p in nu) + (0,) * (self.nvars - len(nu))
-                c.update((t, v) for t in _arrangements(padded))
-        return SymmetricQuotient(self.nvars, self.degree, c)
+        mono = schur_to_monomials(self.plucker)
+        return SymmetricQuotient(self.nvars, self.degree,
+                                 {nu: v for nu, v in mono.items() if len(nu) <= self.nvars})
 
 
 def zmodel_expansion(nvars: int, degree: int) -> ZModelExpansion:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .epslaurent import EpsLaurent, ONE, ZERO
+from .epslaurent import EpsLaurent, ZERO
 
 
 class WindowError(Exception):
@@ -137,36 +137,6 @@ class ZSeries:
                 if d >= 0 and m > d:
                     break
         return ZSeries(out, top=self.top, order=self.order)
-
-    def invert(self) -> "ZSeries":
-        """Inverse of a series with constant term 1 and no positive part."""
-        if self.top > 0 or self.coeff(0) != ONE:
-            raise ValueError("invert requires constant term 1 and top degree <= 0")
-        u = ZSeries({d: -v for d, v in self.c.items() if d != 0}, top=-1, order=self.order)
-        # geometric series 1/(1-u) = sum u^k; u^k only reaches order -k
-        acc = ZSeries.const(1, self.order)
-        term = ZSeries.const(1, self.order)
-        for _ in range(self.order):
-            term = ZSeries(
-                (term * u).c, top=0, order=self.order
-            )  # window is exact here: u has top -1
-            if term.is_zero():
-                break
-            acc = acc + term
-        return ZSeries(acc.c, top=0, order=self.order)
-
-    def invert_unit_leading(self) -> "ZSeries":
-        """Inverse of a series whose top coefficient is a monomial in eps.
-
-        Factors out the leading monomial c*eps^k*z^top and inverts the rest.
-        """
-        lead = self.c.get(self.top)
-        if lead is None or len(lead.num) != 1:
-            raise ValueError("leading coefficient must be a single eps-monomial")
-        (e, v), = lead.num.items()
-        inv_lead = EpsLaurent.mono(-e, Fraction(lead.den, v))
-        body = self.mul_zpow(-self.top).scale(inv_lead)  # constant term 1
-        return body.invert().scale(inv_lead).mul_zpow(-self.top)
 
     def exp(self) -> "ZSeries":
         """exp of a series with top degree <= -1."""

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gwp1
-from gwp1 import waves
+from gwp1 import waves, zmodel
 from gwp1.epslaurent import EpsLaurent
 from gwp1.invariants import _cycle_sum, _edge, _weight, n_point_invariant
 from gwp1.zmodel import zmodel_expansion
@@ -421,6 +421,39 @@ def test_step_factor_consistency():
     rt = wave_shift(wave_shift(w, 1), -1).h
     for d in range(0, -5, -1):
         assert rt.coeff(d) == w.h.coeff(d)
+
+
+def invert_unit_leading(s):
+    """Inverse of a series whose top coefficient is an eps-monomial, by the geometric series."""
+    (e, v), = s.c[s.top].num.items()
+    inv_lead = EpsLaurent.mono(-e, Fraction(s.c[s.top].den, v))
+    body = s.mul_zpow(-s.top).scale(inv_lead)
+    assert body.coeff(0) == 1 and body.top == 0
+    # 1/(1 - u) = sum u^k, and u^k only reaches z^(-k)
+    u = ZSeries({d: -v for d, v in body.c.items() if d}, top=-1, order=body.order)
+    acc = term = ZSeries.const(1, body.order)
+    for _ in range(body.order):
+        term = ZSeries((term * u).c, top=0, order=body.order)
+        acc = acc + term
+    return ZSeries(acc.c, top=0, order=body.order).scale(inv_lead).mul_zpow(-s.top)
+
+
+@pytest.mark.parametrize("order", range(1, 13))
+def test_step_factor_power_is_the_inverse(order):
+    # r^(-1) from exp(-x) is the series inverse of r, also after the step down
+    for power in (1, -1):
+        for down in (0, -1):
+            got = step_factor(order, -power).shift(down)
+            want = invert_unit_leading(step_factor(order, power).shift(down))
+            assert (got.c, got.top, got.order) == (want.c, want.top, want.order)
+    one = step_factor(order, 1) * step_factor(order, -1)
+    assert one.eq_on_window(ZSeries.const(1, one.order))
+
+
+def test_bench_hit_ratios_read_lru_caches():
+    # the traced bench reports a cache's hit ratio only while it has cache_info
+    for f in (waves.solve_formal_wave, waves.normalized_quartet, zmodel.zmodel_entry):
+        assert callable(getattr(f, "cache_info", None)), f.__name__
 
 
 def test_shift_solves_shifted_equation():

@@ -1,14 +1,14 @@
 """Determinantal-model expansion: entries, worked example, stabilization."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from unittest import mock
 
 import pytest
 
 from gwp1.epslaurent import EpsLaurent
 from gwp1.invariants import free_energy
-from gwp1.miwa import partitions
+from gwp1.miwa import partitions, schur_to_monomials
 from gwp1 import waves
 from gwp1.waves import affine_coordinates, solve_formal_wave, wave_shift
 from gwp1.zmodel import (
@@ -188,6 +188,22 @@ def test_worked_example_coefficients():
 def test_quotient_is_symmetric():
     q = zmodel_expansion(3, 2).quotient
     assert q.coeff((-1, -1, 0)) == q.coeff((-1, 0, -1)) == q.coeff((0, -1, -1))
+
+
+@pytest.mark.parametrize("nvars, degree", [(3, 2), (4, 3), (5, 4), (6, 5)])
+def test_quotient_reads_every_arrangement(nvars, degree):
+    # the quotient holds one coefficient per partition; every ordering of the
+    # exponents, and every tuple with a positive exponent, reads through it
+    q = zmodel_expansion(nvars, degree).quotient
+    full = {}
+    for nu, v in schur_to_monomials(plucker_coordinates(degree)).items():
+        if len(nu) <= nvars:
+            padded = tuple(-p for p in nu) + (0,) * (nvars - len(nu))
+            full.update((t, v) for t in set(permutations(padded)))
+    assert q.c == full
+    for t in product(range(-degree, 2), repeat=nvars):
+        if sum(t) >= -degree:
+            assert q.coeff(t) == full.get(t, EpsLaurent.zero()), t
 
 
 def test_log_in_times_matches_free_energy():

@@ -50,24 +50,6 @@ def test_shift_round_trip():
         assert r.coeff(d) == s.coeff(d)
 
 
-def test_invert():
-    s = mk({0: 1, -1: -1}, top=0, order=6)
-    inv = s.invert()
-    prod = s * inv
-    assert prod.coeff(0) == 1
-    assert all(prod.coeff(-d) == EpsLaurent.zero() for d in range(1, prod.order + 1))
-    with pytest.raises(ValueError):
-        mk({0: 2}, top=0, order=3).invert()
-
-
-def test_invert_unit_leading():
-    s = ZSeries({1: EpsLaurent.mono(1, 2), 0: EpsLaurent.one()}, top=1, order=5)
-    inv = s.invert_unit_leading()
-    prod = s * inv
-    assert prod.coeff(0) == 1
-    assert all(prod.coeff(-d) == EpsLaurent.zero() for d in range(1, prod.order + 1))
-
-
 def test_exp_against_log():
     lg = log1p_inv_z(6)
     e = lg.exp()  # equals 1 + 1/z
