@@ -36,11 +36,18 @@ certificate holds.
 
 The orthogonality sums and the brute-force ensemble read one shared table of
 atoms per (a, working precision), `_atoms`, memoised for the most recent pair
-only: the weights e^(-a) a^n / n!, each pi_l's coefficients (plain and
-absolute) and the values pi_l(n + 1/2), all raw libmp tuples, grown one atom
-at a time when a caller first needs it.  A pairing is then three libmp
-operations per atom, acc += (pi_l pi_l') w, rounded to nearest as the mpf
-expressions they replace, so every sum is bit-identical to a fresh one.
+only: the weights e^(-a) a^n / n! as raw libmp tuples, and each pi_l's
+coefficients and values pi_l(n + 1/2) as (mantissa, exponent) pairs of Python
+ints, grown one atom at a time when a caller first needs it.  A pairing is
+then three integer steps per atom, acc += (pi_l pi_l') w, and Horner's
+acc*x + c two: each step forms the exact product or sum and rounds it once to
+the working precision, ties to even (`_rounded`).  libmp's mpf_mul and
+mpf_add at round_nearest are correctly rounded as well, so each step gives
+the very number the mpf expression gives, and every sum is bit-identical to a
+fresh mpf evaluation.  The tail bound's parts that do not depend on the pair
+(a/(n+1) < 1/2, r and 1 - r per atom and degree sum, and the
+absolute-coefficient value |pi_l|(x_n) per degree and atom) are held in the
+table too, so all the pairings at one (a, precision) compute each once.
 
 `brute_force_expectation` averages over the atoms directly, in O(n_max): as
 x_i - x_j = i - j, its L = 2 pair sums are moment forms (Heine's identity for a
@@ -60,8 +67,8 @@ from math import factorial, prod
 
 from mpmath import mp
 from mpmath.libmp import (
-    fone, fzero, from_int, from_man_exp, mpf_abs, mpf_add, mpf_div, mpf_lt, mpf_mul,
-    mpf_shift, round_nearest as _RND,
+    fone, from_int, from_man_exp, mpf_div, mpf_lt, mpf_mul, mpf_shift,
+    round_nearest as _RND,
 )
 
 from .waves import normalized_quartet
@@ -311,21 +318,22 @@ def charlier_value(ell: int, a, x) -> Fraction:
 class _Atoms:
     """The atoms x_n = n + 1/2 of one (a, wp), grown one atom at a time.
 
-    Raw mpf tuples at wp bits: `weights[n]` = e^(-a) a^n / n!,
-    `coefficients[l]` = (pi_l's coefficients, their absolute values) and
-    `values[l][n]` = pi_l(x_n).  Each is rounded by the same operations, in
-    the same order, as the mpf steps weight *= a/n and acc*x + c, so a sum
-    read from the table is bit-identical to one evaluated afresh.  The
-    weights always reach one atom past the longest row of values.
+    `weights[n]` = e^(-a) a^n / n! is a raw mpf tuple at wp bits;
+    `coefficients[l]` (pi_l's coefficients) and `values[l][n]` = pi_l(x_n)
+    are (mantissa, exponent) pairs at wp bits.  Each is rounded as the mpf
+    steps weight *= a/n and acc*x + c round it, so a sum read from the table
+    is bit-identical to one evaluated afresh.  The weights always reach one
+    atom past the longest row of values.  The tail bound's pair-free parts
+    are held as mpf once first asked for: `stops[n, deg]` = 1 - r (or 0
+    while its test fails) and `bounds[l, n]` = |pi_l|(x_n).
     """
 
     def __init__(self, a: Fraction, wp: int):
         self.a, self.wp = a, wp
         with mp.workprec(wp):
-            self.a_m = mp.mpf(a.numerator) / a.denominator
+            self.a_m = _to_mpf(a)
             self.weights = [(mp.e ** (-self.a_m))._mpf_]
-        self.coefficients: dict[int, tuple[list, list]] = {}
-        self.values: dict[int, list] = {}
+        self.coefficients, self.values, self.stops, self.bounds = {}, {}, {}, {}
 
     def grow(self, count: int, *degrees: int) -> None:
         """Hold the weights of atoms 0..count and, for each listed degree l,
@@ -337,13 +345,30 @@ class _Atoms:
         for ell in degrees:
             if ell not in self.values:
                 with mp.workprec(wp):
-                    plain = [mp.convert(c)._mpf_ for c in charlier_poly(ell, self.a).coefficients]
-                self.coefficients[ell] = (plain, [mpf_abs(c) for c in plain])
+                    self.coefficients[ell] = [
+                        _dyadic(mp.convert(c))[:2] for c in charlier_poly(ell, self.a).coefficients]
                 self.values[ell] = []
             values = self.values[ell]
             while len(values) < count:
-                x = from_man_exp(2 * len(values) + 1, -1)
-                values.append(_horner_raw(self.coefficients[ell][0], x, wp))
+                values.append(_horner(self.coefficients[ell], 2 * len(values) + 1, -1, wp))
+
+    def stop(self, n, deg):
+        """1 - r for r = a/(n+1) (1 + 1/(n + 1/2))^deg, the growth of the
+        absolute-coefficient majorant per unit step, or 0 unless
+        a/(n+1) < 1/2 and r < 1/2; at the caller's working precision, wp."""
+        if (n, deg) not in self.stops:
+            half = mp.mpf(1) / 2
+            ratio = self.a_m / (n + 1)
+            r = ratio * (1 + 1 / (n + half)) ** deg if ratio < half else half
+            self.stops[n, deg] = 1 - r if r < half else 0
+        return self.stops[n, deg]
+
+    def bound(self, ell, n):
+        """|pi_l|(x_n), pi_l's absolute coefficients summed at x_n by Horner."""
+        if (ell, n) not in self.bounds:
+            self.bounds[ell, n] = mp.make_mpf(from_man_exp(*_horner(
+                [(abs(m), e) for m, e in self.coefficients[ell]], 2 * n + 1, -1, self.wp)))
+        return self.bounds[ell, n]
 
 
 @lru_cache(maxsize=1)
@@ -353,12 +378,34 @@ def _atoms(a: Fraction, wp: int) -> _Atoms:
     return _Atoms(a, wp)
 
 
-def _horner_raw(coefficients, x, wp: int):
-    """sum_i c_i x^i over raw mpf tuples, each step acc*x + c rounded to wp."""
-    acc = fzero
-    for c in reversed(coefficients):
-        acc = mpf_add(mpf_mul(acc, x, wp, _RND), c, wp, _RND)
-    return acc
+def _rounded(man, exp, wp: int, other=0, other_exp=0):
+    """The (mantissa, exponent) pair of man 2^exp + other 2^other_exp,
+    summed exactly and rounded once to wp bits, ties to even.
+
+    libmp's mpf_add and mpf_mul at round_nearest are correctly rounded too,
+    so this equals mpf_add on the two terms and, as _rounded(m1 m2, e1 + e2,
+    wp), mpf_mul on two factors, bit for bit.  Adding 2^(shift-1) - 1, and
+    1 more when the kept part is odd, makes the floor round up past the
+    halfway point, and at it only to an even kept part."""
+    if other:
+        if exp > other_exp:
+            man, exp, other, other_exp = other, other_exp, man, exp
+        man += other << other_exp - exp
+    mag = abs(man)
+    shift = mag.bit_length() - wp
+    if shift <= 0:
+        return man, exp
+    mag = (mag + (mag >> shift & 1) + (1 << shift - 1) - 1) >> shift
+    return (mag if man > 0 else -mag), exp + shift
+
+
+def _horner(coefficients, x_man, x_exp, wp: int):
+    """sum_i c_i x^i over (mantissa, exponent) pairs, each step acc*x + c
+    rounded to wp."""
+    acc, acc_exp = coefficients[-1]  # 0 x + c, exact as c has at most wp bits
+    for c_man, c_exp in reversed(coefficients[:-1]):
+        acc, acc_exp = _rounded(*_rounded(acc * x_man, acc_exp + x_exp, wp), wp, c_man, c_exp)
+    return acc, acc_exp
 
 
 def charlier_orthogonality_sum(ell: int, ellp: int, a, tol, prec: int = 128):
@@ -368,7 +415,14 @@ def charlier_orthogonality_sum(ell: int, ellp: int, a, tol, prec: int = 128):
     The truncation index is raised until a geometric bound certifies the
     discarded tail below tol/4; failing that is an error.  Weights and
     polynomial values are read from the shared atom table `_atoms(a, wp)`,
-    so each atom costs three libmp operations at wp: acc += (p q) w.
+    so each atom costs three integer steps at wp, acc += (p q) w, each one
+    rounded to nearest-even by `_rounded` as the libmp step it stands for.
+
+    From atom n >= 1 on, x >= 3/2, and the abs-coefficient Horner value of a
+    monic pi_l is >= x^l >= 1; with 1/(1 - r) >= 1 the tail bound is >= the
+    weight.  The tail test can only pass once weight < tol/4, so skipping it
+    while weight >= tol/2 (the 2 absorbs rounding) never moves the stopping
+    index.
     """
     a = _as_fraction(a)
     if ell < 0 or ellp < 0:
@@ -386,42 +440,29 @@ def charlier_orthogonality_sum(ell: int, ellp: int, a, tol, prec: int = 128):
         a_m, weights = atoms.a_m, atoms.weights
         p_x, q_x = atoms.values[ell], atoms.values[ellp]
         half_tol = (tol_m / 2)._mpf_
-        acc = fzero
-        n = held = 0
+        acc = acc_exp = n = held = 0
         n_cap = 64 * (prec + deg + int(a_m) + 4)
         while True:
             if n == held:
                 atoms.grow(n + 1, ell, ellp)
                 held = min(len(p_x), len(q_x))
-            acc = mpf_add(acc, mpf_mul(mpf_mul(p_x[n], q_x[n], wp, _RND),
-                                       weights[n], wp, _RND), wp, _RND)
+            (p_man, p_exp), (q_man, q_exp) = p_x[n], q_x[n]
+            _, w_man, w_exp, _ = weights[n]  # weights are positive
+            term, exp = _rounded(p_man * q_man, p_exp + q_exp, wp)
+            acc, acc_exp = _rounded(acc, acc_exp, wp, *_rounded(term * w_man, exp + w_exp, wp))
             n += 1
-            # Here n >= 1, so x >= 3/2, and the abs-coefficient Horner value of
-            # a monic pi_l is >= x^l >= 1; with 1/(1 - r) >= 1 the tail below
-            # is >= weight.
-            # The tail test can only pass once weight < tol/4, so skipping it
-            # while weight >= tol/2 (the 2 absorbs rounding) never moves the
-            # stopping index.
-            if mpf_lt(weights[n], half_tol) and a_m / (n + 1) < mp.mpf(1) / 2:
-                # growth of the absolute-coefficient majorant per unit step
-                g = (1 + 1 / (n + mp.mpf(1) / 2)) ** deg
-                r = (a_m / (n + 1)) * g
-                if r < mp.mpf(1) / 2:
-                    x = from_man_exp(2 * n + 1, -1)
-                    p_abs, q_abs = (
-                        mp.make_mpf(_horner_raw(atoms.coefficients[l][1], x, wp))
-                        for l in (ell, ellp)
-                    )
-                    tail = p_abs * q_abs * mp.make_mpf(weights[n]) / (1 - r)
-                    if tail < tol_m / 4:
-                        break
+            if mpf_lt(weights[n], half_tol) and (stop := atoms.stop(n, deg)):
+                tail = (atoms.bound(ell, n) * atoms.bound(ellp, n)
+                        * mp.make_mpf(weights[n]) / stop)
+                if tail < tol_m / 4:
+                    break
             if n > n_cap:
                 raise RuntimeError(
                     "tail bound unachievable at the requested tolerance"
                 )
         target = a_m**ell * factorial(ell) if ell == ellp else mp.mpf(0)
     with mp.workprec(prec):
-        return +mp.make_mpf(acc), +target
+        return +mp.make_mpf(from_man_exp(acc, acc_exp)), +target
 
 
 def charlier_orthogonality_check(ell: int, ellp: int, a, tol, prec: int = 128) -> bool:
@@ -631,7 +672,8 @@ def char_poly_expectation(L: int, a, us, prec: int = 128):
             raise ValueError("evaluation points must be distinct")
         atoms = _atoms(a, wp)
         atoms.grow(0, *range(L, L + n))
-        mat = [[mp.make_mpf(_horner_raw(atoms.coefficients[L + k][0], u._mpf_, wp))
+        mat = [[mp.make_mpf(from_man_exp(*_horner(atoms.coefficients[L + k],
+                                                  *_dyadic(u)[:2], wp)))
                 for k in range(n)] for u in us_m]
         vdm = mp.fprod(us_m[k] - us_m[j] for j in range(n) for k in range(j + 1, n))
         val = mp.det(mp.matrix(mat)) / vdm

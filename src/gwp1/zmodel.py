@@ -191,7 +191,18 @@ def zmodel_expansion(nvars: int, degree: int) -> ZModelExpansion:
 
 
 def stabilization_check(degree: int, n1: int, n2: int) -> bool:
-    """The time-variable logarithm must agree between two variable counts."""
+    """The time-variable logarithm must agree between two variable counts.
+
+    N-stability is a theorem here, so the check holds by construction.  Take
+    |lam| <= degree < n and pad lam with zeros to n parts.  In the n x n
+    E-frame minor pi_lam = det([z^(j-1-lam_j)] E_k)_{j,k=1..n}, each row
+    j > l(lam) has lam_j = 0 and reads [z^(j-1)] of E_k, a monic series
+    z^(k-1)(1 + O(1/z)): 0 for k < j and 1 for k = j.  So the minor is block
+    upper triangular, with a unit upper-triangular block in rows and columns
+    l(lam)+1..n, and equals the l(lam) x l(lam) minor of E_1..E_l(lam)
+    whatever n is.  Both expansions compute pi_lam by Giambelli, which reads
+    no n at all, so the two logarithms agree for any n1, n2 > degree.
+    """
     e1 = zmodel_expansion(n1, degree)
     e2 = zmodel_expansion(n2, degree)
     return e1.log_in_times == e2.log_in_times

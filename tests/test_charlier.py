@@ -1,12 +1,14 @@
 """Numeric pipeline: Bessel series, Charlier polynomials, limits, ensembles."""
 
 import random
+import sys
 from fractions import Fraction
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
+from mpmath.libmp import from_man_exp, fzero, mpf_add, mpf_mul, round_nearest
 
 from gwp1 import charlier
 from gwp1.charlier import (
@@ -14,6 +16,7 @@ from gwp1.charlier import (
     _RGAMMA_HELD,
     _atoms,
     _rgamma_dyadic,
+    _rounded,
     asymptotic_match_check,
     bessel_j,
     brute_force_expectation,
@@ -327,16 +330,119 @@ def orthogonality_reference(ell, ellp, a, tol, prec):
 
 # 1 and 5/2 give dyadic coefficients; 7/3 makes every conversion round.  At
 # a = 1/1000 the ratio a/(n+1) is below 1/2 from the first step on, so only the
-# weight gates the tail test; at a = 9 the weights peak late, near n = 9.
-@pytest.mark.parametrize("prec", [128, 640])
+# weight gates the tail test; at a = 9 the weights peak late, near n = 9.  The
+# benchmark sweeps a = 1, 2, 3 over 256..768 bits; 300 and 767 sit in its
+# lowest and highest bands.
+@pytest.mark.parametrize("prec", [128, 640, 300, 767])
 @pytest.mark.parametrize("a", [Fraction(1), Fraction(5, 2), Fraction(7, 3),
-                               Fraction(1, 1000), Fraction(9)])
+                               Fraction(1, 1000), Fraction(9), Fraction(2), Fraction(3)])
 def test_orthogonality_sums_bit_identical(a, prec):
     tol = mp.mpf(2) ** -(prec // 2)
     for ell in range(4):
         for ellp in range(ell, 4):
             assert (charlier_orthogonality_sum(ell, ellp, a, tol, prec)
                     == orthogonality_reference(ell, ellp, a, tol, prec)), (ell, ellp)
+
+
+def _random_operand(rng, wp, top):
+    man = rng.getrandbits(rng.randint(1, top)) | 1
+    return (-man if rng.random() < 0.5 else man), rng.randint(-3 * wp, wp)
+
+
+@pytest.mark.parametrize("wp", [53, 158, 330, 797])
+def test_rounded_steps_match_libmp(wp):
+    """`_rounded` on an exact product or sum equals libmp's mpf_mul / mpf_add
+    at round_nearest and wp bits."""
+    rng = random.Random(wp)
+
+    def check(m1, e1, m2, e2):
+        x, y = from_man_exp(m1, e1), from_man_exp(m2, e2)
+        assert from_man_exp(*_rounded(m1 * m2, e1 + e2, wp)) == mpf_mul(x, y, wp, round_nearest)
+        assert from_man_exp(*_rounded(m1, e1, wp, m2, e2)) == mpf_add(x, y, wp, round_nearest)
+        assert from_man_exp(*_rounded(m2, e2, wp, m1, e1)) == mpf_add(y, x, wp, round_nearest)
+
+    for _ in range(300):  # operands of up to wp bits, as the atom table holds
+        check(*_random_operand(rng, wp, wp), *_random_operand(rng, wp, wp))
+    for _ in range(100):  # wider operands: products and sums that round far down
+        check(*_random_operand(rng, wp, 3 * wp), *_random_operand(rng, wp, 3 * wp))
+    for _ in range(100):  # exponent gaps past 100 bits: mpf_add's perturbation branch
+        m1, e1 = _random_operand(rng, wp, wp)
+        m2, _ = _random_operand(rng, wp, wp)
+        gap = rng.choice([101, 102, wp + 3, wp + 4, wp + 5, 2 * wp, 3 * wp + 7])
+        for e2 in (e1 + gap, e1 - gap):
+            check(m1, e1, m2, e2)
+            check(m1, e1, -m2, e2)
+    for _ in range(50):  # a zero accumulator, as the pair loop starts
+        m, e = _random_operand(rng, wp, wp)
+        x = from_man_exp(m, e)
+        assert from_man_exp(*_rounded(0, 0, wp, m, e)) == mpf_add(fzero, x, wp, round_nearest)
+        assert from_man_exp(*_rounded(m, e, wp, 0, 0)) == mpf_add(x, fzero, wp, round_nearest)
+    # exact ties: 2k + 1 has wp + 1 bits, halfway between 2k and 2k + 2,
+    # so it rounds down for even k and up for odd k, to an even mantissa
+    for _ in range(50):
+        k = rng.getrandbits(wp - 1) | 1 << (wp - 1)
+        for kk in (k & ~1, k | 1):
+            for sign in (1, -1):
+                man, exp = _rounded(sign * (2 * kk + 1), -5, wp)
+                assert (man, exp) == (sign * (kk + (kk & 1)), -4)
+                check(sign * 2 * kk, -5, 1, -5)
+                check(sign * (2 * kk + 1), 0, 1, 0)  # a tied product
+                check(sign * 2 * kk, -5, -1, -5)
+
+
+def test_tail_parts_are_computed_once_per_table(monkeypatch):
+    """Over the ten pairs l <= l' <= 3 at one (a, prec), each |pi_l|(x_n) and
+    each (n, l + l') ratio bound is computed at most once, and the pair loop
+    makes no libmp mpf_mul or mpf_add call."""
+    a, prec = Fraction(2), 300
+    tol = mp.mpf(2) ** -(prec // 2)
+    pairs = [(ell, ellp) for ell in range(4) for ellp in range(ell, 4)]
+    _atoms.cache_clear()
+    horner_calls, powers, libmp_calls = [], [], {"mpf_mul": 0, "mpf_add": 0}
+    horner = charlier._horner
+
+    def counting_horner(coefficients, x_man, x_exp, wp):
+        caller = sys._getframe(1).f_code.co_name
+        horner_calls.append((caller, tuple(coefficients), x_man, x_exp))
+        return horner(coefficients, x_man, x_exp, wp)
+
+    mpf_type = type(mp.mpf(1))
+    power = mpf_type.__pow__
+
+    def counting_power(base, exponent):
+        powers.append((base, exponent))
+        return power(base, exponent)
+
+    def counting(name, fn):
+        def wrapped(*args):
+            libmp_calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(charlier, "_horner", counting_horner)
+    monkeypatch.setattr(mpf_type, "__pow__", counting_power)
+    for name, fn in (("mpf_mul", mpf_mul), ("mpf_add", mpf_add)):
+        monkeypatch.setattr(charlier, name, counting(name, fn), raising=False)
+    first = [charlier_orthogonality_sum(ell, ellp, a, tol, prec) for ell, ellp in pairs]
+    atoms = _atoms(a, prec + _GUARD_BITS)
+    bounds = [call for call in horner_calls if call[0] == "bound"]
+    values = [call for call in horner_calls if call[0] == "grow"]
+    assert len(bounds) == len(set(bounds)) == len(atoms.bounds) > 10
+    assert len(values) == len(set(values)) == sum(map(len, atoms.values.values()))
+    assert len(horner_calls) == len(bounds) + len(values)
+    # one power per (n, l + l') stop part: its base 1 + 1/(n + 1/2) names n
+    ratio_powers = [(base, deg) for base, deg in powers if isinstance(deg, int)
+                    and base != atoms.a_m]
+    assert len(ratio_powers) == len(set(ratio_powers)) == sum(
+        1 for n, deg in atoms.stops if atoms.a_m / (n + 1) < mp.mpf(1) / 2) > 10
+    # libmp multiplies only to grow the weights, and adds nowhere
+    assert libmp_calls == {"mpf_mul": len(atoms.weights) - 1, "mpf_add": 0}
+    # a second pass reads the warm table: no Horner, no power, no libmp step
+    del horner_calls[:], powers[:]
+    libmp_calls.update(mpf_mul=0, mpf_add=0)
+    assert [charlier_orthogonality_sum(ell, ellp, a, tol, prec) for ell, ellp in pairs] == first
+    assert horner_calls == [] and libmp_calls == {"mpf_mul": 0, "mpf_add": 0}
+    assert [deg for _, deg in powers if isinstance(deg, int)] == [0, 1, 2, 3]  # the targets a^l
 
 
 def test_orthogonality_sums_ignore_table_state():

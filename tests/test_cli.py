@@ -1,10 +1,14 @@
 """CLI surface: output shapes, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import gwp1
 from gwp1.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -23,6 +27,9 @@ GOLDEN = {
     "zmodel_5_4_miwa": ["zmodel", "--n", "5", "--degree", "4", "--miwa"],
     "charlier_limit": ["charlier", "--check", "limit"],
     "charlier_asymptotics": ["charlier", "--check", "asymptotics"],
+    "charlier_orthogonality": ["charlier", "--check", "orthogonality", "--a", "7/3",
+                               "--prec", "256"],
+    "charlier_charpoly": ["charlier", "--check", "charpoly", "--a", "7/3", "--prec", "256"],
     "wave_f_8": ["wave", "--which", "f", "--order", "8"],
     "wave_g_8": ["wave", "--which", "g", "--order", "8"],
     "wave_oracle_8": ["wave-oracle", "--order", "8"],
@@ -45,6 +52,15 @@ def test_golden_stdout(capsys, name):
     code, out = run(capsys, *GOLDEN[name])
     assert code == 0
     assert out.encode() == (GOLDEN_DIR / f"{name}.txt").read_bytes()
+
+
+def test_python_m_gwp1_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(Path(gwp1.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "gwp1", "selftest", "--only", "charlier-orthogonality"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["passed"] is True
 
 
 def test_wave_g_order_zero(capsys):
