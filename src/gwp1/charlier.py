@@ -485,7 +485,7 @@ def _wave_arguments(z, eps, prec: int):
     z_m = _to_mpf(z)
     eps_m = _to_mpf(eps)
     if eps_m <= 0:
-        raise ValueError("eps must be positive")
+        raise ValueError(f"need eps > 0, got eps={eps}")
     nu = z_m + mp.mpf(1) / 2
     if abs(nu - mp.nint(nu)) < mp.mpf(2) ** (-prec // 2):
         raise ValueError(
@@ -617,10 +617,10 @@ def charlier_scaling_limit_check(zeta, ell: int, eps, L_list, prec: int) -> Scal
     zeta_q = _as_fraction(zeta)
     eps_q = _as_fraction(eps)
     if eps_q <= 0:
-        raise ValueError("eps must be positive")
+        raise ValueError(f"need eps > 0, got eps={eps_q}")
     L_list = sorted(int(L) for L in L_list)
     if any(L < ell + 1 for L in L_list):
-        raise ValueError("every L must be at least ell + 1")
+        raise ValueError(f"need every L >= ell + 1 = {ell + 1}, got L={L_list[0]}")
     repeated = sorted({L for L in L_list if L_list.count(L) > 1})
     if repeated:
         raise ValueError(f"sizes L must be distinct; repeated: {repeated}")

@@ -131,7 +131,7 @@ def n_point_invariant(ks: Iterable[int], check_stability: bool = True) -> Invari
 def _n_point_invariant(ks: tuple[int, ...], check_stability: bool) -> InvariantRecord:
     """Zeros are derived from the rest of ks, whose order the record keeps."""
     if any(k < 0 for k in ks):
-        raise ValueError("all k must be >= 0")
+        raise ValueError(f"all k must be >= 0, got ks={ks}")
     if len(ks) == 0:
         raise ValueError("need at least one insertion")
     base = tuple(k for k in ks if k) or (0,)
@@ -164,7 +164,7 @@ def invariant_by_genus(ks) -> dict[int, Fraction]:
     out: dict[int, Fraction] = {}
     for e in rec.value.exponents():
         if (e + 2) % 2 != 0 or e < -2:
-            raise ValueError(f"unexpected eps-exponent {e} in invariant {ks}")
+            raise RuntimeError(f"unexpected eps-exponent {e} in invariant {ks}")
         out[(e + 2) // 2] = rec.value[e]
     return out
 

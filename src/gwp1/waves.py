@@ -91,7 +91,7 @@ def solve_formal_wave(sigma: int, order: int) -> WaveExpansion:
     if sigma not in (+1, -1):
         raise ValueError("sigma must be +1 or -1")
     if order < 1:
-        raise ValueError("order must be >= 1")
+        raise ValueError(f"order must be >= 1, got order={order}")
     cp, cm, drift = _operator_pieces(sigma, order)
     h = ZSeries.const(1, order + 2)
     resid = _lam(h, cp, cm, drift)
@@ -154,7 +154,7 @@ class _Rows:
 
     def __init__(self):
         self.t, self.kl, self.big_d, self.sigma = [0], {}, [1], [1]  # t[m] = T_m, t[0] = 0
-        self.stirling, self.q, self.big_l, self.a, self.at, self.dens = [], [], 1, [], [], []
+        self.q, self.big_l, self.a, self.at, self.dens = [], 1, [], [], []
         self.diagonals: dict[int, dict[int, EpsLaurent]] = {}
 
     def tangents(self, m: int) -> list[int]:
@@ -185,7 +185,7 @@ class _Rows:
                          for k in range(1, j + 1, 2)]
                 big_d.append(d := lcm(*(den for _, den, _ in terms)))
                 sigma.append(sum(num * (d // den) * s for num, den, s in terms))
-            self.stirling.append(x := Fraction(sigma[j], big_d[j] * factorial(j)))
+            x = Fraction(sigma[j], big_d[j] * factorial(j))
             rho = lcm(self.big_l, x.denominator) // self.big_l
             self.big_l *= rho
             q = self.q + [0]  # Q_j[j-1] = 0
@@ -223,12 +223,6 @@ def _quartet_ints(order: int):
     if len(_ROWS.dens) <= order:
         _ROWS.grow(order)
     return _ROWS.a, _ROWS.at, _ROWS.dens
-
-
-def _stirling_series(order: int) -> list[Fraction]:
-    """w^0..w^order of S, w = 1/z, from the row table."""
-    _quartet_ints(order)
-    return _ROWS.stirling[:order + 1]
 
 
 @lru_cache(maxsize=None)

@@ -184,7 +184,7 @@ def zmodel_expansion(nvars: int, degree: int) -> ZModelExpansion:
     power sums p_1..p_degree of nvars > degree variables are independent.
     """
     if nvars <= degree:
-        raise ValueError("need nvars > degree for a faithful time expansion")
+        raise ValueError(f"need nvars > degree, got nvars={nvars}, degree={degree}")
     plucker = plucker_coordinates(degree)
     logs = log_power_sums(schur_to_power_sums(plucker), degree)
     return ZModelExpansion(nvars, degree, plucker, power_sums_to_times(logs, degree))

@@ -22,7 +22,7 @@ class ZSeries:
 
     def __init__(self, coeffs: dict[int, EpsLaurent], top: int, order: int):
         if order < 0:
-            raise ValueError("truncation order must be >= 0")
+            raise ValueError(f"truncation order must be >= 0, got order={order}")
         self.top = top
         self.order = order
         self.c = {d: v for d, v in coeffs.items() if v and -order <= d <= top}

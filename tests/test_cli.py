@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import gwp1
+from gwp1 import invariants
 from gwp1.cli import main
+from gwp1.epslaurent import EpsLaurent
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -34,6 +36,50 @@ GOLDEN = {
     "wave_g_8": ["wave", "--which", "g", "--order", "8"],
     "wave_oracle_8": ["wave-oracle", "--order", "8"],
 }
+
+
+# every argv here exits 2 with empty stdout and a stderr that names the limit and the
+# offending value: argv -> (limit, value)
+USAGE_ERRORS = {
+    ("charlier", "--check", "residuals", "--eps", "0"): ("eps > 0", "eps=0"),
+    ("charlier", "--check", "residuals", "--eps", "-1"): ("eps > 0", "eps=-1"),
+    ("charlier", "--check", "asymptotics", "--eps", "0"): ("eps > 0", "eps=0"),
+    ("charlier", "--check", "asymptotics", "--eps", "-1"): ("eps > 0", "eps=-1"),
+    ("charlier", "--check", "limit", "--eps=-1/2"): ("eps > 0", "eps=-1/2"),
+    ("charlier", "--check", "limit", "--L", "0"): ("L >= ell + 1 = 1", "L=0"),
+    ("charlier", "--check", "limit", "--L", "20", "-3"): ("L >= ell + 1 = 1", "L=-3"),
+    ("charlier", "--check", "orthogonality", "--a", "0"): ("a must be positive", "a=0"),
+    ("charlier", "--check", "orthogonality", "--a=-1"): ("a must be positive", "a=-1"),
+    ("charlier", "--check", "charpoly", "--a", "0"): ("a must be positive", "a=0"),
+    ("charlier", "--check", "charpoly", "--a=-2/3"): ("a must be positive", "a=-2/3"),
+    ("charlier", "--check", "charpoly", "--a", "2000"):
+        ("60 + prec/8 + 8a atoms, at most 10000", "got 16076 (a=2000, prec=128)"),
+    ("charlier", "--check", "charpoly", "--prec", "80000"):
+        ("60 + prec/8 + 8a atoms, at most 10000", "got 10068 (a=1, prec=80000)"),
+    ("charlier", "--check", "limit", "--L", "20"): ("at least two sizes", "got [20]"),
+    ("charlier", "--check", "limit", "--L", "20", "40", "20"): ("distinct", "repeated: [20]"),
+    ("zmodel", "--n", "6", "--degree", "6"): ("nvars > degree", "nvars=6, degree=6"),
+    ("zmodel", "--n", "6", "--degree", "7", "--check-stabilization"):
+        ("nvars > degree", "nvars=6, degree=7"),
+    ("zmodel", "--n", "3", "--degree", "3"): ("nvars > degree", "nvars=3, degree=3"),
+    ("zmodel", "--n", "3", "--degree", "3", "--check-stabilization"):
+        ("nvars > degree", "nvars=3, degree=3"),
+    ("invariant", "--ks", "x,y"): ("malformed ks list", "'x,y'"),
+    ("invariant", "--ks", "1,-1"): ("k must be >= 0", "ks=(1, -1)"),
+    ("wave", "--which", "f", "--order", "-1"): ("order must be >= 0", "order=-1"),
+    ("wave-oracle", "--order", "0"): ("order must be >= 1", "order=0"),
+    ("free-energy", "--max-weight", "0"): ("max weight must be >= 1", "got 0"),
+    ("zmodel", "--n", "3", "--degree", "0"): ("n and degree must be >= 1", "degree=0"),
+    ("--prec", "7", "wave", "--which", "f", "--order", "1"): ("at least 8 bits", "got 7"),
+}
+
+
+def assert_usage_error(capsys, argv):
+    limit, value = USAGE_ERRORS[tuple(argv)]
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: ") and limit in err and value in err
 
 
 def run(capsys, *argv):
@@ -98,8 +144,7 @@ def test_invariant_by_genus(capsys):
 
 
 def test_invariant_usage_error(capsys):
-    code = main(["invariant", "--ks", "x,y"])
-    assert code == 2
+    assert_usage_error(capsys, ["invariant", "--ks", "x,y"])
 
 
 def test_missing_command_is_usage_error():
@@ -154,11 +199,7 @@ def test_zmodel_past_old_window_matches_free_energy(capsys, argv):
 def test_zmodel_past_window_is_usage_error(capsys, argv):
     # the only window left is n > degree: six variables no longer hit a
     # separate variable-count limit
-    code = main(argv)
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "usage error" in err and "n > degree" in err and "n=6" in err
-    assert "n <= 5" not in err and "needs 6 variables" not in err
+    assert_usage_error(capsys, argv)
 
 
 @pytest.mark.parametrize("argv", [
@@ -166,11 +207,7 @@ def test_zmodel_past_window_is_usage_error(capsys, argv):
     ["zmodel", "--n", "3", "--degree", "3", "--check-stabilization"],
 ])
 def test_zmodel_degree_not_below_n_is_usage_error(capsys, argv):
-    code = main(argv)
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "usage error" in err and "n > degree" in err
-    assert "n=3" in err and "degree=3" in err
+    assert_usage_error(capsys, argv)
 
 
 def test_deterministic_output(capsys):
@@ -192,31 +229,14 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(path.read_text()) == {"-2": "1", "0": "-1/24"}
 
 
-def test_config_file(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"format": "csv"}))
-    code, out = run(capsys, "--config", str(cfg), "invariant", "--ks", "0")
-    assert code == 0
-    assert out.splitlines()[0] == "key,value"
-
-
-@pytest.mark.parametrize("config, key", [({"format": "xml"}, "format"),
-                                         ({"bogus": 1}, "bogus")])
-def test_config_value_is_checked_like_its_flag(tmp_path, capsys, config, key):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    code = main(["--config", str(cfg), "invariant", "--ks", "0"])
-    out, err = capsys.readouterr()
-    assert code == 2 and out == ""
-    assert "usage error" in err and repr(key) in err
-
-
-def test_bad_prec_env_is_usage_error(monkeypatch, capsys):
+def test_removed_settings_are_usage_errors(monkeypatch, capsys):
+    # --format, --output and --prec are the only settings
+    for argv in (["--config", "f", "invariant", "--ks", "0"],
+                 ["selftest", "--only", "wave-coefficients", "--json"]):
+        assert run(capsys, *argv) == (2, "")
+    _, plain = run(capsys, "charlier", "--check", "limit")
     monkeypatch.setenv("GWP1_PREC", "abc")
-    code = main(["charlier", "--check", "limit"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "usage error" in err and "GWP1_PREC" in err
+    assert run(capsys, "charlier", "--check", "limit") == (0, plain)
 
 
 def test_charlier_limit_rows(capsys):
@@ -232,10 +252,7 @@ def test_charlier_limit_rows(capsys):
 
 def test_charlier_limit_repeated_size_is_usage_error(capsys):
     # a repeated L would compare a row with itself in the monotonicity flag
-    code = main(["charlier", "--check", "limit", "--L", "20", "40", "20"])
-    out, err = capsys.readouterr()
-    assert code == 2 and out == ""
-    assert "usage error" in err and "distinct L" in err and "got 20 more than once" in err
+    assert_usage_error(capsys, ["charlier", "--check", "limit", "--L", "20", "40", "20"])
 
 
 def test_charlier_residual_rows(capsys):
@@ -258,7 +275,7 @@ def test_charlier_charpoly_sizes_its_sum(capsys, option):
 
 
 def test_selftest_single_check(capsys):
-    code, doc = run_json(capsys, "selftest", "--only", "wave-coefficients", "--json")
+    code, doc = run_json(capsys, "selftest", "--only", "wave-coefficients")
     assert code == 0
     assert doc["passed"] is True
     assert doc["rows"][0]["name"] == "wave-coefficients"
@@ -271,35 +288,39 @@ def test_selftest_unknown_check_fails(capsys):
     assert "wave-coefficients" in err and "asymptotics" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["charlier", "--check", "residuals", "--eps", "0"],
-    ["charlier", "--check", "residuals", "--eps", "-1"],
-    ["charlier", "--check", "asymptotics", "--eps", "0"],
-    ["charlier", "--check", "asymptotics", "--eps", "-1"],
-    ["charlier", "--check", "limit", "--eps=-1/2"],
-    ["charlier", "--check", "limit", "--L", "0"],
-    ["charlier", "--check", "limit", "--L", "20", "-3"],
-    ["charlier", "--check", "orthogonality", "--a", "0"],
-    ["charlier", "--check", "orthogonality", "--a=-1"],
-    ["charlier", "--check", "charpoly", "--a", "0"],
-    ["charlier", "--check", "charpoly", "--a=-2/3"],
-    ["charlier", "--check", "charpoly", "--a", "2000"],
-    ["charlier", "--check", "charpoly", "--prec", "80000"],
-    ["charlier", "--check", "limit", "--L", "20"],
-])
+@pytest.mark.parametrize("argv", [list(argv) for argv in USAGE_ERRORS if argv[0] == "charlier"
+                                  and argv[-3:] != ("20", "40", "20")])
 def test_charlier_nonpositive_eps_is_usage_error(capsys, argv):
-    # the message names the limit of the offending option
-    if argv[-2:] == ["--L", "20"]:
-        limit = "at least two sizes"
-    elif "--L" in argv:
-        limit = "L >= 1"
-    elif argv[-1] in ("2000", "80000"):
-        limit = "60 + prec/8 + 8a atoms, at most 10000"
-    elif any(arg.startswith("--a") for arg in argv):
-        limit = "a > 0"
-    else:
-        limit = "eps > 0"
-    code = main(argv)
-    out, err = capsys.readouterr()
-    assert code == 2 and out == ""
-    assert "usage error" in err and limit in err
+    assert_usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariant", "--ks", "1,-1"],
+    ["wave", "--which", "f", "--order", "-1"],
+    ["wave-oracle", "--order", "0"],
+    ["free-energy", "--max-weight", "0"],
+    ["zmodel", "--n", "3", "--degree", "0"],
+    ["--prec", "7", "wave", "--which", "f", "--order", "1"],
+])
+def test_usage_error_names_limit_and_value(capsys, argv):
+    # limits the library checks reach the command line as its ValueError
+    assert_usage_error(capsys, argv)
+
+
+def test_internal_fault_is_not_a_usage_error(monkeypatch, capsys):
+    # an odd eps-exponent is a computed value gone wrong, not a bad input
+    odd = invariants.InvariantRecord((2,), EpsLaurent.mono(-1), 0, False)
+    monkeypatch.setattr(invariants, "n_point_invariant", lambda ks: odd)
+    with pytest.raises(RuntimeError, match="unexpected eps-exponent -1"):
+        invariants.invariant_by_genus((2,))
+    assert main(["invariant", "--ks", "2", "--by-genus"]) == 1
+    assert "error: RuntimeError" in capsys.readouterr().err
+
+
+def test_library_import_leaves_the_cli_out():
+    # the library does not depend on its shell
+    env = {**os.environ, "PYTHONPATH": str(Path(gwp1.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, gwp1; assert 'gwp1.cli' not in sys.modules"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
