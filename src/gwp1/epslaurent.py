@@ -109,6 +109,8 @@ class EpsLaurent:
         return self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
+        if self.num.keys() <= {0}:  # a constant hashes as the Fraction it equals
+            return hash(Fraction(self.num.get(0, 0), self.den))
         return hash((self.den, frozenset(self.num.items())))
 
     def __add__(self, other: "EpsLaurent | Scalar") -> "EpsLaurent":

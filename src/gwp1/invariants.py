@@ -37,6 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import factorial, prod
+from operator import index
 from typing import Callable, Iterable
 
 from .epslaurent import ONE, ZERO, EpsLaurent
@@ -123,8 +124,12 @@ def _one_point_closed_form(k: int) -> EpsLaurent:
 
 def n_point_invariant(ks: Iterable[int], check_stability: bool = True) -> InvariantRecord:
     """Connected stationary invariant <tau_{k_1} ... tau_{k_n}>.  The arguments are normalised
-    before the cache, so every call form of one query shares one entry."""
-    return _n_point_invariant(tuple(int(k) for k in ks), bool(check_stability))
+    before the cache, so every call form of one query shares one entry; ks must be integers."""
+    try:
+        key = tuple(map(index, ks))
+    except TypeError:
+        raise TypeError(f"ks must be integers, got ks={ks!r}") from None
+    return _n_point_invariant(key, bool(check_stability))
 
 
 @lru_cache(maxsize=None)

@@ -54,11 +54,6 @@ class MiwaPolynomial:
     def coeff(self, ks) -> EpsLaurent:
         return self.coeffs.get(tuple(sorted(ks)), EpsLaurent.zero())
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MiwaPolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
     def to_json(self) -> dict[str, dict[str, str]]:
         return {
             ",".join(map(str, ks)): v.to_json()

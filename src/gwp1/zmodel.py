@@ -39,16 +39,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .epslaurent import EPS, ONE, ZERO, EpsLaurent
-from .miwa import (
-    MiwaPolynomial,
-    log_power_sums,
-    partitions,
-    power_sums_to_times,
-    schur_to_monomials,
-    schur_to_power_sums,
-)
+from .invariants import _divisor_scaled, _one_point_closed_form
+from .miwa import (MiwaPolynomial, log_power_sums, partitions, power_sums_to_times,
+                   schur_to_monomials, schur_to_power_sums)
 from .waves import affine_coordinates, normalized_quartet
 from .zseries import WindowError, ZSeries
 
@@ -191,21 +187,22 @@ def zmodel_expansion(nvars: int, degree: int) -> ZModelExpansion:
 
 
 def stabilization_check(degree: int, n1: int, n2: int) -> bool:
-    """The time-variable logarithm must agree between two variable counts.
+    """The logarithm at n1 and n2 variables, both > degree, against the closed form.
 
-    N-stability is a theorem here, so the check holds by construction.  Take
-    |lam| <= degree < n and pad lam with zeros to n parts.  In the n x n
-    E-frame minor pi_lam = det([z^(j-1-lam_j)] E_k)_{j,k=1..n}, each row
-    j > l(lam) has lam_j = 0 and reads [z^(j-1)] of E_k, a monic series
-    z^(k-1)(1 + O(1/z)): 0 for k < j and 1 for k = j.  So the minor is block
-    upper triangular, with a unit upper-triangular block in rows and columns
-    l(lam)+1..n, and equals the l(lam) x l(lam) minor of E_1..E_l(lam)
-    whatever n is.  Both expansions compute pi_lam by Giambelli, which reads
-    no n at all, so the two logarithms agree for any n1, n2 > degree.
+    One expansion serves both counts.  For |lam| <= degree < n, the n x n E-frame
+    minor pi_lam = det([z^(j-1-lam_j)] E_k)_{j,k=1..n}, lam padded with zeros, is block
+    upper triangular: each row j > l(lam) reads [z^(j-1)] of the monic E_k = z^(k-1)(1 +
+    O(1/z)), 0 for k < j and 1 for k = j.  So it is the l(lam) x l(lam) minor of
+    E_1..E_l(lam) whatever n is, and Giambelli reads no n.  The coefficient of t_0^m t_k,
+    m + k + 1 <= degree (all of them for degree <= 3), must equal <tau_0^m tau_k> /
+    (m + [k = 0])!: <tau_k> in closed form, each tau_0 by the divisor equation.
     """
-    e1 = zmodel_expansion(n1, degree)
-    e2 = zmodel_expansion(n2, degree)
-    return e1.log_in_times == e2.log_in_times
+    log = zmodel_expansion(min(n1, n2), degree).log_in_times
+    return all(
+        log.coeff((0,) * m + (k,)) == _divisor_scaled(_one_point_closed_form(k), k, m)
+        * Fraction(1, factorial(m + (k == 0)))
+        for k in range(degree) for m in range(degree - k)
+    )
 
 
 def characteristic_det_check(nvars: int, order: int) -> bool:

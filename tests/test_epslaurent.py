@@ -139,6 +139,13 @@ def assert_matches(x: EpsLaurent, expected: dict[int, Fraction]) -> None:
     assert x == y and hash(x) == hash(y)
 
 
+@pytest.mark.parametrize("q", [0, 1, -3, 10**30, Fraction(-3, 7), Fraction(5, 2)])
+def test_a_constant_hashes_as_the_scalar_it_equals(q):
+    c = EpsLaurent.const(q)
+    assert c == q and hash(c) == hash(q)
+    assert c in {q} and {q: "x"}.get(c) == "x"
+
+
 @given(any_laurents, any_laurents)
 def test_ring_matches_fraction_reference(a, b):
     ra, rb = ref(a), ref(b)

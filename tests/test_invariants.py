@@ -1,5 +1,6 @@
 """Stationary descendent invariants: frozen values, structure, properties."""
 
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -95,10 +96,28 @@ def test_tau_0_insertions_trace_their_base_once(uncached):
 def test_every_call_form_of_one_query_shares_one_cache_entry(uncached):
     first = n_point_invariant((2,))
     for rec in (n_point_invariant((2,), True), n_point_invariant((2,), check_stability=True),
-                n_point_invariant([2])):
+                n_point_invariant([2]), n_point_invariant(k for k in (2,)),
+                n_point_invariant((IntLike(2),))):
         assert rec is first
     info = n_point_invariant.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
+    assert (info.misses, info.hits) == (1, 5)
+
+
+class IntLike:
+    """An integer that is not an int, such as a numpy integer."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def __index__(self):
+        return self.k
+
+
+@pytest.mark.parametrize("ks", [(1.9,), ("2",), (2.0,), (Fraction(2),), [0, 2.5]])
+def test_non_integral_ks_are_rejected(uncached, ks):
+    with pytest.raises(TypeError, match=re.escape(f"ks must be integers, got ks={ks!r}")):
+        n_point_invariant(ks)
+    assert n_point_invariant.cache_info().currsize == 0
 
 
 def multisets_with_a_zero(max_n, max_weight):

@@ -9,7 +9,7 @@ import pytest
 from gwp1.epslaurent import EpsLaurent
 from gwp1.invariants import free_energy
 from gwp1.miwa import partitions, schur_to_monomials
-from gwp1 import waves
+from gwp1 import miwa, waves, zmodel
 from gwp1.waves import affine_coordinates, solve_formal_wave, wave_shift
 from gwp1.zmodel import (
     ZModelExpansion,
@@ -218,8 +218,45 @@ def test_log_in_times_matches_free_energy():
 
 
 def test_stabilization():
-    assert stabilization_check(1, 2, 3)
-    assert stabilization_check(2, 3, 4)
+    for d in range(1, 11):
+        assert stabilization_check(d, d + 1, d + 2), d
+
+
+@pytest.mark.parametrize("n1, n2", [(5, 3), (3, 5)])
+def test_stabilization_builds_one_expansion_and_names_the_short_count(n1, n2):
+    with mock.patch.object(zmodel, "zmodel_expansion", wraps=zmodel_expansion) as spy:
+        with pytest.raises(ValueError, match="nvars=3, degree=3"):
+            stabilization_check(3, n1, n2)
+        assert spy.call_count == 1
+        assert stabilization_check(3, n1 + 1, n2 + 1)
+        assert spy.call_count == 2
+
+
+def _negated_hooks(plucker_coordinates):
+    """pi_lam with the sign of every rank-one (hook) coordinate flipped."""
+    return lambda degree: {lam: -pi if sum(p > i for i, p in enumerate(lam)) == 1 else pi
+                           for lam, pi in plucker_coordinates(degree).items()}
+
+
+def _unsigned_strips(border_strips):
+    return lambda lam, m: ((nu, 1) for nu, _ in border_strips(lam, m))
+
+
+def _scaled_multi_part_logs(log_power_sums):
+    return lambda series, degree: {mu: v * 2 if len(mu) > 1 else v
+                                   for mu, v in log_power_sums(series, degree).items()}
+
+
+@pytest.mark.parametrize("module, name, mutate", [
+    (zmodel, "plucker_coordinates", _negated_hooks),
+    (miwa, "_border_strips", _unsigned_strips),
+    (zmodel, "log_power_sums", _scaled_multi_part_logs),
+], ids=["negated-hook", "unsigned-border-strip", "scaled-log-coefficient"])
+@pytest.mark.parametrize("degree", [2, 3])
+def test_stabilization_catches_a_determinantal_mutant(monkeypatch, module, name, mutate, degree):
+    # every expansion of a mutated pipeline agrees with every other; only the closed form differs
+    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    assert not stabilization_check(degree, degree + 1, degree + 2)
 
 
 def test_nvars_degree_guard():
