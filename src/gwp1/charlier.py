@@ -28,8 +28,12 @@ single Fraction at the end.
 `bessel_j` takes an mpf order exactly and reads its first term past the Gamma
 poles from one held 1/Gamma(1 + phi) per fractional part phi of the order
 times an exact integer ratio, so the orders of one check, which differ by
-integers, share one `rgamma` evaluation, and a warm process makes none.  It
-then sums the power series in fixed point over Python ints: each later term is
+integers, share one 1/Gamma(1 + phi), and a warm process computes it afresh
+only at a precision above any it holds.  A fresh one is the lower incomplete
+gamma series summed in fixed point over Python ints, with certified tail and
+floor errors (`_rgamma_series`), so no precision ever builds mpmath's Gamma
+Taylor table, which it rebuilds for each new 30-bit precision bucket.
+`bessel_j` then sums the power series in fixed point too: each later term is
 one exact integer product and one floor division by m (nu + m), at a scale of
 about 20 bits beyond the working precision, until the ratio-1/2 tail
 certificate holds.
@@ -52,7 +56,11 @@ table too, so all the pairings at one (a, precision) compute each once.
 `brute_force_expectation` averages over the atoms directly, in O(n_max): as
 x_i - x_j = i - j, its L = 2 pair sums are moment forms (Heine's identity for a
 2 x 2 Hankel determinant), sum_{i,j} v_i v_j (x_i - x_j)^2 = 2 (M0 M2 - M1^2)
-with M_k = sum_i v_i i^k, for v_i = det_i w_i and for v_i = w_i.
+with M_k = sum_i v_i i^k, for v_i = det_i w_i and for v_i = w_i.  Each v_i is
+formed by the same correctly rounded integer steps, and each moment and the
+last shell is one exact integer sum rounded once, with libmp's mpf_sum rules
+for terms far below or above the running sum (`_sum`), so the average is
+bit-identical to its mpf expressions.
 
 All truncated sums carry explicit tail bounds; precision is always an
 explicit argument, applied through a local working-precision context.
@@ -75,6 +83,7 @@ from .waves import normalized_quartet
 
 _GUARD_BITS = 30
 _SPARE_BITS = 25  # of the guard, that bessel_j's sum may cancel in one pass
+_HALF = mp.mpf(1) / 2
 
 
 def _as_fraction(x) -> Fraction:
@@ -89,6 +98,11 @@ def _dyadic(v) -> tuple[int, int, int]:
     """(M, e, bits of |M|) with v = M 2^e exactly, for an mpf v."""
     sign, man, exp, bc = v._mpf_
     return (-man if sign else man), exp, bc
+
+
+def _mpf(pair):
+    """The mpf M 2^e of a (mantissa, exponent) pair (M, e), exactly."""
+    return mp.make_mpf(from_man_exp(*pair))
 
 
 def _to_mpf(x):
@@ -125,6 +139,47 @@ _RGAMMA_HELD = 16
 _rgamma_memo: dict[tuple[int, int], tuple[int, tuple]] = {}
 
 
+def _rgamma_series(r: int, k: int, bits: int):
+    """1/Gamma(s) for s = 1 + r 2^-k in (1, 2), as a raw mpf rounded to `bits`.
+
+    Gamma(s) = N^s e^-N (S + rho) with S = sum_{n>=0} N^n / (s)_(n+1), the
+    lower incomplete gamma series (DLMF 8.7.1), and rho N^s e^-N the upper
+    part, the integral of t^(s-1) e^-t over t > N.  As t^(s-1) <= N^(s-2) t
+    there, 0 <= rho <= (N + 1) / N^2, and N of about p ln 2 puts that below
+    2^-p S; the check after the sum certifies it.  S runs in fixed point,
+    T_0 = floor(2^P / s) and T_(n+1) = floor(T_n N / (s + n + 1)), each step
+    one integer product and one floor division.  From the first ratio
+    N / (s + n + 1) < 1/2 on every later one is smaller, so once 2 T_(n+1)
+    falls below 2^-p of the sum the rest is certified below it.  A floor
+    loses less than one unit, and a unit lost at step j has grown by
+    T_n / T_j <= max(T_n / T_0, 1) at step n (the terms rise, then fall), so
+    the m terms summed lose less than (m + 1)^2 / T_0 <= 2^(1-P) (m + 1)^2 of
+    the sum; with m < 4p, P = p + 2 bits(p) + 6 keeps that below 2^-p.  The
+    prefactor e^(N - phi ln N) / N is taken at p bits, within about 2N 2^-p
+    relative, and g = 2 bits(bits) + 24 guard bits (p = bits + g) leave the
+    whole well under 2^-20 ulp at `bits` before the one rounding.
+    """
+    p = bits + 2 * bits.bit_length() + 24
+    scale = p + 2 * p.bit_length() + 6
+    n_cut = p * 7 // 10 + p.bit_length()  # 0.7 > ln 2
+    one = 1 << k
+    num, den = n_cut << k, one + r  # N / (s + n) over 2^k, at n = 0
+    term = (1 << (scale + k)) // den
+    acc = 0
+    while True:
+        acc += term
+        den += one
+        term = term * num // den
+        if 2 * num < den and term << (p + 1) < acc:
+            break
+    if (n_cut + 1) << (scale + p) > n_cut * n_cut * acc:
+        raise RuntimeError("incomplete gamma tail not certified")
+    with mp.workprec(p):
+        phi = _mpf((r, -k))
+        lead = mp.exp(n_cut - phi * mp.ln(n_cut))._mpf_
+    return mpf_shift(mpf_div(lead, from_int(n_cut * acc), bits, _RND), scale)
+
+
 def _rgamma_dyadic(a_num: int, k: int, wp: int):
     """1/Gamma(a) as a raw mpf rounded to wp bits, for a = a_num 2^-k exactly.
 
@@ -132,8 +187,12 @@ def _rgamma_dyadic(a_num: int, k: int, wp: int):
     is Gamma(1 + phi) times prod_{j=1..n} (phi + j) for n >= 0, and divided
     by prod_{j=n+1..0} (phi + j) for n < 0 (DLMF 5.5.1).  Each product is the
     exact integer prod (r + j 2^k) over 2^(k |n|), so the held 1/Gamma(1 + phi)
-    is rounded once.  phi = 0 needs no Gamma, and a pole (phi = 0, n < 0) has
-    the factor j = 0 and gives zero.
+    is rounded once more.  phi = 0 needs no Gamma, and a pole (phi = 0, n < 0)
+    has the factor j = 0 and gives zero.  A fresh 1/Gamma(1 + phi) comes from
+    the integer series of `_rgamma_series`: its tail is certified below 2^-p
+    of the sum (ratio-1/2 test, and (N + 1)/N^2 for the part past N), its
+    floors lose less than (m + 1)^2 / T_0 <= 2^-p of it over m terms, and with
+    p = wp + 2 bits(wp) + 24 the held value is within 1/2 + 2^-20 ulp.
     """
     one = 1 << k
     r, n = a_num % one, (a_num >> k) - 1
@@ -142,9 +201,7 @@ def _rgamma_dyadic(a_num: int, k: int, wp: int):
     if r:
         held = _rgamma_memo.pop((r, k), None)
         if held is None or held[0] < wp:
-            bits = max(wp, k + 2)  # 1 + phi exactly
-            with mp.workprec(bits):
-                held = bits, mp.rgamma(mp.make_mpf(from_man_exp(r + one, -k)))._mpf_
+            held = wp, _rgamma_series(r, k, wp)
         _rgamma_memo[r, k] = held
         if len(_rgamma_memo) > _RGAMMA_HELD:
             del _rgamma_memo[next(iter(_rgamma_memo))]
@@ -197,7 +254,7 @@ def bessel_j(nu, x, prec: int):
     with mp.workprec(wp):
         x_m = _to_mpf(x)
         if x_m <= 0:
-            raise ValueError("x must be positive")
+            raise ValueError(f"x must be positive, got x={x}")
         nu_m = nu if isinstance(nu, mp.mpf) else _to_mpf(nu)
     nu_man, nu_exp, _ = _dyadic(nu_m)
     n_int, k = (nu_man << nu_exp, 0) if nu_exp >= 0 else (nu_man, -nu_exp)
@@ -258,9 +315,9 @@ def charlier_poly(ell: int, a) -> CharlierPolynomial:
     p_(n+1) = (x - n - a - 1/2) p_n - n a p_(n-1), p_0 = 1."""
     a = _as_fraction(a)
     if ell < 0:
-        raise ValueError("degree must be >= 0")
+        raise ValueError(f"degree must be >= 0, got ell={ell}")
     if a <= 0:
-        raise ValueError("parameter a must be positive")
+        raise ValueError(f"parameter a must be positive, got a={a}")
     prev, cur = [], [Fraction(1)]
     for n in range(ell):
         b_n = n + a + Fraction(1, 2)
@@ -288,9 +345,9 @@ def charlier_value(ell: int, a, x) -> Fraction:
     a = _as_fraction(a)
     x = _as_fraction(x)
     if ell < 0:
-        raise ValueError("degree must be >= 0")
+        raise ValueError(f"degree must be >= 0, got ell={ell}")
     if a <= 0:
-        raise ValueError("parameter a must be positive")
+        raise ValueError(f"parameter a must be positive, got a={a}")
     p, q = a.numerator, a.denominator
     r, s = x.numerator, x.denominator
     total = term = den = 1
@@ -324,8 +381,9 @@ class _Atoms:
     steps weight *= a/n and acc*x + c round it, so a sum read from the table
     is bit-identical to one evaluated afresh.  The weights always reach one
     atom past the longest row of values.  The tail bound's pair-free parts
-    are held as mpf once first asked for: `stops[n, deg]` = 1 - r (or 0
-    while its test fails) and `bounds[l, n]` = |pi_l|(x_n).
+    are held as mpf once first asked for: `growth[n]` = (a/(n+1),
+    1 + 1/(n + 1/2)), `stops[n, deg]` = 1 - r (or 0 while its test fails)
+    and `bounds[l, n]` = |pi_l|(x_n).
     """
 
     def __init__(self, a: Fraction, wp: int):
@@ -333,7 +391,7 @@ class _Atoms:
         with mp.workprec(wp):
             self.a_m = _to_mpf(a)
             self.weights = [(mp.e ** (-self.a_m))._mpf_]
-        self.coefficients, self.values, self.stops, self.bounds = {}, {}, {}, {}
+        self.coefficients, self.values, self.stops, self.bounds, self.growth = {}, {}, {}, {}, {}
 
     def grow(self, count: int, *degrees: int) -> None:
         """Hold the weights of atoms 0..count and, for each listed degree l,
@@ -355,19 +413,23 @@ class _Atoms:
     def stop(self, n, deg):
         """1 - r for r = a/(n+1) (1 + 1/(n + 1/2))^deg, the growth of the
         absolute-coefficient majorant per unit step, or 0 unless
-        a/(n+1) < 1/2 and r < 1/2; at the caller's working precision, wp."""
+        a/(n+1) < 1/2 and r < 1/2; at the caller's working precision, wp.
+        a/(n+1) and 1 + 1/(n + 1/2) are held per atom in `growth`, None
+        where a/(n+1) >= 1/2."""
         if (n, deg) not in self.stops:
-            half = mp.mpf(1) / 2
-            ratio = self.a_m / (n + 1)
-            r = ratio * (1 + 1 / (n + half)) ** deg if ratio < half else half
-            self.stops[n, deg] = 1 - r if r < half else 0
+            if n not in self.growth:
+                ratio = self.a_m / (n + 1)
+                self.growth[n] = (ratio, 1 + 1 / (n + _HALF)) if ratio < _HALF else None
+            growth = self.growth[n]
+            r = growth[0] * growth[1] ** deg if growth else _HALF
+            self.stops[n, deg] = 1 - r if r < _HALF else 0
         return self.stops[n, deg]
 
     def bound(self, ell, n):
         """|pi_l|(x_n), pi_l's absolute coefficients summed at x_n by Horner."""
         if (ell, n) not in self.bounds:
-            self.bounds[ell, n] = mp.make_mpf(from_man_exp(*_horner(
-                [(abs(m), e) for m, e in self.coefficients[ell]], 2 * n + 1, -1, self.wp)))
+            self.bounds[ell, n] = _mpf(_horner(
+                [(abs(m), e) for m, e in self.coefficients[ell]], 2 * n + 1, -1, self.wp))
         return self.bounds[ell, n]
 
 
@@ -462,7 +524,7 @@ def charlier_orthogonality_sum(ell: int, ellp: int, a, tol, prec: int = 128):
                 )
         target = a_m**ell * factorial(ell) if ell == ellp else mp.mpf(0)
     with mp.workprec(prec):
-        return +mp.make_mpf(from_man_exp(acc, acc_exp)), +target
+        return +_mpf((acc, acc_exp)), +target
 
 
 def charlier_orthogonality_check(ell: int, ellp: int, a, tol, prec: int = 128) -> bool:
@@ -659,7 +721,7 @@ def char_poly_expectation(L: int, a, us, prec: int = 128):
     """
     a = _as_fraction(a)
     if L < 1:
-        raise ValueError("L must be >= 1")
+        raise ValueError(f"L must be >= 1, got L={L}")
     if a <= 0:
         raise ValueError(f"parameter a must be positive, got a={a}")
     wp = prec + _GUARD_BITS
@@ -669,11 +731,11 @@ def char_poly_expectation(L: int, a, us, prec: int = 128):
         if n < 1:
             raise ValueError("need at least one evaluation point")
         if len(set(us_m)) < n:
-            raise ValueError("evaluation points must be distinct")
+            raise ValueError("evaluation points must be distinct, got us="
+                             f"{[mp.nstr(u, 17) for u in us_m]}")
         atoms = _atoms(a, wp)
         atoms.grow(0, *range(L, L + n))
-        mat = [[mp.make_mpf(from_man_exp(*_horner(atoms.coefficients[L + k],
-                                                  *_dyadic(u)[:2], wp)))
+        mat = [[_mpf(_horner(atoms.coefficients[L + k], *_dyadic(u)[:2], wp))
                 for k in range(n)] for u in us_m]
         vdm = mp.fprod(us_m[k] - us_m[j] for j in range(n) for k in range(j + 1, n))
         val = mp.det(mp.matrix(mat)) / vdm
@@ -681,9 +743,38 @@ def char_poly_expectation(L: int, a, us, prec: int = 128):
         return +val
 
 
-def _pair_sum(v):
-    """sum_{i,j} v_i v_j (i - j)^2 = 2 (M0 M2 - M1^2), M_k = sum_i v_i i^k."""
-    m0, m1, m2 = (mp.fdot(v, [i**k for i in range(len(v))]) for k in range(3))
+def _sum(terms, wp: int):
+    """libmp's mpf_sum at wp bits, round_nearest, on (mantissa, exponent)
+    pairs: the exact sum, rounded once.  As there, with each term normalised
+    to an odd mantissa, a term whose top bit lies more than 2 wp bits below
+    the running sum's exponent is dropped, and one whose exponent lies more
+    than 2 wp bits above the running sum's top bit replaces it."""
+    limit = 2 * wp
+    acc = acc_exp = 0
+    for man, exp in terms:
+        if not man:
+            continue
+        zeros = (man & -man).bit_length() - 1
+        man >>= zeros
+        exp += zeros
+        delta = exp - acc_exp
+        if delta >= 0:
+            if delta > limit and (not acc or delta - abs(acc).bit_length() > limit):
+                acc, acc_exp = man, exp
+            else:
+                acc += man << delta
+        elif -delta - abs(man).bit_length() > limit:
+            if not acc:
+                acc, acc_exp = man, exp
+        else:
+            acc, acc_exp = (acc << -delta) + man, exp
+    return _rounded(acc, acc_exp, wp)
+
+
+def _pair_sum(v, wp: int):
+    """sum_{i,j} v_i v_j (i - j)^2 = 2 (M0 M2 - M1^2), M_k = sum_i v_i i^k,
+    over (mantissa, exponent) pairs v_i, at the caller's working precision wp."""
+    m0, m1, m2 = (_mpf(_sum(((m * i**k, e) for i, (m, e) in enumerate(v)), wp)) for k in range(3))
     return 2 * (m0 * m2 - m1 * m1)
 
 
@@ -698,35 +789,51 @@ def brute_force_expectation(L: int, a, us, n_max: int, prec: int = 128):
     below a ratio-1/2 geometric bound relative to the accumulated sums,
     otherwise an error asks for a larger n_max.  The weights e^(-a) a^n / n!
     are read from the shared atom table `_atoms(a, prec + _GUARD_BITS)`.
+
+    Per atom, v_n = prod_j (u_j - x_n) w_n runs on (mantissa, exponent) int
+    pairs, each difference and product rounded once to the working precision
+    by `_rounded`, and the moments and the shell are exact integer sums
+    rounded once by `_sum`, so every value is the one the mpf expressions
+    fprod(u - x for u in us) * w, fdot(v, i^k) and fsum give, bit for bit.
     """
     a = _as_fraction(a)
     if L not in (1, 2):
-        raise ValueError("brute force supports L = 1 or 2 only")
+        raise ValueError(f"brute force supports L = 1 or 2 only, got L={L}")
     if a <= 0:
         raise ValueError(f"parameter a must be positive, got a={a}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1 (two atoms or more), got {n_max}")
-    with mp.workprec(prec + _GUARD_BITS):
+    wp = prec + _GUARD_BITS
+    with mp.workprec(wp):
         a_m = mp.mpf(a.numerator) / a.denominator
         if a_m / (n_max + 1) >= mp.mpf(1) / 4:
             raise ValueError("n_max too small for a convergent tail bound")
         us_m = [mp.mpf(u) for u in us]
         if not us_m:
             raise ValueError("need at least one evaluation point")
-        atoms = _atoms(a, prec + _GUARD_BITS)
+        atoms = _atoms(a, wp)
         atoms.grow(n_max)
-        weights = [mp.make_mpf(w) for w in atoms.weights[:n_max + 1]]
-        xs = [mp.mpf(2 * nn + 1) / 2 for nn in range(n_max + 1)]
-        vs = [mp.fprod(u - x for u in us_m) * w for x, w in zip(xs, weights)]
+        weights = [(man, exp) for _, man, exp, _ in atoms.weights[:n_max + 1]]
+        points = [_dyadic(u)[:2] for u in us_m]
+        vs = []
+        for n, (w_man, w_exp) in enumerate(weights):
+            v, v_exp = 1, 0
+            for u_man, u_exp in points:
+                d, d_exp = _rounded(u_man, u_exp, wp, -(2 * n + 1), -1)
+                v, v_exp = _rounded(v * d, v_exp + d_exp, wp)
+            vs.append(_rounded(v * w_man, v_exp + w_exp, wp))
         if L == 1:
-            num = mp.fsum(vs)
-            den = mp.fsum(weights)
-            shell = abs(vs[-1]) + weights[-1]
+            num, den = _mpf(_sum(vs, wp)), _mpf(_sum(weights, wp))
+            shell = abs(_mpf(vs[-1])) + _mpf(weights[-1])
         else:
-            num = _pair_sum(vs)
-            den = _pair_sum(weights)
-            shell = 2 * mp.fsum((abs(vs[-1] * v) + weights[-1] * w) * (n_max - j) ** 2
-                                for j, (v, w) in enumerate(zip(vs, weights)))
+            num, den = _pair_sum(vs, wp), _pair_sum(weights, wp)
+            (v_last, vl_exp), (w_last, wl_exp) = vs[-1], weights[-1]
+            row = []
+            for j, ((v, v_exp), (w, w_exp)) in enumerate(zip(vs, weights)):
+                t, t_exp = _rounded(*_rounded(abs(v_last * v), vl_exp + v_exp, wp),
+                                    wp, *_rounded(w_last * w, wl_exp + w_exp, wp))
+                row.append(_rounded(t * (n_max - j) ** 2, t_exp, wp))
+            shell = 2 * _mpf(_sum(row, wp))
         # ratio-1/4 weight decay makes each further shell at most ~half the
         # previous one even against polynomial growth, so 2*shell bounds the tail
         if 2 * shell > abs(den) * mp.mpf(2) ** (-prec // 2):

@@ -8,7 +8,9 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
-from mpmath.libmp import from_man_exp, fzero, mpf_add, mpf_mul, round_nearest
+from mpmath.libmp import (
+    from_man_exp, fzero, gammazeta, mpf_add, mpf_mul, mpf_sum, round_nearest,
+)
 
 from gwp1 import charlier
 from gwp1.charlier import (
@@ -17,6 +19,7 @@ from gwp1.charlier import (
     _atoms,
     _rgamma_dyadic,
     _rounded,
+    _sum,
     asymptotic_match_check,
     bessel_j,
     brute_force_expectation,
@@ -85,7 +88,7 @@ RGAMMA_ARGUMENTS = [(5, 1), (41, 3), (1, 5), (2**40 + 1, 40), (-5, 1), (-41, 3),
 
 def test_rgamma_dyadic_matches_mpmath():
     charlier._rgamma_memo.clear()
-    for precs in ([53, 128, 300, 700], [700, 300, 128, 53]):
+    for precs in ([53, 128, 300, 700, 830], [830, 700, 300, 128, 53]):
         for a_num, k in RGAMMA_ARGUMENTS:
             for prec in precs:
                 val = mp.make_mpf(_rgamma_dyadic(a_num, k, prec))
@@ -100,9 +103,11 @@ def test_rgamma_dyadic_matches_mpmath():
 
 
 def test_rgamma_calls_one_per_fractional_order(monkeypatch):
+    # counts the integer series behind each fresh 1/Gamma(1 + phi)
     calls = []
-    rgamma = mp.rgamma
-    monkeypatch.setattr(mp, "rgamma", lambda a: calls.append(a) or rgamma(a))
+    series = charlier._rgamma_series
+    monkeypatch.setattr(charlier, "_rgamma_series",
+                        lambda *args: calls.append(args) or series(*args))
 
     def count(fn, *args):
         calls.clear()
@@ -120,6 +125,23 @@ def test_rgamma_calls_one_per_fractional_order(monkeypatch):
     assert count(numeric_wronskian, mp.mpf("7.25"), 1, 300) == 0
     assert count(numeric_wronskian, mp.mpf("7.25"), 1, 256) == 0
     assert count(numeric_wronskian, mp.mpf("7.25"), 1, 512) == 2
+
+
+def test_rising_precision_sweep_builds_no_gamma_table(monkeypatch):
+    # a warm process meets each fractional order at ever higher precisions;
+    # each fresh 1/Gamma(1 + phi) comes from the integer series, never from
+    # mpmath's Gamma Taylor table, which it rebuilds per 30-bit bucket
+    def refuse(*args):
+        raise AssertionError("mpmath's Gamma Taylor table was asked for")
+
+    monkeypatch.setattr(gammazeta, "gamma_taylor_coefficients", refuse)
+    charlier._rgamma_memo.clear()
+    for prec in (256, 384, 512, 640, 768):
+        tol = mp.mpf(2) ** -(prec // 2)
+        for which in ("f", "g"):
+            assert difference_equation_residual(mp.mpf("5.25"), 1, prec, which) < tol
+        with mp.workprec(prec):
+            assert abs(numeric_wronskian(mp.mpf("7.25"), Fraction(1, 2), prec) - 1) < tol
 
 
 def test_rgamma_memo_is_bounded():
@@ -445,6 +467,25 @@ def test_tail_parts_are_computed_once_per_table(monkeypatch):
     assert [deg for _, deg in powers if isinstance(deg, int)] == [0, 1, 2, 3]  # the targets a^l
 
 
+def test_stop_parts_match_the_fresh_expression():
+    # the per-atom parts a/(n+1) and 1 + 1/(n + 1/2) leave every 1 - r as the
+    # one-line mpf expression gives it
+    for a, prec in ((Fraction(1), 300), (Fraction(7, 3), 640), (Fraction(3), 128)):
+        _atoms.cache_clear()
+        tol = mp.mpf(2) ** -(prec // 2)
+        for ell in range(4):
+            for ellp in range(ell, 4):
+                charlier_orthogonality_sum(ell, ellp, a, tol, prec)
+        atoms = _atoms(a, prec + _GUARD_BITS)
+        assert len(atoms.growth) == len({n for n, _ in atoms.stops}) < len(atoms.stops)
+        with mp.workprec(prec + _GUARD_BITS):
+            half = mp.mpf(1) / 2
+            for (n, deg), stop in atoms.stops.items():
+                ratio = atoms.a_m / (n + 1)
+                r = ratio * (1 + 1 / (n + half)) ** deg if ratio < half else half
+                assert stop == (1 - r if r < half else 0), (a, n, deg)
+
+
 def test_orthogonality_sums_ignore_table_state():
     # interleaved (a, prec), so each group starts on a new table; both orders
     # of a pair, the same pair cold and warm, and a table whose weights
@@ -485,6 +526,24 @@ def test_orthogonality_rejects_bad_input_before_the_table():
         char_poly_expectation(1, 0, [mp.mpf(3)], 128)
     info = _atoms.cache_info()
     assert info.currsize == 0 and info.misses == 0
+
+
+@pytest.mark.parametrize("fn, args, message", [
+    (bessel_j, (1, -1, 64), "x must be positive, got x=-1"),
+    (charlier_poly, (-1, 1), "degree must be >= 0, got ell=-1"),
+    (charlier_poly, (2, Fraction(-1, 3)), "parameter a must be positive, got a=-1/3"),
+    (charlier_value, (-2, 1, 3), "degree must be >= 0, got ell=-2"),
+    (charlier_value, (2, 0, 3), "parameter a must be positive, got a=0"),
+    (char_poly_expectation, (0, 1, [3], 64), "L must be >= 1, got L=0"),
+    (char_poly_expectation, (1, 1, [3, "4.5", 3], 64),
+     r"evaluation points must be distinct, got us=\['3.0', '4.5', '3.0'\]"),
+    (brute_force_expectation, (3, 1, [3], 60, 64),
+     "brute force supports L = 1 or 2 only, got L=3"),
+], ids=["bessel_j-x", "poly-ell", "poly-a", "value-ell", "value-a", "charpoly-L",
+        "charpoly-distinct", "brute-L"])
+def test_value_errors_name_the_offending_value(fn, args, message):
+    with pytest.raises(ValueError, match=message):
+        fn(*args)
 
 
 def test_orthogonality_grid():
@@ -730,12 +789,65 @@ def brute_force_reference(L, a, us, n_max, prec):
         return +val
 
 
-@pytest.mark.parametrize("prec", [128, 640])
-@pytest.mark.parametrize("a", [Fraction(1), Fraction(7, 3)])
+def clustered_points(wp):
+    """Four points within 2^-(wp-9) of the atom 4.5, exact at wp bits."""
+    with mp.workprec(wp):
+        return [mp.mpf("4.5") + sign * mp.ldexp(1, -(wp - gap))
+                for sign in (1, -1) for gap in (8, 9)]
+
+
+@pytest.mark.parametrize("prec", [128, 640, 300, 767])
+@pytest.mark.parametrize("a", [Fraction(1), Fraction(7, 3), Fraction(1, 1000)])
 def test_brute_force_weights_bit_identical(a, prec):
+    # n_max as the bench's charpoly jobs take it
     n_max = 40 + prec // 8
+    point_sets = [[mp.mpf(u) for u in us] for us in BRUTE_US]
+    if a == Fraction(1, 1000):
+        # mpf_sum drops a term whose top bit lies more than 2 wp bits below
+        # the running sum's exponent.  That exponent follows each term added,
+        # so decaying weights never trigger it, however long n_max is; at
+        # points clustered on the atom 4.5, v_4 lies 4 wp bits below.  The
+        # terms v_i i^k of atoms 0..3 have at most wp + 4 bits, so the running
+        # exponent after them is at least their least top bit less wp + 4.
+        wp = prec + _GUARD_BITS
+        us_m = clustered_points(wp)
+        with mp.workprec(wp):
+            a_m = mp.mpf(a.numerator) / a.denominator
+            tops = [mp.mag(mp.fprod(u - (n + mp.mpf(1) / 2) for u in us_m)
+                           * mp.e ** -a_m * a_m**n / factorial(n)) for n in range(5)]
+        assert tops[4] < min(tops[:4]) - (wp + 4) - 2 * wp - 2
+        point_sets.append(us_m)
     for L in (1, 2):
-        for us in BRUTE_US:
-            us_m = [mp.mpf(u) for u in us]
+        for us_m in point_sets:
             assert (brute_force_expectation(L, a, us_m, n_max, prec)
-                    == brute_force_reference(L, a, us_m, n_max, prec)), (L, us)
+                    == brute_force_reference(L, a, us_m, n_max, prec)), (L, us_m)
+
+
+@pytest.mark.parametrize("wp", [53, 158, 330, 797])
+def test_sum_matches_mpf_sum(wp):
+    """`_sum` is libmp's mpf_sum at wp bits, round_nearest, bit for bit,
+    including its rules that drop a term far below the running sum and let
+    one far above replace it, which decide exact ties."""
+    def check(pairs):
+        want = mpf_sum([from_man_exp(m, e) for m, e in pairs], wp, round_nearest)
+        assert from_man_exp(*_sum(pairs, wp)) == want, pairs
+        return want
+
+    rng = random.Random(wp)
+    for _ in range(300):
+        pairs, exp = [], rng.randint(-4 * wp, 4 * wp)
+        for _ in range(rng.randint(0, 12)):
+            exp += rng.choice((rng.randint(-40, 40), rng.randint(-4 * wp, 4 * wp)))
+            man = rng.getrandbits(rng.randint(1, 3 * wp)) << rng.randint(0, 5)
+            pairs.append((rng.choice((1, -1)) * man, exp))
+        check(pairs)
+    tie = (1 << wp) + 1  # halfway between two wp-bit numbers: rounds to even, down
+    for pairs in ([(tie, 0), (1, -3 * wp)],  # the tiny term is dropped
+                  [(1, 0), (tie, 2 * wp + 2)],  # the tiny sum is replaced
+                  [(-tie, 0), (-1, -3 * wp)],
+                  # the same two rules, decided on the normalised exponents
+                  [(tie << 10, -10), (1, -2 * wp - 5)],
+                  [(1, 0), (tie << 10, 2 * wp - 8)]):
+        exact = mpf_sum([from_man_exp(m, e) for m, e in pairs], 0)
+        assert check(pairs) != mpf_add(exact, fzero, wp, round_nearest)
+    assert check([]) == fzero and check([(0, 5), (3, 1), (-3, 1)]) == fzero
