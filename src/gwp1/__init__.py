@@ -40,7 +40,6 @@ from .charlier import (
     gamma_real,
     numeric_f_g,
 )
-from .selftest import CheckResult, run_selftest
 
 __version__ = "1.0.0"
 
@@ -54,6 +53,5 @@ __all__ = [
     "stabilization_check", "characteristic_det_check", "CharlierPolynomial",
     "charlier_poly", "charlier_orthogonality_check", "gamma_real", "bessel_j",
     "numeric_f_g", "asymptotic_match_check", "charlier_scaling_limit_check",
-    "char_poly_expectation", "brute_force_expectation", "CheckResult",
-    "run_selftest",
+    "char_poly_expectation", "brute_force_expectation",
 ]

@@ -68,10 +68,10 @@ explicit argument, applied through a local working-precision context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
+from typing import NamedTuple
 
 from mpmath import mp
 from mpmath.libmp import (
@@ -295,8 +295,7 @@ def bessel_j(nu, x, prec: int):
 # Charlier polynomials (exact)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CharlierPolynomial:
+class CharlierPolynomial(NamedTuple):
     """Monic degree-l orthogonal polynomial for the half-shifted Poisson atoms."""
 
     ell: int
@@ -613,8 +612,7 @@ def numeric_wronskian(z, eps, prec: int):
 # Numeric-vs-formal asymptotics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AsymptoticReport:
+class AsymptoticReport(NamedTuple):
     z: float
     eps: float
     order: int
@@ -658,8 +656,7 @@ def asymptotic_match_check(z, eps, order: int, prec: int) -> AsymptoticReport:
 # Scaling limit
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScalingLimitReport:
+class ScalingLimitReport(NamedTuple):
     zeta: object
     ell: int
     eps: object

@@ -179,12 +179,23 @@ def cmd_zmodel(ns: argparse.Namespace):
     return {"vars": n, "degree": degree, "coeffs": coeffs}
 
 
+# each option of `gwp1 charlier` -> the checks that read it; any other check refuses it
+CHARLIER_READERS = {
+    "eps": ("limit", "residuals", "asymptotics"),
+    "a": ("orthogonality", "charpoly"),
+    "L": ("limit",),
+}
+
+
 def cmd_charlier(ns: argparse.Namespace):
     check = ns.check
     prec = ns.prec
+    for opt, readers in CHARLIER_READERS.items():
+        if getattr(ns, opt) is not None and check not in readers:
+            raise UsageError(f"--{opt} is read only by --check {', '.join(readers)}; "
+                             f"--check {check} does not read it")
     eps = _parse_rat(ns.eps or "1")
-    if check in ("orthogonality", "charpoly"):
-        a = _parse_rat(ns.a or "1")
+    a = _parse_rat(ns.a or "1")
     if check == "orthogonality":
         tol = mp.mpf(10) ** -20
         rows = []
@@ -337,9 +348,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", required=True,
                    choices=("orthogonality", "limit", "charpoly", "asymptotics",
                             "residuals"))
-    p.add_argument("--eps", help='rational "p/q" (default 1; residuals sweeps '
-                                 '1/2, 1 and 2)')
-    p.add_argument("--a", help='measure parameter "p/q" (default 1)')
+    p.add_argument("--eps", help='rational "p/q" for limit, residuals and asymptotics '
+                                 '(default 1; residuals sweeps 1/2, 1 and 2)')
+    p.add_argument("--a", help='measure parameter "p/q" for orthogonality and charpoly '
+                               '(default 1)')
     p.add_argument("--L", type=int, nargs="+", help="sizes for the limit check")
 
     p = sub.add_parser("selftest", parents=[common],

@@ -32,21 +32,19 @@ flipped bracket and a wrong one-point coefficient, not a(y, x) read for a(x, y);
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import factorial, prod
 from operator import index
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .epslaurent import ONE, ZERO, EpsLaurent
 from .miwa import partitions
 from .waves import affine_coordinates
 
 
-@dataclass(frozen=True)
-class InvariantRecord:
+class InvariantRecord(NamedTuple):
     ks: tuple[int, ...]
     value: EpsLaurent
     order: int

@@ -22,10 +22,10 @@ per pair of weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import factorial, prod
+from typing import NamedTuple
 
 from .epslaurent import EpsLaurent
 
@@ -44,8 +44,7 @@ def partitions(w: int, max_part: int | None = None):
             yield (first,) + rest
 
 
-@dataclass
-class MiwaPolynomial:
+class MiwaPolynomial(NamedTuple):
     """Polynomial in the time variables t_k, keyed by sorted index multisets."""
 
     coeffs: dict[tuple[int, ...], EpsLaurent]

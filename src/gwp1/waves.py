@@ -37,18 +37,16 @@ gives the oracle its tilde series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm, perm
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .epslaurent import EpsLaurent, EPS, EPS_INV, ZERO
 from .zseries import WindowError, ZSeries, log1p_inv_z
 
 
-@dataclass(frozen=True)
-class WaveExpansion:
+class WaveExpansion(NamedTuple):
     """(eps*z/e)^(sigma*z) * h(z), with h a plain truncated series."""
 
     sigma: int

@@ -36,10 +36,10 @@ nothing else: one quartet at order O + N - 1 gives E_1..E_N exactly to z^(-O).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from typing import NamedTuple
 
 from .epslaurent import EPS, ONE, ZERO, EpsLaurent
 from .invariants import _divisor_scaled, _one_point_closed_form
@@ -119,8 +119,7 @@ def plucker_coordinates(degree: int) -> dict[tuple[int, ...], EpsLaurent]:
     return out
 
 
-@dataclass(frozen=True)
-class SymmetricQuotient:
+class SymmetricQuotient(NamedTuple):
     """det/Delta in N variables, a symmetric series: {nu: coefficient of z^(-nu)} for
     l(nu) <= N and |nu| <= degree.  An exponent tuple reads its sorted partition; one with a
     positive exponent reads none, so zero."""
@@ -156,8 +155,7 @@ def _arrangements(values: tuple[int, ...]):
             yield (v,) + rest
 
 
-@dataclass(frozen=True)
-class ZModelExpansion:
+class ZModelExpansion(NamedTuple):
     nvars: int
     degree: int
     plucker: dict[tuple[int, ...], EpsLaurent]  # pi_lam, |lam| <= degree

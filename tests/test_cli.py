@@ -317,10 +317,30 @@ def test_internal_fault_is_not_a_usage_error(monkeypatch, capsys):
     assert "error: RuntimeError" in capsys.readouterr().err
 
 
-def test_library_import_leaves_the_cli_out():
-    # the library does not depend on its shell
+def test_library_import_leaves_the_cli_selftest_and_reflection_out():
+    # the library does not depend on its shell or its verification registry, and its
+    # records are named tuples, which need neither dataclasses nor inspect
     env = {**os.environ, "PYTHONPATH": str(Path(gwp1.__file__).parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, gwp1; assert 'gwp1.cli' not in sys.modules"],
-        env=env, capture_output=True, text=True, timeout=60)
+    code = ("import sys, gwp1; "
+            "print(sorted({'dataclasses', 'inspect', 'gwp1.selftest', 'gwp1.cli'} & set(sys.modules))); "
+            "from gwp1.selftest import run_selftest")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv, option, readers", [
+    (["--check", "charpoly", "--L", "0"], "--L", "limit"),
+    (["--check", "asymptotics", "--L", "20", "40"], "--L", "limit"),
+    (["--check", "limit", "--a", "2"], "--a", "orthogonality, charpoly"),
+    (["--check", "residuals", "--a", "1"], "--a", "orthogonality, charpoly"),
+    (["--check", "orthogonality", "--eps", "1/2"], "--eps", "limit, residuals, asymptotics"),
+    (["--check", "charpoly", "--eps", "1"], "--eps", "limit, residuals, asymptotics"),
+])
+def test_charlier_option_its_check_does_not_read_is_usage_error(capsys, argv, option, readers):
+    # an option the chosen check never reads is refused, not silently ignored
+    code = main(["charlier", *argv])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert f"{option} is read only by --check {readers}; --check {argv[1]} does not" in err

@@ -1,7 +1,7 @@
 """The cold query path of both exact routes runs only gwp1 and Fraction code.
 
 Each query runs in a fresh process, so a stdlib helper whose first call walks an
-ABC, reflects on a dataclass or takes a lock costs page faults on every query.
+ABC, reflects on a class's fields or takes a lock costs page faults on every query.
 The guard records the file of every Python frame that a query enters.
 """
 
@@ -17,7 +17,8 @@ from gwp1.invariants import n_point_invariant
 from gwp1.zmodel import stabilization_check, zmodel_expansion
 
 PACKAGE = os.path.dirname(gwp1.__file__) + os.sep
-# Fraction arithmetic, and the methods dataclasses generate, whose code is compiled from "<string>"
+# Fraction arithmetic, and the __new__ of each named-tuple record, whose code is compiled
+# from "<string>"
 ALLOWED = {fractions.__file__, "<string>"}
 
 
