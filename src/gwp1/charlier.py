@@ -64,6 +64,8 @@ bit-identical to its mpf expressions.
 
 All truncated sums carry explicit tail bounds; precision is always an
 explicit argument, applied through a local working-precision context.
+mpmath loads on the first numeric call: `mp` starts as a stand-in whose first
+attribute read imports mpmath and binds `mp` and the libmp names.
 """
 
 from __future__ import annotations
@@ -73,17 +75,27 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import NamedTuple
 
-from mpmath import mp
-from mpmath.libmp import (
-    fone, from_int, from_man_exp, mpf_div, mpf_lt, mpf_mul, mpf_shift,
-    round_nearest as _RND,
-)
-
 from .waves import normalized_quartet
 
 _GUARD_BITS = 30
 _SPARE_BITS = 25  # of the guard, that bessel_j's sum may cancel in one pass
-_HALF = mp.mpf(1) / 2
+
+
+class _Mpmath:
+    """`mp` until the first numeric call, which binds the mpmath names below."""
+
+    def __getattr__(self, name):
+        global mp, fone, from_int, from_man_exp, mpf_div, mpf_lt, mpf_mul, mpf_shift, _RND, _HALF
+        from mpmath import mp
+        from mpmath.libmp import (
+            fone, from_int, from_man_exp, mpf_div, mpf_lt, mpf_mul, mpf_shift,
+            round_nearest as _RND,
+        )
+        _HALF = mp.mpf(1) / 2
+        return getattr(mp, name)
+
+
+mp = _Mpmath()
 
 
 def _as_fraction(x) -> Fraction:

@@ -15,13 +15,10 @@ import math
 import sys
 from fractions import Fraction
 
-from mpmath import mp
-
 from .epslaurent import EpsLaurent
 from . import charlier as ch
 from .invariants import free_energy, invariant_by_genus, n_point_invariant
 from .miwa import MiwaPolynomial
-from .selftest import CHECKS, run_selftest
 from .waves import normalized_quartet, solve_formal_wave
 from .zmodel import stabilization_check, zmodel_expansion
 
@@ -52,7 +49,11 @@ def _emit(doc, fmt: str, output: str | None) -> None:
     else:
         text = _to_text(doc)
     if output:
-        with open(output, "w") as fh:
+        try:
+            fh = open(output, "w")
+        except OSError as exc:
+            raise UsageError(f"cannot write --output {output}: {exc.strerror}")
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -188,6 +189,7 @@ CHARLIER_READERS = {
 
 
 def cmd_charlier(ns: argparse.Namespace):
+    from mpmath import mp  # only the numeric commands load mpmath
     check = ns.check
     prec = ns.prec
     for opt, readers in CHARLIER_READERS.items():
@@ -272,6 +274,7 @@ def cmd_charlier(ns: argparse.Namespace):
 
 
 def cmd_selftest(ns: argparse.Namespace):
+    from .selftest import CHECKS, run_selftest
     names = [name for name, _ in CHECKS]
     if ns.only is not None and ns.only not in names:
         raise UsageError(f"unknown check {ns.only!r}; known checks: {', '.join(names)}")

@@ -1,9 +1,13 @@
 """Numeric pipeline: Bessel series, Charlier polynomials, limits, ensembles."""
 
+import os
+import pickle
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +40,38 @@ from gwp1.charlier import (
     numeric_g,
     numeric_wronskian,
 )
+
+
+# each public numeric entry point, with arguments small enough for a fresh process
+FIRST_CALLS = [
+    ("gamma_real", (Fraction(7, 3), 64)),
+    ("bessel_j", (Fraction(1, 3), 2, 64)),
+    ("numeric_f", (Fraction(13, 4), 1, 64)),
+    ("numeric_g", (Fraction(13, 4), 1, 64)),
+    ("numeric_f_g", (Fraction(13, 4), 1, 64)),
+    ("difference_equation_residual", (Fraction(13, 4), 1, 64, "g")),
+    ("numeric_wronskian", (Fraction(29, 4), 1, 64)),
+    ("asymptotic_match_check", (20, 1, 3, 64)),
+    ("charlier_orthogonality_sum", (1, 2, 1, Fraction(1, 10**20), 64)),
+    ("charlier_orthogonality_check", (2, 2, 1, Fraction(1, 10**20), 64)),
+    ("charlier_scaling_limit_check", (0, 0, 1, [20, 40], 64)),
+    ("char_poly_expectation", (2, 1, [3, "4.5"], 64)),
+    ("brute_force_expectation", (2, 1, [3, "4.5"], 60, 64)),
+]
+
+
+@pytest.mark.parametrize("name, args", FIRST_CALLS, ids=[name for name, _ in FIRST_CALLS])
+def test_entry_point_works_as_the_first_numeric_call(monkeypatch, name, args):
+    # mpmath loads on the first numeric call, so each entry point must bind it before
+    # it reads an mpmath name; the fresh process returns the value this one computes
+    code = ("import pickle, sys; from fractions import Fraction; from gwp1 import charlier; "
+            "assert 'mpmath' not in sys.modules; "
+            f"sys.stdout.buffer.write(pickle.dumps(charlier.{name}(*{args!r})))")
+    env = {**os.environ, "PYTHONPATH": str(Path(charlier.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+    monkeypatch.setattr(charlier, "_rgamma_memo", {})  # hold no 1/Gamma the fresh process lacks
+    assert pickle.loads(proc.stdout) == getattr(charlier, name)(*args)
 
 
 def test_gamma_classical_values():
@@ -87,6 +123,7 @@ RGAMMA_ARGUMENTS = [(5, 1), (41, 3), (1, 5), (2**40 + 1, 40), (-5, 1), (-41, 3),
 
 
 def test_rgamma_dyadic_matches_mpmath():
+    charlier.mp.prec  # bind charlier's libmp names, which this private helper reads first
     charlier._rgamma_memo.clear()
     for precs in ([53, 128, 300, 700, 830], [830, 700, 300, 128, 53]):
         for a_num, k in RGAMMA_ARGUMENTS:
@@ -441,6 +478,7 @@ def test_tail_parts_are_computed_once_per_table(monkeypatch):
             return fn(*args)
         return wrapped
 
+    charlier.mp.prec  # bind charlier's libmp names now, so that the first call keeps the patch
     monkeypatch.setattr(charlier, "_horner", counting_horner)
     monkeypatch.setattr(mpf_type, "__pow__", counting_power)
     for name, fn in (("mpf_mul", mpf_mul), ("mpf_add", mpf_add)):

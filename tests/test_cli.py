@@ -229,6 +229,15 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(path.read_text()) == {"-2": "1", "0": "-1/24"}
 
 
+def test_output_path_that_cannot_be_opened_is_usage_error(tmp_path, capsys):
+    # a path that cannot be written is a bad input, not a computational failure
+    for path in (tmp_path / "missing" / "out.json", tmp_path):
+        code = main(["invariant", "--ks", "2", "--output", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: ") and f"--output {path}" in err
+
+
 def test_removed_settings_are_usage_errors(monkeypatch, capsys):
     # --format, --output and --prec are the only settings
     for argv in (["--config", "f", "invariant", "--ks", "0"],
@@ -317,17 +326,38 @@ def test_internal_fault_is_not_a_usage_error(monkeypatch, capsys):
     assert "error: RuntimeError" in capsys.readouterr().err
 
 
-def test_library_import_leaves_the_cli_selftest_and_reflection_out():
-    # the library does not depend on its shell or its verification registry, and its
-    # records are named tuples, which need neither dataclasses nor inspect
+def run_fresh(code: str) -> str:
+    """The stdout of `code` run in a fresh interpreter that imports gwp1 from this tree."""
     env = {**os.environ, "PYTHONPATH": str(Path(gwp1.__file__).parents[1])}
-    code = ("import sys, gwp1; "
-            "print(sorted({'dataclasses', 'inspect', 'gwp1.selftest', 'gwp1.cli'} & set(sys.modules))); "
-            "from gwp1.selftest import run_selftest")
     proc = subprocess.run([sys.executable, "-c", code],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_library_import_leaves_the_cli_selftest_and_reflection_out():
+    # the library does not depend on its shell or its verification registry, its
+    # records are named tuples, which need neither dataclasses nor inspect, and
+    # mpmath loads on the first numeric call
+    out = run_fresh(
+        "import sys, gwp1; "
+        "print(sorted({'dataclasses', 'inspect', 'gwp1.selftest', 'gwp1.cli', 'mpmath'} "
+        "& set(sys.modules))); "
+        "from fractions import Fraction; "
+        "value = gwp1.bessel_j(Fraction(1, 2), 1, 64); "
+        "from mpmath import mp; mp.prec = 128; "
+        "print(abs(value - mp.besselj(mp.mpf(1) / 2, 1)) <= mp.mpf(2) ** -60); "
+        "from gwp1.selftest import run_selftest")
+    assert out == "[]\nTrue\n"
+
+
+def test_exact_commands_load_neither_mpmath_nor_the_selftest():
+    out = run_fresh(
+        "import io, sys; from gwp1.cli import main; sys.stdout = io.StringIO(); "
+        "codes = [main(['invariant', '--ks', '2']), main(['free-energy', '--max-weight', '3']), "
+        "main(['zmodel', '--n', '4', '--degree', '3'])]; sys.stdout = sys.__stdout__; "
+        "print(codes, sorted({'gwp1.selftest', 'mpmath'} & set(sys.modules)))")
+    assert out == "[0, 0, 0] []\n"
 
 
 @pytest.mark.parametrize("argv, option, readers", [
