@@ -25,18 +25,17 @@ check reads its values from it instead of building the degree-L polynomial.
 With a = p/q and x = r/s both routes run in O(l) integer steps over one
 common denominator each, are compared by cross-multiplication, and build a
 single Fraction at the end.
-`bessel_j` takes an mpf order exactly and reads its first term past the Gamma
-poles from one held 1/Gamma(1 + phi) per fractional part phi of the order
-times an exact integer ratio, so the orders of one check, which differ by
-integers, share one 1/Gamma(1 + phi), and a warm process computes it afresh
-only at a precision above any it holds.  A fresh one is the lower incomplete
-gamma series summed in fixed point over Python ints, with certified tail and
-floor errors (`_rgamma_series`), so no precision ever builds mpmath's Gamma
-Taylor table, which it rebuilds for each new 30-bit precision bucket.
-`bessel_j` then sums the power series in fixed point too: each later term is
-one exact integer product and one floor division by m (nu + m), at a scale of
-about 20 bits beyond the working precision, until the ratio-1/2 tail
-certificate holds.
+The module has one Gamma, `_rgamma`: 1/Gamma(a) at an exact rational a is a
+held 1/Gamma(1 + phi), phi the fractional part of a, times an exact integer
+ratio, so arguments that differ by integers share one.  A fresh one is the
+lower incomplete gamma series in fixed point over Python ints, with certified
+tail and floor errors (`_rgamma_series`), so mpmath's Gamma Taylor table,
+which it rebuilds for each new 30-bit precision bucket, is never built.  Far
+from the origin, where the ratio would grow past `_RATIO_BITS`, Stirling's
+series stands in for it (`_rgamma_stirling`).  `gamma_real` and `bessel_j`
+take a Fraction exactly and an mpf as the dyadic value it holds.  `bessel_j`
+sums its power series in fixed point too, one integer product and one floor
+division by m (nu + m) per term, until the ratio-1/2 tail certificate holds.
 
 The orthogonality sums and the brute-force ensemble read one shared table of
 atoms per (a, working precision), `_atoms`, memoised for the most recent pair
@@ -123,36 +122,43 @@ def _to_mpf(x):
     return mp.mpf(x)
 
 
+def _ratio(x) -> tuple[int, int]:
+    """(N, q), q > 0, with x = N / q: a Fraction or int as is, an mpf as the
+    dyadic value it holds, else the mpf x converts to at the working precision."""
+    if isinstance(x, (Fraction, int)):
+        return x.numerator, x.denominator
+    man, exp, _ = _dyadic(x if isinstance(x, mp.mpf) else mp.mpf(x))
+    return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+
+
 # ---------------------------------------------------------------------------
 # Gamma and Bessel
 # ---------------------------------------------------------------------------
 
 def gamma_real(x, prec: int):
-    """Gamma(x) at `prec` bits; errors on nonpositive-integer poles.
+    """Gamma(x) at `prec` bits as 1 / `_rgamma`; errors on nonpositive-integer poles.
 
-    An mpf x is taken exactly, not rounded to the working precision (which
-    could move it onto a pole), and evaluated at a precision that holds it.
+    x is taken exactly (`_ratio`), not rounded to the working precision, which
+    could move it onto a pole.
     """
-    wp = prec + _GUARD_BITS
-    with mp.workprec(wp):
-        xm = x if isinstance(x, mp.mpf) else _to_mpf(x)
-    with mp.workprec(max(wp, _dyadic(xm)[2])):
-        if xm <= 0 and xm == mp.floor(xm):
-            raise ValueError(f"Gamma pole at {x}")
-        val = mp.gamma(xm)
+    with mp.workprec(prec + _GUARD_BITS):
+        rgamma = mp.make_mpf(_rgamma(*_ratio(x), prec + _GUARD_BITS))
+    if not rgamma:
+        raise ValueError(f"Gamma pole at {x}")
     with mp.workprec(prec):
-        return +val
+        return 1 / rgamma
 
 
-# 1/Gamma(1 + r 2^-k) per (r, k) as (bits, raw mpf), held at the highest
+# 1/Gamma(1 + r/q) per (r, q) as (bits, raw mpf), held at the highest
 # precision asked so far, as mpmath holds pi; the _RGAMMA_HELD most recently
 # used stay.
 _RGAMMA_HELD = 16
+_RATIO_BITS = 1 << 16  # ratio size past which `_rgamma` takes Stirling's series where it converges
 _rgamma_memo: dict[tuple[int, int], tuple[int, tuple]] = {}
 
 
-def _rgamma_series(r: int, k: int, bits: int):
-    """1/Gamma(s) for s = 1 + r 2^-k in (1, 2), as a raw mpf rounded to `bits`.
+def _rgamma_series(r: int, q: int, bits: int):
+    """1/Gamma(s) for s = 1 + r/q in (1, 2), as a raw mpf rounded to `bits`.
 
     Gamma(s) = N^s e^-N (S + rho) with S = sum_{n>=0} N^n / (s)_(n+1), the
     lower incomplete gamma series (DLMF 8.7.1), and rho N^s e^-N the upper
@@ -160,69 +166,101 @@ def _rgamma_series(r: int, k: int, bits: int):
     there, 0 <= rho <= (N + 1) / N^2, and N of about p ln 2 puts that below
     2^-p S; the check after the sum certifies it.  S runs in fixed point,
     T_0 = floor(2^P / s) and T_(n+1) = floor(T_n N / (s + n + 1)), each step
-    one integer product and one floor division.  From the first ratio
-    N / (s + n + 1) < 1/2 on every later one is smaller, so once 2 T_(n+1)
-    falls below 2^-p of the sum the rest is certified below it.  A floor
-    loses less than one unit, and a unit lost at step j has grown by
-    T_n / T_j <= max(T_n / T_0, 1) at step n (the terms rise, then fall), so
-    the m terms summed lose less than (m + 1)^2 / T_0 <= 2^(1-P) (m + 1)^2 of
-    the sum; with m < 4p, P = p + 2 bits(p) + 6 keeps that below 2^-p.  The
-    prefactor e^(N - phi ln N) / N is taken at p bits, within about 2N 2^-p
-    relative, and g = 2 bits(bits) + 24 guard bits (p = bits + g) leave the
-    whole well under 2^-20 ulp at `bits` before the one rounding.
+    one integer product and one floor division over the common denominator
+    q.  From the first ratio N / (s + n + 1) < 1/2 on every later one is
+    smaller, so once 2 T_(n+1) falls below 2^-p of the sum the rest is
+    certified below it.  A floor loses less than one unit, and a unit lost at
+    step j has grown by T_n / T_j <= max(T_n / T_0, 1) at step n (the terms
+    rise, then fall), so the m terms summed lose less than (m + 1)^2 / T_0 <=
+    2^(1-P) (m + 1)^2 of the sum; with m < 4p, P = p + 2 bits(p) + 6 keeps
+    that below 2^-p.  The prefactor e^(N - phi ln N) / N is taken at p bits,
+    phi = r/q included (exact for a dyadic q), within about (2N + 2 ln N)
+    2^-p relative, and g = 2 bits(bits) + 24 guard bits (p = bits + g) leave
+    the whole well under 2^-20 ulp at `bits` before the one rounding.
     """
     p = bits + 2 * bits.bit_length() + 24
     scale = p + 2 * p.bit_length() + 6
     n_cut = p * 7 // 10 + p.bit_length()  # 0.7 > ln 2
-    one = 1 << k
-    num, den = n_cut << k, one + r  # N / (s + n) over 2^k, at n = 0
-    term = (1 << (scale + k)) // den
+    num, den = n_cut * q, q + r  # N / (s + n) over q, at n = 0
+    term = (q << scale) // den
     acc = 0
     while True:
         acc += term
-        den += one
+        den += q
         term = term * num // den
         if 2 * num < den and term << (p + 1) < acc:
             break
     if (n_cut + 1) << (scale + p) > n_cut * n_cut * acc:
         raise RuntimeError("incomplete gamma tail not certified")
     with mp.workprec(p):
-        phi = _mpf((r, -k))
+        phi = _mpf((r, 1 - q.bit_length())) if q & (q - 1) == 0 else mp.mpf(r) / q
         lead = mp.exp(n_cut - phi * mp.ln(n_cut))._mpf_
     return mpf_shift(mpf_div(lead, from_int(n_cut * acc), bits, _RND), scale)
 
 
-def _rgamma_dyadic(a_num: int, k: int, wp: int):
-    """1/Gamma(a) as a raw mpf rounded to wp bits, for a = a_num 2^-k exactly.
+def _rgamma(a_num: int, q: int, wp: int):
+    """1/Gamma(a) as a raw mpf rounded to wp bits, for a = a_num / q exactly, q > 0.
 
-    With a = 1 + phi + n, phi = r 2^-k in [0, 1) and n an integer, Gamma(a)
-    is Gamma(1 + phi) times prod_{j=1..n} (phi + j) for n >= 0, and divided
-    by prod_{j=n+1..0} (phi + j) for n < 0 (DLMF 5.5.1).  Each product is the
-    exact integer prod (r + j 2^k) over 2^(k |n|), so the held 1/Gamma(1 + phi)
-    is rounded once more.  phi = 0 needs no Gamma, and a pole (phi = 0, n < 0)
-    has the factor j = 0 and gives zero.  A fresh 1/Gamma(1 + phi) comes from
-    the integer series of `_rgamma_series`: its tail is certified below 2^-p
-    of the sum (ratio-1/2 test, and (N + 1)/N^2 for the part past N), its
-    floors lose less than (m + 1)^2 / T_0 <= 2^-p of it over m terms, and with
-    p = wp + 2 bits(wp) + 24 the held value is within 1/2 + 2^-20 ulp.
+    With a = 1 + phi + n, phi = r/q in [0, 1) and n an integer, Gamma(a) is
+    Gamma(1 + phi) times prod_{j=1..n} (phi + j) for n >= 0, and divided by
+    prod_{j=n+1..0} (phi + j) for n < 0 (DLMF 5.5.1).  Each product is the
+    exact integer prod (r + j q) against q^|n|, so the held 1/Gamma(1 + phi)
+    times that exact ratio is rounded once more.  phi = 0 needs no Gamma, and
+    a pole (phi = 0, n < 0) has the factor j = 0 and gives zero.  A fresh
+    1/Gamma(1 + phi), from `_rgamma_series`, is within 1/2 + 2^-20 ulp.  Past
+    `_RATIO_BITS` of product, where Stirling's series reaches wp bits,
+    `_rgamma_stirling` serves instead, so the work stays bounded in |a|.
     """
-    one = 1 << k
-    r, n = a_num % one, (a_num >> k) - 1
-    ratio = from_int(prod(r + j * one for j in range(min(n, 0) + 1, max(n, 0) + 1)))
+    mp.prec  # binds the libmp names below when this is the first numeric call
+    r, n = a_num % q, a_num // q - 1
+    if 8 * abs(n) > wp + 64 and abs(n) * (abs(n) * q).bit_length() > _RATIO_BITS:
+        return _rgamma_stirling(a_num, q, wp)
+    factors = from_int(prod(range(r + (min(n, 0) + 1) * q, r + (max(n, 0) + 1) * q, q)))
+    # q^|n| as odd^|n| 2^(v |n|): libmp strips trailing zeros 8 bits per pass
+    v = (q & -q).bit_length() - 1
+    power = from_man_exp((q >> v) ** abs(n), v * abs(n))
+    num, den = (power, factors) if n >= 0 else (factors, power)
     base = fone
     if r:
-        held = _rgamma_memo.pop((r, k), None)
+        held = _rgamma_memo.pop((r, q), None)
         if held is None or held[0] < wp:
-            held = wp, _rgamma_series(r, k, wp)
-        _rgamma_memo[r, k] = held
+            held = wp, _rgamma_series(r, q, wp)
+        _rgamma_memo[r, q] = held
         if len(_rgamma_memo) > _RGAMMA_HELD:
             del _rgamma_memo[next(iter(_rgamma_memo))]
         base = held[1]
-    step = mpf_div if n >= 0 else mpf_mul
-    return mpf_shift(step(base, ratio, wp, _RND), k * n)
+    return mpf_div(mpf_mul(base, num), den, wp, _RND)
 
 
-def _bessel_sum(term: int, m: int, q_num: int, den_shift: int, n_int: int, k: int,
+def _rgamma_stirling(a_num: int, q: int, wp: int):
+    """1/Gamma(a), a = a_num / q, as a raw mpf rounded to wp bits, for x > wp/8 + 7:
+    x = a for a > 0, else x = 1 - a and 1/Gamma(a) = sin(pi a) Gamma(x) / pi
+    (DLMF 5.5.3), sin(pi a) taken at a's exact distance to the nearest integer.
+
+    ln Gamma(x) is Stirling's series (x - 1/2) ln x - x + ln(2 pi)/2 +
+    sum_k B_2k / (2k (2k - 1) x^(2k-1)), its remainder below the first term
+    left out (DLMF 5.11.1, 5.11(ii)).  The terms fall to about e^(-2 pi x),
+    below 2^-(wp + 24) at such x, and are summed until one is, at
+    wp + 2 bits(x) + 32 bits: the exponential is within 2^-(wp + 20) relative.
+    """
+    x_num = a_num if a_num > 0 else q - a_num
+    with mp.workprec(wp + 2 * (x_num // q).bit_length() + 32):
+        x = mp.mpf(x_num) / q
+        s, k, x_pow = (x - _HALF) * mp.ln(x) - x + mp.ln(2 * mp.pi) / 2, 1, x
+        while True:
+            b_num, b_den = mp.bernfrac(2 * k)
+            term = mp.mpf(b_num) / (b_den * 2 * k * (2 * k - 1)) / x_pow
+            if mp.mag(term) < -wp - 24:
+                break
+            s, k, x_pow = s + term, k + 1, x_pow * x * x
+        if a_num > 0:
+            return from_man_exp(*_dyadic(mp.exp(-s))[:2], wp, _RND)
+        r, sign = a_num % q, -1 if a_num // q % 2 else 1
+        val = sign * mp.sinpi(mp.mpf(min(r, q - r)) / q) * mp.exp(s) / mp.pi
+    return from_man_exp(*_dyadic(val)[:2], wp, _RND)
+
+
+def _bessel_sum(term: int, m: int, y_num: int, den_shift: int, n_int: int, q: int,
                 tail_bits: int, cap: int) -> tuple[int, int]:
     """(sum, largest |T|) of `bessel_j`'s scaled series from T_m on, to 2 |T| 2^tail_bits <
     max(max_abs, |acc|) + 1: relative to the sum's scale, the 1 one unit of the floors."""
@@ -231,12 +269,12 @@ def _bessel_sum(term: int, m: int, q_num: int, den_shift: int, n_int: int, k: in
         acc += term
         max_abs = max(max_abs, abs(term))
         m += 1
-        den = (m * (n_int + (m << k))) << den_shift
-        term = -(term * q_num) // den
-        # once nu+m > 0 and the ratio q/(m (nu+m)) < 1/2, every later ratio
+        den = (m * (n_int + m * q)) << den_shift
+        term = -(term * y_num) // den
+        # once nu+m > 0 and the ratio y/(m (nu+m)) < 1/2, every later ratio
         # is smaller, so twice the next term bounds the whole remainder; with
         # nu+m in (-1, 0) the ratio is negative but the one after it unbounded
-        if (m > 1 and 2 * q_num < den
+        if (m > 1 and 2 * y_num < den
                 and abs(term) << (tail_bits + 1) < max(max_abs, abs(acc)) + 1):
             return acc, max_abs
         if m > cap:
@@ -247,54 +285,51 @@ def bessel_j(nu, x, prec: int):
     """J_nu(x) by its power series with an explicit geometric tail bound.
 
     Terms with nu+m+1 at a pole of Gamma are zero, so the sum starts at the
-    first m off the poles (m = -nu for a negative integer nu, else 0).  An mpf
-    nu is taken exactly, not rounded to the working precision (which could
-    move it onto a pole).  That term's 1/Gamma(nu + m + 1) comes from
-    `_rgamma_dyadic`: one 1/Gamma(1 + phi) per fractional part phi of nu,
-    held for the `_RGAMMA_HELD` most recent phi at the highest precision
-    asked so far, times an exact integer ratio.  The sum runs in fixed
-    point: nu = N 2^-K and q = (x/2)^2 = Q 2^e are dyadic, so with the first
-    term scaled to about wp + 20 bits (more when nu + m comes near zero) each
-    later term is one integer step T <- -T Q 2^(e+K) / (m (N + m 2^K)), exact
-    up to one floor.  Summation stops once the ratio bound certifies the remainder below
-    2^-wp of the sum's scale, with no absolute floor, so the result is within
-    2^-prec of |J_nu(x)| relative however small J is.  Where the terms cancel
-    more than `_SPARE_BITS` of the guard (past x of about 16, or near a zero
-    of J) it sums again with the scale and the tail test raised by as many bits.
+    first m off the poles (m = -nu for a negative integer nu, else 0).  The
+    order is taken exactly as nu = N/q (`_ratio`), not rounded to the working
+    precision, which could move it onto a pole.  That term's 1/Gamma(nu + m + 1)
+    comes from `_rgamma`, so orders that differ by integers share one held
+    1/Gamma(1 + phi).  The sum runs in fixed point: with y = (x/2)^2 = Y 2^e
+    dyadic and the first term scaled to about wp + 20 bits (more when nu + m
+    comes near zero) each later term is one integer step
+    T <- -T Y q 2^e / (m (N + m q)), exact up to one floor.  Summation stops
+    once the ratio bound certifies the remainder below 2^-wp of the sum's
+    scale, with no absolute floor, so the result is within 2^-prec of
+    |J_nu(x)| relative however small J is.  Where the terms cancel more than
+    `_SPARE_BITS` of the guard (past x of about 16, or near a zero of J) it
+    sums again with the scale and the tail test raised by as many bits.
     """
     wp = prec + _GUARD_BITS
     with mp.workprec(wp):
         x_m = _to_mpf(x)
         if x_m <= 0:
             raise ValueError(f"x must be positive, got x={x}")
+        n_int, q = _ratio(nu)
         nu_m = nu if isinstance(nu, mp.mpf) else _to_mpf(nu)
-    nu_man, nu_exp, _ = _dyadic(nu_m)
-    n_int, k = (nu_man << nu_exp, 0) if nu_exp >= 0 else (nu_man, -nu_exp)
-    m = -n_int if k == 0 and n_int < 0 else 0
-    rgamma_0 = mp.make_mpf(_rgamma_dyadic(n_int + ((m + 1) << k), k, wp))
+    m = -n_int if q == 1 and n_int < 0 else 0
+    rgamma_0 = mp.make_mpf(_rgamma(n_int + (m + 1) * q, q, wp))
     with mp.workprec(wp):
         half = x_m / 2
         quarter_sq = half * half
         term0 = mp.power(half, nu_m) * (-quarter_sq) ** m / mp.factorial(m) * rgamma_0
     # the scale 2^F puts term0 at wp + 20 bits; it has at most wp, so T is exact.
-    # A negative non-integer nu = N 2^-K comes closest to a pole at
-    # |nu + m| = d 2^-K (d >= 1), and dividing by that scales the later terms
-    # up by 2^K / d against the floors before it: carry that many more bits.
+    # A negative non-integer nu = N/q comes closest to a pole at
+    # |nu + m| = d/q (d >= 1), and dividing by that scales the later terms
+    # up by q/d against the floors before it: carry that many more bits.
     top = wp + 20
-    if k and n_int < 0:
-        r = n_int % (1 << k)
-        top += k + 1 - min(r, (1 << k) - r).bit_length()
+    if q > 1 and n_int < 0:
+        r = n_int % q
+        top += (q - 1).bit_length() + 1 - min(r, q - r).bit_length()
     t_man, t_exp, t_bits = _dyadic(term0)
     term = t_man << (top - t_bits)
-    q_man, q_exp, _ = _dyadic(quarter_sq)
-    shift = q_exp + k
-    q_num = q_man << max(shift, 0)
-    den_shift = max(-shift, 0)
+    y_man, y_exp, _ = _dyadic(quarter_sq)
+    y_num = y_man * q << max(y_exp, 0)
+    den_shift = max(-y_exp, 0)
     # the sum cancels about log2(max_abs / |acc|) bits, e^x / sqrt(x) or so for large x
-    cap = 10 * (prec + int(abs(nu_m)) + int(x_m) + 10)
+    cap = 10 * (prec + abs(n_int) // q + int(x_m) + 10)
     lost = 0
     while True:
-        acc, max_abs = _bessel_sum(term << lost, m, q_num, den_shift, n_int, k, wp + lost, cap)
+        acc, max_abs = _bessel_sum(term << lost, m, y_num, den_shift, n_int, q, wp + lost, cap)
         cancelled = max_abs.bit_length() - abs(acc).bit_length()
         if cancelled <= lost + _SPARE_BITS:
             break
@@ -683,7 +718,8 @@ def charlier_scaling_limit_check(zeta, ell: int, eps, L_list, prec: int) -> Scal
 
     The polynomial values are computed exactly over rationals, one point each
     by `charlier_value`; only the Gamma division and the Bessel target are
-    floating point.
+    floating point; mu = zeta - l - 1/2 and each L + zeta + 1/2 are exact
+    Fractions, so the target and every Gamma share one held 1/Gamma(1 + phi).
     """
     zeta_q = _as_fraction(zeta)
     eps_q = _as_fraction(eps)
@@ -697,17 +733,15 @@ def charlier_scaling_limit_check(zeta, ell: int, eps, L_list, prec: int) -> Scal
         raise ValueError(f"sizes L must be distinct; repeated: {repeated}")
     if len(L_list) < 2:
         raise ValueError(f"the monotonicity flag needs at least two sizes L, got {L_list}")
+    mu = zeta_q - ell - Fraction(1, 2)
     with mp.workprec(prec + _GUARD_BITS):
-        eps_m = mp.mpf(eps_q.numerator) / eps_q.denominator
-        zeta_m = mp.mpf(zeta_q.numerator) / zeta_q.denominator
-        mu = zeta_m - ell - mp.mpf(1) / 2
-        target = mp.power(eps_m, mu) * bessel_j(mu, 2 / eps_m, prec + _GUARD_BITS)
+        eps_m = _to_mpf(eps_q)
+        target = mp.power(eps_m, _to_mpf(mu)) * bessel_j(mu, 2 / eps_m, prec + _GUARD_BITS)
         rows = []
         for L in L_list:
             a = Fraction(1, L) / (eps_q * eps_q)
             exact = charlier_value(L + ell, a, L + zeta_q)
-            num = mp.mpf(exact.numerator) / exact.denominator
-            value = num / gamma_real(L + zeta_m + mp.mpf(1) / 2, prec + _GUARD_BITS)
+            value = _to_mpf(exact) / gamma_real(L + zeta_q + Fraction(1, 2), prec + _GUARD_BITS)
             rows.append((L, value, abs(value - target)))
         monotone = all(rows[i][2] > rows[i + 1][2] for i in range(len(rows) - 1))
     with mp.workprec(prec):
@@ -814,7 +848,7 @@ def brute_force_expectation(L: int, a, us, n_max: int, prec: int = 128):
         raise ValueError(f"n_max must be >= 1 (two atoms or more), got {n_max}")
     wp = prec + _GUARD_BITS
     with mp.workprec(wp):
-        a_m = mp.mpf(a.numerator) / a.denominator
+        a_m = _to_mpf(a)
         if a_m / (n_max + 1) >= mp.mpf(1) / 4:
             raise ValueError("n_max too small for a convergent tail bound")
         us_m = [mp.mpf(u) for u in us]

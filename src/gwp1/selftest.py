@@ -4,15 +4,14 @@ Each check is a named, argument-free callable returning a CheckResult; the
 registry order is the canonical reporting order.  The frozen rational values
 here were produced once by the independent oracle routes (triangular solve,
 brute-force ensemble sums, doubled-truncation recomputation) and are treated
-as constants afterwards.
+as constants afterwards.  The numeric checks read mpmath through `charlier.mp`,
+so it loads with the first of them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Callable, NamedTuple
-
-from mpmath import mp
 
 from .epslaurent import EpsLaurent
 from .zseries import ZSeries
@@ -178,7 +177,7 @@ def check_characteristic_det() -> CheckResult:
 
 
 def check_charlier_orthogonality() -> CheckResult:
-    tol = mp.mpf(10) ** -20
+    tol = ch.mp.mpf(10) ** -20
     ok = all(
         ch.charlier_orthogonality_check(l, lp, 1, tol, 128)
         for l in range(5)
@@ -190,10 +189,10 @@ def check_charlier_orthogonality() -> CheckResult:
 
 
 def check_charlier_determinant() -> CheckResult:
-    tol = mp.mpf(10) ** -15
+    tol = ch.mp.mpf(10) ** -15
     ok = True
     for L in (1, 2):
-        for us in ((mp.mpf(3),), (mp.mpf(3), mp.mpf("4.5"))):
+        for us in ((ch.mp.mpf(3),), (ch.mp.mpf(3), ch.mp.mpf("4.5"))):
             cp = ch.char_poly_expectation(L, 1, us, 128)
             bf = ch.brute_force_expectation(L, 1, us, 60, 128)
             ok &= abs(cp - bf) < tol
@@ -204,7 +203,7 @@ def check_charlier_determinant() -> CheckResult:
 
 def check_scaling_limit() -> CheckResult:
     rep = ch.charlier_scaling_limit_check(0, 0, 1, [20, 40, 80], 192)
-    errs = ", ".join(mp.nstr(e, 4) for (_, _, e) in rep.rows)
+    errs = ", ".join(ch.mp.nstr(e, 4) for (_, _, e) in rep.rows)
     return CheckResult(
         "scaling-limit",
         rep.monotone_decreasing,
@@ -216,11 +215,11 @@ def check_asymptotics() -> CheckResult:
     r1 = ch.asymptotic_match_check(20, 1, 3, 192)
     r2 = ch.asymptotic_match_check(40, 1, 3, 192)
     ratio = r1.abs_error / r2.abs_error
-    ok = r1.rel_error < mp.mpf(10) ** -4 and 8 <= ratio <= 32
+    ok = r1.rel_error < ch.mp.mpf(10) ** -4 and 8 <= ratio <= 32
     return CheckResult(
         "asymptotics",
         bool(ok),
-        f"rel err {mp.nstr(r1.rel_error, 4)} at z=20; doubling ratio {mp.nstr(ratio, 4)}",
+        f"rel err {ch.mp.nstr(r1.rel_error, 4)} at z=20; doubling ratio {ch.mp.nstr(ratio, 4)}",
     )
 
 

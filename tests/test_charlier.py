@@ -5,6 +5,7 @@ import pickle
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -21,7 +22,7 @@ from gwp1.charlier import (
     _GUARD_BITS,
     _RGAMMA_HELD,
     _atoms,
-    _rgamma_dyadic,
+    _rgamma,
     _rounded,
     _sum,
     asymptotic_match_check,
@@ -42,8 +43,10 @@ from gwp1.charlier import (
 )
 
 
-# each public numeric entry point, with arguments small enough for a fresh process
+# each public numeric entry point, and the private Gamma helper the tests call
+# directly, with arguments small enough for a fresh process
 FIRST_CALLS = [
+    ("_rgamma", (7, 3, 64)),
     ("gamma_real", (Fraction(7, 3), 64)),
     ("bessel_j", (Fraction(1, 3), 2, 64)),
     ("numeric_f", (Fraction(13, 4), 1, 64)),
@@ -84,6 +87,20 @@ def test_gamma_classical_values():
         gamma_real(-3, 96)
 
 
+def test_gamma_far_from_the_origin_returns_at_once():
+    # no exact ratio of about |x| factors: Stirling's series takes over, and
+    # its sin(pi x) gives a far pole's zero
+    start = time.perf_counter()
+    for x, prec in ((10**6 + Fraction(1, 3), 128), (Fraction(-10**6) - Fraction(1, 3), 128),
+                    (1e20, 53), (10**12, 128)):
+        with mp.workprec(prec + 64):
+            ref = mp.gamma(mp.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else x)
+            assert abs(gamma_real(x, prec) - ref) <= abs(ref) * mp.mpf(2) ** -prec, x
+    with pytest.raises(ValueError, match="pole"):
+        gamma_real(-10**9, 64)
+    assert time.perf_counter() - start < 2
+
+
 def test_gamma_near_a_pole_takes_mpf_argument_exactly():
     # x sits 2^-200 from the pole at -3, closer than prec + guard bits resolve
     prec = 128
@@ -115,28 +132,32 @@ def _ulps(val, ref, prec):
         return abs(val - ref) / mp.ldexp(1, mp.mag(ref) - prec)
 
 
-# a = A 2^-K: positive, negative non-integer (-3 + 2^-40 and -2 - 2^-40 sit
-# next to poles), integer, and poles (zero)
-RGAMMA_ARGUMENTS = [(5, 1), (41, 3), (1, 5), (2**40 + 1, 40), (-5, 1), (-41, 3),
-                    (-3 * 2**40 + 1, 40), (-2 * 2**40 - 1, 40), (1, 0), (7, 0),
-                    (0, 0), (-3, 0)]
+# a = A/q: dyadic (q = 2^K) positive, negative non-integer (-3 + 2^-40 and
+# -2 - 2^-40 sit next to poles), integer, and poles (zero); 1/3 held to 450
+# bits, more than the series' precision; non-dyadic, with -3 + 10^-30 next to
+# a pole; then past the exact ratio's size, through Stirling's series
+RGAMMA_ARGUMENTS = [(5, 2), (41, 8), (1, 32), (2**40 + 1, 2**40), (-5, 2), (-41, 8),
+                    (-3 * 2**40 + 1, 2**40), (-2 * 2**40 - 1, 2**40), (1, 1), (7, 1),
+                    (0, 1), (-3, 1), (2**450 // 3, 2**450), (7, 3), (-41, 6), (5, 6),
+                    (-3 * 10**30 + 1, 10**30), (3 * 10**6 + 1, 3), (-3 * 10**6 - 1, 3),
+                    (10**12, 1), (300 * 2**600 + 1, 2**600), (-300 * 2**600 + 1, 2**600)]
 
 
-def test_rgamma_dyadic_matches_mpmath():
-    charlier.mp.prec  # bind charlier's libmp names, which this private helper reads first
+def test_rgamma_matches_mpmath():
     charlier._rgamma_memo.clear()
     for precs in ([53, 128, 300, 700, 830], [830, 700, 300, 128, 53]):
-        for a_num, k in RGAMMA_ARGUMENTS:
+        for a_num, q in RGAMMA_ARGUMENTS:
             for prec in precs:
-                val = mp.make_mpf(_rgamma_dyadic(a_num, k, prec))
-                with mp.workprec(max(prec, a_num.bit_length() + 2)):
-                    ref = mp.rgamma(mp.ldexp(a_num, -k))
+                val = mp.make_mpf(_rgamma(a_num, q, prec))
+                # exact for dyadic a; else a's rounding moves 1/Gamma by 2^-(prec + 20)
+                with mp.workprec(prec + a_num.bit_length() + q.bit_length() + 20):
+                    ref = mp.rgamma(mp.mpf(a_num) / q)
                 with mp.workprec(prec):
                     ref = +ref
                 if not ref:
-                    assert not val, (a_num, k)
+                    assert not val, (a_num, q)
                 else:
-                    assert _ulps(val, ref, prec) <= 2, (a_num, k, prec)
+                    assert _ulps(val, ref, prec) <= 2, (a_num, q, prec)
 
 
 def test_rgamma_calls_one_per_fractional_order(monkeypatch):
@@ -162,16 +183,23 @@ def test_rgamma_calls_one_per_fractional_order(monkeypatch):
     assert count(numeric_wronskian, mp.mpf("7.25"), 1, 300) == 0
     assert count(numeric_wronskian, mp.mpf("7.25"), 1, 256) == 0
     assert count(numeric_wronskian, mp.mpf("7.25"), 1, 512) == 2
+    # the target's order -1/6 and each L + 5/6 share 1/Gamma(1 + 5/6)
+    charlier._rgamma_memo.clear()
+    scaling = charlier_scaling_limit_check
+    for prec, fresh in ((300, 1), (300, 0), (340, 1), (700, 1), (340, 0)):
+        assert count(scaling, Fraction(1, 3), 0, 1, [40, 80], prec) == fresh
 
 
 def test_rising_precision_sweep_builds_no_gamma_table(monkeypatch):
     # a warm process meets each fractional order at ever higher precisions;
     # each fresh 1/Gamma(1 + phi) comes from the integer series, never from
-    # mpmath's Gamma Taylor table, which it rebuilds per 30-bit bucket
+    # mpmath's Gamma Taylor table, which it rebuilds per 30-bit bucket, and
+    # these arguments, near the origin, all take the exact ratio
     def refuse(*args):
-        raise AssertionError("mpmath's Gamma Taylor table was asked for")
+        raise AssertionError("mpmath's Gamma Taylor table or Stirling's series was asked for")
 
     monkeypatch.setattr(gammazeta, "gamma_taylor_coefficients", refuse)
+    monkeypatch.setattr(charlier, "_rgamma_stirling", refuse)
     charlier._rgamma_memo.clear()
     for prec in (256, 384, 512, 640, 768):
         tol = mp.mpf(2) ** -(prec // 2)
@@ -179,6 +207,9 @@ def test_rising_precision_sweep_builds_no_gamma_table(monkeypatch):
             assert difference_equation_residual(mp.mpf("5.25"), 1, prec, which) < tol
         with mp.workprec(prec):
             assert abs(numeric_wronskian(mp.mpf("7.25"), Fraction(1, 2), prec) - 1) < tol
+    for prec in (300, 340, 700):
+        report = charlier_scaling_limit_check(Fraction(1, 3), 0, 1, [40, 80], prec)
+        assert report.monotone_decreasing
 
 
 def test_rgamma_memo_is_bounded():
@@ -200,6 +231,24 @@ def test_bessel_matches_mpmath(prec):
             with mp.workprec(prec + 64):
                 ref = mp.besselj(mp.mpf(nu), mp.mpf(x))
                 assert abs(val - ref) <= abs(ref) * mp.mpf(2) ** -prec, (nu, x)
+
+
+@pytest.mark.parametrize("prec", [53, 128, 333, 700])
+def test_bessel_rational_orders(prec):
+    # a Fraction order is taken exactly: non-dyadic ones against mpmath, and
+    # the sweep's dyadic ones bit for bit against the same order as an mpf
+    # 1/3 held to 450 bits has a fractional part longer than the series' precision
+    for nu in (Fraction(1, 3), Fraction(-17, 6), Fraction(-2, 3), Fraction(2**450 // 3, 2**450)):
+        for x in ("0.125", "2", "8"):
+            val = bessel_j(nu, mp.mpf(x), prec)
+            with mp.workprec(prec + 64 + nu.denominator.bit_length()):
+                ref = mp.besselj(mp.mpf(nu.numerator) / nu.denominator, mp.mpf(x))
+                assert abs(val - ref) <= abs(ref) * mp.mpf(2) ** -prec, (nu, x)
+    for nu in ("5.75", "-5.75", "10.75", "-10.75", "20.75", "-20.75", "0.5", "-0.5", "-1"):
+        for x in ("0.125", "2", "8"):
+            assert bessel_j(Fraction(nu), mp.mpf(x), prec) == bessel_j(mp.mpf(nu), mp.mpf(x), prec)
+    long_third = mp.make_mpf(from_man_exp(2**450 // 3, -450))
+    assert bessel_j(Fraction(2**450 // 3, 2**450), 2, prec) == bessel_j(long_third, 2, prec)
 
 
 @settings(max_examples=25, deadline=None)

@@ -360,6 +360,13 @@ def test_exact_commands_load_neither_mpmath_nor_the_selftest():
     assert out == "[0, 0, 0] []\n"
 
 
+def test_exact_selftest_check_leaves_mpmath_out():
+    out = run_fresh(
+        "import sys; from gwp1.selftest import run_selftest; "
+        "print([r.passed for r in run_selftest('wave-coefficients')], 'mpmath' in sys.modules)")
+    assert out == "[True] False\n"
+
+
 @pytest.mark.parametrize("argv, option, readers", [
     (["--check", "charpoly", "--L", "0"], "--L", "limit"),
     (["--check", "asymptotics", "--L", "20", "40"], "--L", "limit"),
