@@ -20,6 +20,9 @@ up to sum(c), so each edge total lies in [sum(c) + n - 1, -1]; x_0 lies in
 [c_0 + 1, -1] because x <= -1 on the edge leaving 0 and y <= -1 on the edge
 entering it.  The affine coordinates on the lowest total need the quartet
 exact down to z^(n - sum(k+2)); a read below its window raises WindowError.
+The trace runs on integers: the diagonals it reads come as numerators over one
+denominator D (`waves.affine_diagonals`), the bracket is +-D, each product of n
+edges is a numerator over D^n, and the sum is wrapped in one EpsLaurent.
 
 Each tau_0 is derived, not traced: on P^1, <tau_0 prod tau_k>_(g,d) = d <prod tau_k>_(g,d) with
 d = (sum k - 2g + 2)/2 (divisor equation; Okounkov-Pandharipande, arXiv:math/0204305).  With
@@ -37,11 +40,11 @@ from functools import lru_cache
 from itertools import permutations
 from math import factorial, prod
 from operator import index
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
-from .epslaurent import ONE, ZERO, EpsLaurent
+from .epslaurent import ZERO, EpsLaurent
 from .miwa import partitions
-from .waves import affine_coordinates
+from .waves import affine_diagonals
 
 
 class InvariantRecord(NamedTuple):
@@ -61,41 +64,45 @@ def _weight(ks) -> EpsLaurent:
     return EpsLaurent.from_ints({sum(ks): 1}, prod(factorial(k + 1) for k in ks))
 
 
-def _edge(aff: Callable[[int, int], EpsLaurent], forward: bool, x: int, y: int) -> EpsLaurent:
-    """G(x, y) of an edge u -> v, forward when u < v; a(x, y) = 0 on x + y = -1."""
+def _edge(diagonals: dict[int, dict[int, dict[int, int]]], den: int, forward: bool,
+          x: int, y: int) -> dict[int, int]:
+    """Numerators over den of G(x, y) of an edge u -> v, forward when u < v: a(x, y) from the
+    `affine_diagonals` over den, which vanishes on x + y >= -1, plus the bracket on x + y = -1."""
     if x + y != -1:
-        return aff(x, y)
+        return diagonals[x + y].get(x, {}) if x + y < -1 else {}
     if forward:
-        return ONE if x < 0 else ZERO
-    return ZERO if x < 0 else -ONE
+        return {0: den} if x < 0 else {}
+    return {} if x < 0 else {0: -den}
 
 
 def _cycle_sum(ks: tuple[int, ...], order: int) -> EpsLaurent:
-    """Sum over the cycles through all insertions of the edge-matrix traces."""
-    aff = affine_coordinates(order)
+    """Sum over the cycles through all insertions of the edge-matrix traces: an integer transfer
+    over the trace denominator D, each product of n edges over D^n, wrapped once."""
     n = len(ks)
     c = [-k - 2 for k in ks]
     edge_lo = sum(c) + n - 1
-    total = ZERO
+    # the other n - 1 edge totals are at least edge_lo, so none exceeds sum(c) - (n - 1) edge_lo
+    diagonals, den = affine_diagonals(order, edge_lo, sum(c) - (n - 1) * edge_lo)
+    total: dict[int, int] = {}
     for rest in permutations(range(1, n)):
         cyc = (0,) + rest
         for x0 in range(c[0] + 1, 0):
-            partial = {x0: ONE}
+            partial = {x0: {0: 1}}
             for u, v in zip(cyc, cyc[1:] + (0,)):
-                nxt: dict[int, EpsLaurent] = {}
+                # the closing edge returns to the starting x0 and adds into the total
+                nxt = {} if v else {x0: total}
                 for xu, p in partial.items():
-                    # the edge total xu + c_v - xv lies in [edge_lo, -1]; the
-                    # closing edge returns to the starting x0
+                    # the edge total xu + c_v - xv lies in [edge_lo, -1]
                     xvs = range(xu + c[v] + 1, xu + c[v] - edge_lo + 1) if v else (x0,)
                     for xv in xvs:
-                        g = _edge(aff, u < v, xu, c[v] - xv)
+                        g = _edge(diagonals, den, u < v, xu, c[v] - xv)
                         if g:
-                            pg = p * g
-                            nxt[xv] = nxt[xv] + pg if xv in nxt else pg
+                            acc = nxt.setdefault(xv, {})
+                            for e1, n1 in p.items():
+                                for e2, n2 in g.items():
+                                    acc[e1 + e2] = acc.get(e1 + e2, 0) + n1 * n2
                 partial = nxt
-            if x0 in partial:
-                total = total + partial[x0]
-    return total
+    return EpsLaurent.from_ints(total, den**n)
 
 
 def _divisor_scaled(x: EpsLaurent, total: int, m: int) -> EpsLaurent:

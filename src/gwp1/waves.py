@@ -27,7 +27,10 @@ Since log S is odd in 1/z, S^(-1)(z) = S(-z), so B(z) = A(-z) and Btilde(z) = -A
 In w = 1/z the products of A nest: with Q_0 = S and r_m = m - 1/2, Q_m = w Q_(m-1) /
 (1 - r_m w), i.e. Q_m[j] = Q_(m-1)[j-1] + r_m Q_m[j-1], feeding eps^(-2m) of A and
 eps^(1-2m) of Atilde.  Row j needs only the Stirling coefficients to w^j, so one table of
-integer rows, one Fraction per Stirling coefficient, grows only as far as it is read.
+integer rows, one gcd per Stirling coefficient, grows only as far as it is read.  The
+same table holds the kernel's affine coordinates as integer numerators over one denominator
+per diagonal; `affine_coordinates` wraps one per read, `affine_diagonals` hands a trace the
+integers of the diagonals it reads over one shared denominator.
 
 The triangular solve `solve_formal_wave` (the ansatz substituted into the
 equation and solved order by order) is kept as the independent oracle, with
@@ -42,7 +45,7 @@ from functools import lru_cache
 from math import factorial, gcd, lcm, perm
 from typing import Callable, NamedTuple
 
-from .epslaurent import EpsLaurent, EPS, EPS_INV, ZERO
+from .epslaurent import EpsLaurent, EPS, EPS_INV
 from .zseries import WindowError, ZSeries, log1p_inv_z
 
 
@@ -147,13 +150,14 @@ def bernoulli_number(n: int) -> Fraction:
 
 class _Rows:
     """The row table: numerator dicts {eps power: int} `a[j]`, `at[j]` of A and Atilde at
-    z^(-j) over `dens[j]` = D_j, the state that the next row extends, and the affine `diagonals`.
-    Rows grow on the first read of a diagonal that needs them, or to a whole quartet's order."""
+    z^(-j) over `dens[j]`, each row in lowest terms, the state that the next row extends, and the
+    affine `diagonals`, integer numerators over one denominator each.  Rows grow on the first
+    read of a diagonal that needs them, or to a whole quartet's order."""
 
     def __init__(self):
         self.t, self.kl, self.big_d, self.sigma = [0], {}, [1], [1]  # t[m] = T_m, t[0] = 0
         self.q, self.big_l, self.a, self.at, self.dens = [], 1, [], [], []
-        self.diagonals: dict[int, dict[int, EpsLaurent]] = {}
+        self.diagonals: dict[int, tuple[dict[int, dict[int, int]], int]] = {}
 
     def tangents(self, m: int) -> list[int]:
         """T_0..T_m, by Brent and Harvey's in-place integer pass (arXiv:1108.0286)."""
@@ -168,9 +172,9 @@ class _Rows:
         """Append rows len(dens)..order.  n s_n = sum_k k l_k s_(n-k), odd k, runs on sigma_n
         = s_n D_n n!, D_n = lcm_k(den(k l_k) D_(n-k)): sigma_n = sum_k k l_k D_n/D_(n-k)
         (n-1)!/(n-k)! sigma_(n-k), each k l_k = (-1)^m (2^k - 1) T_m / (2^(2k+1) (2^(k+1) - 1)),
-        m = (k+1)/2, one reduced integer pair.  With L_j = lcm den(s_0..s_j), D_j = L_j 2^j j!;
-        row j holds q_m[j] = Q_m[j] L_j 2^j = (L_j/L_(j-1)) (2 q_(m-1)[j-1] + (2m-1) q_m[j-1])
-        times j!/m!."""
+        m = (k+1)/2, one reduced integer pair.  With L_j = lcm den(s_0..s_j), row j holds
+        q_m[j] = Q_m[j] L_j 2^j = (L_j/L_(j-1)) (2 q_(m-1)[j-1] + (2m-1) q_m[j-1]) times j!/m!
+        over L_j 2^j j!, stored divided by the gcd of the row pair and that denominator."""
         kl, big_d, sigma = self.kl, self.big_d, self.sigma
         t = self.tangents((order + 1) // 2)  # one pass serves every T_m below
         for j in range(len(self.dens), order + 1):
@@ -183,24 +187,29 @@ class _Rows:
                          for k in range(1, j + 1, 2)]
                 big_d.append(d := lcm(*(den for _, den, _ in terms)))
                 sigma.append(sum(num * (d // den) * s for num, den, s in terms))
-            x = Fraction(sigma[j], big_d[j] * factorial(j))
-            rho = lcm(self.big_l, x.denominator) // self.big_l
+            d = big_d[j] * factorial(j)  # s_j = sigma_j / d
+            rho = lcm(self.big_l, d // gcd(sigma[j], d)) // self.big_l
             self.big_l *= rho
             q = self.q + [0]  # Q_j[j-1] = 0
-            self.q = q = [x.numerator * (self.big_l // x.denominator) << j] + [
+            self.q = q = [sigma[j] * self.big_l // d << j] + [
                 rho * (2 * q[m - 1] + (2 * m - 1) * q[m]) for m in range(1, j + 1)]
-            self.a.append({-2 * m: perm(j, j - m) * v for m, v in enumerate(q)})
-            self.at.append({1 - 2 * m: perm(j, j + 1 - m) * q[m] for m in range(1, j + 1)})
-            self.dens.append(self.big_l * factorial(j) << j)
+            a = [perm(j, j - m) * v for m, v in enumerate(q)]
+            at = [perm(j, j + 1 - m) * q[m] for m in range(1, j + 1)]
+            den = self.big_l * factorial(j) << j
+            g = gcd(den, *a, *at)
+            self.a.append({-2 * m: v // g for m, v in enumerate(a)})
+            self.at.append({-1 - 2 * m: v // g for m, v in enumerate(at)})
+            self.dens.append(den // g)
 
-    def diagonal(self, s: int) -> dict[int, EpsLaurent]:
-        """{x: a(x, s - x)}, summed on the first read of s (see `affine_coordinates`)."""
+    def diagonal(self, s: int) -> tuple[dict[int, dict[int, int]], int]:
+        """({x: numerators {eps power: int} of a(x, s - x)}, their one denominator), summed on
+        the first read of s (see `affine_coordinates`)."""
         if s not in self.diagonals:
             if len(dens := self.dens) < -s:
                 self.grow(-s - 1)
             # a(-1-j, s+1+j) = a(-j, s+j) + K[-j, j+1+s], j = 0, ..., -s-2
             den = lcm(*(dens[j] * dens[-s - 1 - j] for j in range(-s - 1)))
-            diagonal, acc = {}, {}
+            entries, acc = {}, {}
             for j in range(-s - 1):
                 f = (-1) ** (-s - 1 - j) * (den // (dens[j] * dens[-s - 1 - j]))
                 for u in (self.a, self.at):
@@ -208,19 +217,12 @@ class _Rows:
                         n1 *= f
                         for e2, n2 in u[-s - 1 - j].items():
                             acc[e1 + e2] = acc.get(e1 + e2, 0) + n1 * n2
-                diagonal[-1 - j] = EpsLaurent.from_ints(acc, den)
-            self.diagonals[s] = diagonal
+                entries[-1 - j] = dict(acc)
+            self.diagonals[s] = entries, den
         return self.diagonals[s]
 
 
 _ROWS = _Rows()
-
-
-def _quartet_ints(order: int):
-    """Rows of A and Atilde and the D_j, from the row table grown to at least `order`."""
-    if len(_ROWS.dens) <= order:
-        _ROWS.grow(order)
-    return _ROWS.a, _ROWS.at, _ROWS.dens
 
 
 @lru_cache(maxsize=None)
@@ -231,7 +233,9 @@ def normalized_quartet(order: int):
     Btilde: g at z, i.e. B shifted one step up.  Atilde and Btilde have top
     degree -1 with leading coefficient 1/(eps*z).  Built from the row table.
     """
-    a, at, dens = _quartet_ints(order)
+    if len(_ROWS.dens) <= order:
+        _ROWS.grow(order)
+    a, at, dens = _ROWS.a, _ROWS.at, _ROWS.dens
     pa, pat = ({-j: EpsLaurent.from_ints(u[j], dens[j]) for j in range(order + 1)} for u in (a, at))
     return (ZSeries(pa, 0, order), ZSeries(pat, -1, order),  # B(z) = A(-z), Btilde(z) = -Atilde(-z)
             ZSeries({d: -v if d % 2 else v for d, v in pa.items()}, 0, order),
@@ -247,18 +251,37 @@ def affine_coordinates(order: int) -> Callable[[int, int], EpsLaurent]:
     is a running sum along the diagonal x + y = s that reads K[i, j] on
     i + j = s + 1, so the diagonals s >= -order - 1 are exact; a read below
     them raises WindowError naming the order it needs.  As B(z) = A(-z), K[-i, -j]
-    = (-1)^j (A[-i]A[-j] + Atilde[-i]Atilde[-j]) over D_i D_j.  The order only sets the window:
-    every reader reads the current `_ROWS`, which sums each diagonal once (`_Rows.diagonal`),
-    as an integer convolution over the lcm of those products, wrapped once per coordinate.
+    = (-1)^j (A[-i]A[-j] + Atilde[-i]Atilde[-j]), rows i and j over dens[i] dens[j].  The
+    order only sets the window: every reader reads the current `_ROWS`, which sums each
+    diagonal once (`_Rows.diagonal`), as integer numerators over the lcm of those products;
+    a read wraps its one entry.
     """
 
     def read(x: int, y: int) -> EpsLaurent:
         s = x + y
         if s < -order - 1:
             raise WindowError(f"a({x}, {y}) needs the quartet to order {-s - 1}, not {order}")
-        return _ROWS.diagonal(s).get(x, ZERO)
+        entries, den = _ROWS.diagonal(s)
+        return EpsLaurent.from_ints(entries.get(x, {}), den)
 
     return read
+
+
+def affine_diagonals(order: int, lo: int, hi: int):
+    """({s: {x: numerators {eps power: int} of a(x, s - x)}}, D) for the diagonals lo <= s <=
+    min(hi, -2), over D the lcm of their denominators: each diagonal is scaled to D once, and
+    not at all when its own denominator is D.  The window is that of `affine_coordinates`."""
+    if lo < -order - 1:
+        raise WindowError(f"a(x, y) on x + y = {lo} needs the quartet to order {-lo - 1}, "
+                          f"not {order}")
+    read = [(s, *_ROWS.diagonal(s)) for s in range(lo, min(hi, -2) + 1)]  # deepest first
+    den = lcm(*(d for _, _, d in read))
+    out = {}
+    for s, entries, d in read:
+        f = den // d
+        out[s] = entries if f == 1 else {x: {e: f * v for e, v in num.items()}
+                                         for x, num in entries.items()}
+    return out, den
 
 
 def s1_series(order: int) -> ZSeries:

@@ -2,6 +2,7 @@
 
 import re
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -17,7 +18,7 @@ from gwp1.invariants import (
     invariant_by_genus,
     n_point_invariant,
 )
-from gwp1.waves import s1_series
+from gwp1.waves import affine_coordinates, s1_series
 from gwp1.zmodel import zmodel_expansion
 from gwp1.zseries import WindowError
 
@@ -120,9 +121,9 @@ def test_non_integral_ks_are_rejected(uncached, ks):
     assert n_point_invariant.cache_info().currsize == 0
 
 
-def multisets_with_a_zero(max_n, max_weight):
-    """Sorted ks with a 0, at most max_n entries and sum(k+2) <= max_weight."""
-    out = [(0,)]
+def multisets(max_n, max_weight, firsts):
+    """Sorted ks, least entry in firsts, at most max_n entries and sum(k+2) <= max_weight."""
+    out = [(k,) for k in firsts]
     for ks in out:
         if len(ks) < max_n:
             for k in range(ks[-1], max_weight):
@@ -132,11 +133,53 @@ def multisets_with_a_zero(max_n, max_weight):
 
 
 def test_derived_tau_0_values_match_their_traces():
-    cases = multisets_with_a_zero(5, 12)
+    cases = multisets(5, 12, [0])
     assert len(cases) == 41
     for ks in cases:
         order = sum(k + 2 for k in ks) + len(ks)
         assert n_point_invariant(ks).value == -_weight(ks) * _cycle_sum(ks, order), ks
+
+
+def epslaurent_edge(aff, forward, x, y):
+    """G(x, y) of an edge u -> v as an EpsLaurent, a(x, y) read through aff."""
+    if x + y != -1:
+        return aff(x, y)
+    if forward:
+        return ONE if x < 0 else ZERO
+    return ZERO if x < 0 else -ONE
+
+
+def epslaurent_cycle_sum(ks, order, aff):
+    """The cycle trace in EpsLaurent arithmetic, every edge read through the reader aff."""
+    n = len(ks)
+    c = [-k - 2 for k in ks]
+    edge_lo = sum(c) + n - 1
+    total = ZERO
+    for rest in permutations(range(1, n)):
+        cyc = (0,) + rest
+        for x0 in range(c[0] + 1, 0):
+            partial = {x0: ONE}
+            for u, v in zip(cyc, cyc[1:] + (0,)):
+                nxt = {}
+                for xu, p in partial.items():
+                    xvs = range(xu + c[v] + 1, xu + c[v] - edge_lo + 1) if v else (x0,)
+                    for xv in xvs:
+                        g = epslaurent_edge(aff, u < v, xu, c[v] - xv)
+                        if g:
+                            nxt[xv] = nxt.get(xv, ZERO) + p * g
+                partial = nxt
+            total = total + partial.get(x0, ZERO)
+    return total
+
+
+def test_integer_cycle_sum_matches_epslaurent_loop():
+    cases = multisets(4, 12, range(11))
+    assert len(cases) == 71
+    for ks in cases:
+        order = sum(k + 2 for k in ks) + len(ks)
+        for traced in (ks, ks[::-1]):
+            expected = epslaurent_cycle_sum(traced, order, affine_coordinates(order))
+            assert _cycle_sum(traced, order) == expected, traced
 
 
 def test_one_point_closed_form_matches_trace():
@@ -144,20 +187,20 @@ def test_one_point_closed_form_matches_trace():
         assert _one_point_closed_form(k) == -_weight((k,)) * _cycle_sum((k,), k + 3), k
 
 
-def forward_boundary_moved(aff, forward, x, y):
+def forward_boundary_moved(diagonals, den, forward, x, y):
     if x + y != -1:
-        return aff(x, y)
+        return diagonals[x + y].get(x, {}) if x + y < -1 else {}
     if forward:
-        return ONE if x < -1 else ZERO
-    return ZERO if x < 0 else -ONE
+        return {0: den} if x < -1 else {}
+    return {} if x < 0 else {0: -den}
 
 
-def backward_sign_flipped(aff, forward, x, y):
+def backward_sign_flipped(diagonals, den, forward, x, y):
     if x + y != -1:
-        return aff(x, y)
+        return diagonals[x + y].get(x, {}) if x + y < -1 else {}
     if forward:
-        return ONE if x < 0 else ZERO
-    return ZERO if x < 0 else ONE
+        return {0: den} if x < 0 else {}
+    return {} if x < 0 else {0: den}
 
 
 @pytest.mark.parametrize("mutant", [forward_boundary_moved, backward_sign_flipped])

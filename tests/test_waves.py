@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 from unittest import mock
 
 import pytest
@@ -17,6 +17,7 @@ from gwp1.zseries import WindowError, ZSeries
 from gwp1.waves import (
     WaveExpansion,
     affine_coordinates,
+    affine_diagonals,
     bernoulli_number,
     normalized_quartet,
     s1_series,
@@ -25,6 +26,7 @@ from gwp1.waves import (
     wave_residual,
     wave_shift,
 )
+from test_invariants import epslaurent_cycle_sum
 from test_zmodel import normalised_frame
 
 
@@ -129,15 +131,22 @@ def frame_reference(quartet, k, order):
     return ZSeries(acc.c, top=k - 1, order=order)
 
 
+def edge_reader(order, lo):
+    """G(x, y) on the diagonals x + y >= lo, by `_edge` over the denominator of a trace."""
+    diagonals, den = affine_diagonals(order, lo, -1)
+    return lambda forward, x, y: EpsLaurent.from_ints(_edge(diagonals, den, forward, x, y), den)
+
+
 def test_affine_coordinates_match_kernel_sums():
     # both sides agree only because K(z, z) = 1
     for order in range(1, 15):
         quartet = normalized_quartet(order)
         aff = affine_coordinates(order)
+        edge = edge_reader(order, -order - 1)
         for x in range(-order - 2, order + 2):
             for y in range(-order - 1 - x, order + 2):
                 for forward in (True, False):
-                    got = _edge(aff, forward, x, y)
+                    got = edge(forward, x, y)
                     assert got == kernel_edge_reference(quartet, forward, x, y), (order, x, y)
         for count in range(1, order + 1):
             frame = normalised_frame(count, order - count)
@@ -264,6 +273,18 @@ def test_row_table_is_independent_of_growth_order(monkeypatch):
     assert len(stepped.dens) == 49
 
 
+def test_rows_are_stored_in_lowest_terms(monkeypatch):
+    monkeypatch.setattr(waves, "_ROWS", rows := waves._Rows())
+    rows.grow(48)
+    stirling = fraction_stirling_series(48)
+    for j in range(49):
+        assert gcd(rows.dens[j], *rows.a[j].values(), *rows.at[j].values()) == 1, j
+        # here the reduced denominator is L_j, the lcm of the denominators of s_0..s_j
+        assert rows.dens[j] == lcm(*(x.denominator for x in stirling[:j + 1])), j
+    reference = column_pass_pair(+1, stirling) + column_pass_pair(-1, stirling)
+    assert list(map(fields, normalized_quartet.__wrapped__(48))) == list(map(fields, reference))
+
+
 def test_readers_follow_a_swapped_row_table(monkeypatch):
     expected = kernel_edge_reference(normalized_quartet(6), True, -2, -4)
     monkeypatch.setattr(waves, "_ROWS", old := waves._Rows())
@@ -308,29 +329,27 @@ def test_palindrome_check_reads_one_diagonal_deeper(fresh_rows):
     assert len(fresh_rows.dens) == 8
 
 
-class CountedEpsLaurent(EpsLaurent):
-    """EpsLaurent whose `from_ints`, called once per affine coordinate stored, is counted."""
+class CountedDiagonals(dict):
+    """A row table's diagonals that count the integer diagonal sums stored in them."""
 
-    __slots__ = ()
-    built = 0
+    summed = 0
 
-    @staticmethod
-    def from_ints(num, den=1):
-        CountedEpsLaurent.built += 1
-        return EpsLaurent.from_ints(num, den)
+    def __setitem__(self, s, diagonal):
+        assert s not in self
+        self.summed += 1
+        super().__setitem__(s, diagonal)
 
 
-def test_each_diagonal_is_summed_once_per_process(fresh_rows, monkeypatch):
-    monkeypatch.setattr(waves, "EpsLaurent", CountedEpsLaurent)
-    monkeypatch.setattr(CountedEpsLaurent, "built", 0)
+def test_each_diagonal_is_summed_once_per_process(fresh_rows):
+    fresh_rows.diagonals = CountedDiagonals()
     for ks in ((3,), (1, 2), (2, 1), (2, 2), (1, 1, 2), (0, 1, 2), (4,)):
         n_point_invariant(ks)
     zmodel_expansion(4, 3)
     for order in (6, 12, 24):
         read_every_diagonal(order, shallowest_first=False)
-    # every reader, at every order, read the one table; each coordinate was built once
-    assert min(fresh_rows.diagonals) == -25
-    assert CountedEpsLaurent.built == sum(-s - 1 for s in fresh_rows.diagonals if s < -1)
+    # every reader, at every order, read the one table; each diagonal was summed once
+    assert set(fresh_rows.diagonals) == set(range(-25, -1))
+    assert fresh_rows.diagonals.summed == 24
 
 
 traced_ks = [(3,), (10,), (1, 2), (2, 2, 2), (1, 1, 2, 2), (0, 0, 1)]
@@ -343,18 +362,17 @@ def test_affine_coordinates_agree_at_doubled_order_on_every_read_of_a_trace(monk
     order = sum(k + 2 for k in ks) + len(ks)
     reads = {}
 
-    def recording_reader(o):
-        aff = affine_coordinates(o)
-
-        def read(x, y):
-            reads[x, y] = aff(x, y)
-            return reads[x, y]
-
-        return read
+    def recording_diagonals(o, lo, hi):
+        diagonals, den = affine_diagonals(o, lo, hi)
+        for s, entries in diagonals.items():
+            for x in range(s + 1, 0):
+                reads[x, s - x] = EpsLaurent.from_ints(entries.get(x, {}), den)
+        return diagonals, den
 
     monkeypatch.setattr(waves, "_ROWS", waves._Rows())
-    with mock.patch("gwp1.invariants.affine_coordinates", recording_reader):
+    with mock.patch("gwp1.invariants.affine_diagonals", recording_diagonals):
         _cycle_sum(ks, order)
+    assert reads
     monkeypatch.setattr(waves, "_ROWS", waves._Rows())
     doubled = affine_coordinates(2 * order)
     for x, y in sorted(reads, key=sum):
@@ -393,11 +411,11 @@ def test_read_below_window_raises_before_growing(fresh_rows):
 def test_affine_coordinates_match_kernel_sums_at_recheck_orders(order):
     # windows far below the diagonals read: the order sets only where a read raises
     quartet = normalized_quartet(order)
-    aff = affine_coordinates(order)
+    edge = edge_reader(order, -14)
     for s in range(-14, 2):
         for x in range(s - 2, 3):
             for forward in (True, False):
-                got = _edge(aff, forward, x, s - x)
+                got = edge(forward, x, s - x)
                 assert got == kernel_edge_reference(quartet, forward, x, s - x), (order, x, s)
 
 
@@ -411,8 +429,7 @@ trace_ks = st.integers(min_value=1, max_value=3).flatmap(
 def test_cycle_trace_matches_epslaurent_reader(ks):
     ks = tuple(ks)
     order = sum(k + 2 for k in ks) + len(ks)
-    with mock.patch("gwp1.invariants.affine_coordinates", epslaurent_affine_reader):
-        expected = -_weight(ks) * _cycle_sum(ks, order)
+    expected = -_weight(ks) * epslaurent_cycle_sum(ks, order, epslaurent_affine_reader(order))
     assert n_point_invariant(ks, check_stability=False).value == expected
 
 
