@@ -22,44 +22,26 @@ The polynomials come from the monic three-term recurrence
 is the independent route, evaluated point by point (`charlier_value`) and
 cross-checked there against the recurrence at the same point; the scaling
 check reads its values from it instead of building the degree-L polynomial.
-With a = p/q and x = r/s both routes run in O(l) integer steps over one
-common denominator each, are compared by cross-multiplication, and build a
-single Fraction at the end.
-The module has one Gamma, `_rgamma`: 1/Gamma(a) at an exact rational a is a
-held 1/Gamma(1 + phi), phi the fractional part of a, times an exact integer
-ratio, so arguments that differ by integers share one.  A fresh one is the
-lower incomplete gamma series in fixed point over Python ints, with certified
-tail and floor errors (`_rgamma_series`), so mpmath's Gamma Taylor table,
-which it rebuilds for each new 30-bit precision bucket, is never built.  Far
-from the origin, where the ratio would grow past `_RATIO_BITS`, Stirling's
-series stands in for it (`_rgamma_stirling`).  `gamma_real` and `bessel_j`
-take a Fraction exactly and an mpf as the dyadic value it holds.  `bessel_j`
-sums its power series in fixed point too, one integer product and one floor
-division by m (nu + m) per term, until the ratio-1/2 tail certificate holds.
+The module has one Gamma, `_rgamma`: a held 1/Gamma(1 + phi), phi the
+fractional part of a, times an exact integer ratio, so arguments that differ
+by integers share one.  A fresh one is summed in fixed point over Python ints
+(`_rgamma_series`), so mpmath's Gamma Taylor table is never built; Stirling's
+series serves far from the origin.  `bessel_j` sums in fixed point too.  Both
+take a Fraction exactly and an mpf as the dyadic value it holds.
 
 The orthogonality sums and the brute-force ensemble read one shared table of
-atoms per (a, working precision), `_atoms`, memoised for the most recent pair
-only: the weights e^(-a) a^n / n! as raw libmp tuples, and each pi_l's
-coefficients and values pi_l(n + 1/2) as (mantissa, exponent) pairs of Python
-ints, grown one atom at a time when a caller first needs it.  A pairing is
-then three integer steps per atom, acc += (pi_l pi_l') w, and Horner's
-acc*x + c two: each step forms the exact product or sum and rounds it once to
-the working precision, ties to even (`_rounded`).  libmp's mpf_mul and
-mpf_add at round_nearest are correctly rounded as well, so each step gives
-the very number the mpf expression gives, and every sum is bit-identical to a
-fresh mpf evaluation.  The tail bound's parts that do not depend on the pair
-(a/(n+1) < 1/2, r and 1 - r per atom and degree sum, and the
-absolute-coefficient value |pi_l|(x_n) per degree and atom) are held in the
-table too, so all the pairings at one (a, precision) compute each once.
-
-`brute_force_expectation` averages over the atoms directly, in O(n_max): as
-x_i - x_j = i - j, its L = 2 pair sums are moment forms (Heine's identity for a
-2 x 2 Hankel determinant), sum_{i,j} v_i v_j (x_i - x_j)^2 = 2 (M0 M2 - M1^2)
-with M_k = sum_i v_i i^k, for v_i = det_i w_i and for v_i = w_i.  Each v_i is
-formed by the same correctly rounded integer steps, and each moment and the
-last shell is one exact integer sum rounded once, with libmp's mpf_sum rules
-for terms far below or above the running sum (`_sum`), so the average is
-bit-identical to its mpf expressions.
+atoms per (a, working precision), `_atoms`, kept for the most recent pair
+only: the weights e^(-a) a^n / n! and each pi_l's coefficients and values
+pi_l(n + 1/2), all (mantissa, exponent) pairs of Python ints, grown when a
+caller first needs them.  Each step on them (a weight's a/n and its product,
+a pairing's acc += (pi_l pi_l') w, Horner's acc*x + c) forms the exact
+quotient, product or sum and rounds it once to the working precision, ties to
+even (`_quotient`, `_rounded`), as libmp's correctly rounded mpf_div, mpf_mul
+and mpf_add do, so every value is bit-identical to its mpf expression.  The
+tail bound's pair-free parts are held in the table too, and a pairing skips
+the bound where it cannot pass.  `brute_force_expectation` sums its L = 2
+pairs as moment forms 2 (M0 M2 - M1^2), in O(n_max), each moment one exact
+integer sum rounded once by libmp's mpf_sum rules (`_sum`).
 
 All truncated sums carry explicit tail bounds; precision is always an
 explicit argument, applied through a local working-precision context.
@@ -69,6 +51,7 @@ attribute read imports mpmath and binds `mp` and the libmp names.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
@@ -84,11 +67,10 @@ class _Mpmath:
     """`mp` until the first numeric call, which binds the mpmath names below."""
 
     def __getattr__(self, name):
-        global mp, fone, from_int, from_man_exp, mpf_div, mpf_lt, mpf_mul, mpf_shift, _RND, _HALF
+        global mp, fone, from_int, from_man_exp, mpf_div, mpf_mul, mpf_shift, _RND, _HALF
         from mpmath import mp
         from mpmath.libmp import (
-            fone, from_int, from_man_exp, mpf_div, mpf_lt, mpf_mul, mpf_shift,
-            round_nearest as _RND,
+            fone, from_int, from_man_exp, mpf_div, mpf_mul, mpf_shift, round_nearest as _RND,
         )
         _HALF = mp.mpf(1) / 2
         return getattr(mp, name)
@@ -421,31 +403,31 @@ def charlier_value(ell: int, a, x) -> Fraction:
 class _Atoms:
     """The atoms x_n = n + 1/2 of one (a, wp), grown one atom at a time.
 
-    `weights[n]` = e^(-a) a^n / n! is a raw mpf tuple at wp bits;
-    `coefficients[l]` (pi_l's coefficients) and `values[l][n]` = pi_l(x_n)
-    are (mantissa, exponent) pairs at wp bits.  Each is rounded as the mpf
-    steps weight *= a/n and acc*x + c round it, so a sum read from the table
-    is bit-identical to one evaluated afresh.  The weights always reach one
-    atom past the longest row of values.  The tail bound's pair-free parts
-    are held as mpf once first asked for: `growth[n]` = (a/(n+1),
-    1 + 1/(n + 1/2)), `stops[n, deg]` = 1 - r (or 0 while its test fails)
-    and `bounds[l, n]` = |pi_l|(x_n).
+    `weights[n]` = e^(-a) a^n / n!, `coefficients[l]` (pi_l's coefficients),
+    `values[l][n]` = pi_l(x_n) and `bounds[l, n]` = |pi_l|(x_n) are
+    (mantissa, exponent) pairs at wp bits, each rounded as the mpf steps
+    weight *= a/n and acc*x + c round it (`_quotient`, `_rounded`), so a sum
+    read from the table is bit-identical to one evaluated afresh.  The weights
+    reach one atom past the longest row of values.  The stop test's mpf parts,
+    `growth[n]` = (a/(n+1), 1 + 1/(n + 1/2)) and `stops[n, deg]` = 1 - r (or 0
+    while its test fails), and the bounds are held once first asked for.
     """
 
     def __init__(self, a: Fraction, wp: int):
         self.a, self.wp = a, wp
         with mp.workprec(wp):
             self.a_m = _to_mpf(a)
-            self.weights = [(mp.e ** (-self.a_m))._mpf_]
+            self.weights = [_dyadic(mp.e ** (-self.a_m))[:2]]
         self.coefficients, self.values, self.stops, self.bounds, self.growth = {}, {}, {}, {}, {}
 
     def grow(self, count: int, *degrees: int) -> None:
         """Hold the weights of atoms 0..count and, for each listed degree l,
         pi_l at the atoms below count."""
         wp, weights = self.wp, self.weights
+        a_man, a_exp, _ = _dyadic(self.a_m)
         while len(weights) <= count:
-            ratio = mpf_div(self.a_m._mpf_, from_int(len(weights)), wp, _RND)
-            weights.append(mpf_mul(weights[-1], ratio, wp, _RND))
+            (w_man, w_exp), (r_man, r_exp) = weights[-1], _quotient(a_man, a_exp, len(weights), wp)
+            weights.append(_rounded(w_man * r_man, w_exp + r_exp, wp))
         for ell in degrees:
             if ell not in self.values:
                 with mp.workprec(wp):
@@ -474,8 +456,8 @@ class _Atoms:
     def bound(self, ell, n):
         """|pi_l|(x_n), pi_l's absolute coefficients summed at x_n by Horner."""
         if (ell, n) not in self.bounds:
-            self.bounds[ell, n] = _mpf(_horner(
-                [(abs(m), e) for m, e in self.coefficients[ell]], 2 * n + 1, -1, self.wp))
+            self.bounds[ell, n] = _horner(
+                [(abs(m), e) for m, e in self.coefficients[ell]], 2 * n + 1, -1, self.wp)
         return self.bounds[ell, n]
 
 
@@ -507,6 +489,15 @@ def _rounded(man, exp, wp: int, other=0, other_exp=0):
     return (mag if man > 0 else -mag), exp + shift
 
 
+def _quotient(man, exp, n: int, wp: int):
+    """The (mantissa, exponent) pair of man 2^exp / n, man > 0, rounded once to
+    wp bits, ties to even, as libmp's mpf_div at round_nearest: the quotient to
+    wp + 5 bits or more, with a sticky bit below it for a nonzero remainder."""
+    shift = max(wp - man.bit_length() + n.bit_length() + 5, 5)
+    quot, rem = divmod(man << shift, n)
+    return _rounded(2 * quot + (rem > 0), exp - shift - 1, wp)
+
+
 def _horner(coefficients, x_man, x_exp, wp: int):
     """sum_i c_i x^i over (mantissa, exponent) pairs, each step acc*x + c
     rounded to wp."""
@@ -526,11 +517,15 @@ def charlier_orthogonality_sum(ell: int, ellp: int, a, tol, prec: int = 128):
     so each atom costs three integer steps at wp, acc += (p q) w, each one
     rounded to nearest-even by `_rounded` as the libmp step it stands for.
 
-    From atom n >= 1 on, x >= 3/2, and the abs-coefficient Horner value of a
-    monic pi_l is >= x^l >= 1; with 1/(1 - r) >= 1 the tail bound is >= the
-    weight.  The tail test can only pass once weight < tol/4, so skipping it
-    while weight >= tol/2 (the 2 absorbs rounding) never moves the stopping
-    index.
+    The test at atom n needs a/(n+1) < 1/2, n >= floor(2a), and from there
+    on each weight is at most half the one before.  From n >= 1 on, x >= 3/2
+    and the abs-coefficient Horner value |pi_l|(x) of a monic pi_l is >= x^l
+    >= 1, so with 1/(1 - r) >= 1 the bound is >= |pi_l| |pi_l'| w >= w, and
+    it can only pass once w < tol/4.  So the first n >= max(1, floor(2a))
+    with w < tol/2 (the 2 absorbs rounding) is found once, the atoms before
+    it are summed with no test, and from it on the test is skipped wherever
+    the exponents alone give |pi_l| |pi_l'| w >= 2 tol/4.  Neither moves the
+    stopping index.
     """
     a = _as_fraction(a)
     if ell < 0 or ellp < 0:
@@ -544,30 +539,35 @@ def charlier_orthogonality_sum(ell: int, ellp: int, a, tol, prec: int = 128):
         if tol_m <= 0:
             raise ValueError(f"tol must be positive, got tol={tol}")
         atoms = _atoms(a, wp)
-        atoms.grow(0, ell, ellp)
         a_m, weights = atoms.a_m, atoms.weights
-        p_x, q_x = atoms.values[ell], atoms.values[ellp]
-        half_tol = (tol_m / 2)._mpf_
-        acc = acc_exp = n = held = 0
         n_cap = 64 * (prec + deg + int(a_m) + 4)
+        t_man, t_exp, t_bits = _dyadic(tol_m / 2)
+
+        def below(w):  # w < tol/2, exactly
+            return w[0] << max(w[1] - t_exp, 0) < t_man << max(t_exp - w[1], 0)
+        n = max(1, 2 * a.numerator // a.denominator)  # a/(n+1) < 1/2: the weights fall from here
+        while len(weights) <= n or (len(weights) <= n_cap + 1 and not below(weights[-1])):
+            atoms.grow(len(weights))
+        n = bisect_left(weights, True, n, min(len(weights), n_cap + 1), key=below)
+        atoms.grow(n, ell, ellp)
+        p_x, q_x = atoms.values[ell], atoms.values[ellp]
+        acc = acc_exp = done = 0
         while True:
-            if n == held:
-                atoms.grow(n + 1, ell, ellp)
-                held = min(len(p_x), len(q_x))
-            (p_man, p_exp), (q_man, q_exp) = p_x[n], q_x[n]
-            _, w_man, w_exp, _ = weights[n]  # weights are positive
-            term, exp = _rounded(p_man * q_man, p_exp + q_exp, wp)
-            acc, acc_exp = _rounded(acc, acc_exp, wp, *_rounded(term * w_man, exp + w_exp, wp))
-            n += 1
-            if mpf_lt(weights[n], half_tol) and (stop := atoms.stop(n, deg)):
-                tail = (atoms.bound(ell, n) * atoms.bound(ellp, n)
-                        * mp.make_mpf(weights[n]) / stop)
-                if tail < tol_m / 4:
-                    break
+            for i in range(done, n):
+                (p_man, p_exp), (q_man, q_exp), (w_man, w_exp) = p_x[i], q_x[i], weights[i]
+                term, exp = _rounded(p_man * q_man, p_exp + q_exp, wp)
+                acc, acc_exp = _rounded(acc, acc_exp, wp, *_rounded(term * w_man, exp + w_exp, wp))
+            done = n
+            b, c, w = atoms.bound(ell, n), atoms.bound(ellp, n), weights[n]
+            # the bound is >= b c w >= 2^(top bits - 3): it cannot pass where that is >= tol/2
+            if (sum(e + m.bit_length() for m, e in (b, c, w)) - 3 < t_exp + t_bits
+                    and (stop := atoms.stop(n, deg))
+                    and _mpf(b) * _mpf(c) * _mpf(w) / stop < tol_m / 4):
+                break
             if n > n_cap:
-                raise RuntimeError(
-                    "tail bound unachievable at the requested tolerance"
-                )
+                raise RuntimeError("tail bound unachievable at the requested tolerance")
+            n += 1
+            atoms.grow(n, ell, ellp)
         target = a_m**ell * factorial(ell) if ell == ellp else mp.mpf(0)
     with mp.workprec(prec):
         return +_mpf((acc, acc_exp)), +target
@@ -833,10 +833,9 @@ def brute_force_expectation(L: int, a, us, n_max: int, prec: int = 128):
     otherwise an error asks for a larger n_max.  The weights e^(-a) a^n / n!
     are read from the shared atom table `_atoms(a, prec + _GUARD_BITS)`.
 
-    Per atom, v_n = prod_j (u_j - x_n) w_n runs on (mantissa, exponent) int
-    pairs, each difference and product rounded once to the working precision
-    by `_rounded`, and the moments and the shell are exact integer sums
-    rounded once by `_sum`, so every value is the one the mpf expressions
+    Per atom, v_n = prod_j (u_j - x_n) w_n runs on (mantissa, exponent) pairs
+    by `_rounded`, and the moments and the shell are exact integer sums rounded
+    once by `_sum`, so every value is the one the mpf expressions
     fprod(u - x for u in us) * w, fdot(v, i^k) and fsum give, bit for bit.
     """
     a = _as_fraction(a)
@@ -856,7 +855,7 @@ def brute_force_expectation(L: int, a, us, n_max: int, prec: int = 128):
             raise ValueError("need at least one evaluation point")
         atoms = _atoms(a, wp)
         atoms.grow(n_max)
-        weights = [(man, exp) for _, man, exp, _ in atoms.weights[:n_max + 1]]
+        weights = atoms.weights[:n_max + 1]
         points = [_dyadic(u)[:2] for u in us_m]
         vs = []
         for n, (w_man, w_exp) in enumerate(weights):

@@ -92,8 +92,11 @@ def _cycle_sum(ks: tuple[int, ...], order: int) -> EpsLaurent:
                 # the closing edge returns to the starting x0 and adds into the total
                 nxt = {} if v else {x0: total}
                 for xu, p in partial.items():
-                    # the edge total xu + c_v - xv lies in [edge_lo, -1]
-                    xvs = range(xu + c[v] + 1, xu + c[v] - edge_lo + 1) if v else (x0,)
+                    if xu >= 0:  # a(x, y) = 0 for x >= 0: only the backward bracket, x + y = -1
+                        xv = xu + c[v] + 1
+                        xvs = (xv,) if u > v and (v or xv == x0) else ()
+                    else:  # the edge total xu + c_v - xv lies in [edge_lo, -1]
+                        xvs = range(xu + c[v] + 1, xu + c[v] - edge_lo + 1) if v else (x0,)
                     for xv in xvs:
                         g = _edge(diagonals, den, u < v, xu, c[v] - xv)
                         if g:

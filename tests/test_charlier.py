@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 from mpmath.libmp import (
-    from_man_exp, fzero, gammazeta, mpf_add, mpf_mul, mpf_sum, round_nearest,
+    from_int, from_man_exp, fzero, gammazeta, mpf_add, mpf_div, mpf_mul, mpf_sum, round_nearest,
 )
 
 from gwp1 import charlier
@@ -22,6 +22,7 @@ from gwp1.charlier import (
     _GUARD_BITS,
     _RGAMMA_HELD,
     _atoms,
+    _quotient,
     _rgamma,
     _rounded,
     _sum,
@@ -452,6 +453,21 @@ def test_orthogonality_sums_bit_identical(a, prec):
                     == orthogonality_reference(ell, ellp, a, tol, prec)), (ell, ellp)
 
 
+# At a = 50 and 200, e^-a is below tol/2 from atom 0 on, but the weights rise
+# to a peak near n = a before they fall: the tail test's first atom is set by
+# a/(n+1) < 1/2, n >= 2a, and by the weight after that.
+@pytest.mark.parametrize("a, prec", [(Fraction(50), 128), (Fraction(200), 128),
+                                     (Fraction(200), 300)])
+def test_orthogonality_sums_bit_identical_past_the_weight_peak(a, prec):
+    tol = mp.mpf(2) ** -(prec // 2)
+    with mp.workprec(prec + _GUARD_BITS):
+        assert mp.e ** -mp.mpf(int(a)) < tol / 2
+    for ell in range(4):
+        for ellp in range(ell, 4):
+            assert (charlier_orthogonality_sum(ell, ellp, a, tol, prec)
+                    == orthogonality_reference(ell, ellp, a, tol, prec)), (ell, ellp)
+
+
 def _random_operand(rng, wp, top):
     man = rng.getrandbits(rng.randint(1, top)) | 1
     return (-man if rng.random() < 0.5 else man), rng.randint(-3 * wp, wp)
@@ -498,15 +514,44 @@ def test_rounded_steps_match_libmp(wp):
                 check(sign * 2 * kk, -5, -1, -5)
 
 
+@pytest.mark.parametrize("wp", [53, 158, 330, 797])
+def test_weight_steps_match_libmp(wp):
+    """The atom table's weight step w *= a/n, `_quotient` then `_rounded`,
+    equals libmp's mpf_div and mpf_mul at round_nearest and wp bits."""
+    rng = random.Random(wp)
+
+    def check(a_man, a_exp, n, w):
+        a_m = from_man_exp(a_man, a_exp)
+        ratio = mpf_div(a_m, from_int(n), wp, round_nearest)
+        r_man, r_exp = _quotient(a_man, a_exp, n, wp)
+        assert from_man_exp(r_man, r_exp) == ratio, (a_man, a_exp, n)
+        w_man, w_exp = w
+        assert (from_man_exp(*_rounded(w_man * r_man, w_exp + r_exp, wp))
+                == mpf_mul(from_man_exp(w_man, w_exp), ratio, wp, round_nearest))
+
+    for _ in range(300):
+        # a = p/q > 0 converted at wp: non-dyadic q, and dyadic q, whose a is exact
+        p = rng.getrandbits(rng.randint(1, 2 * wp)) + 1
+        q = rng.choice([rng.getrandbits(rng.randint(1, wp)) | 1, 1 << rng.randint(0, 64)])
+        _, a_man, a_exp, _ = mpf_div(from_int(p), from_int(q), wp, round_nearest)
+        # n >= 1, with powers of two, where mpf_div takes its exact shortcut
+        for n in (rng.randint(1, 1000), rng.getrandbits(rng.randint(1, 80)) + 1,
+                  1 << rng.randint(0, 70)):
+            check(a_man, a_exp, n, (rng.getrandbits(wp) | 1 << (wp - 1), rng.randint(-3 * wp, 0)))
+    for _ in range(50):  # exact ties: the quotient k has wp + 1 bits and is odd
+        n, k = rng.randint(3, 10**6) | 1, rng.getrandbits(wp) | 1 << wp | 1
+        check(n * k, rng.randint(-wp, wp), n, (1, 0))
+
+
 def test_tail_parts_are_computed_once_per_table(monkeypatch):
     """Over the ten pairs l <= l' <= 3 at one (a, prec), each |pi_l|(x_n) and
     each (n, l + l') ratio bound is computed at most once, and the pair loop
-    makes no libmp mpf_mul or mpf_add call."""
+    makes no libmp mpf_mul, mpf_div or mpf_add call."""
     a, prec = Fraction(2), 300
     tol = mp.mpf(2) ** -(prec // 2)
     pairs = [(ell, ellp) for ell in range(4) for ellp in range(ell, 4)]
     _atoms.cache_clear()
-    horner_calls, powers, libmp_calls = [], [], {"mpf_mul": 0, "mpf_add": 0}
+    horner_calls, powers, libmp_calls = [], [], {"mpf_mul": 0, "mpf_div": 0, "mpf_add": 0}
     horner = charlier._horner
 
     def counting_horner(coefficients, x_man, x_exp, wp):
@@ -530,7 +575,7 @@ def test_tail_parts_are_computed_once_per_table(monkeypatch):
     charlier.mp.prec  # bind charlier's libmp names now, so that the first call keeps the patch
     monkeypatch.setattr(charlier, "_horner", counting_horner)
     monkeypatch.setattr(mpf_type, "__pow__", counting_power)
-    for name, fn in (("mpf_mul", mpf_mul), ("mpf_add", mpf_add)):
+    for name, fn in (("mpf_mul", mpf_mul), ("mpf_div", mpf_div), ("mpf_add", mpf_add)):
         monkeypatch.setattr(charlier, name, counting(name, fn), raising=False)
     first = [charlier_orthogonality_sum(ell, ellp, a, tol, prec) for ell, ellp in pairs]
     atoms = _atoms(a, prec + _GUARD_BITS)
@@ -544,13 +589,12 @@ def test_tail_parts_are_computed_once_per_table(monkeypatch):
                     and base != atoms.a_m]
     assert len(ratio_powers) == len(set(ratio_powers)) == sum(
         1 for n, deg in atoms.stops if atoms.a_m / (n + 1) < mp.mpf(1) / 2) > 10
-    # libmp multiplies only to grow the weights, and adds nowhere
-    assert libmp_calls == {"mpf_mul": len(atoms.weights) - 1, "mpf_add": 0}
+    # the weights grow on integer steps too: libmp multiplies, divides and adds nowhere
+    assert libmp_calls == {"mpf_mul": 0, "mpf_div": 0, "mpf_add": 0}
     # a second pass reads the warm table: no Horner, no power, no libmp step
     del horner_calls[:], powers[:]
-    libmp_calls.update(mpf_mul=0, mpf_add=0)
     assert [charlier_orthogonality_sum(ell, ellp, a, tol, prec) for ell, ellp in pairs] == first
-    assert horner_calls == [] and libmp_calls == {"mpf_mul": 0, "mpf_add": 0}
+    assert horner_calls == [] and libmp_calls == {"mpf_mul": 0, "mpf_div": 0, "mpf_add": 0}
     assert [deg for _, deg in powers if isinstance(deg, int)] == [0, 1, 2, 3]  # the targets a^l
 
 

@@ -182,6 +182,24 @@ def test_integer_cycle_sum_matches_epslaurent_loop():
             assert _cycle_sum(traced, order) == expected, traced
 
 
+def test_cycle_sum_reads_no_zero_entries_off_the_bracket(monkeypatch):
+    # a(x, y) = 0 for x >= 0, so from x >= 0 only the bracket on x + y = -1 is read
+    edge, reads = invariants._edge, []
+
+    def recording_edge(diagonals, den, forward, x, y):
+        reads.append((x, y))
+        return edge(diagonals, den, forward, x, y)
+
+    monkeypatch.setattr(invariants, "_edge", recording_edge)
+    ks = (1, 1, 2, 1, 1)
+    order = sum(k + 2 for k in ks) + len(ks)
+    value = _cycle_sum(ks, order)
+    assert any(x >= 0 for x, _ in reads)
+    assert all(x + y == -1 for x, y in reads if x >= 0)
+    monkeypatch.undo()
+    assert value == epslaurent_cycle_sum(ks, order, affine_coordinates(order))
+
+
 def test_one_point_closed_form_matches_trace():
     for k in range(15):
         assert _one_point_closed_form(k) == -_weight((k,)) * _cycle_sum((k,), k + 3), k
