@@ -14,34 +14,33 @@ and have unit Wronskian, and it validates the scaling limit
     lim_L  pi_{L+l}(L + zeta; 1/(L eps^2)) / Gamma(L + zeta + 1/2)
          = eps^(zeta - l - 1/2) * J_{zeta - l - 1/2}(2/eps).
 
-The polynomials come from the monic three-term recurrence
-(`charlier_poly`).  The explicit sum
+The polynomials come from the monic three-term recurrence (`charlier_poly`).
+The explicit sum pi_l(x; a) = (-a)^l sum_i (-l)_i (1/2 - x)_i / i! (-1/a)^i is
+the independent route, evaluated point by point (`charlier_value`) and
+cross-checked there against the recurrence; the scaling check reads its values
+from it instead of building the degree-L polynomial.
 
-    pi_l(x; a) = (-a)^l sum_i (-l)_i (1/2 - x)_i / i! (-1/a)^i
-
-is the independent route, evaluated point by point (`charlier_value`) and
-cross-checked there against the recurrence at the same point; the scaling
-check reads its values from it instead of building the degree-L polynomial.
 The module has one Gamma, `_rgamma`: a held 1/Gamma(1 + phi), phi the
 fractional part of a, times an exact integer ratio, so arguments that differ
 by integers share one.  A fresh one is summed in fixed point over Python ints
 (`_rgamma_series`), so mpmath's Gamma Taylor table is never built; Stirling's
-series serves far from the origin.  `bessel_j` sums in fixed point too.  Both
-take a Fraction exactly and an mpf as the dyadic value it holds.
+series serves far from the origin.  The Bessel series is summed in fixed point
+too, and a residual or Wronskian check reads each of its waves at z + k from
+one call (`_waves`): one sqrt(pi/(2 eps)), one cos(pi z), and per wave one
+start term (x/2)^nu / Gamma(nu + 1) that its orders nu + k share through exact
+integer ratios (`_bessel_orders`).  Gamma and Bessel take a Fraction exactly and
+an mpf as the dyadic value it holds.
 
 The orthogonality sums and the brute-force ensemble read one shared table of
 atoms per (a, working precision), `_atoms`, kept for the most recent pair
 only: the weights e^(-a) a^n / n! and each pi_l's coefficients and values
-pi_l(n + 1/2), all (mantissa, exponent) pairs of Python ints, grown when a
-caller first needs them.  Each step on them (a weight's a/n and its product,
-a pairing's acc += (pi_l pi_l') w, Horner's acc*x + c) forms the exact
-quotient, product or sum and rounds it once to the working precision, ties to
-even (`_quotient`, `_rounded`), as libmp's correctly rounded mpf_div, mpf_mul
-and mpf_add do, so every value is bit-identical to its mpf expression.  The
-tail bound's pair-free parts are held in the table too, and a pairing skips
-the bound where it cannot pass.  `brute_force_expectation` sums its L = 2
-pairs as moment forms 2 (M0 M2 - M1^2), in O(n_max), each moment one exact
-integer sum rounded once by libmp's mpf_sum rules (`_sum`).
+pi_l(n + 1/2), as (mantissa, exponent) pairs of Python ints grown on first
+need.  Each step on them forms the exact quotient, product or sum and rounds it
+once, ties to even (`_quotient`, `_rounded`), as libmp's correctly rounded
+mpf_div, mpf_mul and mpf_add do, so every value is bit-identical to its mpf
+expression.  The tail bound's pair-free parts are held in the table too.
+`brute_force_expectation` sums its L = 2 pairs as moment forms
+2 (M0 M2 - M1^2), each moment one exact integer sum rounded once (`_sum`).
 
 All truncated sums carry explicit tail bounds; precision is always an
 explicit argument, applied through a local working-precision context.
@@ -119,10 +118,7 @@ def _ratio(x) -> tuple[int, int]:
 
 def gamma_real(x, prec: int):
     """Gamma(x) at `prec` bits as 1 / `_rgamma`; errors on nonpositive-integer poles.
-
-    x is taken exactly (`_ratio`), not rounded to the working precision, which
-    could move it onto a pole.
-    """
+    x is taken exactly (`_ratio`), never rounded onto a pole."""
     with mp.workprec(prec + _GUARD_BITS):
         rgamma = mp.make_mpf(_rgamma(*_ratio(x), prec + _GUARD_BITS))
     if not rgamma:
@@ -180,15 +176,23 @@ def _rgamma_series(r: int, q: int, bits: int):
     return mpf_shift(mpf_div(lead, from_int(n_cut * acc), bits, _RND), scale)
 
 
+def _gamma_ratio(a: int, q: int, n: int):
+    """(num, den), raw mpfs with Gamma(a/q) / Gamma(a/q + n) = num / den exactly (DLMF
+    5.5.1): q^n over the integer factors a + j q, 0 <= j < n, or those over q^-n for n < 0."""
+    factors = from_int(prod(range(a + min(n, 0) * q, a + max(n, 0) * q, q)))
+    # q^|n| as odd^|n| 2^(v |n|): libmp strips trailing zeros 8 bits per pass
+    v = (q & -q).bit_length() - 1
+    power = from_man_exp((q >> v) ** abs(n), v * abs(n))
+    return (power, factors) if n >= 0 else (factors, power)
+
+
 def _rgamma(a_num: int, q: int, wp: int):
     """1/Gamma(a) as a raw mpf rounded to wp bits, for a = a_num / q exactly, q > 0.
 
-    With a = 1 + phi + n, phi = r/q in [0, 1) and n an integer, Gamma(a) is
-    Gamma(1 + phi) times prod_{j=1..n} (phi + j) for n >= 0, and divided by
-    prod_{j=n+1..0} (phi + j) for n < 0 (DLMF 5.5.1).  Each product is the
-    exact integer prod (r + j q) against q^|n|, so the held 1/Gamma(1 + phi)
-    times that exact ratio is rounded once more.  phi = 0 needs no Gamma, and
-    a pole (phi = 0, n < 0) has the factor j = 0 and gives zero.  A fresh
+    With a = 1 + phi + n, phi = r/q in [0, 1) and n an integer, the held
+    1/Gamma(1 + phi) times the exact ratio Gamma(1 + phi) / Gamma(a) of
+    `_gamma_ratio` is rounded once more.  phi = 0 needs no Gamma, and a pole
+    (phi = 0, n < 0) has the factor 0 and gives zero.  A fresh
     1/Gamma(1 + phi), from `_rgamma_series`, is within 1/2 + 2^-20 ulp.  Past
     `_RATIO_BITS` of product, where Stirling's series reaches wp bits,
     `_rgamma_stirling` serves instead, so the work stays bounded in |a|.
@@ -197,11 +201,7 @@ def _rgamma(a_num: int, q: int, wp: int):
     r, n = a_num % q, a_num // q - 1
     if 8 * abs(n) > wp + 64 and abs(n) * (abs(n) * q).bit_length() > _RATIO_BITS:
         return _rgamma_stirling(a_num, q, wp)
-    factors = from_int(prod(range(r + (min(n, 0) + 1) * q, r + (max(n, 0) + 1) * q, q)))
-    # q^|n| as odd^|n| 2^(v |n|): libmp strips trailing zeros 8 bits per pass
-    v = (q & -q).bit_length() - 1
-    power = from_man_exp((q >> v) ** abs(n), v * abs(n))
-    num, den = (power, factors) if n >= 0 else (factors, power)
+    num, den = _gamma_ratio(r + q, q, n)
     base = fone
     if r:
         held = _rgamma_memo.pop((r, q), None)
@@ -264,60 +264,72 @@ def _bessel_sum(term: int, m: int, y_num: int, den_shift: int, n_int: int, q: in
 
 
 def bessel_j(nu, x, prec: int):
-    """J_nu(x) by its power series with an explicit geometric tail bound.
+    """J_nu(x) at `prec` bits, within 2^-prec relative: the one-order call of
+    `_bessel_orders`, whose one start term a wave check shares across its orders."""
+    return _bessel_orders(nu, x, (0,), prec)[0]
 
-    Terms with nu+m+1 at a pole of Gamma are zero, so the sum starts at the
-    first m off the poles (m = -nu for a negative integer nu, else 0).  The
-    order is taken exactly as nu = N/q (`_ratio`), not rounded to the working
-    precision, which could move it onto a pole.  That term's 1/Gamma(nu + m + 1)
-    comes from `_rgamma`, so orders that differ by integers share one held
-    1/Gamma(1 + phi).  The sum runs in fixed point: with y = (x/2)^2 = Y 2^e
-    dyadic and the first term scaled to about wp + 20 bits (more when nu + m
-    comes near zero) each later term is one integer step
-    T <- -T Y q 2^e / (m (N + m q)), exact up to one floor.  Summation stops
-    once the ratio bound certifies the remainder below 2^-wp of the sum's
-    scale, with no absolute floor, so the result is within 2^-prec of
-    |J_nu(x)| relative however small J is.  Where the terms cancel more than
-    `_SPARE_BITS` of the guard (past x of about 16, or near a zero of J) it
-    sums again with the scale and the tail test raised by as many bits.
+
+def _bessel_orders(nu, x, shifts, prec: int) -> list:
+    """[J_(nu+k)(x) for k in shifts] at `prec` bits, each by its power series
+    with an explicit geometric tail bound.
+
+    Terms with nu+m+1 at a pole of Gamma are zero, so a sum starts at the first
+    m off the poles (m = -nu for a negative integer nu, else 0).  nu is taken
+    exactly as N/q (`_ratio`), never rounded onto a pole.  The start term
+    (x/2)^nu (-y)^m / m! / Gamma(nu + m + 1), y = (x/2)^2, is computed once;
+    order nu + k's is that one times an exact ratio of integers, (x/2)^k, the
+    sign and factorials of its own m, and the Gamma ratio over N + j q
+    (`_gamma_ratio`), rounded once.  Each sum runs in fixed point: with
+    y = Y 2^e and the start term scaled to about wp + 20 bits, each term is one
+    integer step T <- -T Y q 2^e / (m (N + m q)), exact up to one floor, until
+    the ratio bound certifies the remainder below 2^-wp of the sum's scale:
+    within 2^-prec of |J| relative however small J is.  Where the terms cancel
+    more than `_SPARE_BITS` of the guard (past x of about 16, or near a zero of
+    J) it sums again with the scale and the tail test raised as many bits.
     """
     wp = prec + _GUARD_BITS
     with mp.workprec(wp):
         x_m = _to_mpf(x)
         if x_m <= 0:
             raise ValueError(f"x must be positive, got x={x}")
-        n_int, q = _ratio(nu)
-        nu_m = nu if isinstance(nu, mp.mpf) else _to_mpf(nu)
-    m = -n_int if q == 1 and n_int < 0 else 0
-    rgamma_0 = mp.make_mpf(_rgamma(n_int + (m + 1) * q, q, wp))
-    with mp.workprec(wp):
+        n_0, q = _ratio(nu)
+        m_0 = -n_0 if q == 1 and n_0 < 0 else 0
+        a_0 = n_0 + (m_0 + 1) * q  # nu + m_0 + 1 = a_0 / q
         half = x_m / 2
         quarter_sq = half * half
-        term0 = mp.power(half, nu_m) * (-quarter_sq) ** m / mp.factorial(m) * rgamma_0
-    # the scale 2^F puts term0 at wp + 20 bits; it has at most wp, so T is exact.
-    # A negative non-integer nu = N/q comes closest to a pole at
-    # |nu + m| = d/q (d >= 1), and dividing by that scales the later terms
-    # up by q/d against the floors before it: carry that many more bits.
-    top = wp + 20
-    if q > 1 and n_int < 0:
-        r = n_int % q
-        top += (q - 1).bit_length() + 1 - min(r, q - r).bit_length()
-    t_man, t_exp, t_bits = _dyadic(term0)
-    term = t_man << (top - t_bits)
-    y_man, y_exp, _ = _dyadic(quarter_sq)
-    y_num = y_man * q << max(y_exp, 0)
-    den_shift = max(-y_exp, 0)
-    # the sum cancels about log2(max_abs / |acc|) bits, e^x / sqrt(x) or so for large x
-    cap = 10 * (prec + abs(n_int) // q + int(x_m) + 10)
-    lost = 0
-    while True:
-        acc, max_abs = _bessel_sum(term << lost, m, y_num, den_shift, n_int, q, wp + lost, cap)
-        cancelled = max_abs.bit_length() - abs(acc).bit_length()
-        if cancelled <= lost + _SPARE_BITS:
-            break
-        lost = cancelled
-    with mp.workprec(prec):
-        return mp.ldexp(mp.mpf(acc), t_exp + t_bits - top - lost)
+        nu_m = nu if isinstance(nu, mp.mpf) else _to_mpf(nu)
+        start = (mp.power(half, nu_m) * (-quarter_sq) ** m_0 / mp.factorial(m_0)
+                 * mp.make_mpf(_rgamma(a_0, q, wp)))._mpf_
+    (h_man, h_exp, _), (y_man, y_exp, _) = _dyadic(half), _dyadic(quarter_sq)
+    y_num, den_shift = y_man * q << max(y_exp, 0), max(-y_exp, 0)
+    values = []
+    for k in shifts:
+        n_int = n_0 + k * q
+        m = -n_int if q == 1 and n_int < 0 else 0
+        e, (num, den) = k + 2 * (m - m_0), _gamma_ratio(a_0, q, k + m - m_0)
+        sign = (-1) ** (m - m_0 & 1)
+        num = mpf_mul(num, from_man_exp(sign * h_man ** max(e, 0) * factorial(m_0), h_exp * e))
+        den = mpf_mul(den, from_int(h_man ** max(-e, 0) * factorial(m)))
+        t_man, t_exp, t_bits = _dyadic(mp.make_mpf(mpf_div(mpf_mul(start, num), den, wp, _RND)))
+        # the scale 2^F puts the start term (at most wp bits) at wp + 20, so T is exact.  A
+        # negative non-integer nu = N/q comes closest to a pole at |nu + m| = d/q (d >= 1),
+        # and dividing by that scales the later terms up by q/d: carry that many more bits.
+        top = wp + 20
+        if q > 1 and n_int < 0:
+            r = n_int % q
+            top += (q - 1).bit_length() + 1 - min(r, q - r).bit_length()
+        term = t_man << (top - t_bits)
+        # the sum cancels about log2(max_abs / |acc|) bits, e^x / sqrt(x) or so for large x
+        cap = 10 * (prec + abs(n_int) // q + int(x_m) + 10)
+        lost = 0
+        while True:
+            acc, max_abs = _bessel_sum(term << lost, m, y_num, den_shift, n_int, q, wp + lost, cap)
+            cancelled = max_abs.bit_length() - abs(acc).bit_length()
+            if cancelled <= lost + _SPARE_BITS:
+                break
+            lost = cancelled
+        values.append(mp.make_mpf(from_man_exp(acc, t_exp + t_bits - top - lost, prec, _RND)))
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -417,15 +429,14 @@ class _Atoms:
         self.a, self.wp = a, wp
         with mp.workprec(wp):
             self.a_m = _to_mpf(a)
-            self.weights = [_dyadic(mp.e ** (-self.a_m))[:2]]
+            self.weights, self.a_pair = [_dyadic(mp.e ** (-self.a_m))[:2]], _dyadic(self.a_m)[:2]
         self.coefficients, self.values, self.stops, self.bounds, self.growth = {}, {}, {}, {}, {}
 
-    def grow(self, count: int, *degrees: int) -> None:
-        """Hold the weights of atoms 0..count and, for each listed degree l,
-        pi_l at the atoms below count."""
-        wp, weights = self.wp, self.weights
-        a_man, a_exp, _ = _dyadic(self.a_m)
-        while len(weights) <= count:
+    def grow(self, count: int, *degrees: int, more=None) -> None:
+        """Hold the weights of atoms 0..count, and on while more(weights) holds,
+        and, for each listed degree l, pi_l at the atoms below count."""
+        wp, weights, (a_man, a_exp) = self.wp, self.weights, self.a_pair
+        while len(weights) <= count or more and more(weights):
             (w_man, w_exp), (r_man, r_exp) = weights[-1], _quotient(a_man, a_exp, len(weights), wp)
             weights.append(_rounded(w_man * r_man, w_exp + r_exp, wp))
         for ell in degrees:
@@ -439,11 +450,9 @@ class _Atoms:
                 values.append(_horner(self.coefficients[ell], 2 * len(values) + 1, -1, wp))
 
     def stop(self, n, deg):
-        """1 - r for r = a/(n+1) (1 + 1/(n + 1/2))^deg, the growth of the
-        absolute-coefficient majorant per unit step, or 0 unless
-        a/(n+1) < 1/2 and r < 1/2; at the caller's working precision, wp.
-        a/(n+1) and 1 + 1/(n + 1/2) are held per atom in `growth`, None
-        where a/(n+1) >= 1/2."""
+        """1 - r for r = a/(n+1) (1 + 1/(n + 1/2))^deg, the absolute-coefficient
+        majorant's growth per unit step, or 0 unless a/(n+1) < 1/2 and r < 1/2, at
+        wp; a/(n+1) and 1 + 1/(n + 1/2) are held per atom in `growth`."""
         if (n, deg) not in self.stops:
             if n not in self.growth:
                 ratio = self.a_m / (n + 1)
@@ -546,8 +555,7 @@ def charlier_orthogonality_sum(ell: int, ellp: int, a, tol, prec: int = 128):
         def below(w):  # w < tol/2, exactly
             return w[0] << max(w[1] - t_exp, 0) < t_man << max(t_exp - w[1], 0)
         n = max(1, 2 * a.numerator // a.denominator)  # a/(n+1) < 1/2: the weights fall from here
-        while len(weights) <= n or (len(weights) <= n_cap + 1 and not below(weights[-1])):
-            atoms.grow(len(weights))
+        atoms.grow(n, more=lambda w: len(w) <= n_cap + 1 and not below(w[-1]))
         n = bisect_left(weights, True, n, min(len(weights), n_cap + 1), key=below)
         atoms.grow(n, ell, ellp)
         p_x, q_x = atoms.values[ell], atoms.values[ellp]
@@ -585,71 +593,66 @@ def charlier_orthogonality_check(ell: int, ellp: int, a, tol, prec: int = 128) -
 # ---------------------------------------------------------------------------
 
 def _wave_arguments(z, eps, prec: int):
-    """(z, eps, nu = z + 1/2, x = 2/eps) as mpf at the current working precision.
-
-    Errors when z + 1/2 is too close to an integer, where the connection
-    formula behind the f-representative degenerates.
-    """
-    z_m = _to_mpf(z)
-    eps_m = _to_mpf(eps)
+    """(z, eps, nu = z + 1/2, x = 2/eps) as mpf at the current working precision; errors
+    within 2^-(prec/2) of an integer nu, where f's connection formula degenerates."""
+    z_m, eps_m = _to_mpf(z), _to_mpf(eps)
     if eps_m <= 0:
         raise ValueError(f"need eps > 0, got eps={eps}")
-    nu = z_m + mp.mpf(1) / 2
-    if abs(nu - mp.nint(nu)) < mp.mpf(2) ** (-prec // 2):
-        raise ValueError(
-            "z + 1/2 is too close to an integer; perturb the evaluation point"
-        )
+    nu = z_m + _HALF
+    if abs(nu - mp.nint(nu)) < mp.ldexp(1, -prec // 2):
+        raise ValueError(f"z + 1/2 is too close to an integer at z={z}; "
+                         "perturb the evaluation point")
     return z_m, eps_m, nu, 2 / eps_m
+
+
+def _waves(z, eps, prec: int, points) -> list:
+    """[w(z + k) for (w, k) in points] at `prec` bits, w "f" or "g", k an integer:
+    one `_wave_arguments`, sqrt(pi/(2 eps)) (g's prefactor is twice it) and
+    cos(pi z) per call, as cos pi(z + k) = (-1)^k cos(pi z), and one
+    `_bessel_orders` per wave, J_(nu+k) for g(z + k) and J_(-nu-k) for f(z + k)."""
+    with mp.workprec(prec + _GUARD_BITS):
+        z_m, eps_m, nu, x = _wave_arguments(z, eps, prec)
+        root, bessel = mp.sqrt(mp.pi / (2 * eps_m)), {}
+        for wave, sign in (("f", -1), ("g", 1)):
+            if shifts := [sign * k for w, k in points if w == wave]:
+                bessel[wave] = iter(_bessel_orders(sign * nu, x, shifts, prec + _GUARD_BITS))
+        cos = mp.cos(mp.pi * z_m) if "f" in bessel else None
+        values = [root * next(bessel[w]) / (-cos if k % 2 else cos) if w == "f"
+                  else 2 * root * next(bessel[w]) for w, k in points]
+    with mp.workprec(prec):
+        return [+v for v in values]
 
 
 def numeric_f(z, eps, prec: int):
     """f(z) through its Bessel representation at `prec` bits."""
-    with mp.workprec(prec + _GUARD_BITS):
-        z_m, eps_m, nu, x = _wave_arguments(z, eps, prec)
-        f = (
-            mp.sqrt(mp.pi / (2 * eps_m))
-            * bessel_j(-nu, x, prec + _GUARD_BITS)
-            / mp.cos(mp.pi * z_m)
-        )
-    with mp.workprec(prec):
-        return +f
+    return _waves(z, eps, prec, [("f", 0)])[0]
 
 
 def numeric_g(z, eps, prec: int):
     """g(z) through its Bessel representation at `prec` bits."""
-    with mp.workprec(prec + _GUARD_BITS):
-        _, eps_m, nu, x = _wave_arguments(z, eps, prec)
-        g = mp.sqrt(2 * mp.pi / eps_m) * bessel_j(nu, x, prec + _GUARD_BITS)
-    with mp.workprec(prec):
-        return +g
+    return _waves(z, eps, prec, [("g", 0)])[0]
 
 
 def numeric_f_g(z, eps, prec: int):
     """(f(z), g(z)) through the Bessel representations at `prec` bits."""
-    return numeric_f(z, eps, prec), numeric_g(z, eps, prec)
+    return tuple(_waves(z, eps, prec, [("f", 0), ("g", 0)]))
 
 
 def difference_equation_residual(z, eps, prec: int, which: str = "f"):
     """|w(z+1) + w(z-1) - eps*(z+1/2)*w(z)| for the numeric f or g."""
-    wave = {"f": numeric_f, "g": numeric_g}[which]
+    if which not in ("f", "g"):
+        raise ValueError(f"which must be 'f' or 'g', got which={which!r}")
+    w_up, w_dn, w_0 = _waves(z, eps, prec + _GUARD_BITS, [(which, 1), (which, -1), (which, 0)])
     with mp.workprec(prec + _GUARD_BITS):
-        z_m = _to_mpf(z)
-        eps_m = _to_mpf(eps)
-        w_up = wave(z_m + 1, eps_m, prec + _GUARD_BITS)
-        w_dn = wave(z_m - 1, eps_m, prec + _GUARD_BITS)
-        w_0 = wave(z_m, eps_m, prec + _GUARD_BITS)
-        res = abs(w_up + w_dn - eps_m * (z_m + mp.mpf(1) / 2) * w_0)
+        res = abs(w_up + w_dn - _to_mpf(eps) * (_to_mpf(z) + _HALF) * w_0)
     with mp.workprec(prec):
         return +res
 
 
 def numeric_wronskian(z, eps, prec: int):
     """f(z)g(z-1) - f(z-1)g(z); identically 1 for the normalized pair."""
+    f1, g1, f0, g0 = _waves(z, eps, prec + _GUARD_BITS, [("f", 0), ("g", 0), ("f", -1), ("g", -1)])
     with mp.workprec(prec + _GUARD_BITS):
-        z_m = _to_mpf(z)
-        eps_m = _to_mpf(eps)
-        f1, g1 = numeric_f_g(z_m, eps_m, prec + _GUARD_BITS)
-        f0, g0 = numeric_f_g(z_m - 1, eps_m, prec + _GUARD_BITS)
         w = f1 * g0 - f0 * g1
     with mp.workprec(prec):
         return +w
@@ -694,9 +697,7 @@ def asymptotic_match_check(z, eps, order: int, prec: int) -> AsymptoticReport:
         abs_err = abs(numeric - formal)
         rel_err = abs_err / abs(numeric)
     with mp.workprec(prec):
-        return AsymptoticReport(
-            float(z), float(eps), order, +numeric, +formal, +abs_err, +rel_err
-        )
+        return AsymptoticReport(float(z), float(eps), order, +numeric, +formal, +abs_err, +rel_err)
 
 
 # ---------------------------------------------------------------------------
@@ -721,8 +722,7 @@ def charlier_scaling_limit_check(zeta, ell: int, eps, L_list, prec: int) -> Scal
     floating point; mu = zeta - l - 1/2 and each L + zeta + 1/2 are exact
     Fractions, so the target and every Gamma share one held 1/Gamma(1 + phi).
     """
-    zeta_q = _as_fraction(zeta)
-    eps_q = _as_fraction(eps)
+    zeta_q, eps_q = _as_fraction(zeta), _as_fraction(eps)
     if eps_q <= 0:
         raise ValueError(f"need eps > 0, got eps={eps_q}")
     L_list = sorted(int(L) for L in L_list)
@@ -745,10 +745,8 @@ def charlier_scaling_limit_check(zeta, ell: int, eps, L_list, prec: int) -> Scal
             rows.append((L, value, abs(value - target)))
         monotone = all(rows[i][2] > rows[i + 1][2] for i in range(len(rows) - 1))
     with mp.workprec(prec):
-        return ScalingLimitReport(
-            zeta_q, ell, eps_q, +target,
-            tuple((L, +v, +e) for (L, v, e) in rows), monotone,
-        )
+        return ScalingLimitReport(zeta_q, ell, eps_q, +target,
+                                  tuple((L, +v, +e) for (L, v, e) in rows), monotone)
 
 
 # ---------------------------------------------------------------------------

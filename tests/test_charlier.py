@@ -302,18 +302,18 @@ def test_bessel_large_argument_keeps_relative_accuracy():
 
 def test_bessel_sums_once_up_to_x_16(monkeypatch):
     # the deterministic Bessel tests, all at x <= 16, never take the second pass,
-    # so their values are those of the one-pass sum
+    # so their values are those of the one-pass sum: one pass per order evaluated,
+    # by `bessel_j` or by a wave check's shared call
     calls, passes = [], []
-    bessel_sum, bessel = charlier._bessel_sum, charlier.bessel_j
+    bessel_sum, orders = charlier._bessel_sum, charlier._bessel_orders
 
-    def counted(*args):
-        value = bessel(*args)
-        calls.append(args)
-        return value
+    def counted(nu, x, shifts, prec):
+        values = orders(nu, x, shifts, prec)
+        calls.extend((nu, k, x, prec) for k in shifts)
+        return values
 
     monkeypatch.setattr(charlier, "_bessel_sum", lambda *args: passes.append(args) or bessel_sum(*args))
-    monkeypatch.setattr(charlier, "bessel_j", counted)
-    monkeypatch.setitem(globals(), "bessel_j", counted)
+    monkeypatch.setattr(charlier, "_bessel_orders", counted)
     test_bessel_half_integer_closed_forms()
     test_bessel_small_argument_leading_term()
     test_rgamma_memo_is_bounded()
@@ -333,6 +333,65 @@ def test_bessel_sums_once_up_to_x_16(monkeypatch):
             bessel_j(mp.ldexp(nu, -2), mp.ldexp(x, -1), 64)
     assert len(calls) > 500
     assert len(passes) == len(calls)
+
+
+# the wave checks' points: z at the bench's residual and Wronskian points, nu = z + 1/2
+WAVE_POINTS = [(mp.mpf(z), eps) for z in ("5.25", "7.25", "10.25", "12.25", "20.25")
+               for eps in (Fraction(1, 2), Fraction(1), Fraction(2))]
+
+
+@pytest.mark.parametrize("prec", [128, 640])
+def test_shared_start_term_matches_bessel_j(prec):
+    # each order nu + k from one shared start term equals its own bessel_j call;
+    # -4 + 2^-(prec/2) sits just outside the wave guard of a negative integer,
+    # and the integer orders -2..2 start their sums at different m
+    def check(nu, x, shifts):
+        for k, val in zip(shifts, charlier._bessel_orders(nu, x, shifts, prec)):
+            with mp.workprec(prec + 64):
+                ref = bessel_j(nu + k, x, prec)
+                assert abs(val - ref) <= abs(ref) * mp.mpf(2) ** -prec, (nu, k, x)
+
+    for z, eps in WAVE_POINTS:
+        with mp.workprec(prec + 2 * _GUARD_BITS):
+            nu, x = z + mp.mpf(1) / 2, 2 / (mp.mpf(eps.numerator) / eps.denominator)
+        check(nu, x, (-1, 0, 1))
+        check(-nu, x, (1, -1, 0))
+    with mp.workprec(prec + _GUARD_BITS):
+        near = mp.mpf(-4) + mp.ldexp(1, -(prec // 2))
+    for x in (mp.mpf(1), mp.mpf(4)):
+        check(near, x, (-1, 0, 1))
+        check(mp.mpf(-1), x, (-1, 1, -2, 0, 2))
+        check(Fraction(-17, 6), x, (2, -1, 0))
+
+
+def test_wave_checks_share_one_start_term(monkeypatch):
+    # one residual takes one (x/2)^nu power, one sqrt and at most one cos; a
+    # Wronskian takes the powers at nu and -nu, one cos and one sqrt
+    counts = {"power": 0, "cos": 0, "sqrt": 0}
+    charlier.mp.prec  # bind charlier's mp, so the patches below are the ones it reads
+
+    def counting(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+
+    for name in counts:
+        monkeypatch.setattr(mp, name, counting(name, getattr(mp, name)))
+
+    def ops(fn, *args):
+        for name in counts:
+            counts[name] = 0
+        fn(*args)
+        return dict(counts)
+
+    for z, eps in WAVE_POINTS:
+        for prec in (256, 640):
+            assert ops(difference_equation_residual, z, eps, prec, "f") == {
+                "power": 1, "cos": 1, "sqrt": 1}
+            assert ops(difference_equation_residual, z, eps, prec, "g") == {
+                "power": 1, "cos": 0, "sqrt": 1}
+            assert ops(numeric_wronskian, z, eps, prec) == {"power": 2, "cos": 1, "sqrt": 1}
 
 
 def test_charlier_poly_small_cases():
@@ -638,6 +697,27 @@ def test_orthogonality_sums_ignore_table_state():
         assert _atoms.cache_info().currsize <= 1
 
 
+def test_fresh_orthogonality_job_grows_the_weights_in_one_pass(monkeypatch):
+    # a fresh table reaches the start index in one grow call, not one per weight:
+    # the first pair enters grow at most 3 times, the ten pairs of a job at most 70
+    calls = []
+    grow = charlier._Atoms.grow
+    monkeypatch.setattr(charlier._Atoms, "grow",
+                        lambda self, *args, **kw: calls.append(args) or grow(self, *args, **kw))
+    for a in (Fraction(1), Fraction(2), Fraction(3)):
+        for prec in (256, 512, 768):
+            _atoms.cache_clear()
+            calls.clear()
+            tol = mp.mpf(2) ** -(prec // 2)
+            per_pair = []
+            for ell in range(4):
+                for ellp in range(ell, 4):
+                    before = len(calls)
+                    charlier_orthogonality_sum(ell, ellp, a, tol, prec)
+                    per_pair.append(len(calls) - before)
+            assert per_pair[0] <= 3 and len(calls) <= 70, (a, prec, per_pair)
+
+
 def test_orthogonality_rejects_bad_input_before_the_table():
     _atoms.cache_clear()
     tol = mp.mpf(2) ** -64
@@ -670,8 +750,10 @@ def test_orthogonality_rejects_bad_input_before_the_table():
      r"evaluation points must be distinct, got us=\['3.0', '4.5', '3.0'\]"),
     (brute_force_expectation, (3, 1, [3], 60, 64),
      "brute force supports L = 1 or 2 only, got L=3"),
+    (difference_equation_residual, (Fraction(21, 4), 1, 64, "h"),
+     "which must be 'f' or 'g', got which='h'"),
 ], ids=["bessel_j-x", "poly-ell", "poly-a", "value-ell", "value-a", "charpoly-L",
-        "charpoly-distinct", "brute-L"])
+        "charpoly-distinct", "brute-L", "residual-which"])
 def test_value_errors_name_the_offending_value(fn, args, message):
     with pytest.raises(ValueError, match=message):
         fn(*args)
@@ -708,8 +790,17 @@ def test_split_waves_match_pair(prec):
 
 
 def test_near_integer_order_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"too close to an integer at z=10\.5;"):
         numeric_f_g(mp.mpf("10.5") + mp.mpf(2) ** -200, 1, 128)
+    # z + 1/2 = 11 + 2^-64: the guard 2^-(prec/2) catches it at 2^-63, exactly not at
+    # 2^-64, and names z as given; the checks apply it at their working precision
+    z = Fraction(21, 2) + Fraction(1, 2**64)
+    for fn, args, prec in ((numeric_f, (), 126), (numeric_g, (), 126), (numeric_f_g, (), 126),
+                           (difference_equation_residual, ("g",), 126 - _GUARD_BITS),
+                           (numeric_wronskian, (), 126 - _GUARD_BITS)):
+        with pytest.raises(ValueError, match=rf"at z={z};"):
+            fn(z, 1, prec, *args)
+        fn(z, 1, prec + 1, *args)
 
 
 def test_asymptotic_match():
