@@ -6,7 +6,7 @@ coefficient of prod_v z_v^(c_v), c_v = -k_v - 2, in the sum over cycles
 K(z_u, z_v)/(z_u - z_v), each difference expanded in the nested region
 |z_1| > ... > |z_n|; for n = 1 the one edge z_0 -> z_0 is the regular part
 a(z, z) of K(z, w)/(z - w) at w = z.  Every edge is read from the affine
-coordinates a(x, y) of (K(z, w) - 1)/(z - w) (`waves.affine_coordinates`):
+coordinates a(x, y) of (K(z, w) - 1)/(z - w) (`waves.affine_diagonals`):
 for every n >= 1 the edge factor sum_{x,y} G(x, y) z_u^x z_v^y has
 
     G(x, y) = a(x, y) + [x + y = -1] * (+1 if u < v and x < 0,
@@ -23,6 +23,11 @@ exact down to z^(n - sum(k+2)); a read below its window raises WindowError.
 The trace runs on integers: the diagonals it reads come as numerators over one
 denominator D (`waves.affine_diagonals`), the bracket is +-D, each product of n
 edges is a numerator over D^n, and the sum is wrapped in one EpsLaurent.
+
+Genus floor.  Every eps exponent of a summed diagonal is even and <= 0 (`_Rows.diagonal`
+raises on a positive one) and the bracket is eps^0, so a partial product's exponent never
+rises along a cycle.  The value -eps^(sum k)/prod (k+1)! * trace sits at eps^(2g-2), genus g
+>= 0, so no trace term below -2 - sum(k) survives: a partial term below that floor is dropped.
 
 Each tau_0 is derived, not traced: on P^1, <tau_0 prod tau_k>_(g,d) = d <prod tau_k>_(g,d) with
 d = (sum k - 2g + 2)/2 (divisor equation; Okounkov-Pandharipande, arXiv:math/0204305).  With
@@ -77,10 +82,10 @@ def _edge(diagonals: dict[int, dict[int, dict[int, int]]], den: int, forward: bo
 
 def _cycle_sum(ks: tuple[int, ...], order: int) -> EpsLaurent:
     """Sum over the cycles through all insertions of the edge-matrix traces: an integer transfer
-    over the trace denominator D, each product of n edges over D^n, wrapped once."""
+    over D, each product of n edges over D^n, wrapped once; terms below the genus floor drop."""
     n = len(ks)
     c = [-k - 2 for k in ks]
-    edge_lo = sum(c) + n - 1
+    edge_lo, floor = sum(c) + n - 1, -2 - sum(ks)
     # the other n - 1 edge totals are at least edge_lo, so none exceeds sum(c) - (n - 1) edge_lo
     diagonals, den = affine_diagonals(order, edge_lo, sum(c) - (n - 1) * edge_lo)
     total: dict[int, int] = {}
@@ -103,7 +108,8 @@ def _cycle_sum(ks: tuple[int, ...], order: int) -> EpsLaurent:
                             acc = nxt.setdefault(xv, {})
                             for e1, n1 in p.items():
                                 for e2, n2 in g.items():
-                                    acc[e1 + e2] = acc.get(e1 + e2, 0) + n1 * n2
+                                    if (e := e1 + e2) >= floor:
+                                        acc[e] = acc.get(e, 0) + n1 * n2
                 partial = nxt
     return EpsLaurent.from_ints(total, den**n)
 
@@ -187,13 +193,15 @@ def free_energy(max_weight: int) -> dict[tuple[int, ...], EpsLaurent]:
 
     Returns, for every multiset ks with total weight sum(k+1) <= max_weight,
     the coefficient of prod t_k (divided by the automorphism factor of the
-    multiset), i.e. <tau_{k_1}...tau_{k_n}> / prod_k m_k!.
+    multiset), i.e. <tau_{k_1}...tau_{k_n}> / prod_k m_k!.  Odd sum(k) is skipped: it is 0.
     """
     out: dict[tuple[int, ...], EpsLaurent] = {}
     for w in range(1, max_weight + 1):
         for mu in partitions(w):
             # a part m is the insertion tau_(m-1), as in power_sums_to_times
             ks = tuple(sorted(m - 1 for m in mu))
+            if sum(ks) % 2:
+                continue
             aut = Fraction(1)
             for k in set(ks):
                 aut *= factorial(ks.count(k))

@@ -29,8 +29,8 @@ In w = 1/z the products of A nest: with Q_0 = S and r_m = m - 1/2, Q_m = w Q_(m-
 eps^(1-2m) of Atilde.  Row j needs only the Stirling coefficients to w^j, so one table of
 integer rows, one gcd per Stirling coefficient, grows only as far as it is read.  The
 same table holds the kernel's affine coordinates as integer numerators over one denominator
-per diagonal; `affine_coordinates` wraps one per read, `affine_diagonals` hands a trace the
-integers of the diagonals it reads over one shared denominator.
+per diagonal; `affine_diagonals`, their one reader, hands out the integers of the diagonals
+asked for over one shared denominator.
 
 The triangular solve `solve_formal_wave` (the ansatz substituted into the
 equation and solved order by order) is kept as the independent oracle, with
@@ -43,7 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm, perm
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .epslaurent import EpsLaurent, EPS, EPS_INV
 from .zseries import WindowError, ZSeries, log1p_inv_z
@@ -203,7 +203,8 @@ class _Rows:
 
     def diagonal(self, s: int) -> tuple[dict[int, dict[int, int]], int]:
         """({x: numerators {eps power: int} of a(x, s - x)}, their one denominator), summed on
-        the first read of s (see `affine_coordinates`)."""
+        the first read of s (see `affine_diagonals`).  Every exponent is <= 0, which the genus
+        floor of `invariants._cycle_sum` relies on, so a positive one raises RuntimeError."""
         if s not in self.diagonals:
             if len(dens := self.dens) < -s:
                 self.grow(-s - 1)
@@ -218,6 +219,8 @@ class _Rows:
                         for e2, n2 in u[-s - 1 - j].items():
                             acc[e1 + e2] = acc.get(e1 + e2, 0) + n1 * n2
                 entries[-1 - j] = dict(acc)
+            if (top := max(acc, default=0)) > 0:
+                raise RuntimeError(f"diagonal {s} holds eps^{top}; no row power may exceed 0")
             self.diagonals[s] = entries, den
         return self.diagonals[s]
 
@@ -242,35 +245,17 @@ def normalized_quartet(order: int):
             ZSeries({d: v if d % 2 else -v for d, v in pat.items()}, -1, order))
 
 
-def affine_coordinates(order: int) -> Callable[[int, int], EpsLaurent]:
-    """Reader of a(x, y), the coefficients of a(z, w) = (K(z, w) - 1)/(z - w).
-
-    K(z, w) = A(z)B(w) - Atilde(z)Btilde(w) has K(z, z) = 1, so a is a series
-    in 1/z and 1/w (Zhou's affine coordinates, arXiv:1306.5429): a(x, y) = 0
-    unless x, y <= -1.  From (z - w) a = K - 1, a(x, y) = a(x+1, y-1) + K[x+1, y]
-    is a running sum along the diagonal x + y = s that reads K[i, j] on
-    i + j = s + 1, so the diagonals s >= -order - 1 are exact; a read below
-    them raises WindowError naming the order it needs.  As B(z) = A(-z), K[-i, -j]
-    = (-1)^j (A[-i]A[-j] + Atilde[-i]Atilde[-j]), rows i and j over dens[i] dens[j].  The
-    order only sets the window: every reader reads the current `_ROWS`, which sums each
-    diagonal once (`_Rows.diagonal`), as integer numerators over the lcm of those products;
-    a read wraps its one entry.
-    """
-
-    def read(x: int, y: int) -> EpsLaurent:
-        s = x + y
-        if s < -order - 1:
-            raise WindowError(f"a({x}, {y}) needs the quartet to order {-s - 1}, not {order}")
-        entries, den = _ROWS.diagonal(s)
-        return EpsLaurent.from_ints(entries.get(x, {}), den)
-
-    return read
-
-
 def affine_diagonals(order: int, lo: int, hi: int):
-    """({s: {x: numerators {eps power: int} of a(x, s - x)}}, D) for the diagonals lo <= s <=
-    min(hi, -2), over D the lcm of their denominators: each diagonal is scaled to D once, and
-    not at all when its own denominator is D.  The window is that of `affine_coordinates`."""
+    """({s: {x: numerators {eps power: int} of a(x, s - x)}}, D) for lo <= s <= min(hi, -2), D
+    the lcm of their denominators: the one reader of the affine table.  a(x, y) are the
+    coefficients of a(z, w) = (K(z, w) - 1)/(z - w), K(z, w) = A(z)B(w) - Atilde(z)Btilde(w), a
+    series in 1/z and 1/w as K(z, z) = 1 (Zhou's affine coordinates, arXiv:1306.5429), zero
+    unless x, y <= -1.  From (z - w) a = K - 1, a(x, y) = a(x+1, y-1) + K[x+1, y] is a running
+    sum along x + y = s that reads K[i, j] on i + j = s + 1: the diagonals s >= -order - 1 are
+    exact, and a read below them raises WindowError naming the order it needs before any row
+    grows.  As B(z) = A(-z), K[-i, -j] = (-1)^j (A[-i]A[-j] + Atilde[-i]Atilde[-j]) over dens[i]
+    dens[j].  The order only sets the window: each diagonal of the current `_ROWS` is summed once
+    (`_Rows.diagonal`), over the lcm of those products, and scaled to D unless that lcm is D."""
     if lo < -order - 1:
         raise WindowError(f"a(x, y) on x + y = {lo} needs the quartet to order {-lo - 1}, "
                           f"not {order}")

@@ -12,7 +12,7 @@ expansion of a KP tau function (Segal-Wilson 1985):
 Giambelli.  In Frobenius coordinates lam = (alpha_1..alpha_r | beta_1..beta_r),
 alpha_i = lam_i - i and beta_i = lam'_i - i for the Durfee rank r, every pi_lam
 is an r x r determinant of hooks, and each hook is one affine coordinate
-a(x, y) of the kernel (Zhou, arXiv:1306.5429; `waves.affine_coordinates`):
+a(x, y) of the kernel (Zhou, arXiv:1306.5429; `waves.affine_diagonals`):
 
     pi_lam = det(pi_(alpha_i | beta_j))_{i,j=1..r},
     pi_(a|b) = (-1)^(b+1) a(-a-1, -b-1).
@@ -45,7 +45,7 @@ from .epslaurent import EPS, ONE, ZERO, EpsLaurent
 from .invariants import _divisor_scaled, _one_point_closed_form
 from .miwa import (MiwaPolynomial, log_power_sums, partitions, power_sums_to_times,
                    schur_to_monomials, schur_to_power_sums)
-from .waves import affine_coordinates, normalized_quartet
+from .waves import affine_diagonals, normalized_quartet
 from .zseries import WindowError, ZSeries
 
 
@@ -103,10 +103,13 @@ def _minor(lam: tuple[int, ...], columns) -> EpsLaurent:
 
 def plucker_coordinates(degree: int) -> dict[tuple[int, ...], EpsLaurent]:
     """pi_lam for every partition with |lam| <= degree, by Giambelli over the hooks."""
-    aff = affine_coordinates(degree)
-    # pi_(a|b) for a + b < degree, the deepest diagonal first, so the rows grow once
-    hook = {(a, n - 1 - a): (-1) ** (n - a) * aff(-a - 1, a - n)
-            for n in range(degree, 0, -1) for a in range(n)}
+    hook = {}
+    for n in range(degree, 0, -1):  # pi_(a|b) on a + b = n - 1, deepest first: rows grow once
+        diagonals, den = affine_diagonals(degree, -n - 1, -n - 1)
+        for a in range(n):  # (-1)^(b+1) = (-1)^(n-a)
+            num = diagonals[-n - 1].get(-a - 1, {})
+            hook[a, n - 1 - a] = EpsLaurent.from_ints(
+                num if (n - a) % 2 == 0 else {e: -v for e, v in num.items()}, den)
     out = {}
     for w in range(degree + 1):
         for lam in partitions(w):

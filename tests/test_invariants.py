@@ -18,9 +18,12 @@ from gwp1.invariants import (
     invariant_by_genus,
     n_point_invariant,
 )
-from gwp1.waves import affine_coordinates, s1_series
+from gwp1.miwa import partitions
+from gwp1.waves import s1_series
 from gwp1.zmodel import zmodel_expansion
 from gwp1.zseries import WindowError
+
+from conftest import affine_reader
 
 
 def eps(pairs):
@@ -178,7 +181,7 @@ def test_integer_cycle_sum_matches_epslaurent_loop():
     for ks in cases:
         order = sum(k + 2 for k in ks) + len(ks)
         for traced in (ks, ks[::-1]):
-            expected = epslaurent_cycle_sum(traced, order, affine_coordinates(order))
+            expected = epslaurent_cycle_sum(traced, order, affine_reader(order))
             assert _cycle_sum(traced, order) == expected, traced
 
 
@@ -197,7 +200,7 @@ def test_cycle_sum_reads_no_zero_entries_off_the_bracket(monkeypatch):
     assert any(x >= 0 for x, _ in reads)
     assert all(x + y == -1 for x, y in reads if x >= 0)
     monkeypatch.undo()
-    assert value == epslaurent_cycle_sum(ks, order, affine_coordinates(order))
+    assert value == epslaurent_cycle_sum(ks, order, affine_reader(order))
 
 
 def test_one_point_closed_form_matches_trace():
@@ -310,3 +313,51 @@ def test_structural_properties(ks):
 def test_permutation_symmetry(perm):
     base = n_point_invariant((0, 0, 2), check_stability=False).value
     assert n_point_invariant(tuple(perm), check_stability=False).value == base
+
+
+def lambda_g_integrals(top):
+    """b_0..b_top, sum_g b_g t^(2g) = (t/2)/sin(t/2) (Faber-Pandharipande), by inverting
+    sin(t/2)/(t/2) = sum_j (-1)^j u^j / (4^j (2j+1)!), u = t^2, as a Fraction series."""
+    s = [Fraction((-1) ** j, 4**j * factorial(2 * j + 1)) for j in range(top + 1)]
+    b = [Fraction(1)]
+    for g in range(1, top + 1):
+        b.append(-sum(s[j] * b[g - j] for j in range(1, g + 1)))
+    return b
+
+
+DEGREE_0_WEIGHT = 8
+
+
+@pytest.fixture(scope="module")
+def determinantal_log():
+    return zmodel_expansion(DEGREE_0_WEIGHT + 1, DEGREE_0_WEIGHT).log_in_times
+
+
+def test_degree_zero_values_on_both_routes(determinantal_log):
+    # degree 0 sits at eps^(sum k): it vanishes for n >= 2, and for n = 1, k = 2g - 2, it is
+    # (-1)^g b_g, the lambda_g integral
+    b = lambda_g_integrals(DEGREE_0_WEIGHT // 2)
+    signed = [(-1) ** g * b[g] for g in range(1, 5)]
+    assert signed == [Fraction(-1, 24), Fraction(7, 5760), Fraction(-31, 967680),
+                      Fraction(127, 154828800)]
+    cases = {tuple(sorted(m - 1 for m in mu))
+             for w in range(1, DEGREE_0_WEIGHT + 1) for mu in partitions(w)}
+    assert len(cases) == 66
+    for ks in sorted(cases):
+        total = sum(ks)
+        if len(ks) == 1 and total % 2 == 0:
+            want = signed[total // 2]
+        else:
+            want = 0
+        assert n_point_invariant(ks).value[total] == want, ks
+        assert determinantal_log.coeff(ks)[total] == want, ks
+
+
+def test_determinantal_logarithm_has_parity_and_genus_bounds(determinantal_log):
+    # the bounds of test_structural_properties on a route that no genus floor prunes
+    assert len(determinantal_log.coeffs) > 10
+    for ks, value in determinantal_log.coeffs.items():
+        total = sum(ks)
+        assert total % 2 == 0 and value, ks  # parity vanishing: odd sum(k) is not stored
+        for e in value.exponents():
+            assert e % 2 == 0 and -2 <= e <= total, (ks, e)

@@ -1,5 +1,6 @@
 """Formal wave solutions: difference equation, oracle, quartet identities."""
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
@@ -16,7 +17,6 @@ from gwp1.zmodel import zmodel_expansion
 from gwp1.zseries import WindowError, ZSeries
 from gwp1.waves import (
     WaveExpansion,
-    affine_coordinates,
     affine_diagonals,
     bernoulli_number,
     normalized_quartet,
@@ -26,6 +26,7 @@ from gwp1.waves import (
     wave_residual,
     wave_shift,
 )
+from conftest import affine_reader
 from test_invariants import epslaurent_cycle_sum
 from test_zmodel import normalised_frame
 
@@ -141,7 +142,7 @@ def test_affine_coordinates_match_kernel_sums():
     # both sides agree only because K(z, z) = 1
     for order in range(1, 15):
         quartet = normalized_quartet(order)
-        aff = affine_coordinates(order)
+        aff = affine_reader(order)
         edge = edge_reader(order, -order - 1)
         for x in range(-order - 2, order + 2):
             for y in range(-order - 1 - x, order + 2):
@@ -288,10 +289,10 @@ def test_rows_are_stored_in_lowest_terms(monkeypatch):
 def test_readers_follow_a_swapped_row_table(monkeypatch):
     expected = kernel_edge_reference(normalized_quartet(6), True, -2, -4)
     monkeypatch.setattr(waves, "_ROWS", old := waves._Rows())
-    aff = affine_coordinates(6)
+    aff = affine_reader(6)
     aff(-1, -2)
     monkeypatch.setattr(waves, "_ROWS", new := waves._Rows())
-    for reader in (aff, affine_coordinates(6)):
+    for reader in (aff, affine_reader(6)):
         assert reader(-2, -4) == expected
     assert len(new.dens) == 6 and set(new.diagonals) == {-6}
     assert len(old.dens) == 3 and set(old.diagonals) == {-3}
@@ -374,13 +375,13 @@ def test_affine_coordinates_agree_at_doubled_order_on_every_read_of_a_trace(monk
         _cycle_sum(ks, order)
     assert reads
     monkeypatch.setattr(waves, "_ROWS", waves._Rows())
-    doubled = affine_coordinates(2 * order)
+    doubled = affine_reader(2 * order)
     for x, y in sorted(reads, key=sum):
         assert doubled(x, y) == reads[x, y], (ks, x, y)
 
 
 def read_every_diagonal(order, shallowest_first):
-    aff = affine_coordinates(order)
+    aff = affine_reader(order)
     totals = range(-1, -order - 2, -1) if shallowest_first else range(-order - 1, 0)
     return {(x, s - x): aff(x, s - x) for s in totals for x in range(s + 1, 0)}
 
@@ -396,7 +397,7 @@ def test_reading_order_does_not_change_coordinates(monkeypatch):
 
 
 def test_read_below_window_raises_before_growing(fresh_rows):
-    aff = affine_coordinates(5)
+    aff = affine_reader(5)
     with pytest.raises(WindowError, match="order 8"):
         aff(-4, -5)
     assert len(fresh_rows.dens) == 0
@@ -405,6 +406,16 @@ def test_read_below_window_raises_before_growing(fresh_rows):
     with pytest.raises(WindowError):
         aff(-10, -1)
     assert len(fresh_rows.dens) == 3
+
+
+def test_positive_row_power_stops_the_diagonal_sum(fresh_rows):
+    # the trace's genus floor drops live terms if a diagonal exponent exceeds 0
+    fresh_rows.grow(4)
+    fresh_rows.a[3][2] = 1
+    with pytest.raises(RuntimeError, match=re.escape("diagonal -5 holds eps^2")):
+        affine_diagonals(4, -5, -5)
+    assert -5 not in fresh_rows.diagonals
+    affine_diagonals(4, -3, -2)  # diagonals -3 and -2 read only rows 0 to 2, which are sound
 
 
 @pytest.mark.parametrize("order", [20, 26])

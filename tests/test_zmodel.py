@@ -10,7 +10,7 @@ from gwp1.epslaurent import EpsLaurent
 from gwp1.invariants import free_energy
 from gwp1.miwa import partitions, schur_to_monomials
 from gwp1 import miwa, waves, zmodel
-from gwp1.waves import affine_coordinates, solve_formal_wave, wave_shift
+from gwp1.waves import affine_diagonals, solve_formal_wave, wave_shift
 from gwp1.zmodel import (
     ZModelExpansion,
     _column_chain,
@@ -24,6 +24,8 @@ from gwp1.zmodel import (
 )
 from gwp1.zseries import WindowError, ZSeries
 
+from conftest import affine_reader
+
 
 def eps(pairs):
     return EpsLaurent({e: Fraction(v) for e, v in pairs.items()})
@@ -33,7 +35,7 @@ def normalised_frame(count, order):
     """G_1..G_count, G_k = z^(k-1) - sum_(x<=-1) a(x, -k) z^x: the columns of the
     characteristic matrix, a unipotent column mix of E_1..E_k read off the affine
     coordinates (Zhou, arXiv:1306.5429), in which pi_lam is an l(lam) x l(lam) minor."""
-    aff = affine_coordinates(order + count)
+    aff = affine_reader(order + count)
     columns = []
     for k in range(1, count + 1):
         g = {x: -aff(x, -k) for x in range(-order, 0)}
@@ -88,11 +90,12 @@ def test_one_wave_solve_per_expansion(monkeypatch):
     solve_formal_wave.cache_clear()
     grow = waves._Rows.grow
     with mock.patch.object(waves._Rows, "grow", autospec=True, side_effect=grow) as spy, \
-            mock.patch("gwp1.zmodel.affine_coordinates", wraps=affine_coordinates) as reader:
+            mock.patch("gwp1.zmodel.affine_diagonals", wraps=affine_diagonals) as reader:
         zmodel_expansion(5, 2)
     assert [call.args[1] for call in spy.call_args_list] == [2]
     assert len(waves._ROWS.dens) == 3
-    assert reader.call_count == 1
+    # one read per hook diagonal, the deepest first
+    assert [call.args for call in reader.call_args_list] == [(2, -3, -3), (2, -2, -2)]
     info = solve_formal_wave.cache_info()
     assert info.hits == info.misses == 0
 
