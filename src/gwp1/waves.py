@@ -16,21 +16,18 @@ Gamma(z+1/2) = sqrt(2 pi) (z/e)^z S(z) with Stirling's series
     S(z) = exp sum_(k>=1) (-1)^(k+1) B_(k+1)(1/2) / (k(k+1)) z^(-k),
     B_n(1/2) = (2^(1-n) - 1) B_n,
 
-each normalized series is S^(+-1) times a sum of Gamma ratios:
+A is S times a sum of Gamma ratios, and the other three follow from it:
 
-    A      = S      sum_m eps^(-2m)   / m!          prod_(i=1..m)   (z-i+1/2)^(-1)
-    Atilde = S      sum_m eps^(-2m-1) / m!          prod_(i=1..m+1) (z-i+1/2)^(-1)
-    B      = S^(-1) sum_m (-1)^m eps^(-2m)   / m!   prod_(i=0..m-1) (z+i+1/2)^(-1)
-    Btilde = S^(-1) sum_m (-1)^m eps^(-2m-1) / m!   prod_(i=0..m)   (z+i+1/2)^(-1)
+    A = S sum_m eps^(-2m) / m! prod_(i=1..m) (z-i+1/2)^(-1),    Atilde = -(eps^2/2) dA/deps,
 
-Since log S is odd in 1/z, S^(-1)(z) = S(-z), so B(z) = A(-z) and Btilde(z) = -Atilde(-z).
-In w = 1/z the products of A nest: with Q_0 = S and r_m = m - 1/2, Q_m = w Q_(m-1) /
-(1 - r_m w), i.e. Q_m[j] = Q_(m-1)[j-1] + r_m Q_m[j-1], feeding eps^(-2m) of A and
-eps^(1-2m) of Atilde.  Row j needs only the Stirling coefficients to w^j, so one table of
-integer rows, one gcd per Stirling coefficient, grows only as far as it is read.  The
-same table holds the kernel's affine coordinates as integer numerators over one denominator
-per diagonal; `affine_diagonals`, their one reader, hands out the integers of the diagonals
-asked for over one shared denominator.
+as Atilde's eps^(1-2m) term is m times A's eps^(-2m) term (Atilde = dA/dx).  Since log S is odd
+in 1/z, S^(-1)(z) = S(-z), so B and Btilde follow by z -> -z: B(z) = A(-z) and Btilde(z) =
+-Atilde(-z).  In w = 1/z the products of A nest: with Q_0 = S and r_m = m - 1/2, Q_m =
+w Q_(m-1) / (1 - r_m w), i.e. Q_m[j] = Q_(m-1)[j-1] + r_m Q_m[j-1], feeding eps^(-2m) of A.
+Row j needs only the Stirling coefficients to w^j, so one table of integer rows of A, one gcd
+per Stirling coefficient, grows only as far as it is read.  The same table holds the kernel's
+affine coordinates as integer numerators over one denominator per diagonal; `affine_diagonals`,
+their one reader, hands out the integers of the diagonals asked for over one shared denominator.
 
 The triangular solve `solve_formal_wave` (the ansatz substituted into the
 equation and solved order by order) is kept as the independent oracle, with
@@ -149,14 +146,14 @@ def bernoulli_number(n: int) -> Fraction:
 
 
 class _Rows:
-    """The row table: numerator dicts {eps power: int} `a[j]`, `at[j]` of A and Atilde at
+    """The row table: numerator dicts {eps power: int} `a[j]` of A, the one stored series, at
     z^(-j) over `dens[j]`, each row in lowest terms, the state that the next row extends, and the
     affine `diagonals`, integer numerators over one denominator each.  Rows grow on the first
     read of a diagonal that needs them, or to a whole quartet's order."""
 
     def __init__(self):
         self.t, self.kl, self.big_d, self.sigma = [0], {}, [1], [1]  # t[m] = T_m, t[0] = 0
-        self.q, self.big_l, self.a, self.at, self.dens = [], 1, [], [], []
+        self.q, self.big_l, self.a, self.dens = [], 1, [], []
         self.diagonals: dict[int, tuple[dict[int, dict[int, int]], int]] = {}
 
     def tangents(self, m: int) -> list[int]:
@@ -174,7 +171,7 @@ class _Rows:
         (n-1)!/(n-k)! sigma_(n-k), each k l_k = (-1)^m (2^k - 1) T_m / (2^(2k+1) (2^(k+1) - 1)),
         m = (k+1)/2, one reduced integer pair.  With L_j = lcm den(s_0..s_j), row j holds
         q_m[j] = Q_m[j] L_j 2^j = (L_j/L_(j-1)) (2 q_(m-1)[j-1] + (2m-1) q_m[j-1]) times j!/m!
-        over L_j 2^j j!, stored divided by the gcd of the row pair and that denominator."""
+        over L_j 2^j j!, divided by their gcd, which also reduces Atilde's row (m times A's)."""
         kl, big_d, sigma = self.kl, self.big_d, self.sigma
         t = self.tangents((order + 1) // 2)  # one pass serves every T_m below
         for j in range(len(self.dens), order + 1):
@@ -194,17 +191,16 @@ class _Rows:
             self.q = q = [sigma[j] * self.big_l // d << j] + [
                 rho * (2 * q[m - 1] + (2 * m - 1) * q[m]) for m in range(1, j + 1)]
             a = [perm(j, j - m) * v for m, v in enumerate(q)]
-            at = [perm(j, j + 1 - m) * q[m] for m in range(1, j + 1)]
             den = self.big_l * factorial(j) << j
-            g = gcd(den, *a, *at)
+            g = gcd(den, *a)
             self.a.append({-2 * m: v // g for m, v in enumerate(a)})
-            self.at.append({-1 - 2 * m: v // g for m, v in enumerate(at)})
             self.dens.append(den // g)
 
     def diagonal(self, s: int) -> tuple[dict[int, dict[int, int]], int]:
         """({x: numerators {eps power: int} of a(x, s - x)}, their one denominator), summed on
-        the first read of s (see `affine_diagonals`).  Every exponent is <= 0, which the genus
-        floor of `invariants._cycle_sum` relies on, so a positive one raises RuntimeError."""
+        the first read of s from K[-i, -j] (`affine_diagonals`), one product per pair of A
+        numerators.  Every exponent is <= 0, which the genus floor of `invariants._cycle_sum`
+        relies on, so a positive one raises RuntimeError."""
         if s not in self.diagonals:
             if len(dens := self.dens) < -s:
                 self.grow(-s - 1)
@@ -213,11 +209,12 @@ class _Rows:
             entries, acc = {}, {}
             for j in range(-s - 1):
                 f = (-1) ** (-s - 1 - j) * (den // (dens[j] * dens[-s - 1 - j]))
-                for u in (self.a, self.at):
-                    for e1, n1 in u[j].items():
-                        n1 *= f
-                        for e2, n2 in u[-s - 1 - j].items():
-                            acc[e1 + e2] = acc.get(e1 + e2, 0) + n1 * n2
+                for e1, n1 in self.a[j].items():
+                    n1 *= f
+                    for e2, n2 in self.a[-s - 1 - j].items():
+                        acc[e1 + e2] = acc.get(e1 + e2, 0) + (p := n1 * n2)
+                        if e1 and e2:  # Atilde Atilde: m m' p at eps^(e1+e2+2)
+                            acc[e1 + e2 + 2] = acc.get(e1 + e2 + 2, 0) + e1 * e2 // 4 * p
                 entries[-1 - j] = dict(acc)
             if (top := max(acc, default=0)) > 0:
                 raise RuntimeError(f"diagonal {s} holds eps^{top}; no row power may exceed 0")
@@ -234,11 +231,13 @@ def normalized_quartet(order: int):
 
     A(z): f-type solution; Atilde: f at z-1 on the same base; B: g-type at z-1;
     Btilde: g at z, i.e. B shifted one step up.  Atilde and Btilde have top
-    degree -1 with leading coefficient 1/(eps*z).  Built from the row table.
+    degree -1 with leading coefficient 1/(eps*z).  Built from A's rows, Atilde as
+    -(eps^2/2) dA/deps.
     """
     if len(_ROWS.dens) <= order:
         _ROWS.grow(order)
-    a, at, dens = _ROWS.a, _ROWS.at, _ROWS.dens
+    a, dens = _ROWS.a, _ROWS.dens
+    at = [{e + 1: -e // 2 * v for e, v in a[j].items() if e} for j in range(order + 1)]
     pa, pat = ({-j: EpsLaurent.from_ints(u[j], dens[j]) for j in range(order + 1)} for u in (a, at))
     return (ZSeries(pa, 0, order), ZSeries(pat, -1, order),  # B(z) = A(-z), Btilde(z) = -Atilde(-z)
             ZSeries({d: -v if d % 2 else v for d, v in pa.items()}, 0, order),
@@ -253,8 +252,9 @@ def affine_diagonals(order: int, lo: int, hi: int):
     unless x, y <= -1.  From (z - w) a = K - 1, a(x, y) = a(x+1, y-1) + K[x+1, y] is a running
     sum along x + y = s that reads K[i, j] on i + j = s + 1: the diagonals s >= -order - 1 are
     exact, and a read below them raises WindowError naming the order it needs before any row
-    grows.  As B(z) = A(-z), K[-i, -j] = (-1)^j (A[-i]A[-j] + Atilde[-i]Atilde[-j]) over dens[i]
-    dens[j].  The order only sets the window: each diagonal of the current `_ROWS` is summed once
+    grows.  As B(z) = A(-z) and Atilde = -(eps^2/2) dA/deps, K[-i, -j] = (-1)^j sum alpha_m
+    alpha'_m' (1 + m m' eps^2) eps^(-2(m+m')) over dens[i] dens[j], alpha and alpha' from A's rows
+    i and j.  The order only sets the window: each diagonal of the current `_ROWS` is summed once
     (`_Rows.diagonal`), over the lcm of those products, and scaled to D unless that lcm is D."""
     if lo < -order - 1:
         raise WindowError(f"a(x, y) on x + y = {lo} needs the quartet to order {-lo - 1}, "
