@@ -31,15 +31,13 @@ from .zmodel import (
 from .charlier import (
     CharlierPolynomial,
     asymptotic_match_check,
-    bessel_j,
     brute_force_expectation,
     char_poly_expectation,
     charlier_orthogonality_check,
     charlier_poly,
     charlier_scaling_limit_check,
-    gamma_real,
-    numeric_f_g,
 )
+from .special import bessel_j, gamma_real, numeric_f_g
 
 __version__ = "1.0.0"
 

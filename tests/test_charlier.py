@@ -17,17 +17,10 @@ from mpmath.libmp import (
     from_int, from_man_exp, fzero, gammazeta, mpf_add, mpf_div, mpf_mul, mpf_sum, round_nearest,
 )
 
-from gwp1 import charlier
+from gwp1 import charlier, special
 from gwp1.charlier import (
-    _GUARD_BITS,
-    _RGAMMA_HELD,
     _atoms,
-    _quotient,
-    _rgamma,
-    _rounded,
-    _sum,
     asymptotic_match_check,
-    bessel_j,
     brute_force_expectation,
     char_poly_expectation,
     charlier_orthogonality_check,
@@ -36,46 +29,78 @@ from gwp1.charlier import (
     charlier_scaling_limit_check,
     charlier_value,
     difference_equation_residual,
+    numeric_wronskian,
+)
+from gwp1.special import (
+    _GUARD_BITS,
+    _RGAMMA_HELD,
+    _quotient,
+    _rgamma,
+    _rounded,
+    _sum,
+    bessel_j,
     gamma_real,
     numeric_f,
     numeric_f_g,
     numeric_g,
-    numeric_wronskian,
 )
 
 
 # each public numeric entry point, and the private Gamma helper the tests call
-# directly, with arguments small enough for a fresh process
+# directly, with arguments small enough for a fresh process, by the module that holds it
 FIRST_CALLS = [
-    ("_rgamma", (7, 3, 64)),
-    ("gamma_real", (Fraction(7, 3), 64)),
-    ("bessel_j", (Fraction(1, 3), 2, 64)),
-    ("numeric_f", (Fraction(13, 4), 1, 64)),
-    ("numeric_g", (Fraction(13, 4), 1, 64)),
-    ("numeric_f_g", (Fraction(13, 4), 1, 64)),
-    ("difference_equation_residual", (Fraction(13, 4), 1, 64, "g")),
-    ("numeric_wronskian", (Fraction(29, 4), 1, 64)),
-    ("asymptotic_match_check", (20, 1, 3, 64)),
-    ("charlier_orthogonality_sum", (1, 2, 1, Fraction(1, 10**20), 64)),
-    ("charlier_orthogonality_check", (2, 2, 1, Fraction(1, 10**20), 64)),
-    ("charlier_scaling_limit_check", (0, 0, 1, [20, 40], 64)),
-    ("char_poly_expectation", (2, 1, [3, "4.5"], 64)),
-    ("brute_force_expectation", (2, 1, [3, "4.5"], 60, 64)),
+    (special, "_rgamma", (7, 3, 64)),
+    (special, "gamma_real", (Fraction(7, 3), 64)),
+    (special, "bessel_j", (Fraction(1, 3), 2, 64)),
+    (special, "numeric_f", (Fraction(13, 4), 1, 64)),
+    (special, "numeric_g", (Fraction(13, 4), 1, 64)),
+    (special, "numeric_f_g", (Fraction(13, 4), 1, 64)),
+    (charlier, "difference_equation_residual", (Fraction(13, 4), 1, 64, "g")),
+    (charlier, "numeric_wronskian", (Fraction(29, 4), 1, 64)),
+    (charlier, "asymptotic_match_check", (20, 1, 3, 64)),
+    (charlier, "charlier_orthogonality_sum", (1, 2, 1, Fraction(1, 10**20), 64)),
+    (charlier, "charlier_orthogonality_check", (2, 2, 1, Fraction(1, 10**20), 64)),
+    (charlier, "charlier_scaling_limit_check", (0, 0, 1, [20, 40], 64)),
+    (charlier, "char_poly_expectation", (2, 1, [3, "4.5"], 64)),
+    (charlier, "brute_force_expectation", (2, 1, [3, "4.5"], 60, 64)),
 ]
+SRC = str(Path(charlier.__file__).parents[1])
 
 
-@pytest.mark.parametrize("name, args", FIRST_CALLS, ids=[name for name, _ in FIRST_CALLS])
-def test_entry_point_works_as_the_first_numeric_call(monkeypatch, name, args):
+@pytest.mark.parametrize("module, name, args", FIRST_CALLS, ids=[name for _, name, _ in FIRST_CALLS])
+def test_entry_point_works_as_the_first_numeric_call(monkeypatch, module, name, args):
     # mpmath loads on the first numeric call, so each entry point must bind it before
     # it reads an mpmath name; the fresh process returns the value this one computes
-    code = ("import pickle, sys; from fractions import Fraction; from gwp1 import charlier; "
+    code = ("import pickle, sys; from fractions import Fraction; import gwp1.charlier, gwp1.special; "
             "assert 'mpmath' not in sys.modules; "
-            f"sys.stdout.buffer.write(pickle.dumps(charlier.{name}(*{args!r})))")
-    env = {**os.environ, "PYTHONPATH": str(Path(charlier.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
+            f"sys.stdout.buffer.write(pickle.dumps({module.__name__}.{name}(*{args!r})))")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC},
+                          capture_output=True, timeout=60)
     assert proc.returncode == 0, proc.stderr.decode()
-    monkeypatch.setattr(charlier, "_rgamma_memo", {})  # hold no 1/Gamma the fresh process lacks
-    assert pickle.loads(proc.stdout) == getattr(charlier, name)(*args)
+    monkeypatch.setattr(special, "_rgamma_memo", {})  # hold no 1/Gamma the fresh process lacks
+    assert pickle.loads(proc.stdout) == getattr(module, name)(*args)
+
+
+def test_each_numeric_module_binds_mpmath_and_special_stands_alone():
+    # special.py runs as a module of its own, outside the package, so it imports no other
+    # gwp1 module; in the package, each numeric module's stand-in binds mpmath's own mp
+    code = "\n".join([
+        "import importlib.util, sys",
+        "from fractions import Fraction",
+        f"spec = importlib.util.spec_from_file_location('alone', {SRC!r} + '/gwp1/special.py')",
+        "spec.loader.exec_module(importlib.util.module_from_spec(spec))",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('gwp1', 'mpmath')))",
+        "from gwp1 import charlier, special",
+        "print('mpmath' in sys.modules)",
+        "charlier.charlier_orthogonality_check(2, 2, 1, Fraction(1, 10**20), 64)",
+        "special.bessel_j(Fraction(1, 3), 2, 64)",
+        "import mpmath",
+        "print(charlier.mp is mpmath.mp, special.mp is mpmath.mp)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "False", "True True"]
 
 
 def test_gamma_classical_values():
@@ -145,7 +170,7 @@ RGAMMA_ARGUMENTS = [(5, 2), (41, 8), (1, 32), (2**40 + 1, 2**40), (-5, 2), (-41,
 
 
 def test_rgamma_matches_mpmath():
-    charlier._rgamma_memo.clear()
+    special._rgamma_memo.clear()
     for precs in ([53, 128, 300, 700, 830], [830, 700, 300, 128, 53]):
         for a_num, q in RGAMMA_ARGUMENTS:
             for prec in precs:
@@ -164,8 +189,8 @@ def test_rgamma_matches_mpmath():
 def test_rgamma_calls_one_per_fractional_order(monkeypatch):
     # counts the integer series behind each fresh 1/Gamma(1 + phi)
     calls = []
-    series = charlier._rgamma_series
-    monkeypatch.setattr(charlier, "_rgamma_series",
+    series = special._rgamma_series
+    monkeypatch.setattr(special, "_rgamma_series",
                         lambda *args: calls.append(args) or series(*args))
 
     def count(fn, *args):
@@ -173,19 +198,19 @@ def test_rgamma_calls_one_per_fractional_order(monkeypatch):
         fn(*args)
         return len(calls)
 
-    charlier._rgamma_memo.clear()
+    special._rgamma_memo.clear()
     residual = difference_equation_residual
     assert count(residual, mp.mpf("5.25"), 1, 300, "f") <= 1
     assert count(residual, mp.mpf("5.25"), 1, 300, "f") == 0
     assert count(residual, mp.mpf("5.25"), 1, 200, "f") == 0
     assert count(residual, mp.mpf("5.25"), 1, 400, "f") == 1
-    charlier._rgamma_memo.clear()
+    special._rgamma_memo.clear()
     assert count(numeric_wronskian, mp.mpf("7.25"), 1, 300) <= 2
     assert count(numeric_wronskian, mp.mpf("7.25"), 1, 300) == 0
     assert count(numeric_wronskian, mp.mpf("7.25"), 1, 256) == 0
     assert count(numeric_wronskian, mp.mpf("7.25"), 1, 512) == 2
     # the target's order -1/6 and each L + 5/6 share 1/Gamma(1 + 5/6)
-    charlier._rgamma_memo.clear()
+    special._rgamma_memo.clear()
     scaling = charlier_scaling_limit_check
     for prec, fresh in ((300, 1), (300, 0), (340, 1), (700, 1), (340, 0)):
         assert count(scaling, Fraction(1, 3), 0, 1, [40, 80], prec) == fresh
@@ -200,8 +225,8 @@ def test_rising_precision_sweep_builds_no_gamma_table(monkeypatch):
         raise AssertionError("mpmath's Gamma Taylor table or Stirling's series was asked for")
 
     monkeypatch.setattr(gammazeta, "gamma_taylor_coefficients", refuse)
-    monkeypatch.setattr(charlier, "_rgamma_stirling", refuse)
-    charlier._rgamma_memo.clear()
+    monkeypatch.setattr(special, "_rgamma_stirling", refuse)
+    special._rgamma_memo.clear()
     for prec in (256, 384, 512, 640, 768):
         tol = mp.mpf(2) ** -(prec // 2)
         for which in ("f", "g"):
@@ -216,7 +241,7 @@ def test_rising_precision_sweep_builds_no_gamma_table(monkeypatch):
 def test_rgamma_memo_is_bounded():
     for i in range(100):
         bessel_j(mp.mpf(2 * i + 1) / 256, 1, 128)
-    assert len(charlier._rgamma_memo) <= _RGAMMA_HELD
+    assert len(special._rgamma_memo) <= _RGAMMA_HELD
 
 
 # the orders of the numeric sweep: f and g at z = 5.25, 10.25, 20.25 take
@@ -305,15 +330,15 @@ def test_bessel_sums_once_up_to_x_16(monkeypatch):
     # so their values are those of the one-pass sum: one pass per order evaluated,
     # by `bessel_j` or by a wave check's shared call
     calls, passes = [], []
-    bessel_sum, orders = charlier._bessel_sum, charlier._bessel_orders
+    bessel_sum, orders = special._bessel_sum, special._bessel_orders
 
     def counted(nu, x, shifts, prec):
         values = orders(nu, x, shifts, prec)
         calls.extend((nu, k, x, prec) for k in shifts)
         return values
 
-    monkeypatch.setattr(charlier, "_bessel_sum", lambda *args: passes.append(args) or bessel_sum(*args))
-    monkeypatch.setattr(charlier, "_bessel_orders", counted)
+    monkeypatch.setattr(special, "_bessel_sum", lambda *args: passes.append(args) or bessel_sum(*args))
+    monkeypatch.setattr(special, "_bessel_orders", counted)
     test_bessel_half_integer_closed_forms()
     test_bessel_small_argument_leading_term()
     test_rgamma_memo_is_bounded()
@@ -346,7 +371,7 @@ def test_shared_start_term_matches_bessel_j(prec):
     # -4 + 2^-(prec/2) sits just outside the wave guard of a negative integer,
     # and the integer orders -2..2 start their sums at different m
     def check(nu, x, shifts):
-        for k, val in zip(shifts, charlier._bessel_orders(nu, x, shifts, prec)):
+        for k, val in zip(shifts, special._bessel_orders(nu, x, shifts, prec)):
             with mp.workprec(prec + 64):
                 ref = bessel_j(nu + k, x, prec)
                 assert abs(val - ref) <= abs(ref) * mp.mpf(2) ** -prec, (nu, k, x)
@@ -368,7 +393,7 @@ def test_wave_checks_share_one_start_term(monkeypatch):
     # one residual takes one (x/2)^nu power, one sqrt and at most one cos; a
     # Wronskian takes the powers at nu and -nu, one cos and one sqrt
     counts = {"power": 0, "cos": 0, "sqrt": 0}
-    charlier.mp.prec  # bind charlier's mp, so the patches below are the ones it reads
+    special.mp.prec  # bind special's mp, so the patches below are the ones its waves read
 
     def counting(name, fn):
         def wrapped(*args):
@@ -611,7 +636,7 @@ def test_tail_parts_are_computed_once_per_table(monkeypatch):
     pairs = [(ell, ellp) for ell in range(4) for ellp in range(ell, 4)]
     _atoms.cache_clear()
     horner_calls, powers, libmp_calls = [], [], {"mpf_mul": 0, "mpf_div": 0, "mpf_add": 0}
-    horner = charlier._horner
+    horner = special._horner
 
     def counting_horner(coefficients, x_man, x_exp, wp):
         caller = sys._getframe(1).f_code.co_name
@@ -631,11 +656,12 @@ def test_tail_parts_are_computed_once_per_table(monkeypatch):
             return fn(*args)
         return wrapped
 
-    charlier.mp.prec  # bind charlier's libmp names now, so that the first call keeps the patch
     monkeypatch.setattr(charlier, "_horner", counting_horner)
     monkeypatch.setattr(mpf_type, "__pow__", counting_power)
-    for name, fn in (("mpf_mul", mpf_mul), ("mpf_div", mpf_div), ("mpf_add", mpf_add)):
-        monkeypatch.setattr(charlier, name, counting(name, fn), raising=False)
+    for module in (charlier, special):
+        module.mp.prec  # bind the module's libmp names now, so that the first call keeps the patch
+        for name, fn in (("mpf_mul", mpf_mul), ("mpf_div", mpf_div), ("mpf_add", mpf_add)):
+            monkeypatch.setattr(module, name, counting(name, fn), raising=False)
     first = [charlier_orthogonality_sum(ell, ellp, a, tol, prec) for ell, ellp in pairs]
     atoms = _atoms(a, prec + _GUARD_BITS)
     bounds = [call for call in horner_calls if call[0] == "bound"]
