@@ -12,8 +12,9 @@ series serves far from the origin.  The Bessel series is summed in fixed point
 too, and a residual or Wronskian check reads each of its waves at z + k from
 one call (`_waves`): one sqrt(pi/(2 eps)), one cos(pi z), and per wave one
 start term (x/2)^nu / Gamma(nu + 1) that its orders nu + k share through exact
-integer ratios (`_bessel_orders`).  Gamma and Bessel take a Fraction exactly and
-an mpf as the dyadic value it holds.
+integer ratios (`_bessel_orders`).  Asked for prec bits, `_waves` sums at prec +
+_GUARD_BITS, within about 2^(1-prec) relative.  Gamma and Bessel take a Fraction
+exactly and an mpf as the dyadic value it holds.
 
 The steps on (mantissa, exponent) pairs of Python ints form the exact
 quotient, product or sum and round it once, ties to even (`_quotient`,
@@ -221,23 +222,26 @@ def _rgamma_stirling(a_num: int, q: int, wp: int):
 
 def _bessel_sum(term: int, m: int, y_num: int, den_shift: int, n_int: int, q: int,
                 tail_bits: int, cap: int) -> tuple[int, int]:
-    """(sum, largest |T|) of `bessel_j`'s scaled series from T_m on, to 2 |T| 2^tail_bits <
-    max(max_abs, |acc|) + 1: relative to the sum's scale, the 1 one unit of the floors."""
-    acc = max_abs = 0
-    while True:
+    """(sum, largest |T|) of `bessel_j`'s scaled series from T_m on, in two loops.  The first
+    runs while a term can still grow (m <= 1 or 2 y_num >= den, as for all nu+m <= 0), up to
+    m = |nu| + x + 3 < cap at most, and tracks max_abs.  Then nu+m > 0 and m (nu+m) grows, so
+    every later ratio is below 1/2 and falling: max_abs is final, twice a term bounds the
+    rest, and each term is one product and one floor division up to |T| <= stop."""
+    acc = max_abs = den = 0
+    while m <= 1 or 2 * y_num >= den:
         acc += term
         max_abs = max(max_abs, abs(term))
         m += 1
         den = (m * (n_int + m * q)) << den_shift
         term = -(term * y_num) // den
-        # once nu+m > 0 and the ratio y/(m (nu+m)) < 1/2, every later ratio
-        # is smaller, so twice the next term bounds the whole remainder; with
-        # nu+m in (-1, 0) the ratio is negative but the one after it unbounded
-        if (m > 1 and 2 * y_num < den
-                and abs(term) << (tail_bits + 1) < max(max_abs, abs(acc)) + 1):
-            return acc, max_abs
+    stop = max_abs >> (tail_bits + 1)
+    while not -stop <= term <= stop:
         if m > cap:
             raise RuntimeError("Bessel series failed to converge")
+        acc += term
+        m += 1
+        term = -(term * y_num) // ((m * (n_int + m * q)) << den_shift)
+    return acc, max_abs
 
 
 def bessel_j(nu, x, prec: int):
@@ -258,11 +262,11 @@ def _bessel_orders(nu, x, shifts, prec: int) -> list:
     sign and factorials of its own m, and the Gamma ratio over N + j q
     (`_gamma_ratio`), rounded once.  Each sum runs in fixed point: with
     y = Y 2^e and the start term scaled to about wp + 20 bits, each term is one
-    integer step T <- -T Y q 2^e / (m (N + m q)), exact up to one floor, until
-    the ratio bound certifies the remainder below 2^-wp of the sum's scale:
-    within 2^-prec of |J| relative however small J is.  Where the terms cancel
-    more than `_SPARE_BITS` of the guard (past x of about 16, or near a zero of
-    J) it sums again with the scale and the tail test raised as many bits.
+    integer step T <- -T Y q 2^e / (m (N + m q)), exact up to one floor, up to the
+    first |T| <= 2^-(wp+1) max |T| past the last ratio >= 1/2 (`_bessel_sum`): the
+    rest is below 2^-wp of the sum's scale, within 2^-prec of |J| however small J
+    is.  Where the terms cancel more than `_SPARE_BITS` of the guard (past x of about
+    16, or near a zero of J), it sums again, the scale and stop raised as many bits.
     """
     wp = prec + _GUARD_BITS
     with mp.workprec(wp):
@@ -313,30 +317,25 @@ def _bessel_orders(nu, x, shifts, prec: int) -> list:
 # Numeric wave functions
 # ---------------------------------------------------------------------------
 
-def _wave_arguments(z, eps, prec: int):
-    """(z, eps, nu = z + 1/2, x = 2/eps) as mpf at the current working precision; errors
-    within 2^-(prec/2) of an integer nu, where f's connection formula degenerates."""
-    z_m, eps_m = _to_mpf(z), _to_mpf(eps)
-    if eps_m <= 0:
-        raise ValueError(f"need eps > 0, got eps={eps}")
-    nu = z_m + _HALF
-    if abs(nu - mp.nint(nu)) < mp.ldexp(1, -prec // 2):
-        raise ValueError(f"z + 1/2 is too close to an integer at z={z}; "
-                         "perturb the evaluation point")
-    return z_m, eps_m, nu, 2 / eps_m
-
-
 def _waves(z, eps, prec: int, points) -> list:
-    """[w(z + k) for (w, k) in points] at `prec` bits, w "f" or "g", k an integer:
-    one `_wave_arguments`, sqrt(pi/(2 eps)) (g's prefactor is twice it) and
-    cos(pi z) per call, as cos pi(z + k) = (-1)^k cos(pi z), and one
-    `_bessel_orders` per wave, J_(nu+k) for g(z + k) and J_(-nu-k) for f(z + k)."""
+    """[w(z + k) for (w, k) in points] at `prec` bits, w "f" or "g", k an integer: one
+    sqrt(pi/(2 eps)) (g's prefactor is twice it) and cos(pi z) per call, as cos pi(z + k) =
+    (-1)^k cos(pi z), and one `_bessel_orders` per wave at x = 2/eps, J_(nu+k) for g(z + k)
+    and J_(-nu-k) for f(z + k), nu = z + 1/2.  That call gets `prec`, as it adds its own
+    guard: each value is within about 2^(1-prec) relative, f's up to cos(pi z)'s condition
+    number.  Errors within 2^-(prec/2) of an integer nu, where f's formula degenerates."""
     with mp.workprec(prec + _GUARD_BITS):
-        z_m, eps_m, nu, x = _wave_arguments(z, eps, prec)
+        z_m, eps_m = _to_mpf(z), _to_mpf(eps)
+        if eps_m <= 0:
+            raise ValueError(f"need eps > 0, got eps={eps}")
+        nu, x = z_m + _HALF, 2 / eps_m
+        if abs(nu - mp.nint(nu)) < mp.ldexp(1, -prec // 2):
+            raise ValueError(f"z + 1/2 is too close to an integer at z={z}; "
+                             "perturb the evaluation point")
         root, bessel = mp.sqrt(mp.pi / (2 * eps_m)), {}
         for wave, sign in (("f", -1), ("g", 1)):
             if shifts := [sign * k for w, k in points if w == wave]:
-                bessel[wave] = iter(_bessel_orders(sign * nu, x, shifts, prec + _GUARD_BITS))
+                bessel[wave] = iter(_bessel_orders(sign * nu, x, shifts, prec))
         cos = mp.cos(mp.pi * z_m) if "f" in bessel else None
         values = [root * next(bessel[w]) / (-cos if k % 2 else cos) if w == "f"
                   else 2 * root * next(bessel[w]) for w, k in points]

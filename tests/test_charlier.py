@@ -419,6 +419,67 @@ def test_wave_checks_share_one_start_term(monkeypatch):
             assert ops(numeric_wronskian, z, eps, prec) == {"power": 2, "cos": 1, "sqrt": 1}
 
 
+def per_term_bessel_sum(term, m, y_num, den_shift, n_int, q, tail_bits, cap):
+    # `_bessel_sum` before its split into two phases: every term updates the largest |T|,
+    # and the stop test compares it against max(max_abs, |acc|)
+    acc = max_abs = 0
+    while True:
+        acc += term
+        max_abs = max(max_abs, abs(term))
+        m += 1
+        den = (m * (n_int + m * q)) << den_shift
+        term = -(term * y_num) // den
+        if (m > 1 and 2 * y_num < den
+                and abs(term) << (tail_bits + 1) < max(max_abs, abs(acc)) + 1):
+            return acc, max_abs
+        if m > cap:
+            raise RuntimeError("Bessel series failed to converge")
+
+
+def test_two_phase_bessel_sum_matches_the_per_term_loop(monkeypatch):
+    # the two-phase stop implies the per-term test, so it comes at the same term or later.
+    # On every sum the bench's wave checks and scaling targets make, and on the orders next
+    # to a pole, it gives the same (sum, largest |T|), but for a few f sums at orders -19/4,
+    # -23/4 and -27/4, whose first terms share one sign so that |sum| > max_abs: there the
+    # per-term test stops earlier, on |T| 2^(tail_bits+1) <= |sum|.  The later stop moves
+    # the sum by less than that test's own tail bound, max(max_abs, |sum|) 2^-tail_bits
+    # (at 730 bits, order -23/4, by more than max_abs 2^-tail_bits), and no rounded value.
+    sums, orders, later = [], [], []
+    bessel_sum, bessel_orders = special._bessel_sum, special._bessel_orders
+
+    def compared(*args):
+        sums.append(args)
+        (acc, max_abs), (ref, ref_max) = bessel_sum(*args), per_term_bessel_sum(*args)
+        assert max_abs == ref_max and abs(acc - ref) << args[6] < max(max_abs, abs(ref)), args
+        if acc != ref:
+            later.append((args[4], args[5], args[6]))
+        return acc, max_abs
+
+    def counted(nu, x, shifts, prec):
+        orders.extend(shifts)
+        return bessel_orders(nu, x, shifts, prec)
+
+    monkeypatch.setattr(special, "_bessel_sum", compared)
+    monkeypatch.setattr(special, "_bessel_orders", counted)
+    for prec in (256, 730, 768):
+        for z, eps in WAVE_POINTS:
+            special._waves(z, eps, prec, [(w, k) for w in "fg" for k in (-1, 0, 1)])
+        # charlier_scaling_limit_check's targets J_mu(2/eps), mu = zeta - l - 1/2
+        for mu, x in ((Fraction(-1, 2), 2), (Fraction(-1), 2), (Fraction(1, 2), 4)):
+            bessel_j(mu, x, prec)
+        with mp.workprec(prec + _GUARD_BITS):
+            near = mp.mpf(-4) + mp.ldexp(1, -(prec // 2))
+        # at x = 2^-400 T_1 is below the stop already, and both loops still add it (m > 1)
+        for x in (mp.ldexp(1, -400), 1, 4, 16, 40):
+            special._bessel_orders(-3, x, (-1, 1, -2, 0, 2), prec)
+            special._bessel_orders(Fraction(-17, 6), x, (-1, 0, 1, 2), prec)
+            special._bessel_orders(near, x, (-1, 0, 1), prec)
+    assert len(orders) == 3 * (15 * 6 + 3 + 5 * 12)
+    assert sorted(later) == [(-27, 4, 798), (-27, 4, 798), (-23, 4, 760), (-19, 4, 286),
+                             (-19, 4, 798)]
+    assert len(sums) > len(orders)  # x = 16 and x = 40 sum some orders again
+
+
 def test_charlier_poly_small_cases():
     assert charlier_poly(0, 1).coefficients == (Fraction(1),)
     assert charlier_poly(1, 1).coefficients == (Fraction(-3, 2), Fraction(1))
@@ -793,17 +854,21 @@ def test_orthogonality_grid():
 
 
 def test_difference_equation_residuals():
-    for z in ("5.25", "10.25", "20.25"):
-        for eps in (Fraction(1, 2), 1, 2):
-            for which in ("f", "g"):
-                res = difference_equation_residual(mp.mpf(z), eps, 128, which)
-                assert res < mp.mpf(2) ** -64
+    # 640 bits is inside the bench's band, and 2^-(prec/2) its tolerance
+    for prec in (128, 640):
+        for z in ("5.25", "10.25", "20.25"):
+            for eps in (Fraction(1, 2), 1, 2):
+                for which in ("f", "g"):
+                    res = difference_equation_residual(mp.mpf(z), eps, prec, which)
+                    assert res < mp.mpf(2) ** -(prec // 2)
 
 
 def test_wronskian_unity():
-    for z in ("7.25", "12.25"):
-        for eps in (Fraction(1, 2), 1, 2):
-            assert abs(numeric_wronskian(mp.mpf(z), eps, 128) - 1) < mp.mpf(2) ** -64
+    for prec in (128, 640):
+        for z in ("7.25", "12.25"):
+            for eps in (Fraction(1, 2), 1, 2):
+                w = numeric_wronskian(mp.mpf(z), eps, prec)
+                assert abs(w - 1) < mp.mpf(2) ** -(prec // 2)
 
 
 @pytest.mark.parametrize("prec", [128, 640])
