@@ -4,17 +4,17 @@ correctly rounded steps on dyadic pairs, and the two numeric wave functions
     g(z) = sqrt(2*pi/eps) * J_{z+1/2}(2/eps)
     f(z) = sqrt(pi/(2*eps)) * J_{-z-1/2}(2/eps) / cos(pi*z).
 
-The module has one Gamma, `_rgamma`: a held 1/Gamma(1 + phi), phi the
-fractional part of a, times an exact integer ratio, so arguments that differ
-by integers share one.  A fresh one is summed in fixed point over Python ints
-(`_rgamma_series`), so mpmath's Gamma Taylor table is never built; Stirling's
-series serves far from the origin.  The Bessel series is summed in fixed point
-too, and a residual or Wronskian check reads each of its waves at z + k from
-one call (`_waves`): one sqrt(pi/(2 eps)), one cos(pi z), and per wave one
-start term (x/2)^nu / Gamma(nu + 1) that its orders nu + k share through exact
-integer ratios (`_bessel_orders`).  Asked for prec bits, `_waves` sums at prec +
-_GUARD_BITS, within about 2^(1-prec) relative.  Gamma and Bessel take a Fraction
-exactly and an mpf as the dyadic value it holds.
+The module has one Gamma, `_rgamma`: 1/Gamma(1 + phi), phi the fractional part of a,
+times an exact integer ratio.  A fresh 1/Gamma(1 + phi) is summed in fixed point over
+Python ints (`_rgamma_series`); Stirling's series serves far from the origin.  The Bessel
+series is summed in fixed point too, and a residual or Wronskian check reads its waves at
+z + k from one call (`_waves`): one sqrt(pi/(2 eps)), one cos(pi z), and per wave one
+start term (x/2)^nu / Gamma(nu + 1) that its orders nu + k share through exact integer
+ratios (`_bessel_orders`).  Those four transcendental inputs, 1/Gamma(1 + phi), (x/2)^phi,
+cos(pi z) and sqrt(pi/(2 eps)), are functions of exact rationals, and one bounded table,
+`_held`, keeps each across calls at the highest precision asked so far.  Asked for prec
+bits, `_waves` sums at prec + _GUARD_BITS, within about 2^(1-prec) relative.  Gamma and
+Bessel take a Fraction exactly and an mpf as the dyadic value it holds.
 
 The steps on (mantissa, exponent) pairs of Python ints form the exact
 quotient, product or sum and round it once, ties to even (`_quotient`,
@@ -48,8 +48,8 @@ class _Mpmath:
         from mpmath import libmp, mp
         self._names.update(
             mp=mp, fone=libmp.fone, from_int=libmp.from_int, from_man_exp=libmp.from_man_exp,
-            mpf_div=libmp.mpf_div, mpf_mul=libmp.mpf_mul, mpf_shift=libmp.mpf_shift,
-            _RND=libmp.round_nearest, _HALF=mp.mpf(1) / 2)
+            mpf_div=libmp.mpf_div, mpf_mul=libmp.mpf_mul, mpf_pow_int=libmp.mpf_pow_int,
+            mpf_shift=libmp.mpf_shift, _RND=libmp.round_nearest, _HALF=mp.mpf(1) / 2)
         return getattr(mp, name)
 
 
@@ -105,12 +105,24 @@ def gamma_real(x, prec: int):
         return 1 / rgamma
 
 
-# 1/Gamma(1 + r/q) per (r, q) as (bits, raw mpf), held at the highest
-# precision asked so far, as mpmath holds pi; the _RGAMMA_HELD most recently
-# used stay.
-_RGAMMA_HELD = 16
+# key: (bits, raw mpf) at the highest precision asked so far, the _HELD_SIZE most recently
+# used kept: ("rgamma", r, q) for 1/Gamma(1 + r/q), ("power", M, e, r, q) for (M 2^e)^(r/q),
+# ("cos", N, Q) for cos(pi N/Q) and ("root", N, Q) for sqrt(pi Q/(2 N)), all exact.
+_HELD_SIZE = 32
 _RATIO_BITS = 1 << 16  # ratio size past which `_rgamma` takes Stirling's series where it converges
-_rgamma_memo: dict[tuple[int, int], tuple[int, tuple]] = {}
+_held: dict[tuple, tuple[int, tuple]] = {}
+
+
+def _held_value(key: tuple, wp: int, value):
+    """`key`'s raw mpf at wp bits or more: the one held, else value() at wp bits, held."""
+    held = _held.pop(key, None)
+    if held is None or held[0] < wp:
+        with mp.workprec(wp):
+            held = wp, value()
+    _held[key] = held
+    if len(_held) > _HELD_SIZE:
+        del _held[next(iter(_held))]
+    return held[1]
 
 
 def _rgamma_series(r: int, q: int, bits: int):
@@ -167,28 +179,18 @@ def _gamma_ratio(a: int, q: int, n: int):
 def _rgamma(a_num: int, q: int, wp: int):
     """1/Gamma(a) as a raw mpf rounded to wp bits, for a = a_num / q exactly, q > 0.
 
-    With a = 1 + phi + n, phi = r/q in [0, 1) and n an integer, the held
-    1/Gamma(1 + phi) times the exact ratio Gamma(1 + phi) / Gamma(a) of
-    `_gamma_ratio` is rounded once more.  phi = 0 needs no Gamma, and a pole
-    (phi = 0, n < 0) has the factor 0 and gives zero.  A fresh
-    1/Gamma(1 + phi), from `_rgamma_series`, is within 1/2 + 2^-20 ulp.  Past
-    `_RATIO_BITS` of product, where Stirling's series reaches wp bits,
-    `_rgamma_stirling` serves instead, so the work stays bounded in |a|.
+    With a = 1 + phi + n, phi = r/q in [0, 1) and n an integer: the held 1/Gamma(1 + phi)
+    (`_held`; fresh from `_rgamma_series`, within 1/2 + 2^-20 ulp) times the exact ratio
+    Gamma(1 + phi) / Gamma(a) of `_gamma_ratio`, rounded once.  phi = 0 needs no Gamma; a
+    pole (phi = 0, n < 0) has the factor 0 and gives zero.  Past `_RATIO_BITS` of product,
+    where Stirling's series reaches wp bits, `_rgamma_stirling` keeps the work bounded in |a|.
     """
     mp.prec  # binds the libmp names below when this is the first numeric call
     r, n = a_num % q, a_num // q - 1
     if 8 * abs(n) > wp + 64 and abs(n) * (abs(n) * q).bit_length() > _RATIO_BITS:
         return _rgamma_stirling(a_num, q, wp)
     num, den = _gamma_ratio(r + q, q, n)
-    base = fone
-    if r:
-        held = _rgamma_memo.pop((r, q), None)
-        if held is None or held[0] < wp:
-            held = wp, _rgamma_series(r, q, wp)
-        _rgamma_memo[r, q] = held
-        if len(_rgamma_memo) > _RGAMMA_HELD:
-            del _rgamma_memo[next(iter(_rgamma_memo))]
-        base = held[1]
+    base = _held_value(("rgamma", r, q), wp, lambda: _rgamma_series(r, q, wp)) if r else fone
     return mpf_div(mpf_mul(base, num), den, wp, _RND)
 
 
@@ -251,22 +253,22 @@ def bessel_j(nu, x, prec: int):
 
 
 def _bessel_orders(nu, x, shifts, prec: int) -> list:
-    """[J_(nu+k)(x) for k in shifts] at `prec` bits, each by its power series
-    with an explicit geometric tail bound.
+    """[J_(nu+k)(x) for k in shifts] at `prec` bits by power series with a geometric tail bound.
 
-    Terms with nu+m+1 at a pole of Gamma are zero, so a sum starts at the first
-    m off the poles (m = -nu for a negative integer nu, else 0).  nu is taken
-    exactly as N/q (`_ratio`), never rounded onto a pole.  The start term
-    (x/2)^nu (-y)^m / m! / Gamma(nu + m + 1), y = (x/2)^2, is computed once;
-    order nu + k's is that one times an exact ratio of integers, (x/2)^k, the
-    sign and factorials of its own m, and the Gamma ratio over N + j q
-    (`_gamma_ratio`), rounded once.  Each sum runs in fixed point: with
-    y = Y 2^e and the start term scaled to about wp + 20 bits, each term is one
-    integer step T <- -T Y q 2^e / (m (N + m q)), exact up to one floor, up to the
-    first |T| <= 2^-(wp+1) max |T| past the last ratio >= 1/2 (`_bessel_sum`): the
-    rest is below 2^-wp of the sum's scale, within 2^-prec of |J| however small J
-    is.  Where the terms cancel more than `_SPARE_BITS` of the guard (past x of about
-    16, or near a zero of J), it sums again, the scale and stop raised as many bits.
+    Terms with nu+m+1 at a pole of Gamma are zero, so a sum starts at the first m off the
+    poles (m = -nu for a negative integer nu, else 0).  nu is taken exactly as N/q
+    (`_ratio`), never rounded onto a pole.  The start term (x/2)^(nu+2m) / Gamma(nu+m+1)
+    is the held (x/2)^phi, phi = nu - floor(nu), times (x/2)^(floor(nu) + 2m), exact for
+    x/2 a power of two, times `_rgamma`'s value, unrounded; order nu + k's is that one
+    times an exact ratio of integers, (x/2)^k, the sign and factorial of its own m, and
+    the Gamma ratio over N + j q (`_gamma_ratio`), rounded once.  Each sum runs in fixed
+    point: with y = (x/2)^2 = Y 2^e and the start term scaled to about wp + 20 bits, each
+    term is one integer step T <- -T Y q 2^e / (m (N + m q)), exact up to one floor, up to
+    the first |T| <= 2^-(wp+1) max |T| past the last ratio >= 1/2 (`_bessel_sum`): the
+    rest is below 2^-wp of the sum's scale, within 2^-prec of |J| however small J is.
+    Where the terms cancel more than `_SPARE_BITS` of the guard (past x of about 16, or
+    near a zero of J), it sums again, the scale and stop raised by as many bits or by x
+    log2(e), about what the terms cancel at large x, whichever is more.
     """
     wp = prec + _GUARD_BITS
     with mp.workprec(wp):
@@ -275,21 +277,21 @@ def _bessel_orders(nu, x, shifts, prec: int) -> list:
             raise ValueError(f"x must be positive, got x={x}")
         n_0, q = _ratio(nu)
         m_0 = -n_0 if q == 1 and n_0 < 0 else 0
-        a_0 = n_0 + (m_0 + 1) * q  # nu + m_0 + 1 = a_0 / q
+        a_0, r = n_0 + (m_0 + 1) * q, n_0 % q  # nu + m_0 + 1 = a_0 / q, nu - floor(nu) = r/q
         half = x_m / 2
         quarter_sq = half * half
-        nu_m = nu if isinstance(nu, mp.mpf) else _to_mpf(nu)
-        start = (mp.power(half, nu_m) * (-quarter_sq) ** m_0 / mp.factorial(m_0)
-                 * mp.make_mpf(_rgamma(a_0, q, wp)))._mpf_
     (h_man, h_exp, _), (y_man, y_exp, _) = _dyadic(half), _dyadic(quarter_sq)
+    power = _held_value(("power", h_man, h_exp, r, q), wp,
+                        lambda: mp.power(half, mp.mpf(r) / q)._mpf_) if r else fone
+    start = mpf_mul(mpf_mul(power, mpf_pow_int(half._mpf_, n_0 // q + 2 * m_0, wp, _RND)),
+                    _rgamma(a_0, q, wp))
     y_num, den_shift = y_man * q << max(y_exp, 0), max(-y_exp, 0)
     values = []
     for k in shifts:
         n_int = n_0 + k * q
         m = -n_int if q == 1 and n_int < 0 else 0
         e, (num, den) = k + 2 * (m - m_0), _gamma_ratio(a_0, q, k + m - m_0)
-        sign = (-1) ** (m - m_0 & 1)
-        num = mpf_mul(num, from_man_exp(sign * h_man ** max(e, 0) * factorial(m_0), h_exp * e))
+        num = mpf_mul(num, from_man_exp((-1) ** (m & 1) * h_man ** max(e, 0), h_exp * e))
         den = mpf_mul(den, from_int(h_man ** max(-e, 0) * factorial(m)))
         t_man, t_exp, t_bits = _dyadic(mp.make_mpf(mpf_div(mpf_mul(start, num), den, wp, _RND)))
         # the scale 2^F puts the start term (at most wp bits) at wp + 20, so T is exact.  A
@@ -300,7 +302,6 @@ def _bessel_orders(nu, x, shifts, prec: int) -> list:
             r = n_int % q
             top += (q - 1).bit_length() + 1 - min(r, q - r).bit_length()
         term = t_man << (top - t_bits)
-        # the sum cancels about log2(max_abs / |acc|) bits, e^x / sqrt(x) or so for large x
         cap = 10 * (prec + abs(n_int) // q + int(x_m) + 10)
         lost = 0
         while True:
@@ -308,7 +309,7 @@ def _bessel_orders(nu, x, shifts, prec: int) -> list:
             cancelled = max_abs.bit_length() - abs(acc).bit_length()
             if cancelled <= lost + _SPARE_BITS:
                 break
-            lost = cancelled
+            lost = max(cancelled, int(x_m / mp.ln2))
         values.append(mp.make_mpf(from_man_exp(acc, t_exp + t_bits - top - lost, prec, _RND)))
     return values
 
@@ -318,25 +319,28 @@ def _bessel_orders(nu, x, shifts, prec: int) -> list:
 # ---------------------------------------------------------------------------
 
 def _waves(z, eps, prec: int, points) -> list:
-    """[w(z + k) for (w, k) in points] at `prec` bits, w "f" or "g", k an integer: one
-    sqrt(pi/(2 eps)) (g's prefactor is twice it) and cos(pi z) per call, as cos pi(z + k) =
-    (-1)^k cos(pi z), and one `_bessel_orders` per wave at x = 2/eps, J_(nu+k) for g(z + k)
-    and J_(-nu-k) for f(z + k), nu = z + 1/2.  That call gets `prec`, as it adds its own
-    guard: each value is within about 2^(1-prec) relative, f's up to cos(pi z)'s condition
-    number.  Errors within 2^-(prec/2) of an integer nu, where f's formula degenerates."""
-    with mp.workprec(prec + _GUARD_BITS):
-        z_m, eps_m = _to_mpf(z), _to_mpf(eps)
-        if eps_m <= 0:
+    """[w(z + k) for (w, k) in points] at `prec` bits, w "f" or "g", k an integer: the held
+    sqrt(pi/(2 eps)) (g's prefactor is twice it) and cos(pi z), as cos pi(z + k) = (-1)^k
+    cos(pi z), and one `_bessel_orders` per wave at x = 2/eps and nu = z + 1/2, both exact,
+    J_(nu+k) for g(z + k) and J_(-nu-k) for f(z + k).  That call gets `prec`, as it adds
+    its own guard: each value is within about 2^(1-prec) relative.  Errors within
+    2^-(prec/2) of an integer nu, where f's formula degenerates."""
+    wp = prec + _GUARD_BITS
+    with mp.workprec(wp):
+        (z_n, z_q), (e_n, e_q), bessel = _ratio(z), _ratio(eps), {}
+        if e_n <= 0:
             raise ValueError(f"need eps > 0, got eps={eps}")
-        nu, x = z_m + _HALF, 2 / eps_m
-        if abs(nu - mp.nint(nu)) < mp.ldexp(1, -prec // 2):
+        nu, x, z_n = Fraction(2 * z_n + z_q, 2 * z_q), Fraction(2 * e_q, e_n), z_n % (2 * z_q)
+        if abs(nu - round(nu)) < Fraction(1, 1 << (prec + 1) // 2):
             raise ValueError(f"z + 1/2 is too close to an integer at z={z}; "
                              "perturb the evaluation point")
-        root, bessel = mp.sqrt(mp.pi / (2 * eps_m)), {}
+        root = mp.make_mpf(_held_value(("root", e_n, e_q), wp,
+                                       lambda: mp.sqrt(mp.pi * e_q / (2 * e_n))._mpf_))
         for wave, sign in (("f", -1), ("g", 1)):
             if shifts := [sign * k for w, k in points if w == wave]:
                 bessel[wave] = iter(_bessel_orders(sign * nu, x, shifts, prec))
-        cos = mp.cos(mp.pi * z_m) if "f" in bessel else None
+        cos = mp.make_mpf(_held_value(("cos", z_n, z_q), wp, lambda: mp.cospi(
+            mp.mpf(z_n) / z_q)._mpf_)) if "f" in bessel else None
         values = [root * next(bessel[w]) / (-cos if k % 2 else cos) if w == "f"
                   else 2 * root * next(bessel[w]) for w, k in points]
     with mp.workprec(prec):
@@ -363,14 +367,13 @@ def numeric_f_g(z, eps, prec: int):
 # ---------------------------------------------------------------------------
 
 def _rounded(man, exp, wp: int, other=0, other_exp=0):
-    """The (mantissa, exponent) pair of man 2^exp + other 2^other_exp,
-    summed exactly and rounded once to wp bits, ties to even.
+    """The (mantissa, exponent) pair of man 2^exp + other 2^other_exp, summed exactly and
+    rounded once to wp bits, ties to even.
 
-    libmp's mpf_add and mpf_mul at round_nearest are correctly rounded too,
-    so this equals mpf_add on the two terms and, as _rounded(m1 m2, e1 + e2,
-    wp), mpf_mul on two factors, bit for bit.  Adding 2^(shift-1) - 1, and
-    1 more when the kept part is odd, makes the floor round up past the
-    halfway point, and at it only to an even kept part."""
+    libmp's mpf_add and mpf_mul at round_nearest are correctly rounded too, so this equals
+    mpf_add on the two terms and, as _rounded(m1 m2, e1 + e2, wp), mpf_mul on two factors,
+    bit for bit.  Adding 2^(shift-1) - 1, and 1 more when the kept part is odd, makes the
+    floor round up past the halfway point, and at it only to an even kept part."""
     if other:
         if exp > other_exp:
             man, exp, other, other_exp = other, other_exp, man, exp
@@ -393,19 +396,17 @@ def _quotient(man, exp, n: int, wp: int):
 
 
 def _horner(coefficients, x_man, x_exp, wp: int):
-    """sum_i c_i x^i over (mantissa, exponent) pairs, each step acc*x + c
-    rounded to wp."""
+    """sum_i c_i x^i over (mantissa, exponent) pairs, each step acc*x + c rounded to wp."""
     acc, acc_exp = coefficients[-1]  # 0 x + c, exact as c has at most wp bits
     for c_man, c_exp in reversed(coefficients[:-1]):
         acc, acc_exp = _rounded(*_rounded(acc * x_man, acc_exp + x_exp, wp), wp, c_man, c_exp)
     return acc, acc_exp
 
 def _sum(terms, wp: int):
-    """libmp's mpf_sum at wp bits, round_nearest, on (mantissa, exponent)
-    pairs: the exact sum, rounded once.  As there, with each term normalised
-    to an odd mantissa, a term whose top bit lies more than 2 wp bits below
-    the running sum's exponent is dropped, and one whose exponent lies more
-    than 2 wp bits above the running sum's top bit replaces it."""
+    """libmp's mpf_sum at wp bits, round_nearest, on (mantissa, exponent) pairs: the exact
+    sum, rounded once.  As there, with each term normalised to an odd mantissa, a term whose
+    top bit lies more than 2 wp bits below the running sum's exponent is dropped, and one
+    whose exponent lies more than 2 wp bits above the running sum's top bit replaces it."""
     limit = 2 * wp
     acc = acc_exp = 0
     for man, exp in terms:

@@ -33,7 +33,7 @@ from gwp1.charlier import (
 )
 from gwp1.special import (
     _GUARD_BITS,
-    _RGAMMA_HELD,
+    _HELD_SIZE,
     _quotient,
     _rgamma,
     _rounded,
@@ -77,13 +77,14 @@ def test_entry_point_works_as_the_first_numeric_call(monkeypatch, module, name, 
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC},
                           capture_output=True, timeout=60)
     assert proc.returncode == 0, proc.stderr.decode()
-    monkeypatch.setattr(special, "_rgamma_memo", {})  # hold no 1/Gamma the fresh process lacks
+    monkeypatch.setattr(special, "_held", {})  # hold no value the fresh process lacks
     assert pickle.loads(proc.stdout) == getattr(module, name)(*args)
 
 
 def test_each_numeric_module_binds_mpmath_and_special_stands_alone():
     # special.py runs as a module of its own, outside the package, so it imports no other
-    # gwp1 module; in the package, each numeric module's stand-in binds mpmath's own mp
+    # gwp1 module; importing the package holds no numeric value, so an exact query pays
+    # nothing for the table; each numeric module's stand-in binds mpmath's own mp
     code = "\n".join([
         "import importlib.util, sys",
         "from fractions import Fraction",
@@ -91,7 +92,7 @@ def test_each_numeric_module_binds_mpmath_and_special_stands_alone():
         "spec.loader.exec_module(importlib.util.module_from_spec(spec))",
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('gwp1', 'mpmath')))",
         "from gwp1 import charlier, special",
-        "print('mpmath' in sys.modules)",
+        "print('mpmath' in sys.modules, special._held)",
         "charlier.charlier_orthogonality_check(2, 2, 1, Fraction(1, 10**20), 64)",
         "special.bessel_j(Fraction(1, 3), 2, 64)",
         "import mpmath",
@@ -100,7 +101,7 @@ def test_each_numeric_module_binds_mpmath_and_special_stands_alone():
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC},
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "False", "True True"]
+    assert proc.stdout.splitlines() == ["[]", "False {}", "True True"]
 
 
 def test_gamma_classical_values():
@@ -170,7 +171,7 @@ RGAMMA_ARGUMENTS = [(5, 2), (41, 8), (1, 32), (2**40 + 1, 2**40), (-5, 2), (-41,
 
 
 def test_rgamma_matches_mpmath():
-    special._rgamma_memo.clear()
+    special._held.clear()
     for precs in ([53, 128, 300, 700, 830], [830, 700, 300, 128, 53]):
         for a_num, q in RGAMMA_ARGUMENTS:
             for prec in precs:
@@ -186,34 +187,56 @@ def test_rgamma_matches_mpmath():
                     assert _ulps(val, ref, prec) <= 2, (a_num, q, prec)
 
 
+def fresh_held_values(monkeypatch) -> list:
+    """The kinds of the held values computed afresh from here on, one per computation."""
+    fresh, held_value = [], special._held_value
+    monkeypatch.setattr(special, "_held_value", lambda key, wp, value: held_value(
+        key, wp, lambda: fresh.append(key[0]) or value()))
+    return fresh
+
+
 def test_rgamma_calls_one_per_fractional_order(monkeypatch):
-    # counts the integer series behind each fresh 1/Gamma(1 + phi)
+    # counts the integer series behind each fresh 1/Gamma(1 + phi), and each fresh value
+    # of the one table by kind: a check at a precision no higher than the table's
+    # computes none of them
     calls = []
     series = special._rgamma_series
     monkeypatch.setattr(special, "_rgamma_series",
                         lambda *args: calls.append(args) or series(*args))
+    fresh = fresh_held_values(monkeypatch)
 
     def count(fn, *args):
         calls.clear()
+        fresh.clear()
         fn(*args)
-        return len(calls)
+        kinds = {kind: fresh.count(kind) for kind in ("rgamma", "power", "cos", "root")}
+        assert kinds["rgamma"] == len(calls)
+        return kinds
 
-    special._rgamma_memo.clear()
+    def kinds(rgamma, power, cos, root):
+        return {"rgamma": rgamma, "power": power, "cos": cos, "root": root}
+
+    special._held.clear()
     residual = difference_equation_residual
-    assert count(residual, mp.mpf("5.25"), 1, 300, "f") <= 1
-    assert count(residual, mp.mpf("5.25"), 1, 300, "f") == 0
-    assert count(residual, mp.mpf("5.25"), 1, 200, "f") == 0
-    assert count(residual, mp.mpf("5.25"), 1, 400, "f") == 1
-    special._rgamma_memo.clear()
-    assert count(numeric_wronskian, mp.mpf("7.25"), 1, 300) <= 2
-    assert count(numeric_wronskian, mp.mpf("7.25"), 1, 300) == 0
-    assert count(numeric_wronskian, mp.mpf("7.25"), 1, 256) == 0
-    assert count(numeric_wronskian, mp.mpf("7.25"), 1, 512) == 2
-    # the target's order -1/6 and each L + 5/6 share 1/Gamma(1 + 5/6)
-    special._rgamma_memo.clear()
+    assert count(residual, mp.mpf("5.25"), 1, 300, "f") == kinds(1, 1, 1, 1)
+    assert count(residual, mp.mpf("5.25"), 1, 300, "f") == kinds(0, 0, 0, 0)
+    assert count(residual, mp.mpf("5.25"), 1, 200, "f") == kinds(0, 0, 0, 0)
+    assert count(residual, mp.mpf("5.25"), 1, 400, "f") == kinds(1, 1, 1, 1)
+    # g at 10.25 shares the root at eps = 1 and nothing else
+    assert count(residual, mp.mpf("10.25"), 1, 400, "g") == kinds(1, 1, 0, 0)
+    special._held.clear()
+    assert count(numeric_wronskian, mp.mpf("7.25"), 1, 300) == kinds(2, 2, 1, 1)
+    assert count(numeric_wronskian, mp.mpf("7.25"), 1, 300) == kinds(0, 0, 0, 0)
+    assert count(numeric_wronskian, mp.mpf("7.25"), 1, 256) == kinds(0, 0, 0, 0)
+    assert count(numeric_wronskian, mp.mpf("7.25"), 1, 512) == kinds(2, 2, 1, 1)
+    # cos(pi z) is keyed by z mod 2: z = 9.25 reads 7.25's
+    assert count(numeric_wronskian, mp.mpf("9.25"), 1, 512) == kinds(0, 0, 0, 0)
+    # the target's order -1/6 and each L + 5/6 share 1/Gamma(1 + 5/6); the target's
+    # (x/2)^(5/6) is the one power
+    special._held.clear()
     scaling = charlier_scaling_limit_check
-    for prec, fresh in ((300, 1), (300, 0), (340, 1), (700, 1), (340, 0)):
-        assert count(scaling, Fraction(1, 3), 0, 1, [40, 80], prec) == fresh
+    for prec, new in ((300, 1), (300, 0), (340, 1), (700, 1), (340, 0)):
+        assert count(scaling, Fraction(1, 3), 0, 1, [40, 80], prec) == kinds(new, new, 0, 0)
 
 
 def test_rising_precision_sweep_builds_no_gamma_table(monkeypatch):
@@ -226,7 +249,7 @@ def test_rising_precision_sweep_builds_no_gamma_table(monkeypatch):
 
     monkeypatch.setattr(gammazeta, "gamma_taylor_coefficients", refuse)
     monkeypatch.setattr(special, "_rgamma_stirling", refuse)
-    special._rgamma_memo.clear()
+    special._held.clear()
     for prec in (256, 384, 512, 640, 768):
         tol = mp.mpf(2) ** -(prec // 2)
         for which in ("f", "g"):
@@ -239,9 +262,37 @@ def test_rising_precision_sweep_builds_no_gamma_table(monkeypatch):
 
 
 def test_rgamma_memo_is_bounded():
+    # the one table holds every kind of value, the _HELD_SIZE most recently used of them
     for i in range(100):
         bessel_j(mp.mpf(2 * i + 1) / 256, 1, 128)
-    assert len(special._rgamma_memo) <= _RGAMMA_HELD
+        numeric_f(mp.mpf(2 * i + 1) / 256 + 3, Fraction(i + 7, 7), 128)
+    assert len(special._held) == _HELD_SIZE
+    assert {key[0] for key in special._held} == {"rgamma", "power", "cos", "root"}
+    assert ("root", 106, 7) in special._held and ("root", 1, 1) not in special._held
+
+
+def test_held_values_match_an_emptied_table():
+    # a value held at a higher precision than a call asks for enters its next step
+    # unrounded: with the table kept over precisions swept up and then down, f, g and J
+    # stay within 2 ulp of what each call gives on an emptied table.  The points share
+    # eps, z mod 2 and phi at different x, so a key that left out a part would show
+    points = [(mp.mpf("5.25"), Fraction(1, 2)), (mp.mpf("-7.25"), Fraction(2)),
+              (mp.mpf("-6.75"), Fraction(2)), (Fraction(10, 3), Fraction(2, 3)),
+              (Fraction(41, 8), Fraction(1, 3)), (Fraction(21, 8), Fraction(1, 2))]
+    calls = [(fn, (z, eps)) for z, eps in points for fn in (numeric_f, numeric_g)]
+    calls += [(bessel_j, (z + Fraction(1, 2), 2 / eps)) for z, eps in points]
+    calls += [(bessel_j, (-z, 4 / eps)) for z, eps in points]
+    precs = [53, 128, 300, 700, 830]
+    emptied = {}
+    for prec in precs:
+        for fn, args in calls:
+            special._held.clear()
+            emptied[fn, args, prec] = fn(*args, prec)
+    special._held.clear()
+    for prec in precs + precs[::-1]:
+        for fn, args in calls:
+            val, ref = fn(*args, prec), emptied[fn, args, prec]
+            assert _ulps(val, ref, prec) <= 2, (fn.__name__, args, prec)
 
 
 # the orders of the numeric sweep: f and g at z = 5.25, 10.25, 20.25 take
@@ -360,6 +411,26 @@ def test_bessel_sums_once_up_to_x_16(monkeypatch):
     assert len(passes) == len(calls)
 
 
+def test_bessel_sums_each_order_at_most_twice_at_x_2000(monkeypatch):
+    # at x = 2/eps = 2000 the terms cancel about x log2(e) = 2885 bits; a second pass
+    # that allows for that much is the last, where one that allowed only the
+    # cancellation its first pass measured summed each order 16 times
+    passes, orders = [], []
+    bessel_sum, bessel_orders = special._bessel_sum, special._bessel_orders
+
+    def counted(nu, x, shifts, prec):
+        orders.extend(shifts)
+        return bessel_orders(nu, x, shifts, prec)
+
+    monkeypatch.setattr(special, "_bessel_sum", lambda *args: passes.append(args) or bessel_sum(*args))
+    monkeypatch.setattr(special, "_bessel_orders", counted)
+    assert difference_equation_residual(mp.mpf("5.25"), Fraction(1, 1000), 128, "f") < mp.mpf(2) ** -64
+    val = bessel_j(Fraction(1, 3), 2000, 128)
+    with mp.workprec(300):
+        assert abs(val - mp.besselj(mp.mpf(1) / 3, 2000)) <= abs(val) * mp.mpf(2) ** -128
+    assert len(orders) == 4 and len(passes) <= 2 * len(orders)
+
+
 # the wave checks' points: z at the bench's residual and Wronskian points, nu = z + 1/2
 WAVE_POINTS = [(mp.mpf(z), eps) for z in ("5.25", "7.25", "10.25", "12.25", "20.25")
                for eps in (Fraction(1, 2), Fraction(1), Fraction(2))]
@@ -390,9 +461,11 @@ def test_shared_start_term_matches_bessel_j(prec):
 
 
 def test_wave_checks_share_one_start_term(monkeypatch):
-    # one residual takes one (x/2)^nu power, one sqrt and at most one cos; a
-    # Wronskian takes the powers at nu and -nu, one cos and one sqrt
-    counts = {"power": 0, "cos": 0, "sqrt": 0}
+    # on an emptied table one residual takes one (x/2)^phi power, one sqrt and at most
+    # one cos; a Wronskian takes the powers at nu and -nu, one cos and one sqrt.  The
+    # same call at the same or a lower precision reads them all from the table, and a
+    # higher one computes each once more
+    counts = {"power": 0, "cospi": 0, "sqrt": 0}
     special.mp.prec  # bind special's mp, so the patches below are the ones its waves read
 
     def counting(name, fn):
@@ -410,13 +483,18 @@ def test_wave_checks_share_one_start_term(monkeypatch):
         fn(*args)
         return dict(counts)
 
+    none = dict.fromkeys(counts, 0)
     for z, eps in WAVE_POINTS:
         for prec in (256, 640):
-            assert ops(difference_equation_residual, z, eps, prec, "f") == {
-                "power": 1, "cos": 1, "sqrt": 1}
-            assert ops(difference_equation_residual, z, eps, prec, "g") == {
-                "power": 1, "cos": 0, "sqrt": 1}
-            assert ops(numeric_wronskian, z, eps, prec) == {"power": 2, "cos": 1, "sqrt": 1}
+            for check, fresh in (((difference_equation_residual, "f"), (1, 1, 1)),
+                                 ((difference_equation_residual, "g"), (1, 0, 1)),
+                                 ((numeric_wronskian,), (2, 1, 1))):
+                fn, which = check[0], check[1:]
+                special._held.clear()
+                assert ops(fn, z, eps, prec, *which) == dict(zip(counts, fresh))
+                assert ops(fn, z, eps, prec, *which) == none
+                assert ops(fn, z, eps, prec - 64, *which) == none
+                assert ops(fn, z, eps, prec + 64, *which) == dict(zip(counts, fresh))
 
 
 def per_term_bessel_sum(term, m, y_num, den_shift, n_int, q, tail_bits, cap):
