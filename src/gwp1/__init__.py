@@ -1,7 +1,8 @@
 """Exact computer algebra and arbitrary-precision numerics for stationary
-descendent invariants of the sphere, computed along two independent routes:
-residue formulas over a formal wave-function quartet, and the logarithm of a
-determinantal (matrix-model) expansion in scaled time variables.
+descendent invariants of the sphere, computed along three independent routes:
+residue formulas over a formal wave-function quartet, the logarithm of a
+determinantal (matrix-model) expansion in scaled time variables, and the
+free energy as the logarithm of the GW/H sum over partitions.
 """
 
 from .epslaurent import EpsLaurent
@@ -14,12 +15,8 @@ from .waves import (
     wave_residual,
     wave_shift,
 )
-from .invariants import (
-    InvariantRecord,
-    free_energy,
-    invariant_by_genus,
-    n_point_invariant,
-)
+from .invariants import InvariantRecord, invariant_by_genus, n_point_invariant
+from .hurwitz import free_energy
 from .miwa import MiwaPolynomial, power_sums_to_times
 from .zmodel import (
     ZModelExpansion,

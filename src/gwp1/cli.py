@@ -17,7 +17,8 @@ from fractions import Fraction
 
 from .epslaurent import EpsLaurent
 from . import charlier as ch
-from .invariants import free_energy, invariant_by_genus, n_point_invariant
+from .hurwitz import free_energy
+from .invariants import invariant_by_genus, n_point_invariant
 from .miwa import MiwaPolynomial
 from .waves import normalized_quartet, solve_formal_wave
 from .zmodel import stabilization_check, zmodel_expansion

@@ -48,7 +48,6 @@ from operator import index
 from typing import Iterable, NamedTuple
 
 from .epslaurent import ZERO, EpsLaurent
-from .miwa import partitions
 from .waves import affine_diagonals
 
 
@@ -187,25 +186,3 @@ def invariant_by_genus(ks) -> dict[int, Fraction]:
         out[(e + 2) // 2] = rec.value[e]
     return out
 
-
-def free_energy(max_weight: int) -> dict[tuple[int, ...], EpsLaurent]:
-    """Coefficients of the generating function in the time variables t_k.
-
-    Returns, for every multiset ks with total weight sum(k+1) <= max_weight,
-    the coefficient of prod t_k (divided by the automorphism factor of the
-    multiset), i.e. <tau_{k_1}...tau_{k_n}> / prod_k m_k!.  Odd sum(k) is skipped: it is 0.
-    """
-    out: dict[tuple[int, ...], EpsLaurent] = {}
-    for w in range(1, max_weight + 1):
-        for mu in partitions(w):
-            # a part m is the insertion tau_(m-1), as in power_sums_to_times
-            ks = tuple(sorted(m - 1 for m in mu))
-            if sum(ks) % 2:
-                continue
-            aut = Fraction(1)
-            for k in set(ks):
-                aut *= factorial(ks.count(k))
-            val = n_point_invariant(ks).value * Fraction(1, aut)
-            if val:
-                out[ks] = val
-    return out

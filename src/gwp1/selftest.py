@@ -11,23 +11,17 @@ so it loads with the first of them.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial, prod
 from typing import Callable, NamedTuple
 
-from .epslaurent import EpsLaurent
+from .epslaurent import ZERO, EpsLaurent
 from .zseries import ZSeries
 from . import charlier as ch
-from .invariants import free_energy, n_point_invariant
-from .waves import (
-    normalized_quartet,
-    s1_series,
-    solve_formal_wave,
-    wave_shift,
-)
-from .zmodel import (
-    characteristic_det_check,
-    stabilization_check,
-    zmodel_expansion,
-)
+from .hurwitz import free_energy
+from .invariants import n_point_invariant
+from .miwa import partitions
+from .waves import normalized_quartet, s1_series, solve_formal_wave, wave_shift
+from .zmodel import characteristic_det_check, stabilization_check, zmodel_expansion
 
 
 class CheckResult(NamedTuple):
@@ -133,12 +127,15 @@ def check_cross_pipeline() -> CheckResult:
     lt = zmodel_expansion(7, 6).log_in_times
     fe = free_energy(6)
     low = {ks: v for ks, v in fe.items() if sum(k + 1 for k in ks) <= 3}
-    ok = lt.coeffs == fe and low == DEGREE3_GENERATING_FUNCTION
+    cases = {tuple(sorted(m - 1 for m in mu)) for w in range(1, 7) for mu in partitions(w)}
+    residue = all(n_point_invariant(ks).value == fe.get(ks, ZERO) * prod(
+        factorial(ks.count(k)) for k in set(ks)) for ks in cases)
+    ok = lt.coeffs == fe and low == DEGREE3_GENERATING_FUNCTION and residue
     return CheckResult(
         "cross-pipeline",
         ok,
-        "Plucker-coordinate logarithm = residue-formula free energy, weight 6; "
-        "frozen table, degree 3",
+        "Plucker-coordinate logarithm = GW/H free energy, weight 6; residue n-point values "
+        "= its coefficients times prod m_k!, weight 6; frozen table, degree 3",
     )
 
 

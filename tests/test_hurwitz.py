@@ -1,0 +1,47 @@
+"""The GW/H free energy: the residue route on every multiset, and the checks that catch a
+wrong series."""
+
+from fractions import Fraction
+from math import factorial, prod
+
+import pytest
+
+from gwp1 import hurwitz
+from gwp1.hurwitz import free_energy
+from gwp1.invariants import n_point_invariant
+from gwp1.miwa import partitions
+
+
+def test_residue_route_matches_free_energy_through_weight_8():
+    fe = free_energy(8)
+    cases = {tuple(sorted(m - 1 for m in mu)) for w in range(1, 9) for mu in partitions(w)}
+    assert set(fe) < cases and len(cases) == 66
+    for ks in sorted(cases):
+        value = n_point_invariant(ks).value
+        if sum(ks) % 2:
+            assert not value and ks not in fe, ks
+        else:
+            aut = prod(factorial(ks.count(k)) for k in set(ks))
+            assert value == fe[ks] * aut, ks
+
+
+MUTANTS = {
+    "weight 1/H^4": ("_hook_product", lambda f: lambda lam: f(lam) ** 2),
+    "last row of lam dropped": ("_power_sum", lambda f: lambda lam, m: f(lam[:-1], m)),
+    "p_m off by 2^-20 on |lam| = 3": (
+        "_power_sum",
+        lambda f: lambda lam, m: f(lam, m) * (1 + Fraction(1, 2**20) * (sum(lam) == 3))),
+    "zeta(-m) sign flipped": ("bernoulli_number", lambda f: lambda n: -f(n)),
+    "1/2 shift dropped": (
+        "_power_sum",
+        lambda f: lambda lam, m: sum((p - i) ** m - (-i) ** m for i, p in enumerate(lam, 1))
+        + f((), m)),
+}
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_free_energy_checks_catch_a_wrong_series(monkeypatch, name):
+    helper, mutate = MUTANTS[name]
+    monkeypatch.setattr(hurwitz, helper, mutate(getattr(hurwitz, helper)))
+    with pytest.raises(RuntimeError):
+        free_energy(12)

@@ -14,10 +14,10 @@ from gwp1.invariants import (
     _cycle_sum,
     _one_point_closed_form,
     _weight,
-    free_energy,
     invariant_by_genus,
     n_point_invariant,
 )
+from gwp1.hurwitz import free_energy
 from gwp1.miwa import partitions
 from gwp1.waves import s1_series
 from gwp1.zmodel import zmodel_expansion

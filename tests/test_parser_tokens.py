@@ -30,8 +30,8 @@ def parser_tokens(path):
 
 
 def test_every_module_is_counted():
-    assert {"charlier.py", "invariants.py", "special.py", "waves.py", "zmodel.py"} <= {
-        p.name for p in MODULES}
+    assert {"charlier.py", "hurwitz.py", "invariants.py", "special.py", "waves.py",
+            "zmodel.py"} <= {p.name for p in MODULES}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 
 from gwp1.epslaurent import EpsLaurent
-from gwp1.invariants import free_energy
+from gwp1.hurwitz import free_energy
 from gwp1.miwa import partitions, schur_to_monomials
 from gwp1 import miwa, waves, zmodel
 from gwp1.waves import affine_diagonals, solve_formal_wave, wave_shift
