@@ -31,11 +31,8 @@ rises along a cycle.  The value -eps^(sum k)/prod (k+1)! * trace sits at eps^(2g
 
 Each tau_0 is derived, not traced: on P^1, <tau_0 prod tau_k>_(g,d) = d <prod tau_k>_(g,d) with
 d = (sum k - 2g + 2)/2 (divisor equation; Okounkov-Pandharipande, arXiv:math/0204305).  With
-check_stability a trace must equal, else RuntimeError: for n = 1, [z^(2g)] S(z)^(2d-1) / d!^2,
-S = sinh(z/2)/(z/2) (the one-point formula there; no table); for n >= 2, the trace of reversed
-ks, whose other start and nesting move each bracket's +-1; for palindromes, the trace of
-(0,) + ks by the divisor equation (d != 0 terms; one diagonal deeper).  They catch a moved or
-flipped bracket and a wrong one-point coefficient, not a(y, x) read for a(x, y); goldens do.
+check_stability a trace must equal its GW/H value, which reads no table, else RuntimeError:
+`_one_point_closed_form` for n = 1 and the partition sum `gwh_invariant` for n >= 2 (`hurwitz`).
 """
 
 from __future__ import annotations
@@ -47,7 +44,8 @@ from math import factorial, prod
 from operator import index
 from typing import Iterable, NamedTuple
 
-from .epslaurent import ZERO, EpsLaurent
+from .epslaurent import EpsLaurent
+from .hurwitz import _divisor_scaled, _one_point_closed_form, gwh_invariant
 from .waves import affine_diagonals
 
 
@@ -113,28 +111,6 @@ def _cycle_sum(ks: tuple[int, ...], order: int) -> EpsLaurent:
     return EpsLaurent.from_ints(total, den**n)
 
 
-def _divisor_scaled(x: EpsLaurent, total: int, m: int) -> EpsLaurent:
-    """m more tau_0 on insertions of sum(k) = total: eps^e times d^m, d = (total - e)/2."""
-    return EpsLaurent.from_ints({e: v * ((total - e) // 2) ** m for e, v in x.num.items()}, x.den)
-
-
-def _one_point_closed_form(k: int) -> EpsLaurent:
-    """<tau_k> = sum_g eps^(2g-2) [z^(2g)] S(z)^(2d-1) / d!^2, d = k/2 + 1 - g, in u = z^2:
-    S = s(u)/den, S^(-1) over den^t by exact steps of S^(-1) S = 1, each S^2 adding den^2."""
-    if k % 2:
-        return ZERO
-    t, den = k // 2 + 1, 4 ** (k // 2 + 1) * factorial(k + 3)  # t: genus of the degree-0 term
-    s = [den // (4**j * factorial(2 * j + 1)) for j in range(t + 1)]
-    p, num = [den**t], {}
-    for n in range(1, t + 1):
-        p.append(-sum(s[j] * p[n - j] for j in range(1, n + 1)) // den)
-    s2 = [sum(s[i] * s[n - i] for i in range(n + 1)) for n in range(t + 1)]
-    for d in range(t + 1):  # p is S^(2d-1) to u^(t-d) over den^(t+2d); all to den^(3t) t!^2
-        num[2 * (t - d) - 2] = p[t - d] * den ** (2 * (t - d)) * (factorial(t) // factorial(d)) ** 2
-        p = [sum(p[i] * s2[n - i] for i in range(n + 1)) for n in range(t - d)]
-    return EpsLaurent.from_ints(num, den ** (3 * t) * factorial(t) ** 2)
-
-
 def n_point_invariant(ks: Iterable[int], check_stability: bool = True) -> InvariantRecord:
     """Connected stationary invariant <tau_{k_1} ... tau_{k_n}>.  The arguments are normalised
     before the cache, so every call form of one query shares one entry; ks must be integers."""
@@ -160,15 +136,9 @@ def _n_point_invariant(ks: tuple[int, ...], check_stability: bool) -> InvariantR
     order = sum(k + 2 for k in ks) + len(ks)
     value = -_weight(ks) * _cycle_sum(ks, order)
     if check_stability:
-        if len(ks) == 1:
-            got, want = value, _one_point_closed_form(ks[0])
-        elif ks[::-1] != ks:
-            got, want = value, -_weight(ks) * _cycle_sum(ks[::-1], order)
-        else:
-            got = _divisor_scaled(value, sum(ks), 1)
-            want = -_weight(ks) * _cycle_sum((0,) + ks, order + 3)
-        if got != want:
-            raise RuntimeError(f"invariant for ks={ks} failed its check: {got} against {want}")
+        want = _one_point_closed_form(ks[0]) if len(ks) == 1 else gwh_invariant(ks)
+        if value != want:
+            raise RuntimeError(f"invariant for ks={ks} failed its check: {value} against {want}")
     return InvariantRecord(ks, value, order, check_stability)
 
 

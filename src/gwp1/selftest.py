@@ -111,7 +111,7 @@ def check_multi_point() -> CheckResult:
     return CheckResult(
         "multi-point",
         not bad,
-        "two- and three-point values, each trace checked by reversal or the divisor equation",
+        "two- and three-point values, each trace checked against its GW/H value",
     )
 
 

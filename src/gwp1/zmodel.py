@@ -42,7 +42,7 @@ from math import factorial
 from typing import NamedTuple
 
 from .epslaurent import EPS, ONE, ZERO, EpsLaurent
-from .invariants import _divisor_scaled, _one_point_closed_form
+from .hurwitz import _divisor_scaled, _one_point_closed_form
 from .miwa import (MiwaPolynomial, log_power_sums, partitions, power_sums_to_times,
                    schur_to_monomials, schur_to_power_sums)
 from .waves import affine_diagonals, normalized_quartet

@@ -26,10 +26,12 @@ ALLOWED = {fractions.__file__, "<string>"}
     (n_point_invariant, ((4,),), None),
     (n_point_invariant, ((0, 2),), None),
     (n_point_invariant, ((1, 1),), None),
+    (n_point_invariant, ((1, 2),), None),
     (zmodel_expansion, (4, 1), "quotient"),
     (zmodel_expansion, (5, 3), "log_in_times"),
     (stabilization_check, (2, 4, 5), None),
-], ids=["tau4", "tau0-tau2", "tau1-tau1", "zmodel-4-1-quotient", "zmodel-5-3-log", "stab-2-4-5"])
+], ids=["tau4", "tau0-tau2", "tau1-tau1", "tau1-tau2", "zmodel-4-1-quotient", "zmodel-5-3-log",
+        "stab-2-4-5"])
 def test_cold_query_enters_only_gwp1_and_fraction_frames(fresh_rows, query, args, attribute):
     files = set()
 

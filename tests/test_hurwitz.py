@@ -7,7 +7,8 @@ from math import factorial, prod
 import pytest
 
 from gwp1 import hurwitz
-from gwp1.hurwitz import free_energy
+from gwp1.epslaurent import ZERO
+from gwp1.hurwitz import free_energy, gwh_invariant
 from gwp1.invariants import n_point_invariant
 from gwp1.miwa import partitions
 
@@ -25,17 +26,32 @@ def test_residue_route_matches_free_energy_through_weight_8():
             assert value == fe[ks] * aut, ks
 
 
+def test_gwh_invariant_matches_free_energy_through_weight_10():
+    # the two callers of one engine on different lattices: the sub-multisets of one mu, and
+    # every mu of weight <= 10
+    fe = free_energy(10)
+    cases = {tuple(sorted(m - 1 for m in mu)) for w in range(2, 11) for mu in partitions(w)
+             if mu[-1] > 1}
+    assert len(cases) == 41
+    for ks in sorted(cases):
+        value = gwh_invariant(ks)
+        assert value == fe.get(ks, ZERO) * prod(factorial(ks.count(k)) for k in set(ks)), ks
+        assert bool(value) == (sum(ks) % 2 == 0), ks  # odd sum(k) gives 0
+
+
+# the mutants act on the integer helpers: the weight dim_lam^2 / d!^2, dim_lam = d!/H_lam, and
+# P_m(lam) = (_row_sums(lam, m) bd - n) / (2^m bd), n/bd = (2^m - 1) B_(m+1)/(m+1)
 MUTANTS = {
-    "weight 1/H^4": ("_hook_product", lambda f: lambda lam: f(lam) ** 2),
-    "last row of lam dropped": ("_power_sum", lambda f: lambda lam, m: f(lam[:-1], m)),
-    "p_m off by 2^-20 on |lam| = 3": (
-        "_power_sum",
+    "weight 1/H^4": ("_dimension", lambda f: lambda lam: f(lam) ** 2),  # (d!/H)^4 over d!^2
+    "last row of lam dropped": ("_row_sums", lambda f: lambda lam, m: f(lam[:-1], m)),
+    "p_m off by 2^-20 on |lam| = 3": (  # off by 2^-20 of its row sums
+        "_row_sums",
         lambda f: lambda lam, m: f(lam, m) * (1 + Fraction(1, 2**20) * (sum(lam) == 3))),
     "zeta(-m) sign flipped": ("bernoulli_number", lambda f: lambda n: -f(n)),
     "1/2 shift dropped": (
-        "_power_sum",
-        lambda f: lambda lam, m: sum((p - i) ** m - (-i) ** m for i, p in enumerate(lam, 1))
-        + f((), m)),
+        "_row_sums",
+        lambda f: lambda lam, m:
+        2**m * sum((p - i) ** m - (-i) ** m for i, p in enumerate(lam, 1))),
 }
 
 

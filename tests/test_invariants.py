@@ -233,6 +233,25 @@ def test_check_catches_a_wrong_edge_bracket(uncached, monkeypatch, mutant, ks):
         n_point_invariant(ks)
 
 
+def transposed_read(diagonals, den, forward, x, y):
+    if x + y != -1:
+        return diagonals[x + y].get(y, {}) if x + y < -1 else {}
+    if forward:
+        return {0: den} if x < 0 else {}
+    return {} if x < 0 else {0: -den}
+
+
+@pytest.mark.parametrize("ks", [(1, 3), (3, 1), (2, 1, 1), (1, 1, 2, 2)])
+def test_check_catches_a_transposed_read(uncached, monkeypatch, ks):
+    # a(y, x) read for a(x, y) moves these values (not that of (1, 2)); the GW/H value sees it
+    value = n_point_invariant(ks).value
+    n_point_invariant.cache_clear()
+    monkeypatch.setattr(invariants, "_edge", transposed_read)
+    assert n_point_invariant(ks, check_stability=False).value != value
+    with pytest.raises(RuntimeError, match="failed its check"):
+        n_point_invariant(ks)
+
+
 def top_genus_off(f):
     """f with the coefficient of its top genus term, eps^k of <tau_k>, moved."""
 

@@ -301,8 +301,7 @@ def test_readers_follow_a_swapped_row_table(monkeypatch):
 @pytest.mark.parametrize("ks", [(3,), (10,), (0, 0), (1, 2), (0, 0, 0), (0, 1, 2)])
 def test_invariant_grows_rows_only_for_the_diagonals_it_reads(fresh_rows, ks):
     # the deepest edge total sum(c) + n - 1 needs rows 0..sum(k+2) - n of the multiset traced,
-    # ks without its zeros or (0,); its check, the one-point closed form or the reversed trace,
-    # reads no deeper
+    # ks without its zeros or (0,); its check, the GW/H value, traces nothing and reads no row
     grows_after_pass = []
 
     def counted_pass(*args):
@@ -315,19 +314,20 @@ def test_invariant_grows_rows_only_for_the_diagonals_it_reads(fresh_rows, ks):
             mock.patch("gwp1.invariants._cycle_sum", counted_pass):
         n_point_invariant(ks)
     traced = tuple(k for k in ks if k) or (0,)
-    assert len(grows_after_pass) == min(len(traced), 2)
+    assert len(grows_after_pass) == 1
     assert grows_after_pass[0] == spy.call_count > 0
     assert len(fresh_rows.dens) == sum(k + 2 for k in traced) - len(traced) + 1
 
 
-def test_palindrome_check_reads_one_diagonal_deeper(fresh_rows):
-    # reversing (2, 2) changes nothing, so its check traces (0, 2, 2), whose edge totals
-    # reach one diagonal below those of (2, 2)
+def test_checked_palindrome_grows_the_rows_of_the_unchecked_one(fresh_rows, monkeypatch):
+    # the check of the palindrome (2, 2) is its GW/H value, which reads no row: on a fresh
+    # table the checked query grows the same rows 0..6 as the unchecked one
     n_point_invariant((2, 2), check_stability=False)
     assert len(fresh_rows.dens) == 7
+    monkeypatch.setattr(waves, "_ROWS", checked := waves._Rows())
     n_point_invariant.cache_clear()
     n_point_invariant((2, 2))
-    assert len(fresh_rows.dens) == 8
+    assert len(checked.dens) == 7
 
 
 class CountedDiagonals(dict):
