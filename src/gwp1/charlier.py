@@ -1,12 +1,10 @@
-"""The paper's numeric checks: Charlier polynomials, the numeric waves against
-their difference equation, Wronskian and formal series, the scaling limit and
-the ensemble averages, on the Gamma, Bessel, waves and rounding of `special`.
+"""The paper's numeric checks: Charlier polynomials, the numeric waves against their formal
+series (their difference equation and Wronskian are `special`'s), the scaling limit and the
+ensemble averages, on the Gamma, Bessel, waves and rounding of `special`.
 
 The polynomials are orthogonal with respect to the Poisson-type measure with
 atoms at n + 1/2 (n >= 0) and weights e^(-a) a^n / n!; they are monic with
-norm a^l * l!.  The numeric waves satisfy the same second-order difference
-equation as the formal waves and have unit Wronskian, and the module validates
-the scaling limit
+norm a^l * l!.  The module validates the scaling limit
 
     lim_L  pi_{L+l}(L + zeta; 1/(L eps^2)) / Gamma(L + zeta + 1/2)
          = eps^(zeta - l - 1/2) * J_{zeta - l - 1/2}(2/eps).
@@ -41,8 +39,8 @@ from math import factorial
 from typing import NamedTuple
 
 from .special import (
-    _GUARD_BITS, _Mpmath, _as_fraction, _dyadic, _horner, _mpf, _quotient, _rounded, _sum,
-    _to_mpf, _waves, bessel_j, gamma_real, numeric_f,
+    _GUARD_BITS, _Mpmath, _as_fraction, _dyadic, _horner, _mpf, _quotient, _ratio, _rounded, _sum,
+    _to_mpf, bessel_j, difference_equation_residual, gamma_real, numeric_f, numeric_wronskian,
 )
 from .waves import normalized_quartet
 
@@ -267,28 +265,8 @@ def charlier_orthogonality_check(ell: int, ellp: int, a, tol, prec: int = 128) -
 
 
 # ---------------------------------------------------------------------------
-# Numeric waves: residual, Wronskian and formal asymptotics
+# Numeric waves against the formal series
 # ---------------------------------------------------------------------------
-
-def difference_equation_residual(z, eps, prec: int, which: str = "f"):
-    """|w(z+1) + w(z-1) - eps*(z+1/2)*w(z)| for the numeric f or g."""
-    if which not in ("f", "g"):
-        raise ValueError(f"which must be 'f' or 'g', got which={which!r}")
-    w_up, w_dn, w_0 = _waves(z, eps, prec + _GUARD_BITS, [(which, 1), (which, -1), (which, 0)])
-    with mp.workprec(prec + _GUARD_BITS):
-        res = abs(w_up + w_dn - _to_mpf(eps) * (_to_mpf(z) + _HALF) * w_0)
-    with mp.workprec(prec):
-        return +res
-
-
-def numeric_wronskian(z, eps, prec: int):
-    """f(z)g(z-1) - f(z-1)g(z); identically 1 for the normalized pair."""
-    f1, g1, f0, g0 = _waves(z, eps, prec + _GUARD_BITS, [("f", 0), ("g", 0), ("f", -1), ("g", -1)])
-    with mp.workprec(prec + _GUARD_BITS):
-        w = f1 * g0 - f0 * g1
-    with mp.workprec(prec):
-        return +w
-
 
 class AsymptoticReport(NamedTuple):
     z: float
@@ -310,18 +288,19 @@ class AsymptoticReport(NamedTuple):
 
 
 def asymptotic_match_check(z, eps, order: int, prec: int) -> AsymptoticReport:
-    """Compare (eps*z/e)^(-z) f(z) against the truncated formal wave series."""
-    with mp.workprec(prec + _GUARD_BITS):
+    """Compare (eps*z/e)^(-z) f(z) against the truncated formal wave series sum_d h_d(eps) z^d,
+    h = `normalized_quartet(order)`[0], at z and eps rounded to prec + _GUARD_BITS bits: the
+    sum is taken exactly, as a Laurent polynomial in eps evaluated at eps, and rounded once."""
+    wp = prec + _GUARD_BITS
+    with mp.workprec(wp):
         z_m = _to_mpf(z)
         if z_m <= 0:
             raise ValueError(f"the formal series expands at z -> +oo: need z > 0, got z={z}")
         eps_m = _to_mpf(eps)
-        f = numeric_f(z_m, eps_m, prec + _GUARD_BITS)
-        numeric = f * mp.power(eps_m * z_m / mp.e, -z_m)
-        h = normalized_quartet(order)[0]
-        formal = mp.mpf(0)
-        for d in range(h.top, -order - 1, -1):
-            formal += h.coeff(d).eval(eps_m) * mp.power(z_m, d)
+        numeric = numeric_f(z_m, eps_m, wp) * mp.power(eps_m * z_m / mp.e, -z_m)
+        h, (z_q, eps_q) = normalized_quartet(order)[0], (Fraction(*_ratio(v)) for v in (z_m, eps_m))
+        exact = sum(h.coeff(d) * z_q**d for d in range(h.top, -order - 1, -1)).eval(eps_q)
+        formal = mp.make_mpf(from_rational(exact.numerator, exact.denominator, wp, _RND))
         abs_err = abs(numeric - formal)
         rel_err = abs_err / abs(numeric)
     with mp.workprec(prec):
@@ -364,7 +343,7 @@ def charlier_scaling_limit_check(zeta, ell: int, eps, L_list, prec: int) -> Scal
     mu = zeta_q - ell - Fraction(1, 2)
     with mp.workprec(prec + _GUARD_BITS):
         eps_m = _to_mpf(eps_q)
-        target = mp.power(eps_m, _to_mpf(mu)) * bessel_j(mu, 2 / eps_m, prec + _GUARD_BITS)
+        target = mp.power(eps_m, _to_mpf(mu)) * bessel_j(mu, 2 / eps_q, prec + _GUARD_BITS)
         rows = []
         for L in L_list:
             a = Fraction(1, L) / (eps_q * eps_q)

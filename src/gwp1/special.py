@@ -1,40 +1,39 @@
-"""Arbitrary-precision primitives of the numeric layer: Gamma, Bessel functions,
-correctly rounded steps on dyadic pairs, and the two numeric wave functions
+"""Arbitrary-precision primitives of the numeric layer: Gamma, Bessel functions, correctly
+rounded steps on dyadic pairs, and the two numeric wave functions, with their difference
+equation residual and Wronskian,
 
     g(z) = sqrt(2*pi/eps) * J_{z+1/2}(2/eps)
     f(z) = sqrt(pi/(2*eps)) * J_{-z-1/2}(2/eps) / cos(pi*z).
 
-The module has one Gamma, `_rgamma`: 1/Gamma(1 + phi), phi the fractional part of a,
-times an exact integer ratio.  A fresh 1/Gamma(1 + phi) is summed in fixed point over
-Python ints (`_rgamma_series`); Stirling's series serves far from the origin.  The Bessel
-series is summed in fixed point too, and a residual or Wronskian check reads its waves at
-z + k from one call (`_waves`): one sqrt(pi/(2 eps)), one cos(pi z), and per wave one
-start term (x/2)^nu / Gamma(nu + 1) that its orders nu + k share through exact integer
-ratios (`_bessel_orders`).  Those four transcendental inputs, 1/Gamma(1 + phi), (x/2)^phi,
-cos(pi z) and sqrt(pi/(2 eps)), are functions of exact rationals, and one bounded table,
-`_held`, keeps each across calls at the highest precision asked so far.  Asked for prec
-bits, `_waves` sums at prec + _GUARD_BITS, within about 2^(1-prec) relative.  Gamma and
-Bessel take a Fraction exactly and an mpf as the dyadic value it holds.
+The one Gamma, `_rgamma`, is a held 1/Gamma(1 + phi), phi the fractional part of a, times an
+exact integer ratio; a fresh 1/Gamma(1 + phi) is summed in fixed point (`_rgamma_series`),
+and Stirling's series serves far from the origin.  The Bessel series is summed in fixed point
+too, for x up to `_X_BOUND`, and each sum comes back exact (`_bessel_sums`).  `bessel_j`,
+`numeric_f` and `numeric_g` round each sum once; the checks form their brackets exactly over
+the sums and round once.  One bounded table, `_held`, keeps the transcendental inputs
+1/Gamma(1 + phi), (x/2)^phi, cos(pi z) and sqrt(pi/(2 eps)), all of exact rationals, at the
+highest precision asked so far.  Gamma and Bessel take a Fraction exactly and an mpf as the
+dyadic value it holds.
 
-The steps on (mantissa, exponent) pairs of Python ints form the exact
-quotient, product or sum and round it once, ties to even (`_quotient`,
-`_rounded`, `_horner`, `_sum`), as libmp's correctly rounded mpf_div, mpf_mul,
-mpf_add and mpf_sum do, so every value is bit-identical to its mpf expression.
+The steps on (mantissa, exponent) pairs of Python ints form the exact quotient, product or
+sum and round it once, ties to even (`_quotient`, `_rounded`, `_horner`, `_sum`), as libmp's
+correctly rounded mpf_div, mpf_mul, mpf_add and mpf_sum do, so every value is bit-identical
+to its mpf expression.
 
-Precision is always an explicit argument, applied through a local
-working-precision context.  mpmath loads on the first numeric call: each
-numeric module holds its own stand-in `mp = _Mpmath(globals())`, whose first
-attribute read imports mpmath and binds `mp`, the libmp names and `_HALF` as
-that module's plain globals.  This module imports no other gwp1 module.
+Precision is always an explicit argument.  mpmath loads on the first numeric call: each
+numeric module holds its own stand-in `mp = _Mpmath(globals())`, whose first attribute read
+imports mpmath and binds `mp`, the libmp names and `_HALF` as that module's plain globals.
+This module imports no other gwp1 module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, log, prod
 
 _GUARD_BITS = 30
 _SPARE_BITS = 25  # of the guard, that bessel_j's sum may cancel in one pass
+_X_BOUND = 4096  # the largest x summed: a residual there takes 0.1 s (2-vCPU x86-64), as x^2
 
 
 class _Mpmath:
@@ -47,8 +46,8 @@ class _Mpmath:
     def __getattr__(self, name):
         from mpmath import libmp, mp
         self._names.update(
-            mp=mp, fone=libmp.fone, from_int=libmp.from_int, from_man_exp=libmp.from_man_exp,
-            mpf_div=libmp.mpf_div, mpf_mul=libmp.mpf_mul, mpf_pow_int=libmp.mpf_pow_int,
+            mp=mp, fone=libmp.fone, from_man_exp=libmp.from_man_exp, mpf_div=libmp.mpf_div,
+            from_rational=libmp.from_rational, mpf_mul=libmp.mpf_mul, mpf_pos=libmp.mpf_pos,
             mpf_shift=libmp.mpf_shift, _RND=libmp.round_nearest, _HALF=mp.mpf(1) / 2)
         return getattr(mp, name)
 
@@ -163,16 +162,16 @@ def _rgamma_series(r: int, q: int, bits: int):
     with mp.workprec(p):
         phi = _mpf((r, 1 - q.bit_length())) if q & (q - 1) == 0 else mp.mpf(r) / q
         lead = mp.exp(n_cut - phi * mp.ln(n_cut))._mpf_
-    return mpf_shift(mpf_div(lead, from_int(n_cut * acc), bits, _RND), scale)
+    return mpf_shift(mpf_div(lead, from_man_exp(n_cut * acc, 0), bits, _RND), scale)
 
 
 def _gamma_ratio(a: int, q: int, n: int):
-    """(num, den), raw mpfs with Gamma(a/q) / Gamma(a/q + n) = num / den exactly (DLMF
-    5.5.1): q^n over the integer factors a + j q, 0 <= j < n, or those over q^-n for n < 0."""
-    factors = from_int(prod(range(a + min(n, 0) * q, a + max(n, 0) * q, q)))
+    """(num, den), (mantissa, exponent) pairs with Gamma(a/q) / Gamma(a/q + n) = num / den exactly
+    (DLMF 5.5.1): q^n over the integer factors a + j q, 0 <= j < n, or those over q^-n for n < 0."""
+    factors = prod(range(a + min(n, 0) * q, a + max(n, 0) * q, q)), 0
     # q^|n| as odd^|n| 2^(v |n|): libmp strips trailing zeros 8 bits per pass
     v = (q & -q).bit_length() - 1
-    power = from_man_exp((q >> v) ** abs(n), v * abs(n))
+    power = (q >> v) ** abs(n), v * abs(n)
     return (power, factors) if n >= 0 else (factors, power)
 
 
@@ -191,7 +190,7 @@ def _rgamma(a_num: int, q: int, wp: int):
         return _rgamma_stirling(a_num, q, wp)
     num, den = _gamma_ratio(r + q, q, n)
     base = _held_value(("rgamma", r, q), wp, lambda: _rgamma_series(r, q, wp)) if r else fone
-    return mpf_div(mpf_mul(base, num), den, wp, _RND)
+    return mpf_div(mpf_mul(base, from_man_exp(*num)), from_man_exp(*den), wp, _RND)
 
 
 def _rgamma_stirling(a_num: int, q: int, wp: int):
@@ -226,140 +225,162 @@ def _bessel_sum(term: int, m: int, y_num: int, den_shift: int, n_int: int, q: in
                 tail_bits: int, cap: int) -> tuple[int, int]:
     """(sum, largest |T|) of `bessel_j`'s scaled series from T_m on, in two loops.  The first
     runs while a term can still grow (m <= 1 or 2 y_num >= den, as for all nu+m <= 0), up to
-    m = |nu| + x + 3 < cap at most, and tracks max_abs.  Then nu+m > 0 and m (nu+m) grows, so
-    every later ratio is below 1/2 and falling: max_abs is final, twice a term bounds the
-    rest, and each term is one product and one floor division up to |T| <= stop."""
-    acc = max_abs = den = 0
+    m = |nu| + x + 3 at most, and tracks max_abs.  Then nu+m > 0 and m (nu+m) grows, so every
+    later ratio is below 1/2 and falling: max_abs is final, twice a term bounds the rest, and
+    each term is one product and one floor division up to |T| <= stop.  A pass ends before
+    m = |nu| + 2.2x + prec + 36, far below cap = 10 (prec + |nu| + x + 10), so `_X_BOUND`
+    alone bounds its length."""
+    acc, max_abs, den, y_neg = 0, 0, 0, -y_num
     while m <= 1 or 2 * y_num >= den:
         acc += term
         max_abs = max(max_abs, abs(term))
         m += 1
         den = (m * (n_int + m * q)) << den_shift
-        term = -(term * y_num) // den
-    stop = max_abs >> (tail_bits + 1)
-    while not -stop <= term <= stop:
+        term = term * y_neg // den
+    low, stop = -(max_abs >> (tail_bits + 1)), max_abs >> (tail_bits + 1)
+    while not low <= term <= stop:
         if m > cap:
             raise RuntimeError("Bessel series failed to converge")
         acc += term
         m += 1
-        term = -(term * y_num) // ((m * (n_int + m * q)) << den_shift)
+        term = term * y_neg // ((m * (n_int + m * q)) << den_shift)
     return acc, max_abs
 
 
 def bessel_j(nu, x, prec: int):
-    """J_nu(x) at `prec` bits, within 2^-prec relative: the one-order call of
-    `_bessel_orders`, whose one start term a wave check shares across its orders."""
-    return _bessel_orders(nu, x, (0,), prec)[0]
+    """J_nu(x) at `prec` bits, within 2^-prec relative: `_bessel_sums`' one sum, rounded once."""
+    (acc,), exp = _bessel_sums(nu, x, (0,), prec)
+    return mp.make_mpf(from_man_exp(acc, exp, prec, _RND))
 
 
-def _bessel_orders(nu, x, shifts, prec: int) -> list:
-    """[J_(nu+k)(x) for k in shifts] at `prec` bits by power series with a geometric tail bound.
+def _bessel_sums(nu, x, shifts, prec: int) -> tuple[list[int], int]:
+    """([S_k for k in shifts], e), J_(nu+k)(x) = S_k 2^e within 2^-prec relative, by power series
+    with a geometric tail bound; 0 < x <= `_X_BOUND`, nu taken exactly as N/q (`_ratio`).
 
-    Terms with nu+m+1 at a pole of Gamma are zero, so a sum starts at the first m off the
-    poles (m = -nu for a negative integer nu, else 0).  nu is taken exactly as N/q
-    (`_ratio`), never rounded onto a pole.  The start term (x/2)^(nu+2m) / Gamma(nu+m+1)
-    is the held (x/2)^phi, phi = nu - floor(nu), times (x/2)^(floor(nu) + 2m), exact for
-    x/2 a power of two, times `_rgamma`'s value, unrounded; order nu + k's is that one
-    times an exact ratio of integers, (x/2)^k, the sign and factorial of its own m, and
-    the Gamma ratio over N + j q (`_gamma_ratio`), rounded once.  Each sum runs in fixed
-    point: with y = (x/2)^2 = Y 2^e and the start term scaled to about wp + 20 bits, each
-    term is one integer step T <- -T Y q 2^e / (m (N + m q)), exact up to one floor, up to
-    the first |T| <= 2^-(wp+1) max |T| past the last ratio >= 1/2 (`_bessel_sum`): the
-    rest is below 2^-wp of the sum's scale, within 2^-prec of |J| however small J is.
-    Where the terms cancel more than `_SPARE_BITS` of the guard (past x of about 16, or
-    near a zero of J), it sums again, the scale and stop raised by as many bits or by x
-    log2(e), about what the terms cancel at large x, whichever is more.
-    """
-    wp = prec + _GUARD_BITS
-    with mp.workprec(wp):
-        x_m = _to_mpf(x)
-        if x_m <= 0:
-            raise ValueError(f"x must be positive, got x={x}")
-        n_0, q = _ratio(nu)
-        m_0 = -n_0 if q == 1 and n_0 < 0 else 0
-        a_0, r = n_0 + (m_0 + 1) * q, n_0 % q  # nu + m_0 + 1 = a_0 / q, nu - floor(nu) = r/q
-        half = x_m / 2
-        quarter_sq = half * half
-    (h_man, h_exp, _), (y_man, y_exp, _) = _dyadic(half), _dyadic(quarter_sq)
+    A sum starts at the first m off the poles of Gamma(nu+m+1) (m = -nu for a negative integer
+    nu, else 0).  The orders share one start term, the held (x/2)^phi, phi = nu - floor(nu),
+    times `_rgamma`'s 1/Gamma(nu+m+1), x at wp = prec + _GUARD_BITS bits; order nu + k's first
+    term is that one times an exact ratio of integers, (x/2)^(floor(nu)+k+2m), its sign, 1/m!
+    and the Gamma ratio over N + j q (`_gamma_ratio`), in fixed point to `top` = wp + 20 bits.
+    With y = (x/2)^2 = Y 2^e at wp bits, each term is one integer step T <- -T Y q 2^e /
+    (m (N + m q)), exact up to one floor, up to the first |T| <= 2^-(wp+1) max |T| past the
+    last ratio >= 1/2 (`_bessel_sum`): the rest is below 2^-wp of the sum's scale, within
+    2^-prec of |J| however small J is.  Where the terms cancel more than `_SPARE_BITS` of the
+    guard (past x of about 16, or near a zero of J), it sums again, the scale and stop raised
+    by as many bits or by x log2(e), whichever is more."""
+    mp.prec  # binds the libmp names below when this is the first numeric call
+    wp, (x_num, x_den) = prec + _GUARD_BITS, _ratio(x)
+    if x_num <= 0:
+        raise ValueError(f"x must be positive, got x={x}")
+    if x_num > _X_BOUND * x_den:
+        raise ValueError(f"Bessel sums need x <= {_X_BOUND}, "
+                         f"got x={mp.nstr(mp.mpf(x_num) / x_den, 6)}")
+    n_0, q = _ratio(nu)
+    m_0 = -n_0 if q == 1 and n_0 < 0 else 0
+    a_0, r = n_0 + (m_0 + 1) * q, n_0 % q  # nu + m_0 + 1 = a_0 / q, nu - floor(nu) = r/q
+    half = mpf_shift(from_rational(x_num, x_den, wp, _RND), -1)
+    (_, h_man, h_exp, _), (_, y_man, y_exp, _) = half, mpf_mul(half, half, wp, _RND)
     power = _held_value(("power", h_man, h_exp, r, q), wp,
-                        lambda: mp.power(half, mp.mpf(r) / q)._mpf_) if r else fone
-    start = mpf_mul(mpf_mul(power, mpf_pow_int(half._mpf_, n_0 // q + 2 * m_0, wp, _RND)),
-                    _rgamma(a_0, q, wp))
+                        lambda: mp.power(mp.make_mpf(half), mp.mpf(r) / q)._mpf_) if r else fone
+    s_sign, s_man, s_exp, _ = mpf_mul(power, _rgamma(a_0, q, wp))
     y_num, den_shift = y_man * q << max(y_exp, 0), max(-y_exp, 0)
-    values = []
+    pole, sums = (q - 1).bit_length() + 1 - min(r, q - r).bit_length() if q > 1 else 0, []
     for k in shifts:
         n_int = n_0 + k * q
         m = -n_int if q == 1 and n_int < 0 else 0
-        e, (num, den) = k + 2 * (m - m_0), _gamma_ratio(a_0, q, k + m - m_0)
-        num = mpf_mul(num, from_man_exp((-1) ** (m & 1) * h_man ** max(e, 0), h_exp * e))
-        den = mpf_mul(den, from_int(h_man ** max(-e, 0) * factorial(m)))
-        t_man, t_exp, t_bits = _dyadic(mp.make_mpf(mpf_div(mpf_mul(start, num), den, wp, _RND)))
-        # the scale 2^F puts the start term (at most wp bits) at wp + 20, so T is exact.  A
-        # negative non-integer nu = N/q comes closest to a pole at |nu + m| = d/q (d >= 1),
-        # and dividing by that scales the later terms up by q/d: carry that many more bits.
-        top = wp + 20
-        if q > 1 and n_int < 0:
-            r = n_int % q
-            top += (q - 1).bit_length() + 1 - min(r, q - r).bit_length()
-        term = t_man << (top - t_bits)
-        cap = 10 * (prec + abs(n_int) // q + int(x_m) + 10)
-        lost = 0
+        (g_num, g_exp), (g_den, d_exp) = _gamma_ratio(a_0, q, k + m - m_0)
+        e = n_0 // q + k + 2 * m  # the power of x/2 past the held (x/2)^phi
+        num = (-1) ** (m + s_sign + (g_den < 0)) * s_man * g_num * h_man ** max(e, 0)
+        den = abs(g_den) * h_man ** max(-e, 0) * factorial(m)
+        # A negative non-integer nu = N/q comes closest to a pole at |nu + m| = d/q (d >= 1),
+        # and dividing by that scales the later terms up by q/d: carry `pole` more bits.
+        top = wp + 20 + (pole if n_int < 0 else 0)
+        shift = top + den.bit_length() - num.bit_length()
+        term = (num << max(shift, 0)) // (den << max(-shift, 0))
+        cap, lost = 10 * (prec + abs(n_int) // q + x_num // x_den + 10), 0
         while True:
             acc, max_abs = _bessel_sum(term << lost, m, y_num, den_shift, n_int, q, wp + lost, cap)
             cancelled = max_abs.bit_length() - abs(acc).bit_length()
             if cancelled <= lost + _SPARE_BITS:
                 break
-            lost = max(cancelled, int(x_m / mp.ln2))
-        values.append(mp.make_mpf(from_man_exp(acc, t_exp + t_bits - top - lost, prec, _RND)))
-    return values
+            lost = max(cancelled, int(x_num / x_den / log(2)))
+        sums.append((acc, s_exp + g_exp - d_exp + h_exp * e - shift - lost))
+    low = min(exp for _, exp in sums)
+    return [acc << exp - low for acc, exp in sums], low
 
 
 # ---------------------------------------------------------------------------
-# Numeric wave functions
+# Numeric wave functions and their checks
 # ---------------------------------------------------------------------------
 
-def _waves(z, eps, prec: int, points) -> list:
-    """[w(z + k) for (w, k) in points] at `prec` bits, w "f" or "g", k an integer: the held
-    sqrt(pi/(2 eps)) (g's prefactor is twice it) and cos(pi z), as cos pi(z + k) = (-1)^k
-    cos(pi z), and one `_bessel_orders` per wave at x = 2/eps and nu = z + 1/2, both exact,
-    J_(nu+k) for g(z + k) and J_(-nu-k) for f(z + k).  That call gets `prec`, as it adds
-    its own guard: each value is within about 2^(1-prec) relative.  Errors within
-    2^-(prec/2) of an integer nu, where f's formula degenerates."""
-    wp = prec + _GUARD_BITS
-    with mp.workprec(wp):
-        (z_n, z_q), (e_n, e_q), bessel = _ratio(z), _ratio(eps), {}
-        if e_n <= 0:
-            raise ValueError(f"need eps > 0, got eps={eps}")
-        nu, x, z_n = Fraction(2 * z_n + z_q, 2 * z_q), Fraction(2 * e_q, e_n), z_n % (2 * z_q)
-        if abs(nu - round(nu)) < Fraction(1, 1 << (prec + 1) // 2):
-            raise ValueError(f"z + 1/2 is too close to an integer at z={z}; "
-                             "perturb the evaluation point")
-        root = mp.make_mpf(_held_value(("root", e_n, e_q), wp,
-                                       lambda: mp.sqrt(mp.pi * e_q / (2 * e_n))._mpf_))
-        for wave, sign in (("f", -1), ("g", 1)):
-            if shifts := [sign * k for w, k in points if w == wave]:
-                bessel[wave] = iter(_bessel_orders(sign * nu, x, shifts, prec))
-        cos = mp.make_mpf(_held_value(("cos", z_n, z_q), wp, lambda: mp.cospi(
-            mp.mpf(z_n) / z_q)._mpf_)) if "f" in bessel else None
-        values = [root * next(bessel[w]) / (-cos if k % 2 else cos) if w == "f"
-                  else 2 * root * next(bessel[w]) for w, k in points]
-    with mp.workprec(prec):
-        return [+v for v in values]
+def _wave_sums(z, eps, prec: int, shifts: dict) -> tuple:
+    """(root, cos, {w: `_bessel_sums` at `prec` for w(z + k), k in shifts[w]}), w(z + k) =
+    c s^k J_mu(2/eps), nu = z + 1/2: c = root/cos, s = -1, mu = -nu - k for f; c = 2 root, s = 1,
+    mu = nu + k for g.  root = sqrt(pi/(2 eps)) and cos = cos(pi z), f only, are held raw mpfs
+    at prec + _GUARD_BITS bits.  Errors within 2^-((prec+1)/2) of an integer nu."""
+    (z_n, z_q), (e_n, e_q) = _ratio(z), _ratio(eps)
+    if e_n <= 0:
+        raise ValueError(f"need eps > 0, got eps={eps}")
+    nu_n, nu_q, wp = 2 * z_n + z_q, 2 * z_q, prec + _GUARD_BITS
+    if min(nu_n % nu_q, -nu_n % nu_q) << (prec + 1) // 2 < nu_q:
+        raise ValueError(f"z + 1/2 is too close to an integer at z={z}; "
+                         "perturb the evaluation point")
+    sums = {w: _bessel_sums(Fraction(sign * nu_n, nu_q), Fraction(2 * e_q, e_n),
+                            [sign * k for k in shifts[w]], prec)
+            for w, sign in (("f", -1), ("g", 1)) if w in shifts}
+    root = _held_value(("root", e_n, e_q), wp, lambda: mp.sqrt(mp.pi * e_q / (2 * e_n))._mpf_)
+    cos = _held_value(("cos", z_n % nu_q, z_q), wp, lambda: mp.cospi(
+        mp.mpf(z_n % nu_q) / z_q)._mpf_) if "f" in sums else None
+    return root, cos, sums
+
+
+def _wave(z, eps, prec: int, w: str):
+    """w(z) at `prec` bits, within about 2^(1-prec) relative: its `_wave_sums` sum rounded once
+    to prec bits, times c at prec + _GUARD_BITS bits, rounded to prec."""
+    root, cos, sums = _wave_sums(z, eps, prec, {w: (0,)})
+    ((acc,), exp), wp = sums[w], prec + _GUARD_BITS
+    v = mpf_mul(root, from_man_exp(acc, exp, prec, _RND), wp, _RND)
+    v = mpf_div(v, cos, wp, _RND) if w == "f" else mpf_shift(v, 1)
+    return mp.make_mpf(mpf_pos(v, prec, _RND))
 
 
 def numeric_f(z, eps, prec: int):
     """f(z) through its Bessel representation at `prec` bits."""
-    return _waves(z, eps, prec, [("f", 0)])[0]
+    return _wave(z, eps, prec, "f")
 
 
 def numeric_g(z, eps, prec: int):
     """g(z) through its Bessel representation at `prec` bits."""
-    return _waves(z, eps, prec, [("g", 0)])[0]
+    return _wave(z, eps, prec, "g")
 
 
 def numeric_f_g(z, eps, prec: int):
     """(f(z), g(z)) through the Bessel representations at `prec` bits."""
-    return tuple(_waves(z, eps, prec, [("f", 0), ("g", 0)]))
+    return numeric_f(z, eps, prec), numeric_g(z, eps, prec)
+
+
+def difference_equation_residual(z, eps, prec: int, which: str = "f"):
+    """|w(z+1) + w(z-1) - eps (z+1/2) w(z)| for the numeric f or g: with w(z+k) = c s^k J_(mu_k)
+    (`_wave_sums`), |c| |s (J_(mu_1) + J_(mu_-1)) - (P/Q) J_(mu_0)|, P/Q = eps (z+1/2) exact.
+    The bracket is one integer over the sums at prec + _GUARD_BITS; times |c|, rounded once."""
+    if which not in ("f", "g"):
+        raise ValueError(f"which must be 'f' or 'g', got which={which!r}")
+    (_, r_man, r_exp, _), cos, sums = _wave_sums(z, eps, prec + _GUARD_BITS, {which: (1, -1, 0)})
+    ((up, dn, j_0), exp), (z_n, z_q), (e_n, e_q) = sums[which], _ratio(z), _ratio(eps)
+    p, q, s = e_n * (2 * z_n + z_q), 2 * e_q * z_q, -1 if which == "f" else 1
+    den, exp = (q * cos[1], exp + r_exp - cos[2]) if which == "f" else (q, exp + r_exp + 1)
+    return _mpf(_quotient(r_man * abs(s * q * (up + dn) - p * j_0), exp, den, prec))
+
+
+def numeric_wronskian(z, eps, prec: int):
+    """f(z) g(z-1) - f(z-1) g(z), identically 1: with `_wave_sums`' waves, (2 root^2 / cos)
+    (J_(-nu) J_(nu-1) + J_(-nu+1) J_nu), the bracket one integer, the quotient rounded once."""
+    (_, r_man, r_exp, _), (c_sign, c_man, c_exp, _), sums = _wave_sums(
+        z, eps, prec + _GUARD_BITS, {"f": (0, -1), "g": (0, -1)})
+    ((f_0, f_1), f_exp), ((g_0, g_1), g_exp) = sums["f"], sums["g"]
+    bracket, exp = f_0 * g_1 + f_1 * g_0, 2 * r_exp + f_exp + g_exp + 1 - c_exp
+    man, exp = _quotient(r_man * r_man * abs(bracket), exp, c_man, prec)
+    return _mpf((-man if (bracket < 0) != c_sign else man, exp))
 
 
 # ---------------------------------------------------------------------------

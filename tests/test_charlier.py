@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+import types
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -44,6 +45,7 @@ from gwp1.special import (
     numeric_f_g,
     numeric_g,
 )
+from gwp1.waves import normalized_quartet
 
 
 # each public numeric entry point, and the private Gamma helper the tests call
@@ -379,9 +381,9 @@ def test_bessel_large_argument_keeps_relative_accuracy():
 def test_bessel_sums_once_up_to_x_16(monkeypatch):
     # the deterministic Bessel tests, all at x <= 16, never take the second pass,
     # so their values are those of the one-pass sum: one pass per order evaluated,
-    # by `bessel_j` or by a wave check's shared call
+    # by `bessel_j` or by a wave check's shared call of the sums
     calls, passes = [], []
-    bessel_sum, orders = special._bessel_sum, special._bessel_orders
+    bessel_sum, orders = special._bessel_sum, special._bessel_sums
 
     def counted(nu, x, shifts, prec):
         values = orders(nu, x, shifts, prec)
@@ -389,7 +391,7 @@ def test_bessel_sums_once_up_to_x_16(monkeypatch):
         return values
 
     monkeypatch.setattr(special, "_bessel_sum", lambda *args: passes.append(args) or bessel_sum(*args))
-    monkeypatch.setattr(special, "_bessel_orders", counted)
+    monkeypatch.setattr(special, "_bessel_sums", counted)
     test_bessel_half_integer_closed_forms()
     test_bessel_small_argument_leading_term()
     test_rgamma_memo_is_bounded()
@@ -416,14 +418,14 @@ def test_bessel_sums_each_order_at_most_twice_at_x_2000(monkeypatch):
     # that allows for that much is the last, where one that allowed only the
     # cancellation its first pass measured summed each order 16 times
     passes, orders = [], []
-    bessel_sum, bessel_orders = special._bessel_sum, special._bessel_orders
+    bessel_sum, bessel_sums = special._bessel_sum, special._bessel_sums
 
     def counted(nu, x, shifts, prec):
         orders.extend(shifts)
-        return bessel_orders(nu, x, shifts, prec)
+        return bessel_sums(nu, x, shifts, prec)
 
     monkeypatch.setattr(special, "_bessel_sum", lambda *args: passes.append(args) or bessel_sum(*args))
-    monkeypatch.setattr(special, "_bessel_orders", counted)
+    monkeypatch.setattr(special, "_bessel_sums", counted)
     assert difference_equation_residual(mp.mpf("5.25"), Fraction(1, 1000), 128, "f") < mp.mpf(2) ** -64
     val = bessel_j(Fraction(1, 3), 2000, 128)
     with mp.workprec(300):
@@ -442,7 +444,9 @@ def test_shared_start_term_matches_bessel_j(prec):
     # -4 + 2^-(prec/2) sits just outside the wave guard of a negative integer,
     # and the integer orders -2..2 start their sums at different m
     def check(nu, x, shifts):
-        for k, val in zip(shifts, special._bessel_orders(nu, x, shifts, prec)):
+        sums, exp = special._bessel_sums(nu, x, shifts, prec)
+        for k, acc in zip(shifts, sums):
+            val = mp.make_mpf(from_man_exp(acc, exp, prec, round_nearest))
             with mp.workprec(prec + 64):
                 ref = bessel_j(nu + k, x, prec)
                 assert abs(val - ref) <= abs(ref) * mp.mpf(2) ** -prec, (nu, k, x)
@@ -523,7 +527,7 @@ def test_two_phase_bessel_sum_matches_the_per_term_loop(monkeypatch):
     # the sum by less than that test's own tail bound, max(max_abs, |sum|) 2^-tail_bits
     # (at 730 bits, order -23/4, by more than max_abs 2^-tail_bits), and no rounded value.
     sums, orders, later = [], [], []
-    bessel_sum, bessel_orders = special._bessel_sum, special._bessel_orders
+    bessel_sum, bessel_sums = special._bessel_sum, special._bessel_sums
 
     def compared(*args):
         sums.append(args)
@@ -535,13 +539,13 @@ def test_two_phase_bessel_sum_matches_the_per_term_loop(monkeypatch):
 
     def counted(nu, x, shifts, prec):
         orders.extend(shifts)
-        return bessel_orders(nu, x, shifts, prec)
+        return bessel_sums(nu, x, shifts, prec)
 
     monkeypatch.setattr(special, "_bessel_sum", compared)
-    monkeypatch.setattr(special, "_bessel_orders", counted)
+    monkeypatch.setattr(special, "_bessel_sums", counted)
     for prec in (256, 730, 768):
         for z, eps in WAVE_POINTS:
-            special._waves(z, eps, prec, [(w, k) for w in "fg" for k in (-1, 0, 1)])
+            special._wave_sums(z, eps, prec, dict.fromkeys("fg", (-1, 0, 1)))
         # charlier_scaling_limit_check's targets J_mu(2/eps), mu = zeta - l - 1/2
         for mu, x in ((Fraction(-1, 2), 2), (Fraction(-1), 2), (Fraction(1, 2), 4)):
             bessel_j(mu, x, prec)
@@ -549,9 +553,9 @@ def test_two_phase_bessel_sum_matches_the_per_term_loop(monkeypatch):
             near = mp.mpf(-4) + mp.ldexp(1, -(prec // 2))
         # at x = 2^-400 T_1 is below the stop already, and both loops still add it (m > 1)
         for x in (mp.ldexp(1, -400), 1, 4, 16, 40):
-            special._bessel_orders(-3, x, (-1, 1, -2, 0, 2), prec)
-            special._bessel_orders(Fraction(-17, 6), x, (-1, 0, 1, 2), prec)
-            special._bessel_orders(near, x, (-1, 0, 1), prec)
+            special._bessel_sums(-3, x, (-1, 1, -2, 0, 2), prec)
+            special._bessel_sums(Fraction(-17, 6), x, (-1, 0, 1, 2), prec)
+            special._bessel_sums(near, x, (-1, 0, 1), prec)
     assert len(orders) == 3 * (15 * 6 + 3 + 5 * 12)
     assert sorted(later) == [(-27, 4, 798), (-27, 4, 798), (-23, 4, 760), (-19, 4, 286),
                              (-19, 4, 798)]
@@ -947,6 +951,101 @@ def test_wronskian_unity():
             for eps in (Fraction(1, 2), 1, 2):
                 w = numeric_wronskian(mp.mpf(z), eps, prec)
                 assert abs(w - 1) < mp.mpf(2) ** -(prec // 2)
+
+
+def mpf_residual(z, eps, prec, which):
+    # the residual before its exact bracket: the waves rounded to prec + 30 bits, then
+    # w_up + w_dn - eps (z + 1/2) w_0 in mpf steps at prec + 30
+    wave, wp = numeric_f if which == "f" else numeric_g, prec + _GUARD_BITS
+    w_up, w_dn, w_0 = (wave(z + k, eps, wp) for k in (1, -1, 0))
+    with mp.workprec(wp):
+        eps_m = mp.mpf(eps.numerator) / eps.denominator
+        return abs(w_up + w_dn - eps_m * (z + mp.mpf(1) / 2) * w_0)
+
+
+def mpf_wronskian(z, eps, prec):
+    # the Wronskian before its exact bracket: f1 g0 - f0 g1 in mpf steps at prec + 30 over
+    # the waves at z and z - 1 rounded to prec + 30 bits
+    wp = prec + _GUARD_BITS
+    (f1, g1), (f0, g0) = numeric_f_g(z, eps, wp), numeric_f_g(z - 1, eps, wp)
+    with mp.workprec(wp):
+        return f1 * g0 - f0 * g1
+
+
+def mpf_formal(z, order, prec):
+    # the formal side before its exact sum: eps = 1, each term in mpf steps at prec + 30
+    with mp.workprec(prec + _GUARD_BITS):
+        h, formal = normalized_quartet(order)[0], mp.mpf(0)
+        for d in range(h.top, -order - 1, -1):
+            formal += h.coeff(d).eval(mp.mpf(1)) * mp.power(mp.mpf(z), d)
+        return formal
+
+
+@pytest.mark.parametrize("prec", [256, 640])
+def test_exact_brackets_match_the_mpf_combination(prec):
+    # on the wave checks' points, the exact brackets and the mpf combination of rounded
+    # waves both pass their checks, and the two Wronskians agree to the last bits
+    tol = mp.mpf(2) ** -(prec // 2)
+    for z, eps in WAVE_POINTS:
+        for which in ("f", "g"):
+            assert difference_equation_residual(z, eps, prec, which) < tol
+            assert mpf_residual(z, eps, prec, which) < tol
+        w, ref = numeric_wronskian(z, eps, prec), mpf_wronskian(z, eps, prec)
+        with mp.workprec(prec + 64):
+            assert abs(w - ref) < mp.mpf(2) ** -(prec - 2), (z, eps)
+    for z in (20, 40, 80):
+        formal, ref = asymptotic_match_check(z, 1, 3, prec).formal, mpf_formal(z, 3, prec)
+        with mp.workprec(prec + 64):
+            assert abs(formal - ref) <= abs(ref) * mp.mpf(2) ** -prec, z
+
+
+# one-place edits of special.py's exact brackets, each with the tier-1 check that catches it
+BRACKET_MUTANTS = {
+    "f-sign-on-cos-dropped": ('-1 if which == "f" else 1', "1",
+                              "test_difference_equation_residuals"),
+    "eps-z-for-eps-z-plus-half": ("e_n * (2 * z_n + z_q), 2 * e_q * z_q", "e_n * z_n, e_q * z_q",
+                                  "test_difference_equation_residuals"),
+    "wronskian-factor-2-dropped": ("2 * r_exp + f_exp + g_exp + 1 - c_exp",
+                                   "2 * r_exp + f_exp + g_exp - c_exp", "test_wronskian_unity"),
+    "wronskian-products-subtracted": ("f_0 * g_1 + f_1 * g_0", "f_0 * g_1 - f_1 * g_0",
+                                      "test_wronskian_unity"),
+    "gamma-ratio-off-by-one-for-k>0": ("_gamma_ratio(a_0, q, k + m - m_0)",
+                                       "_gamma_ratio(a_0, q, k + m - m_0 + (k > 0))",
+                                       "test_difference_equation_residuals"),
+}
+
+
+@pytest.mark.parametrize("old, new, check", BRACKET_MUTANTS.values(), ids=list(BRACKET_MUTANTS))
+def test_exact_brackets_fail_their_check_when_mutated(monkeypatch, old, new, check):
+    # special.py runs as a module of its own, so the mutant is its source with one edit
+    source = Path(special.__file__).read_text()
+    assert source.count(old) == 1, old
+    mutant = types.ModuleType("special_mutant")
+    exec(compile(source.replace(old, new), special.__file__, "exec"), mutant.__dict__)
+    for name in ("difference_equation_residual", "numeric_wronskian"):
+        monkeypatch.setitem(globals(), name, getattr(mutant, name))
+    with pytest.raises(AssertionError):
+        globals()[check]()
+
+
+def test_refused_bessel_argument_starts_no_sum(monkeypatch):
+    # x = 2/eps past the bound is refused where every Bessel sum starts, before its start
+    # term: no series term, no Gamma, no held value; and the bound itself is summed
+    calls, held = [], dict(special._held)
+    for name in ("_bessel_sum", "_rgamma"):
+        monkeypatch.setattr(special, name, lambda *args: calls.append(args))
+    tiny = Fraction(1, 10**9)
+    for fn, args in ((bessel_j, (Fraction(1, 3), special._X_BOUND + Fraction(1, 3), 128)),
+                     (numeric_f_g, (mp.mpf("5.25"), Fraction(2, 2 * special._X_BOUND + 1), 768)),
+                     (difference_equation_residual, (mp.mpf("5.25"), tiny, 768, "f")),
+                     (numeric_wronskian, (mp.mpf("7.25"), Fraction(1, 10000), 128)),
+                     (asymptotic_match_check, (20, tiny, 3, 128)),
+                     (charlier_scaling_limit_check, (0, 0, tiny, [20, 40], 128))):
+        with pytest.raises(ValueError, match=rf"Bessel sums need x <= {special._X_BOUND}, got x="):
+            fn(*args)
+    assert calls == [] and special._held == held
+    monkeypatch.undo()
+    assert bessel_j(0, special._X_BOUND, 64)
 
 
 @pytest.mark.parametrize("prec", [128, 640])

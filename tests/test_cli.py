@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -301,6 +302,20 @@ def test_selftest_unknown_check_fails(capsys):
                                   and argv[-3:] != ("20", "40", "20")])
 def test_charlier_nonpositive_eps_is_usage_error(capsys, argv):
     assert_usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize("check, eps, value", [
+    ("limit", "1e-9", "x=2.0e+9"), ("residuals", "1e-9", "x=2.0e+9"),
+    ("asymptotics", "1e-9", "x=2.0e+9"), ("residuals", "1/10000", "x=20000.0"),
+    ("residuals", "1e-400", "x=2.0e+400"),
+])
+def test_charlier_eps_past_the_bessel_bound_is_usage_error(capsys, check, eps, value):
+    # x = 2/eps past the bound is refused before any Bessel sum, so the command returns at once
+    start = time.perf_counter()
+    code = main(["charlier", "--check", check, "--eps", eps])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and time.perf_counter() - start < 2
+    assert err.startswith("usage error: ") and "x <= 4096" in err and value in err
 
 
 @pytest.mark.parametrize("argv", [
