@@ -30,6 +30,11 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a malformed command line, exclusive flags included
+        raise UsageError(f"{self.prog}: {message}")
+
+
 # ---------------------------------------------------------------------------
 # Serialization helpers
 # ---------------------------------------------------------------------------
@@ -68,27 +73,21 @@ def _rows_of(doc):
     return None
 
 
-def _flatten(prefix: str, v, out: dict) -> None:
+def _flatten(prefix: str, v, out: dict) -> dict:
     if isinstance(v, dict):
         for k in sorted(v):
             _flatten(f"{prefix}.{k}" if prefix else str(k), v[k], out)
     else:
         out[prefix] = v
+    return out
 
 
 def _to_csv(doc) -> str:
     rows = _rows_of(doc)
     if rows is None:
-        flat: dict = {}
-        _flatten("", doc, flat)
-        rows = [{"key": k, "value": v} for k, v in flat.items()]
+        rows = [{"key": k, "value": v} for k, v in _flatten("", doc, {}).items()]
     else:
-        flat_rows = []
-        for r in rows:
-            fr: dict = {}
-            _flatten("", r, fr)
-            flat_rows.append(fr)
-        rows = flat_rows
+        rows = [_flatten("", r, {}) for r in rows]
     headers = sorted({k for r in rows for k in r})
     lines = [",".join(headers)]
     for r in rows:
@@ -301,7 +300,7 @@ COMMANDS = {
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     grp = common.add_argument_group("output options")
     # SUPPRESS keeps a subcommand parse from clobbering values given before it
     grp.add_argument("--format", choices=("json", "csv", "text"),
@@ -310,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="write output to this path instead of stdout")
     grp.add_argument("--prec", type=int, default=argparse.SUPPRESS,
                      help=f"precision in bits (default {DEFAULT_PREC})")
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gwp1",
         parents=[common],
         description="Exact and numeric pipelines for stationary descendent "
@@ -330,9 +329,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariant", parents=[common],
                        help="stationary descendent invariant")
     p.add_argument("--ks", required=True, help="comma-separated insertion indices")
-    p.add_argument("--by-genus", action="store_true", dest="by_genus")
-    p.add_argument("--no-stability", action="store_true", dest="no_stability",
-                   help="skip the check of each trace (see gwp1.invariants)")
+    only = p.add_mutually_exclusive_group()  # invariant_by_genus always checks its trace
+    only.add_argument("--by-genus", action="store_true", dest="by_genus")
+    only.add_argument("--no-stability", action="store_true", dest="no_stability",
+                      help="skip the check of each trace (see gwp1.invariants)")
 
     p = sub.add_parser("free-energy", parents=[common],
                        help="generating-function coefficients")
@@ -342,10 +342,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="determinantal-model expansion")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--miwa", action="store_true",
-                   help="report the logarithm in the time variables")
-    p.add_argument("--check-stabilization", action="store_true",
-                   dest="check_stabilization")
+    only = p.add_mutually_exclusive_group()  # the check reports no expansion
+    only.add_argument("--miwa", action="store_true",
+                      help="report the logarithm in the time variables")
+    only.add_argument("--check-stabilization", action="store_true",
+                      dest="check_stabilization")
 
     p = sub.add_parser("charlier", parents=[common],
                        help="arbitrary-precision numeric checks")

@@ -92,6 +92,8 @@ def gwh_invariant(ks: tuple[int, ...]) -> EpsLaurent:
 def free_energy(max_weight: int) -> dict[tuple[int, ...], EpsLaurent]:
     """<tau_(k_1) ... tau_(k_n)> / prod_k m_k!, the coefficient of prod t_k, for every multiset
     ks of weight sum(k+1) <= max_weight; zero coefficients (all of odd sum(k)) are left out."""
+    if max_weight < 0:
+        raise ValueError(f"max_weight must be >= 0, got max_weight={max_weight}")
     mus = [mu for w in range(max_weight + 1) for mu in partitions(w) if not mu or mu[-1] > 1]
     coeffs = _connected(mus, (max_weight + 1) // 2)
     if off := [k for k in range(1, max_weight)

@@ -140,9 +140,9 @@ def check_cross_pipeline() -> CheckResult:
 
 
 def check_stabilization() -> CheckResult:
-    ok = stabilization_check(3, 4, 5)
+    ok = stabilization_check(4, 5, 6)
     return CheckResult("stabilization", ok,
-                       "N=4,5 logarithm, degree 3 = closed-form <tau_k>, tau_0 by divisor equation")
+                       "logarithm = GW/H free energy, every coefficient of weight <= 4, N=5,6")
 
 
 def check_projector() -> CheckResult:

@@ -38,11 +38,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 from typing import NamedTuple
 
 from .epslaurent import EPS, ONE, ZERO, EpsLaurent
-from .hurwitz import _divisor_scaled, _one_point_closed_form
+from .hurwitz import free_energy
 from .miwa import (MiwaPolynomial, log_power_sums, partitions, power_sums_to_times,
                    schur_to_monomials, schur_to_power_sums)
 from .waves import affine_diagonals, normalized_quartet
@@ -180,6 +179,8 @@ def zmodel_expansion(nvars: int, degree: int) -> ZModelExpansion:
     Plucker coordinates are those of the infinite-N tau function, and the
     power sums p_1..p_degree of nvars > degree variables are independent.
     """
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got degree={degree}")
     if nvars <= degree:
         raise ValueError(f"need nvars > degree, got nvars={nvars}, degree={degree}")
     plucker = plucker_coordinates(degree)
@@ -188,22 +189,17 @@ def zmodel_expansion(nvars: int, degree: int) -> ZModelExpansion:
 
 
 def stabilization_check(degree: int, n1: int, n2: int) -> bool:
-    """The logarithm at n1 and n2 variables, both > degree, against the closed form.
+    """The logarithm at n1 and n2 variables, both > degree, against the GW/H free energy.
 
     One expansion serves both counts.  For |lam| <= degree < n, the n x n E-frame
     minor pi_lam = det([z^(j-1-lam_j)] E_k)_{j,k=1..n}, lam padded with zeros, is block
     upper triangular: each row j > l(lam) reads [z^(j-1)] of the monic E_k = z^(k-1)(1 +
     O(1/z)), 0 for k < j and 1 for k = j.  So it is the l(lam) x l(lam) minor of
-    E_1..E_l(lam) whatever n is, and Giambelli reads no n.  The coefficient of t_0^m t_k,
-    m + k + 1 <= degree (all of them for degree <= 3), must equal <tau_0^m tau_k> /
-    (m + [k = 0])!: <tau_k> in closed form, each tau_0 by the divisor equation.
+    E_1..E_l(lam) whatever n is, and Giambelli reads no n.  Every coefficient of weight
+    <= degree must equal `hurwitz.free_energy(degree)`'s, which reads no wave and no
+    hook; for degree <= 3 these are the coefficients of t_0^m t_k, m + k + 1 <= degree.
     """
-    log = zmodel_expansion(min(n1, n2), degree).log_in_times
-    return all(
-        log.coeff((0,) * m + (k,)) == _divisor_scaled(_one_point_closed_form(k), k, m)
-        * Fraction(1, factorial(m + (k == 0)))
-        for k in range(degree) for m in range(degree - k)
-    )
+    return zmodel_expansion(min(n1, n2), degree).log_in_times.coeffs == free_energy(degree)
 
 
 def characteristic_det_check(nvars: int, order: int) -> bool:

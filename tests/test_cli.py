@@ -71,6 +71,12 @@ USAGE_ERRORS = {
     ("wave-oracle", "--order", "0"): ("order must be >= 1", "order=0"),
     ("free-energy", "--max-weight", "0"): ("max weight must be >= 1", "got 0"),
     ("zmodel", "--n", "3", "--degree", "0"): ("n and degree must be >= 1", "degree=0"),
+    ("zmodel", "--n", "3", "--degree", "-1"): ("n and degree must be >= 1", "degree=-1"),
+    ("free-energy", "--max-weight", "-1"): ("max weight must be >= 1", "got -1"),
+    ("invariant", "--ks", "2", "--by-genus", "--no-stability"):
+        ("--no-stability: not allowed with", "--by-genus"),
+    ("zmodel", "--n", "3", "--degree", "2", "--miwa", "--check-stabilization"):
+        ("--check-stabilization: not allowed with", "--miwa"),
     ("--prec", "7", "wave", "--which", "f", "--order", "1"): ("at least 8 bits", "got 7"),
 }
 
@@ -211,6 +217,15 @@ def test_zmodel_degree_not_below_n_is_usage_error(capsys, argv):
     assert_usage_error(capsys, argv)
 
 
+@pytest.mark.parametrize("argv", [
+    ["invariant", "--ks", "2", "--by-genus", "--no-stability"],
+    ["zmodel", "--n", "3", "--degree", "2", "--miwa", "--check-stabilization"],
+])
+def test_flags_that_exclude_each_other_are_usage_errors(capsys, argv):
+    # --by-genus always checks its trace, --check-stabilization reports no expansion
+    assert_usage_error(capsys, argv)
+
+
 def test_deterministic_output(capsys):
     _, out1 = run(capsys, "free-energy", "--max-weight", "2")
     _, out2 = run(capsys, "free-energy", "--max-weight", "2")
@@ -323,7 +338,9 @@ def test_charlier_eps_past_the_bessel_bound_is_usage_error(capsys, check, eps, v
     ["wave", "--which", "f", "--order", "-1"],
     ["wave-oracle", "--order", "0"],
     ["free-energy", "--max-weight", "0"],
+    ["free-energy", "--max-weight", "-1"],
     ["zmodel", "--n", "3", "--degree", "0"],
+    ["zmodel", "--n", "3", "--degree", "-1"],
     ["--prec", "7", "wave", "--which", "f", "--order", "1"],
 ])
 def test_usage_error_names_limit_and_value(capsys, argv):

@@ -30,8 +30,9 @@ ALLOWED = {fractions.__file__, "<string>"}
     (zmodel_expansion, (4, 1), "quotient"),
     (zmodel_expansion, (5, 3), "log_in_times"),
     (stabilization_check, (2, 4, 5), None),
+    (stabilization_check, (4, 5, 6), None),
 ], ids=["tau4", "tau0-tau2", "tau1-tau1", "tau1-tau2", "zmodel-4-1-quotient", "zmodel-5-3-log",
-        "stab-2-4-5"])
+        "stab-2-4-5", "stab-4-5-6"])
 def test_cold_query_enters_only_gwp1_and_fraction_frames(fresh_rows, query, args, attribute):
     files = set()
 

@@ -2,13 +2,14 @@
 
 from fractions import Fraction
 from itertools import permutations, product
+from math import factorial, prod
 from unittest import mock
 
 import pytest
 
 from gwp1.epslaurent import EpsLaurent
-from gwp1.hurwitz import free_energy
-from gwp1.miwa import partitions, schur_to_monomials
+from gwp1.hurwitz import _divisor_scaled, _one_point_closed_form, free_energy
+from gwp1.miwa import MiwaPolynomial, partitions, schur_to_monomials
 from gwp1 import miwa, waves, zmodel
 from gwp1.waves import affine_diagonals, solve_formal_wave, wave_shift
 from gwp1.zmodel import (
@@ -255,11 +256,54 @@ def _scaled_multi_part_logs(log_power_sums):
     (miwa, "_border_strips", _unsigned_strips),
     (zmodel, "log_power_sums", _scaled_multi_part_logs),
 ], ids=["negated-hook", "unsigned-border-strip", "scaled-log-coefficient"])
-@pytest.mark.parametrize("degree", [2, 3])
+@pytest.mark.parametrize("degree", [2, 3, 4])
 def test_stabilization_catches_a_determinantal_mutant(monkeypatch, module, name, mutate, degree):
-    # every expansion of a mutated pipeline agrees with every other; only the closed form differs
+    # every expansion of a mutated pipeline agrees with every other; only the GW/H sum differs
     monkeypatch.setattr(module, name, mutate(getattr(module, name)))
     assert not stabilization_check(degree, degree + 1, degree + 2)
+
+
+def _summed_factorial_times(power_sums_to_times):
+    """p_m -> eps^(m-1) t_(m-1) with prod_i (m_i - 1)! replaced by (sum_i (m_i - 1))!:
+    the same on every t_0^m t_k, wrong from t_1^2 on."""
+    def mutant(series, degree):
+        times = power_sums_to_times(series, degree)
+        return MiwaPolynomial({ks: v * Fraction(prod(map(factorial, ks)), factorial(sum(ks)))
+                               for ks, v in times.coeffs.items()}, degree)
+    return mutant
+
+
+def _closed_form_check(degree, n1, n2):
+    """The check before the GW/H comparison: each t_0^m t_k, m + k + 1 <= degree, against
+    <tau_k> in closed form, each tau_0 by the divisor equation."""
+    log = zmodel.zmodel_expansion(min(n1, n2), degree).log_in_times
+    return all(
+        log.coeff((0,) * m + (k,)) == _divisor_scaled(_one_point_closed_form(k), k, m)
+        * Fraction(1, factorial(m + (k == 0)))
+        for k in range(degree) for m in range(degree - k)
+    )
+
+
+@pytest.mark.parametrize("degree", [4, 5])
+def test_stabilization_reads_the_multi_part_coefficients(monkeypatch, degree):
+    # only zmodel's binding is mutated: free_energy keeps the real substitution
+    monkeypatch.setattr(zmodel, "power_sums_to_times",
+                        _summed_factorial_times(zmodel.power_sums_to_times))
+    assert _closed_form_check(degree, degree + 1, degree + 2)
+    assert not stabilization_check(degree, degree + 1, degree + 2)
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (zmodel_expansion, (3, -1), "degree must be >= 0, got degree=-1"),
+    (stabilization_check, (-1, 2, 3), "degree must be >= 0, got degree=-1"),
+    (free_energy, (-1,), "max_weight must be >= 0, got max_weight=-1"),
+], ids=["zmodel-expansion", "stabilization", "free-energy"])
+def test_negative_degree_or_weight_is_refused_before_any_work(call, args, message):
+    with mock.patch.object(zmodel, "plucker_coordinates") as plucker, \
+            mock.patch("gwp1.hurwitz._connected") as connected:
+        with pytest.raises(ValueError, match=message):
+            call(*args)
+    assert plucker.call_count == connected.call_count == 0
 
 
 def test_nvars_degree_guard():
