@@ -65,14 +65,6 @@ def _emit(doc, fmt: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _rows_of(doc):
-    if isinstance(doc, list):
-        return doc
-    if isinstance(doc, dict) and isinstance(doc.get("rows"), list):
-        return doc["rows"]
-    return None
-
-
 def _flatten(prefix: str, v, out: dict) -> dict:
     if isinstance(v, dict):
         for k in sorted(v):
@@ -83,11 +75,10 @@ def _flatten(prefix: str, v, out: dict) -> dict:
 
 
 def _to_csv(doc) -> str:
-    rows = _rows_of(doc)
-    if rows is None:
-        rows = [{"key": k, "value": v} for k, v in _flatten("", doc, {}).items()]
+    if "rows" in doc:  # every command returns a dict; the checks put their rows under "rows"
+        rows = [_flatten("", r, {}) for r in doc["rows"]]
     else:
-        rows = [_flatten("", r, {}) for r in rows]
+        rows = [{"key": k, "value": v} for k, v in _flatten("", doc, {}).items()]
     headers = sorted({k for r in rows for k in r})
     lines = [",".join(headers)]
     for r in rows:
@@ -148,8 +139,7 @@ def cmd_invariant(ns: argparse.Namespace):
         table = invariant_by_genus(ks)
         d_shift = sum(ks) // 2 + 1
         return {f"{g},{d_shift - g}": str(v) for g, v in sorted(table.items())}
-    rec = n_point_invariant(ks, check_stability=not ns.no_stability)
-    return rec.value.to_json()
+    return n_point_invariant(ks).value.to_json()
 
 
 def cmd_free_energy(ns: argparse.Namespace):
@@ -299,8 +289,8 @@ COMMANDS = {
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
+def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    common = _Parser(prog="gwp1", add_help=False)
     grp = common.add_argument_group("output options")
     # SUPPRESS keeps a subcommand parse from clobbering values given before it
     grp.add_argument("--format", choices=("json", "csv", "text"),
@@ -329,10 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariant", parents=[common],
                        help="stationary descendent invariant")
     p.add_argument("--ks", required=True, help="comma-separated insertion indices")
-    only = p.add_mutually_exclusive_group()  # invariant_by_genus always checks its trace
-    only.add_argument("--by-genus", action="store_true", dest="by_genus")
-    only.add_argument("--no-stability", action="store_true", dest="no_stability",
-                      help="skip the check of each trace (see gwp1.invariants)")
+    p.add_argument("--by-genus", action="store_true", dest="by_genus")
 
     p = sub.add_parser("free-energy", parents=[common],
                        help="generating-function coefficients")
@@ -362,13 +349,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", parents=[common],
                        help="run the verification suite")
     p.add_argument("--only", help="run a single named check")
-    return parser
+    return parser, common  # the whole command line, and its output options alone
+
+
+def _parse(parser, common, argv) -> argparse.Namespace:
+    """argparse takes the token after an unknown option for the command and names that token;
+    an unknown option before the command is named instead."""
+    try:
+        return parser.parse_args(argv)
+    except UsageError:
+        rest = common.parse_known_args(argv)[1]  # raises on a malformed output option
+        if rest and rest[0].startswith("-"):
+            raise UsageError(f"{parser.prog}: unrecognized arguments: {rest[0]}") from None
+        raise
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, common = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parse(parser, common, argv)
         if not ns.command:
             parser.print_usage(sys.stderr)
             return 2

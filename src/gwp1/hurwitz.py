@@ -6,13 +6,17 @@ all partitions lam (the empty one carries the degree-0 values), H_lam the hook p
 P_m(lam) = sum_i [(lam_i - i + 1/2)^m - (-i + 1/2)^m] - (1 - 2^-m) B_(m+1) / (m+1).  So T[mu] =
 e^-q sum_lam q^|lam| prod_i P_(mu_i)(lam) / (H_lam^2 z_mu), and T[()] = 1.  On ints: 1/H_lam^2 =
 (d!/H_lam)^2 / d!^2, P_m = N_m / (2^m bd_m), bd_m the denominator of (2^m - 1) B_(m+1)/(m+1);
-Fractions enter only at each q^j.  Genus >= 0 bounds the degree d of an invariant at
-eps^(sum k - 2d) by sum(k)/2 + 1 <= D: with |lam| <= D and e^-q cut after q^D, T and its log
-(`miwa.log_power_sums`, which only adds q-degrees) are exact to q^D.  The log at mu reads T only
-at the sub-multisets of mu, so on a lattice closed under them it is exact; other keys are dropped.
-`free_energy(W)` takes every mu of weight <= W, parts >= 2, D = ceil(W/2); `gwh_invariant(ks)` the
-sub-multisets of (k_i + 1), D = sum(k)//2 + 1.  Checks (RuntimeError): no kept term below eps^-2
-(genus < 0); in `free_energy`, <tau_k> = `_one_point_closed_form`, GW/H's n = 1 case.
+Fractions enter only at each q^j.  Each lam's conjugate lam' is built once, for the hooks and P_m:
+box (i, j) has the hook lam_i + lam'_j - i - j + 1, and in Frobenius form (Kerov-Olshanski,
+"Polynomial functions on the set of Young diagrams", 1994) the sum over i in P_m(lam) is
+sum_(i<=r) [(lam_i - i + 1/2)^m - (-(lam'_i - i + 1/2))^m], r the Durfee rank.  Genus >= 0
+bounds the degree d of an invariant at eps^(sum k - 2d) by sum(k)/2 + 1 <= D: with |lam| <= D and
+e^-q cut after q^D, T and its log (`miwa.log_power_sums`, which only adds q-degrees) are exact to
+q^D.  The log at mu reads T only at the sub-multisets of mu, so on a lattice closed under them it
+is exact; other keys are dropped.  `free_energy(W)` takes every mu of weight <= W, parts >= 2,
+D = ceil(W/2); `gwh_invariant(ks)` the sub-multisets of (k_i + 1), D = sum(k)//2 + 1.  Checks
+(RuntimeError): no kept term below eps^-2 (genus < 0); in `free_energy`, <tau_k> =
+`_one_point_closed_form`, GW/H's n = 1 case.
 """
 
 from fractions import Fraction
@@ -46,15 +50,25 @@ def _one_point_closed_form(k: int) -> EpsLaurent:
     return EpsLaurent.from_ints(num, den ** (3 * t) * factorial(t) ** 2)
 
 
-def _dimension(lam: tuple[int, ...]) -> int:
-    """d!/H_lam: box (i, j) has the arm p - j - 1 and, as its leg, the rows below past column j."""
-    return factorial(sum(lam)) // prod(p - j + sum(r > j for r in lam[i + 1:])
+def _conjugate(lam: tuple[int, ...]) -> list[int]:
+    """lam': column j of lam has lam'_j boxes; rows from the bottom fill the columns they add."""
+    conj = []
+    for i in range(len(lam), 0, -1):
+        conj += [i] * (lam[i - 1] - len(conj))
+    return conj
+
+
+def _dimension(lam: tuple[int, ...], conj: list[int]) -> int:
+    """d!/H_lam: box (i, j) has the arm lam_i - j - 1 and the leg lam'_j - i - 1."""
+    return factorial(sum(lam)) // prod(p + conj[j] - i - j - 1
                                        for i, p in enumerate(lam) for j in range(p))
 
 
-def _row_sums(lam: tuple[int, ...], m: int) -> int:
-    """2^m sum_i [(lam_i - i + 1/2)^m - (-i + 1/2)^m], i from 1; here rows count from 0."""
-    return sum((2 * p - 2 * i - 1) ** m - (-2 * i - 1) ** m for i, p in enumerate(lam))
+def _row_sums(lam: tuple[int, ...], conj: list[int], m: int) -> int:
+    """2^m sum_i [(lam_i - i + 1/2)^m - (-i + 1/2)^m], i from 1, in Frobenius form: rows
+    counting from 0, only the r rows of the Durfee square, i < r <= lam_i, leave a term."""
+    return sum((2 * p - 2 * i - 1) ** m - (2 * i + 1 - 2 * conj[i]) ** m
+               for i, p in enumerate(lam) if p > i)
 
 
 def _connected(mus: list[tuple[int, ...]], top: int) -> dict[tuple[int, ...], EpsLaurent]:
@@ -64,10 +78,11 @@ def _connected(mus: list[tuple[int, ...]], top: int) -> dict[tuple[int, ...], Ep
     sums = {mu: [0] * (top + 1) for mu in mus}  # sum over |lam| = b of dim^2 prod_i N_(mu_i)
     for b in range(top + 1):
         for lam in partitions(b):
-            n = {m: _row_sums(lam, m) * z.denominator - z.numerator for m, z in zeta.items()}
+            conj = _conjugate(lam)  # one lam' serves the dimension and every m
+            n = {m: _row_sums(lam, conj, m) * z.denominator - z.numerator for m, z in zeta.items()}
             prods = {}
             for mu in mus:  # mu[1:] is lighter, so done: one product per (lam, mu)
-                prods[mu] = n[mu[0]] * prods[mu[1:]] if mu else _dimension(lam) ** 2
+                prods[mu] = n[mu[0]] * prods[mu[1:]] if mu else _dimension(lam, conj) ** 2
                 sums[mu][b] += prods[mu]
     # j!^2 [q^j] e^-q sum_b q^b s_b / b!^2 = sum_b (-1)^(j-b) C(j, b) j!/b! s_b
     series = {mu: EpsLaurent({-2 * j: Fraction(

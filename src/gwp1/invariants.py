@@ -1,28 +1,24 @@
 """Stationary descendent invariants as traces of edge matrices of the wave kernel.
 
-With K(z, w) = A(z)B(w) - Atilde(z)Btilde(w), an n-point value is the
-coefficient of prod_v z_v^(c_v), c_v = -k_v - 2, in the sum over cycles
-0 -> s_1 -> ... -> s_(n-1) -> 0 of the products of the edge factors
-K(z_u, z_v)/(z_u - z_v), each difference expanded in the nested region
-|z_1| > ... > |z_n|; for n = 1 the one edge z_0 -> z_0 is the regular part
-a(z, z) of K(z, w)/(z - w) at w = z.  Every edge is read from the affine
-coordinates a(x, y) of (K(z, w) - 1)/(z - w) (`waves.affine_diagonals`):
-for every n >= 1 the edge factor sum_{x,y} G(x, y) z_u^x z_v^y has
+With K(z, w) = A(z)B(w) - Atilde(z)Btilde(w), an n-point value is the coefficient of
+prod_v z_v^(c_v), c_v = -k_v - 2, in the sum over cycles 0 -> s_1 -> ... -> s_(n-1) -> 0 of the
+products of the edge factors K(z_u, z_v)/(z_u - z_v), each difference expanded in the nested
+region |z_1| > ... > |z_n|; for n = 1 the one edge z_0 -> z_0 is the regular part a(z, z) of
+K(z, w)/(z - w) at w = z.  Every edge is read from the affine coordinates a(x, y) of
+(K(z, w) - 1)/(z - w) (`waves.affine_diagonals`): for every n >= 1 the edge factor
+sum_{x,y} G(x, y) z_u^x z_v^y has
 
     G(x, y) = a(x, y) + [x + y = -1] * (+1 if u < v and x < 0,
                                         -1 if u > v and x >= 0),
 
-the bracket being 1/(z_u - z_v) expanded in |z_u| > |z_v| or |z_u| < |z_v|.
-With x_v the exponent of z_v in the edge leaving v, a cycle contributes the
-trace of the product of the matrices M[x_u, x_v] = G(x_u, c_v - x_v).  The
-sum is finite: G vanishes unless x + y <= -1 and the n edge totals x + y add
-up to sum(c), so each edge total lies in [sum(c) + n - 1, -1]; x_0 lies in
-[c_0 + 1, -1] because x <= -1 on the edge leaving 0 and y <= -1 on the edge
-entering it.  The affine coordinates on the lowest total need the quartet
-exact down to z^(n - sum(k+2)); a read below its window raises WindowError.
-The trace runs on integers: the diagonals it reads come as numerators over one
-denominator D (`waves.affine_diagonals`), the bracket is +-D, each product of n
-edges is a numerator over D^n, and the sum is wrapped in one EpsLaurent.
+the bracket being 1/(z_u - z_v) expanded in |z_u| > |z_v| or |z_u| < |z_v|.  With x_v the
+exponent of z_v in the edge leaving v, a cycle contributes the trace of the product of the
+matrices M[x_u, x_v] = G(x_u, c_v - x_v).  The sum is finite: G vanishes unless x + y <= -1 and
+the n edge totals x + y add up to sum(c), so each edge total lies in [sum(c) + n - 1, -1]; x_0
+lies in [c_0 + 1, -1] because x <= -1 on the edge leaving 0 and y <= -1 on the edge entering
+it.  The trace runs on integers: the diagonals it reads come as numerators over one denominator
+D (`waves.affine_diagonals`), the bracket is +-D, each product of n edges is a numerator over
+D^n, and the sum is wrapped in one EpsLaurent.
 
 Genus floor.  Every eps exponent of a summed diagonal is even and <= 0 (`_Rows.diagonal`
 raises on a positive one) and the bracket is eps^0, so a partial product's exponent never
@@ -30,8 +26,8 @@ rises along a cycle.  The value -eps^(sum k)/prod (k+1)! * trace sits at eps^(2g
 >= 0, so no trace term below -2 - sum(k) survives: a partial term below that floor is dropped.
 
 Each tau_0 is derived, not traced: on P^1, <tau_0 prod tau_k>_(g,d) = d <prod tau_k>_(g,d) with
-d = (sum k - 2g + 2)/2 (divisor equation; Okounkov-Pandharipande, arXiv:math/0204305).  With
-check_stability a trace must equal its GW/H value, which reads no table, else RuntimeError:
+d = (sum k - 2g + 2)/2 (divisor equation; Okounkov-Pandharipande, arXiv:math/0204305).  Every
+trace must equal its GW/H value, which reads no table, else RuntimeError:
 `_one_point_closed_form` for n = 1 and the partition sum `gwh_invariant` for n >= 2 (`hurwitz`).
 """
 
@@ -52,17 +48,12 @@ from .waves import affine_diagonals
 class InvariantRecord(NamedTuple):
     ks: tuple[int, ...]
     value: EpsLaurent
-    order: int
-    stability_checked: bool
 
 
 def _weight(ks) -> EpsLaurent:
-    """Per-insertion residue weight eps^k / (k+1)!.
-
-    The kernel K carries no overall eps power, so the eps^(k+1) of the residue
-    integrand combines with a 1/eps per variable; the normalization is
-    calibrated on <tau_0 tau_0> = eps^-2.
-    """
+    """Per-insertion residue weight eps^k / (k+1)!: the kernel K carries no overall eps power, so
+    the eps^(k+1) of the residue integrand combines with a 1/eps per variable; the normalization
+    is calibrated on <tau_0 tau_0> = eps^-2."""
     return EpsLaurent.from_ints({sum(ks): 1}, prod(factorial(k + 1) for k in ks))
 
 
@@ -77,14 +68,14 @@ def _edge(diagonals: dict[int, dict[int, dict[int, int]]], den: int, forward: bo
     return {} if x < 0 else {0: -den}
 
 
-def _cycle_sum(ks: tuple[int, ...], order: int) -> EpsLaurent:
+def _cycle_sum(ks: tuple[int, ...]) -> EpsLaurent:
     """Sum over the cycles through all insertions of the edge-matrix traces: an integer transfer
     over D, each product of n edges over D^n, wrapped once; terms below the genus floor drop."""
     n = len(ks)
     c = [-k - 2 for k in ks]
     edge_lo, floor = sum(c) + n - 1, -2 - sum(ks)
     # the other n - 1 edge totals are at least edge_lo, so none exceeds sum(c) - (n - 1) edge_lo
-    diagonals, den = affine_diagonals(order, edge_lo, sum(c) - (n - 1) * edge_lo)
+    diagonals, den = affine_diagonals(edge_lo, sum(c) - (n - 1) * edge_lo)
     total: dict[int, int] = {}
     for rest in permutations(range(1, n)):
         cyc = (0,) + rest
@@ -111,18 +102,18 @@ def _cycle_sum(ks: tuple[int, ...], order: int) -> EpsLaurent:
     return EpsLaurent.from_ints(total, den**n)
 
 
-def n_point_invariant(ks: Iterable[int], check_stability: bool = True) -> InvariantRecord:
-    """Connected stationary invariant <tau_{k_1} ... tau_{k_n}>.  The arguments are normalised
-    before the cache, so every call form of one query shares one entry; ks must be integers."""
+def n_point_invariant(ks: Iterable[int]) -> InvariantRecord:
+    """Connected <tau_{k_1} ... tau_{k_n}>, checked against its GW/H value.  ks, integers, is
+    normalised before the cache, so every call form of one query shares one entry."""
     try:
         key = tuple(map(index, ks))
     except TypeError:
         raise TypeError(f"ks must be integers, got ks={ks!r}") from None
-    return _n_point_invariant(key, bool(check_stability))
+    return _n_point_invariant(key)
 
 
 @lru_cache(maxsize=None)
-def _n_point_invariant(ks: tuple[int, ...], check_stability: bool) -> InvariantRecord:
+def _n_point_invariant(ks: tuple[int, ...]) -> InvariantRecord:
     """Zeros are derived from the rest of ks, whose order the record keeps."""
     if any(k < 0 for k in ks):
         raise ValueError(f"all k must be >= 0, got ks={ks}")
@@ -130,16 +121,13 @@ def _n_point_invariant(ks: tuple[int, ...], check_stability: bool) -> InvariantR
         raise ValueError("need at least one insertion")
     base = tuple(k for k in ks if k) or (0,)
     if base != ks:
-        rec = n_point_invariant(base, check_stability)
-        value = _divisor_scaled(rec.value, sum(ks), len(ks) - len(base))
-        return InvariantRecord(ks, value, rec.order, rec.stability_checked)
-    order = sum(k + 2 for k in ks) + len(ks)
-    value = -_weight(ks) * _cycle_sum(ks, order)
-    if check_stability:
-        want = _one_point_closed_form(ks[0]) if len(ks) == 1 else gwh_invariant(ks)
-        if value != want:
-            raise RuntimeError(f"invariant for ks={ks} failed its check: {value} against {want}")
-    return InvariantRecord(ks, value, order, check_stability)
+        value = _divisor_scaled(n_point_invariant(base).value, sum(ks), len(ks) - len(base))
+        return InvariantRecord(ks, value)
+    value = -_weight(ks) * _cycle_sum(ks)
+    want = _one_point_closed_form(ks[0]) if len(ks) == 1 else gwh_invariant(ks)
+    if value != want:
+        raise RuntimeError(f"invariant for ks={ks} failed its check: {value} against {want}")
+    return InvariantRecord(ks, value)
 
 
 n_point_invariant.cache_info = _n_point_invariant.cache_info

@@ -43,7 +43,7 @@ from math import factorial, gcd, lcm, perm
 from typing import NamedTuple
 
 from .epslaurent import EpsLaurent, EPS, EPS_INV
-from .zseries import WindowError, ZSeries, log1p_inv_z
+from .zseries import ZSeries, log1p_inv_z
 
 
 class WaveExpansion(NamedTuple):
@@ -244,21 +244,17 @@ def normalized_quartet(order: int):
             ZSeries({d: v if d % 2 else -v for d, v in pat.items()}, -1, order))
 
 
-def affine_diagonals(order: int, lo: int, hi: int):
+def affine_diagonals(lo: int, hi: int):
     """({s: {x: numerators {eps power: int} of a(x, s - x)}}, D) for lo <= s <= min(hi, -2), D
     the lcm of their denominators: the one reader of the affine table.  a(x, y) are the
     coefficients of a(z, w) = (K(z, w) - 1)/(z - w), K(z, w) = A(z)B(w) - Atilde(z)Btilde(w), a
     series in 1/z and 1/w as K(z, z) = 1 (Zhou's affine coordinates, arXiv:1306.5429), zero
     unless x, y <= -1.  From (z - w) a = K - 1, a(x, y) = a(x+1, y-1) + K[x+1, y] is a running
-    sum along x + y = s that reads K[i, j] on i + j = s + 1: the diagonals s >= -order - 1 are
-    exact, and a read below them raises WindowError naming the order it needs before any row
-    grows.  As B(z) = A(-z) and Atilde = -(eps^2/2) dA/deps, K[-i, -j] = (-1)^j sum alpha_m
-    alpha'_m' (1 + m m' eps^2) eps^(-2(m+m')) over dens[i] dens[j], alpha and alpha' from A's rows
-    i and j.  The order only sets the window: each diagonal of the current `_ROWS` is summed once
+    sum along x + y = s that reads K[i, j] on i + j = s + 1: A's rows to -s - 1, which `_ROWS`
+    grows on demand, so no order bounds a read.  As B(z) = A(-z) and Atilde = -(eps^2/2) dA/deps,
+    K[-i, -j] = (-1)^j sum alpha_m alpha'_m' (1 + m m' eps^2) eps^(-2(m+m')) over dens[i] dens[j],
+    alpha and alpha' from A's rows i and j.  Each diagonal is summed once per process
     (`_Rows.diagonal`), over the lcm of those products, and scaled to D unless that lcm is D."""
-    if lo < -order - 1:
-        raise WindowError(f"a(x, y) on x + y = {lo} needs the quartet to order {-lo - 1}, "
-                          f"not {order}")
     read = [(s, *_ROWS.diagonal(s)) for s in range(lo, min(hi, -2) + 1)]  # deepest first
     den = lcm(*(d for _, _, d in read))
     out = {}

@@ -104,7 +104,7 @@ def plucker_coordinates(degree: int) -> dict[tuple[int, ...], EpsLaurent]:
     """pi_lam for every partition with |lam| <= degree, by Giambelli over the hooks."""
     hook = {}
     for n in range(degree, 0, -1):  # pi_(a|b) on a + b = n - 1, deepest first: rows grow once
-        diagonals, den = affine_diagonals(degree, -n - 1, -n - 1)
+        diagonals, den = affine_diagonals(-n - 1, -n - 1)
         for a in range(n):  # (-1)^(b+1) = (-1)^(n-a)
             num = diagonals[-n - 1].get(-a - 1, {})
             hook[a, n - 1 - a] = EpsLaurent.from_ints(

@@ -7,10 +7,10 @@ from gwp1.epslaurent import EpsLaurent
 from gwp1.invariants import n_point_invariant
 
 
-def affine_reader(order):
-    """a(x, y) at one window order, one coordinate per read, through `waves.affine_diagonals`."""
+def affine_reader():
+    """a(x, y), one coordinate per read, through `waves.affine_diagonals`."""
     def read(x, y):
-        diagonals, den = waves.affine_diagonals(order, x + y, x + y)
+        diagonals, den = waves.affine_diagonals(x + y, x + y)
         return EpsLaurent.from_ints(diagonals.get(x + y, {}).get(x, {}), den)
     return read
 

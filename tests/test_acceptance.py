@@ -73,13 +73,10 @@ small_ks = st.lists(
 @given(small_ks)
 def test_criterion_10_structural_properties(ks):
     ks = tuple(ks)
-    rec = n_point_invariant(ks, check_stability=False)
+    rec = n_point_invariant(ks)
     total = sum(ks)
     # permutation symmetry
-    assert (
-        n_point_invariant(tuple(reversed(ks)), check_stability=False).value
-        == rec.value
-    )
+    assert n_point_invariant(tuple(reversed(ks))).value == rec.value
     if total % 2 == 1:
         assert rec.value == EpsLaurent.zero()
     for e in rec.value.exponents():

@@ -73,8 +73,8 @@ USAGE_ERRORS = {
     ("zmodel", "--n", "3", "--degree", "0"): ("n and degree must be >= 1", "degree=0"),
     ("zmodel", "--n", "3", "--degree", "-1"): ("n and degree must be >= 1", "degree=-1"),
     ("free-energy", "--max-weight", "-1"): ("max weight must be >= 1", "got -1"),
-    ("invariant", "--ks", "2", "--by-genus", "--no-stability"):
-        ("--no-stability: not allowed with", "--by-genus"),
+    ("invariant", "--ks", "2", "--no-stability"): ("unrecognized arguments", "--no-stability"),
+    ("--config", "f", "invariant", "--ks", "0"): ("unrecognized arguments", "--config"),
     ("zmodel", "--n", "3", "--degree", "2", "--miwa", "--check-stabilization"):
         ("--check-stabilization: not allowed with", "--miwa"),
     ("--prec", "7", "wave", "--which", "f", "--order", "1"): ("at least 8 bits", "got 7"),
@@ -87,6 +87,7 @@ def assert_usage_error(capsys, argv):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err.startswith("usage error: ") and limit in err and value in err
+    return err
 
 
 def run(capsys, *argv):
@@ -218,12 +219,18 @@ def test_zmodel_degree_not_below_n_is_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["invariant", "--ks", "2", "--by-genus", "--no-stability"],
+    ["invariant", "--ks", "2", "--no-stability"],
     ["zmodel", "--n", "3", "--degree", "2", "--miwa", "--check-stabilization"],
 ])
 def test_flags_that_exclude_each_other_are_usage_errors(capsys, argv):
-    # --by-genus always checks its trace, --check-stabilization reports no expansion
+    # every invariant is checked, so no flag skips the check; --check-stabilization reports
+    # no expansion
     assert_usage_error(capsys, argv)
+
+
+def test_unknown_option_before_the_command_is_named(capsys):
+    # argparse takes the "f" after an option it does not know for the command
+    assert "'f'" not in assert_usage_error(capsys, ["--config", "f", "invariant", "--ks", "0"])
 
 
 def test_deterministic_output(capsys):
@@ -350,7 +357,7 @@ def test_usage_error_names_limit_and_value(capsys, argv):
 
 def test_internal_fault_is_not_a_usage_error(monkeypatch, capsys):
     # an odd eps-exponent is a computed value gone wrong, not a bad input
-    odd = invariants.InvariantRecord((2,), EpsLaurent.mono(-1), 0, False)
+    odd = invariants.InvariantRecord((2,), EpsLaurent.mono(-1))
     monkeypatch.setattr(invariants, "n_point_invariant", lambda ks: odd)
     with pytest.raises(RuntimeError, match="unexpected eps-exponent -1"):
         invariants.invariant_by_genus((2,))

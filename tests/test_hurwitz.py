@@ -39,19 +39,47 @@ def test_gwh_invariant_matches_free_energy_through_weight_10():
         assert bool(value) == (sum(ks) % 2 == 0), ks  # odd sum(k) gives 0
 
 
+def hook_product_by_leg_count(lam):
+    """d!/H_lam with each leg counted from the rows below, O(|lam|^2)."""
+    return factorial(sum(lam)) // prod(p - j + sum(r > j for r in lam[i + 1:])
+                                       for i, p in enumerate(lam) for j in range(p))
+
+
+def row_sums_over_every_row(lam, m):
+    """2^m sum_i [(lam_i - i + 1/2)^m - (-i + 1/2)^m], one term per row of lam."""
+    return sum((2 * p - 2 * i - 1) ** m - (-2 * i - 1) ** m for i, p in enumerate(lam))
+
+
+def test_conjugate_helpers_match_the_row_by_row_sums():
+    # the hooks through lam' and the Frobenius row sums, on every lam with |lam| <= 13
+    lams = [lam for w in range(14) for lam in partitions(w)]
+    assert len(lams) == 373
+    for lam in lams:
+        conj = hurwitz._conjugate(lam)
+        assert conj == [sum(p > j for p in lam) for j in range(lam[0] if lam else 0)], lam
+        assert hurwitz._dimension(lam, conj) == hook_product_by_leg_count(lam), lam
+        for m in range(9):
+            assert hurwitz._row_sums(lam, conj, m) == row_sums_over_every_row(lam, m), (lam, m)
+
+
 # the mutants act on the integer helpers: the weight dim_lam^2 / d!^2, dim_lam = d!/H_lam, and
-# P_m(lam) = (_row_sums(lam, m) bd - n) / (2^m bd), n/bd = (2^m - 1) B_(m+1)/(m+1)
+# P_m(lam) = (_row_sums(lam, lam', m) bd - n) / (2^m bd), n/bd = (2^m - 1) B_(m+1)/(m+1)
 MUTANTS = {
-    "weight 1/H^4": ("_dimension", lambda f: lambda lam: f(lam) ** 2),  # (d!/H)^4 over d!^2
-    "last row of lam dropped": ("_row_sums", lambda f: lambda lam, m: f(lam[:-1], m)),
+    "weight 1/H^4": (  # (d!/H)^4 over d!^2
+        "_dimension", lambda f: lambda lam, conj: f(lam, conj) ** 2),
+    "last row of lam dropped": (
+        "_row_sums", lambda f: lambda lam, conj, m: f(lam[:-1], hurwitz._conjugate(lam[:-1]), m)),
     "p_m off by 2^-20 on |lam| = 3": (  # off by 2^-20 of its row sums
         "_row_sums",
-        lambda f: lambda lam, m: f(lam, m) * (1 + Fraction(1, 2**20) * (sum(lam) == 3))),
+        lambda f: lambda lam, conj, m:
+        f(lam, conj, m) * (1 + Fraction(1, 2**20) * (sum(lam) == 3))),
     "zeta(-m) sign flipped": ("bernoulli_number", lambda f: lambda n: -f(n)),
     "1/2 shift dropped": (
         "_row_sums",
-        lambda f: lambda lam, m:
+        lambda f: lambda lam, conj, m:
         2**m * sum((p - i) ** m - (-i) ** m for i, p in enumerate(lam, 1))),
+    "lam for lam' in the Frobenius leg": (
+        "_row_sums", lambda f: lambda lam, conj, m: f(lam, lam, m)),
 }
 
 

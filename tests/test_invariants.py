@@ -8,20 +8,20 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gwp1 import invariants
+from gwp1 import invariants, waves
 from gwp1.epslaurent import ONE, ZERO, EpsLaurent
 from gwp1.invariants import (
+    InvariantRecord,
     _cycle_sum,
     _one_point_closed_form,
     _weight,
     invariant_by_genus,
     n_point_invariant,
 )
-from gwp1.hurwitz import free_energy
+from gwp1.hurwitz import free_energy, gwh_invariant
 from gwp1.miwa import partitions
 from gwp1.waves import s1_series
 from gwp1.zmodel import zmodel_expansion
-from gwp1.zseries import WindowError
 
 from conftest import affine_reader
 
@@ -46,11 +46,9 @@ def test_one_point_trace_matches_derivative_pairing():
         assert n_point_invariant((k,)).value == expected, k
 
 
-def test_one_point_stability_flag():
-    rec = n_point_invariant((2,), check_stability=False)
-    assert rec.stability_checked is False
-    assert rec.order == 5
-    assert n_point_invariant((2,)).stability_checked is True
+def test_one_point_record():
+    # the record is the query and its checked trace, nothing else
+    assert n_point_invariant((2,)) == InvariantRecord((2,), -_weight((2,)) * _cycle_sum((2,)))
 
 
 def test_two_point_values():
@@ -78,8 +76,7 @@ def test_tau_0_insertions_by_the_divisor_equation():
     assert invariant_by_genus((2,))[2] == Fraction(7, 5760)
     assert invariant_by_genus((0, 2)) == {0: Fraction(1, 2), 1: Fraction(1, 24)}
     assert invariant_by_genus((0, 0, 2)) == {0: Fraction(1), 1: Fraction(1, 24)}
-    rec = n_point_invariant((0, 3, 0, 1))
-    assert (rec.ks, rec.order, rec.stability_checked) == ((0, 3, 0, 1), 10, True)
+    assert n_point_invariant((0, 3, 0, 1)).ks == (0, 3, 0, 1)
 
 
 @pytest.fixture
@@ -99,8 +96,8 @@ def test_tau_0_insertions_trace_their_base_once(uncached):
 
 def test_every_call_form_of_one_query_shares_one_cache_entry(uncached):
     first = n_point_invariant((2,))
-    for rec in (n_point_invariant((2,), True), n_point_invariant((2,), check_stability=True),
-                n_point_invariant([2]), n_point_invariant(k for k in (2,)),
+    for rec in (n_point_invariant([2]), n_point_invariant(k for k in (2,)),
+                n_point_invariant(range(2, 3)), n_point_invariant(ks=(2,)),
                 n_point_invariant((IntLike(2),))):
         assert rec is first
     info = n_point_invariant.cache_info()
@@ -139,8 +136,7 @@ def test_derived_tau_0_values_match_their_traces():
     cases = multisets(5, 12, [0])
     assert len(cases) == 41
     for ks in cases:
-        order = sum(k + 2 for k in ks) + len(ks)
-        assert n_point_invariant(ks).value == -_weight(ks) * _cycle_sum(ks, order), ks
+        assert n_point_invariant(ks).value == -_weight(ks) * _cycle_sum(ks), ks
 
 
 def epslaurent_edge(aff, forward, x, y):
@@ -152,7 +148,7 @@ def epslaurent_edge(aff, forward, x, y):
     return ZERO if x < 0 else -ONE
 
 
-def epslaurent_cycle_sum(ks, order, aff):
+def epslaurent_cycle_sum(ks, aff):
     """The cycle trace in EpsLaurent arithmetic, every edge read through the reader aff."""
     n = len(ks)
     c = [-k - 2 for k in ks]
@@ -179,10 +175,8 @@ def test_integer_cycle_sum_matches_epslaurent_loop():
     cases = multisets(4, 12, range(11))
     assert len(cases) == 71
     for ks in cases:
-        order = sum(k + 2 for k in ks) + len(ks)
         for traced in (ks, ks[::-1]):
-            expected = epslaurent_cycle_sum(traced, order, affine_reader(order))
-            assert _cycle_sum(traced, order) == expected, traced
+            assert _cycle_sum(traced) == epslaurent_cycle_sum(traced, affine_reader()), traced
 
 
 def test_cycle_sum_reads_no_zero_entries_off_the_bracket(monkeypatch):
@@ -195,17 +189,16 @@ def test_cycle_sum_reads_no_zero_entries_off_the_bracket(monkeypatch):
 
     monkeypatch.setattr(invariants, "_edge", recording_edge)
     ks = (1, 1, 2, 1, 1)
-    order = sum(k + 2 for k in ks) + len(ks)
-    value = _cycle_sum(ks, order)
+    value = _cycle_sum(ks)
     assert any(x >= 0 for x, _ in reads)
     assert all(x + y == -1 for x, y in reads if x >= 0)
     monkeypatch.undo()
-    assert value == epslaurent_cycle_sum(ks, order, affine_reader(order))
+    assert value == epslaurent_cycle_sum(ks, affine_reader())
 
 
 def test_one_point_closed_form_matches_trace():
     for k in range(15):
-        assert _one_point_closed_form(k) == -_weight((k,)) * _cycle_sum((k,), k + 3), k
+        assert _one_point_closed_form(k) == -_weight((k,)) * _cycle_sum((k,)), k
 
 
 def forward_boundary_moved(diagonals, den, forward, x, y):
@@ -228,7 +221,7 @@ def backward_sign_flipped(diagonals, den, forward, x, y):
 @pytest.mark.parametrize("ks", [(1, 2), (1, 1), (2, 2, 2), (1, 1, 2, 2)])
 def test_check_catches_a_wrong_edge_bracket(uncached, monkeypatch, mutant, ks):
     monkeypatch.setattr(invariants, "_edge", mutant)
-    n_point_invariant(ks, check_stability=False)
+    assert -_weight(ks) * _cycle_sum(ks) != gwh_invariant(ks)  # the trace runs, and is wrong
     with pytest.raises(RuntimeError, match="failed its check"):
         n_point_invariant(ks)
 
@@ -247,7 +240,7 @@ def test_check_catches_a_transposed_read(uncached, monkeypatch, ks):
     value = n_point_invariant(ks).value
     n_point_invariant.cache_clear()
     monkeypatch.setattr(invariants, "_edge", transposed_read)
-    assert n_point_invariant(ks, check_stability=False).value != value
+    assert -_weight(ks) * _cycle_sum(ks) != value
     with pytest.raises(RuntimeError, match="failed its check"):
         n_point_invariant(ks)
 
@@ -297,14 +290,17 @@ def test_free_energy_weight_4_matches_determinantal_route():
     assert free_energy(4) == zmodel_expansion(5, 4).log_in_times.coeffs
 
 
-def test_cycle_sum_window():
-    # edge reads reach z^(n - sum(k+2)): z^-6 for (2, 2), z^-4 for (3,)
+def test_cycle_sum_window(monkeypatch):
+    # edge reads reach z^(n - sum(k+2)): z^-6 for (2, 2), z^-4 for (3,); the rows grow to there,
+    # and a table grown deeper gives the same trace
     for ks in ((2, 2), (3,)):
         order = sum(k + 2 for k in ks) - len(ks)
-        assert _cycle_sum(ks, order) == _cycle_sum(ks, order + 4)
-        for short in (order - 2, order - 1):
-            with pytest.raises(WindowError):
-                _cycle_sum(ks, short)
+        monkeypatch.setattr(waves, "_ROWS", rows := waves._Rows())
+        value = _cycle_sum(ks)
+        assert len(rows.dens) == order + 1
+        monkeypatch.setattr(waves, "_ROWS", deeper := waves._Rows())
+        deeper.grow(order + 4)
+        assert _cycle_sum(ks) == value
 
 
 small_ks = st.lists(
@@ -316,7 +312,6 @@ small_ks = st.lists(
 @given(small_ks)
 def test_structural_properties(ks):
     rec = n_point_invariant(tuple(sorted(ks)))
-    assert rec.stability_checked
     total = sum(ks)
     if total % 2 == 1:
         assert rec.value == EpsLaurent.zero()  # parity vanishing
@@ -330,8 +325,8 @@ def test_structural_properties(ks):
 @settings(max_examples=10, deadline=None)
 @given(st.permutations([0, 0, 2]))
 def test_permutation_symmetry(perm):
-    base = n_point_invariant((0, 0, 2), check_stability=False).value
-    assert n_point_invariant(tuple(perm), check_stability=False).value == base
+    base = n_point_invariant((0, 0, 2)).value
+    assert n_point_invariant(tuple(perm)).value == base
 
 
 def lambda_g_integrals(top):

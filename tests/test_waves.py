@@ -132,9 +132,9 @@ def frame_reference(quartet, k, order):
     return ZSeries(acc.c, top=k - 1, order=order)
 
 
-def edge_reader(order, lo):
+def edge_reader(lo):
     """G(x, y) on the diagonals x + y >= lo, by `_edge` over the denominator of a trace."""
-    diagonals, den = affine_diagonals(order, lo, -1)
+    diagonals, den = affine_diagonals(lo, -1)
     return lambda forward, x, y: EpsLaurent.from_ints(_edge(diagonals, den, forward, x, y), den)
 
 
@@ -142,8 +142,7 @@ def test_affine_coordinates_match_kernel_sums():
     # both sides agree only because K(z, z) = 1
     for order in range(1, 15):
         quartet = normalized_quartet(order)
-        aff = affine_reader(order)
-        edge = edge_reader(order, -order - 1)
+        edge = edge_reader(-order - 1)
         for x in range(-order - 2, order + 2):
             for y in range(-order - 1 - x, order + 2):
                 for forward in (True, False):
@@ -153,8 +152,10 @@ def test_affine_coordinates_match_kernel_sums():
             frame = normalised_frame(count, order - count)
             for k, g in enumerate(frame, 1):
                 assert fields(g) == fields(frame_reference(quartet, k, order - count))
-        with pytest.raises(WindowError):
-            aff(-1, -order - 1)
+        # a read past the quartet's order grows the rows it needs
+        deeper = normalized_quartet(order + 1)
+        assert affine_reader()(-1, -order - 1) == kernel_edge_reference(
+            deeper, True, -1, -order - 1)
 
 
 def test_bernoulli_numbers():
@@ -289,10 +290,10 @@ def test_rows_are_stored_in_lowest_terms(monkeypatch):
 def test_readers_follow_a_swapped_row_table(monkeypatch):
     expected = kernel_edge_reference(normalized_quartet(6), True, -2, -4)
     monkeypatch.setattr(waves, "_ROWS", old := waves._Rows())
-    aff = affine_reader(6)
+    aff = affine_reader()
     aff(-1, -2)
     monkeypatch.setattr(waves, "_ROWS", new := waves._Rows())
-    for reader in (aff, affine_reader(6)):
+    for reader in (aff, affine_reader()):
         assert reader(-2, -4) == expected
     assert len(new.dens) == 6 and set(new.diagonals) == {-6}
     assert len(old.dens) == 3 and set(old.diagonals) == {-3}
@@ -321,8 +322,8 @@ def test_invariant_grows_rows_only_for_the_diagonals_it_reads(fresh_rows, ks):
 
 def test_checked_palindrome_grows_the_rows_of_the_unchecked_one(fresh_rows, monkeypatch):
     # the check of the palindrome (2, 2) is its GW/H value, which reads no row: on a fresh
-    # table the checked query grows the same rows 0..6 as the unchecked one
-    n_point_invariant((2, 2), check_stability=False)
+    # table the checked query grows the same rows 0..6 as its trace alone
+    _cycle_sum((2, 2))
     assert len(fresh_rows.dens) == 7
     monkeypatch.setattr(waves, "_ROWS", checked := waves._Rows())
     n_point_invariant.cache_clear()
@@ -348,7 +349,7 @@ def test_each_diagonal_is_summed_once_per_process(fresh_rows):
     zmodel_expansion(4, 3)
     for order in (6, 12, 24):
         read_every_diagonal(order, shallowest_first=False)
-    # every reader, at every order, read the one table; each diagonal was summed once
+    # every reader read the one table; each diagonal was summed once
     assert set(fresh_rows.diagonals) == set(range(-25, -1))
     assert fresh_rows.diagonals.summed == 24
 
@@ -358,13 +359,13 @@ traced_ks = [(3,), (10,), (1, 2), (2, 2, 2), (1, 1, 2, 2), (0, 0, 1)]
 
 @pytest.mark.parametrize("ks", traced_ks)
 def test_affine_coordinates_agree_at_doubled_order_on_every_read_of_a_trace(monkeypatch, ks):
-    # the window of a trace's reader does not change what it reads: every coordinate a
-    # trace reads at its order is read alike at twice that order from another table
+    # how deep the table has grown does not change what a trace reads: every coordinate a
+    # trace reads from the rows it grows is read alike from another table grown to twice that
     order = sum(k + 2 for k in ks) + len(ks)
     reads = {}
 
-    def recording_diagonals(o, lo, hi):
-        diagonals, den = affine_diagonals(o, lo, hi)
+    def recording_diagonals(lo, hi):
+        diagonals, den = affine_diagonals(lo, hi)
         for s, entries in diagonals.items():
             for x in range(s + 1, 0):
                 reads[x, s - x] = EpsLaurent.from_ints(entries.get(x, {}), den)
@@ -372,16 +373,17 @@ def test_affine_coordinates_agree_at_doubled_order_on_every_read_of_a_trace(monk
 
     monkeypatch.setattr(waves, "_ROWS", waves._Rows())
     with mock.patch("gwp1.invariants.affine_diagonals", recording_diagonals):
-        _cycle_sum(ks, order)
+        _cycle_sum(ks)
     assert reads
-    monkeypatch.setattr(waves, "_ROWS", waves._Rows())
-    doubled = affine_reader(2 * order)
+    monkeypatch.setattr(waves, "_ROWS", rows := waves._Rows())
+    rows.grow(2 * order)
+    doubled = affine_reader()
     for x, y in sorted(reads, key=sum):
         assert doubled(x, y) == reads[x, y], (ks, x, y)
 
 
 def read_every_diagonal(order, shallowest_first):
-    aff = affine_reader(order)
+    aff = affine_reader()
     totals = range(-1, -order - 2, -1) if shallowest_first else range(-order - 1, 0)
     return {(x, s - x): aff(x, s - x) for s in totals for x in range(s + 1, 0)}
 
@@ -396,16 +398,16 @@ def test_reading_order_does_not_change_coordinates(monkeypatch):
     assert tables[0][(-1, -20)] == kernel_edge_reference(normalized_quartet(20), True, -1, -20)
 
 
-def test_read_below_window_raises_before_growing(fresh_rows):
-    aff = affine_reader(5)
-    with pytest.raises(WindowError, match="order 8"):
-        aff(-4, -5)
+def test_read_grows_rows_only_to_its_diagonal(fresh_rows):
+    # a(x, y) on x + y = s needs A's rows 0..-s-1, whatever reads it
+    aff = affine_reader()
     assert len(fresh_rows.dens) == 0
     aff(-1, -2)
     assert len(fresh_rows.dens) == 3
-    with pytest.raises(WindowError):
-        aff(-10, -1)
-    assert len(fresh_rows.dens) == 3
+    aff(-4, -5)
+    assert len(fresh_rows.dens) == 9
+    aff(-2, -1)
+    assert len(fresh_rows.dens) == 9
 
 
 def test_positive_row_power_stops_the_diagonal_sum(fresh_rows):
@@ -413,16 +415,16 @@ def test_positive_row_power_stops_the_diagonal_sum(fresh_rows):
     fresh_rows.grow(4)
     fresh_rows.a[3][2] = 1
     with pytest.raises(RuntimeError, match=re.escape("diagonal -5 holds eps^2")):
-        affine_diagonals(4, -5, -5)
+        affine_diagonals(-5, -5)
     assert -5 not in fresh_rows.diagonals
-    affine_diagonals(4, -3, -2)  # diagonals -3 and -2 read only rows 0 to 2, which are sound
+    affine_diagonals(-3, -2)  # diagonals -3 and -2 read only rows 0 to 2, which are sound
 
 
 @pytest.mark.parametrize("order", [20, 26])
 def test_affine_coordinates_match_kernel_sums_at_recheck_orders(order):
-    # windows far below the diagonals read: the order sets only where a read raises
+    # quartets far deeper than the diagonals read agree with them
     quartet = normalized_quartet(order)
-    edge = edge_reader(order, -14)
+    edge = edge_reader(-14)
     for s in range(-14, 2):
         for x in range(s - 2, 3):
             for forward in (True, False):
@@ -440,8 +442,8 @@ trace_ks = st.integers(min_value=1, max_value=3).flatmap(
 def test_cycle_trace_matches_epslaurent_reader(ks):
     ks = tuple(ks)
     order = sum(k + 2 for k in ks) + len(ks)
-    expected = -_weight(ks) * epslaurent_cycle_sum(ks, order, epslaurent_affine_reader(order))
-    assert n_point_invariant(ks, check_stability=False).value == expected
+    expected = -_weight(ks) * epslaurent_cycle_sum(ks, epslaurent_affine_reader(order))
+    assert n_point_invariant(ks).value == expected
 
 
 def test_step_factor_consistency():

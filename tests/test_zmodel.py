@@ -36,7 +36,7 @@ def normalised_frame(count, order):
     """G_1..G_count, G_k = z^(k-1) - sum_(x<=-1) a(x, -k) z^x: the columns of the
     characteristic matrix, a unipotent column mix of E_1..E_k read off the affine
     coordinates (Zhou, arXiv:1306.5429), in which pi_lam is an l(lam) x l(lam) minor."""
-    aff = affine_reader(order + count)
+    aff = affine_reader()
     columns = []
     for k in range(1, count + 1):
         g = {x: -aff(x, -k) for x in range(-order, 0)}
@@ -96,7 +96,7 @@ def test_one_wave_solve_per_expansion(monkeypatch):
     assert [call.args[1] for call in spy.call_args_list] == [2]
     assert len(waves._ROWS.dens) == 3
     # one read per hook diagonal, the deepest first
-    assert [call.args for call in reader.call_args_list] == [(2, -3, -3), (2, -2, -2)]
+    assert [call.args for call in reader.call_args_list] == [(-3, -3), (-2, -2)]
     info = solve_formal_wave.cache_info()
     assert info.hits == info.misses == 0
 
