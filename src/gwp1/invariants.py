@@ -19,6 +19,8 @@ lies in [c_0 + 1, -1] because x <= -1 on the edge leaving 0 and y <= -1 on the e
 it.  The trace runs on integers: the diagonals it reads come as numerators over one denominator
 D (`waves.affine_diagonals`), the bracket is +-D, each product of n edges is a numerator over
 D^n, and the sum is wrapped in one EpsLaurent.
+Paths from 0 that share their visited set and last vertex share every continuation, so the
+cycles are summed by one transfer per x0 over those states (Held-Karp 1962; Bellman 1962).
 
 Genus floor.  Every eps exponent of a summed diagonal is even and <= 0 (`_Rows.diagonal`
 raises on a positive one) and the bracket is eps^0, so a partial product's exponent never
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from math import factorial, prod
 from operator import index
 from typing import Iterable, NamedTuple
@@ -69,36 +70,37 @@ def _edge(diagonals: dict[int, dict[int, dict[int, int]]], den: int, forward: bo
 
 
 def _cycle_sum(ks: tuple[int, ...]) -> EpsLaurent:
-    """Sum over the cycles through all insertions of the edge-matrix traces: an integer transfer
-    over D, each product of n edges over D^n, wrapped once; terms below the genus floor drop."""
+    """The cycle traces by one integer transfer per x0 over (visited set, last vertex), Held-Karp
+    1962 and Bellman 1962: n-edge products over D^n, wrapped once; terms below the floor drop."""
     n = len(ks)
     c = [-k - 2 for k in ks]
     edge_lo, floor = sum(c) + n - 1, -2 - sum(ks)
     # the other n - 1 edge totals are at least edge_lo, so none exceeds sum(c) - (n - 1) edge_lo
     diagonals, den = affine_diagonals(edge_lo, sum(c) - (n - 1) * edge_lo)
     total: dict[int, int] = {}
-    for rest in permutations(range(1, n)):
-        cyc = (0,) + rest
-        for x0 in range(c[0] + 1, 0):
-            partial = {x0: {0: 1}}
-            for u, v in zip(cyc, cyc[1:] + (0,)):
-                # the closing edge returns to the starting x0 and adds into the total
-                nxt = {} if v else {x0: total}
-                for xu, p in partial.items():
-                    if xu >= 0:  # a(x, y) = 0 for x >= 0: only the backward bracket, x + y = -1
-                        xv = xu + c[v] + 1
-                        xvs = (xv,) if u > v and (v or xv == x0) else ()
-                    else:  # the edge total xu + c_v - xv lies in [edge_lo, -1]
-                        xvs = range(xu + c[v] + 1, xu + c[v] - edge_lo + 1) if v else (x0,)
-                    for xv in xvs:
-                        g = _edge(diagonals, den, u < v, xu, c[v] - xv)
-                        if g:
-                            acc = nxt.setdefault(xv, {})
-                            for e1, n1 in p.items():
-                                for e2, n2 in g.items():
-                                    if (e := e1 + e2) >= floor:
-                                        acc[e] = acc.get(e, 0) + n1 * n2
-                partial = nxt
+    for x0 in range(c[0] + 1, 0):
+        layer = {(1, 0): {x0: {0: 1}}}
+        for _ in range(n):
+            grown: dict = {}
+            for (seen, u), partial in layer.items():
+                # a path that has visited every vertex closes to 0 at x0, adding into the total
+                for v in [v for v in range(1, n) if not seen >> v & 1] or [0]:
+                    nxt = grown.setdefault((seen | 1 << v, v), {}) if v else {x0: total}
+                    for xu, p in partial.items():
+                        if xu >= 0:  # a(x, y) = 0 for x >= 0: only the backward bracket, x + y = -1
+                            xv = xu + c[v] + 1
+                            xvs = (xv,) if u > v and (v or xv == x0) else ()
+                        else:  # the edge total xu + c_v - xv lies in [edge_lo, -1]
+                            xvs = range(xu + c[v] + 1, xu + c[v] - edge_lo + 1) if v else (x0,)
+                        for xv in xvs:
+                            g = _edge(diagonals, den, u < v, xu, c[v] - xv)
+                            if g:
+                                acc = nxt.setdefault(xv, {})
+                                for e1, n1 in p.items():
+                                    for e2, n2 in g.items():
+                                        if (e := e1 + e2) >= floor:
+                                            acc[e] = acc.get(e, 0) + n1 * n2
+            layer = grown
     return EpsLaurent.from_ints(total, den**n)
 
 

@@ -32,16 +32,19 @@ from .epslaurent import EpsLaurent
 PowerSums = dict[tuple[int, ...], EpsLaurent]  # partition mu -> coefficient of p_mu
 
 
-def partitions(w: int, max_part: int | None = None):
-    """Partitions of w as sorted (descending) tuples."""
-    if max_part is None:
-        max_part = w
-    if w == 0:
-        yield ()
-        return
-    for first in range(min(w, max_part), 0, -1):
-        for rest in partitions(w - first, first):
-            yield (first,) + rest
+def partitions(w: int):
+    """Partitions of w as descending tuples, in reverse lexicographic order, from one list edited
+    in place (Zoghbi-Stojmenovic 1998): the last part above 1 gives up a box, and that part and
+    the 1s after it refill greedily with parts of its new size."""
+    parts = [w] if w else []
+    h = 0 if w > 1 else -1  # index of the last part above 1
+    yield tuple(parts)
+    while h >= 0:
+        r = parts[h] - 1
+        q, rem = divmod(len(parts) - h, r)  # the box given up and the 1s after parts[h]
+        parts[h:] = [r] * (q + 1) + ([rem] if rem else [])
+        h = len(parts) - 1 if rem > 1 else h + q if r > 1 else h - 1
+        yield tuple(parts)
 
 
 class MiwaPolynomial(NamedTuple):

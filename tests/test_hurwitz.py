@@ -13,10 +13,12 @@ from gwp1.invariants import n_point_invariant
 from gwp1.miwa import partitions
 
 
-def test_residue_route_matches_free_energy_through_weight_8():
-    fe = free_energy(8)
-    cases = {tuple(sorted(m - 1 for m in mu)) for w in range(1, 9) for mu in partitions(w)}
-    assert set(fe) < cases and len(cases) == 66
+@pytest.mark.parametrize("max_weight, count", [(8, 66), (12, 271)])
+def test_residue_route_matches_free_energy_through_weight(max_weight, count):
+    fe = free_energy(max_weight)
+    cases = {tuple(sorted(m - 1 for m in mu))
+             for w in range(1, max_weight + 1) for mu in partitions(w)}
+    assert set(fe) < cases and len(cases) == count
     for ks in sorted(cases):
         value = n_point_invariant(ks).value
         if sum(ks) % 2:

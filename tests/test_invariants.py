@@ -172,11 +172,12 @@ def epslaurent_cycle_sum(ks, aff):
 
 
 def test_integer_cycle_sum_matches_epslaurent_loop():
-    cases = multisets(4, 12, range(11))
-    assert len(cases) == 71
-    for ks in cases:
-        for traced in (ks, ks[::-1]):
-            assert _cycle_sum(traced) == epslaurent_cycle_sum(traced, affine_reader()), traced
+    # every distinct ordering: each puts a different k at vertex 0 and merges different paths
+    multis = multisets(5, 12, range(11))
+    cases = [traced for ks in multis for traced in sorted(set(permutations(ks)))]
+    assert (len(multis), len(cases)) == (75, 231)
+    for traced in cases:
+        assert _cycle_sum(traced) == epslaurent_cycle_sum(traced, affine_reader()), traced
 
 
 def test_cycle_sum_reads_no_zero_entries_off_the_bracket(monkeypatch):

@@ -75,7 +75,23 @@ def reference_power_sums(coeffs):
 def test_partitions():
     assert list(partitions(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert list(partitions(0)) == [()]
-    assert list(partitions(3, max_part=2)) == [(2, 1), (1, 1, 1)]
+
+
+def recursive_partitions(w, max_part=None):
+    """The descending partitions of w, parts at most max_part, largest first part first."""
+    if max_part is None:
+        max_part = w
+    if w == 0:
+        yield ()
+        return
+    for first in range(min(w, max_part), 0, -1):
+        for rest in recursive_partitions(w - first, first):
+            yield (first,) + rest
+
+
+def test_partitions_match_recursive_order():
+    for w in range(21):
+        assert list(partitions(w)) == list(recursive_partitions(w)), w
 
 
 # ---------------------------------------------------------------------------
