@@ -27,9 +27,11 @@ raises on a positive one) and the bracket is eps^0, so a partial product's expon
 rises along a cycle.  The value -eps^(sum k)/prod (k+1)! * trace sits at eps^(2g-2), genus g
 >= 0, so no trace term below -2 - sum(k) survives: a partial term below that floor is dropped.
 
+Selection rule: a class of genus g and degree d has sum k = 2g - 2 + 2d, so an invariant with odd
+sum k is 0, returned before any trace, row or check (Okounkov-Pandharipande, arXiv:math/0204305).
 Each tau_0 is derived, not traced: on P^1, <tau_0 prod tau_k>_(g,d) = d <prod tau_k>_(g,d) with
-d = (sum k - 2g + 2)/2 (divisor equation; Okounkov-Pandharipande, arXiv:math/0204305).  Every
-trace must equal its GW/H value, which reads no table, else RuntimeError:
+d = (sum k - 2g + 2)/2 (divisor equation, same reference).  Every trace that runs must equal its
+GW/H value, which reads no table, else RuntimeError:
 `_one_point_closed_form` for n = 1 and the partition sum `gwh_invariant` for n >= 2 (`hurwitz`).
 """
 
@@ -41,7 +43,7 @@ from math import factorial, prod
 from operator import index
 from typing import Iterable, NamedTuple
 
-from .epslaurent import EpsLaurent
+from .epslaurent import ZERO, EpsLaurent
 from .hurwitz import _divisor_scaled, _one_point_closed_form, gwh_invariant
 from .waves import affine_diagonals
 
@@ -105,8 +107,8 @@ def _cycle_sum(ks: tuple[int, ...]) -> EpsLaurent:
 
 
 def n_point_invariant(ks: Iterable[int]) -> InvariantRecord:
-    """Connected <tau_{k_1} ... tau_{k_n}>, checked against its GW/H value.  ks, integers, is
-    normalised before the cache, so every call form of one query shares one entry."""
+    """Connected <tau_{k_1} ... tau_{k_n}>: 0 for odd sum(ks), else checked against its GW/H
+    value.  ks, integers, is normalised before the cache, so every call form shares one entry."""
     try:
         key = tuple(map(index, ks))
     except TypeError:
@@ -116,11 +118,14 @@ def n_point_invariant(ks: Iterable[int]) -> InvariantRecord:
 
 @lru_cache(maxsize=None)
 def _n_point_invariant(ks: tuple[int, ...]) -> InvariantRecord:
-    """Zeros are derived from the rest of ks, whose order the record keeps."""
+    """Odd sum(ks) gives 0 by the selection rule, before any work; zeros are derived from the
+    rest of ks, whose order the record keeps."""
     if any(k < 0 for k in ks):
         raise ValueError(f"all k must be >= 0, got ks={ks}")
     if len(ks) == 0:
         raise ValueError("need at least one insertion")
+    if sum(ks) % 2:
+        return InvariantRecord(ks, ZERO)
     base = tuple(k for k in ks if k) or (0,)
     if base != ks:
         value = _divisor_scaled(n_point_invariant(base).value, sum(ks), len(ks) - len(base))

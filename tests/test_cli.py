@@ -151,6 +151,13 @@ def test_invariant_by_genus(capsys):
     assert doc == {"0,2": "1/4", "1,1": "1/24", "2,0": "7/5760"}
 
 
+def test_odd_weight_invariant_is_empty_at_ten_points(capsys):
+    # sum(k) = 11: 0 by the selection rule, which returns before any trace
+    ks = "2,1,1,1,1,1,1,1,1,1"
+    assert run_json(capsys, "invariant", "--ks", ks) == (0, {})
+    assert run_json(capsys, "invariant", "--ks", ks, "--by-genus") == (0, {})
+
+
 def test_invariant_usage_error(capsys):
     assert_usage_error(capsys, ["invariant", "--ks", "x,y"])
 

@@ -4,6 +4,7 @@ import re
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -180,6 +181,24 @@ def test_integer_cycle_sum_matches_epslaurent_loop():
         assert _cycle_sum(traced) == epslaurent_cycle_sum(traced, affine_reader()), traced
 
 
+def test_cycle_sum_vanishes_on_odd_weight():
+    # the kernel's own parity, which the selection rule of n_point_invariant no longer traces
+    odd = [ks for ks in multisets(5, 12, range(11)) if sum(ks) % 2]
+    assert len(odd) == 29
+    for ks in odd:
+        assert _cycle_sum(ks) == ZERO, ks
+
+
+def test_odd_weight_is_zero_before_any_work(uncached):
+    ks = (2, 1, 1, 1, 1, 1, 1, 1, 1, 1)
+    with mock.patch("gwp1.invariants._cycle_sum") as trace, \
+            mock.patch("gwp1.invariants.gwh_invariant") as gwh, \
+            mock.patch("gwp1.invariants._one_point_closed_form") as closed_form, \
+            mock.patch.object(waves._Rows, "grow") as grow:
+        assert n_point_invariant(ks) == InvariantRecord(ks, ZERO)
+    assert trace.call_count == gwh.call_count == closed_form.call_count == grow.call_count == 0
+
+
 def test_cycle_sum_reads_no_zero_entries_off_the_bracket(monkeypatch):
     # a(x, y) = 0 for x >= 0, so from x >= 0 only the bracket on x + y = -1 is read
     edge, reads = invariants._edge, []
@@ -219,10 +238,13 @@ def backward_sign_flipped(diagonals, den, forward, x, y):
 
 
 @pytest.mark.parametrize("mutant", [forward_boundary_moved, backward_sign_flipped])
-@pytest.mark.parametrize("ks", [(1, 2), (1, 1), (2, 2, 2), (1, 1, 2, 2)])
+@pytest.mark.parametrize("ks", [(1, 2), (1, 1), (2, 2, 2), (1, 1, 2, 2), (1, 3)])
 def test_check_catches_a_wrong_edge_bracket(uncached, monkeypatch, mutant, ks):
     monkeypatch.setattr(invariants, "_edge", mutant)
     assert -_weight(ks) * _cycle_sum(ks) != gwh_invariant(ks)  # the trace runs, and is wrong
+    if sum(ks) % 2:  # the selection rule returns 0 without tracing
+        assert n_point_invariant(ks).value == ZERO
+        return
     with pytest.raises(RuntimeError, match="failed its check"):
         n_point_invariant(ks)
 
@@ -316,6 +338,7 @@ def test_structural_properties(ks):
     total = sum(ks)
     if total % 2 == 1:
         assert rec.value == EpsLaurent.zero()  # parity vanishing
+        assert _cycle_sum(tuple(sorted(ks))) == EpsLaurent.zero()  # and the kernel agrees
         return
     for e in rec.value.exponents():
         assert e % 2 == 0  # even eps-exponents only

@@ -299,10 +299,12 @@ def test_readers_follow_a_swapped_row_table(monkeypatch):
     assert len(old.dens) == 3 and set(old.diagonals) == {-3}
 
 
-@pytest.mark.parametrize("ks", [(3,), (10,), (0, 0), (1, 2), (0, 0, 0), (0, 1, 2)])
+@pytest.mark.parametrize("ks", [(3,), (10,), (0, 0), (1, 2), (0, 0, 0), (0, 1, 2),
+                                (4,), (1, 3), (0, 1, 3)])
 def test_invariant_grows_rows_only_for_the_diagonals_it_reads(fresh_rows, ks):
     # the deepest edge total sum(c) + n - 1 needs rows 0..sum(k+2) - n of the multiset traced,
-    # ks without its zeros or (0,); its check, the GW/H value, traces nothing and reads no row
+    # ks without its zeros or (0,); its check, the GW/H value, traces nothing and reads no row;
+    # an odd sum(k) is 0 by the selection rule and traces nothing either
     grows_after_pass = []
 
     def counted_pass(*args):
@@ -314,6 +316,9 @@ def test_invariant_grows_rows_only_for_the_diagonals_it_reads(fresh_rows, ks):
     with mock.patch.object(waves._Rows, "grow", autospec=True, side_effect=grow) as spy, \
             mock.patch("gwp1.invariants._cycle_sum", counted_pass):
         n_point_invariant(ks)
+    if sum(ks) % 2:
+        assert grows_after_pass == [] and spy.call_count == len(fresh_rows.dens) == 0
+        return
     traced = tuple(k for k in ks if k) or (0,)
     assert len(grows_after_pass) == 1
     assert grows_after_pass[0] == spy.call_count > 0
