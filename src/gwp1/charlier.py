@@ -2,32 +2,26 @@
 series (their difference equation and Wronskian are `special`'s), the scaling limit and the
 ensemble averages, on the Gamma, Bessel, waves and rounding of `special`.
 
-The polynomials are orthogonal with respect to the Poisson-type measure with
-atoms at n + 1/2 (n >= 0) and weights e^(-a) a^n / n!; they are monic with
-norm a^l * l!.  The module validates the scaling limit
+The polynomials are monic and orthogonal for the Poisson-type measure with atoms at n + 1/2
+(n >= 0) and weights e^(-a) a^n / n!, with norm a^l * l!.  The module validates the scaling limit
 
     lim_L  pi_{L+l}(L + zeta; 1/(L eps^2)) / Gamma(L + zeta + 1/2)
          = eps^(zeta - l - 1/2) * J_{zeta - l - 1/2}(2/eps).
 
-The polynomials come from the monic three-term recurrence (`charlier_poly`).
-The explicit sum pi_l(x; a) = (-a)^l sum_i (-l)_i (1/2 - x)_i / i! (-1/a)^i is
-the independent route, evaluated point by point (`charlier_value`) and
-cross-checked there against the recurrence; the scaling check reads its values
-from it instead of building the degree-L polynomial.
+The polynomials come from the monic three-term recurrence (`charlier_poly`).  The explicit sum
+pi_l(x; a) = (-a)^l sum_i (-l)_i (1/2 - x)_i / i! (-1/a)^i, cross-checked against the
+recurrence point by point (`charlier_value`), gives the scaling check its values and Heine's
+determinant (`char_poly_expectation`) its exact entries.
 
-The orthogonality sums and the brute-force ensemble read one shared table of
-atoms per (a, working precision), `_atoms`, kept for the most recent pair
-only: the weights e^(-a) a^n / n! and each pi_l's coefficients and values
-pi_l(n + 1/2), as (mantissa, exponent) pairs of Python ints grown on first
-need.  Each step on them is one of `special`'s correctly rounded steps, so
-every value is bit-identical to its mpf expression.  The tail bound's
-pair-free parts are held in the table too.  `brute_force_expectation` sums its
-L = 2 pairs as moment forms 2 (M0 M2 - M1^2), each moment one exact integer
-sum rounded once (`_sum`).
+Only the orthogonality sums and the brute-force ensemble read the shared table of atoms,
+`_atoms`, kept for the most recent (a, working precision) only: the weights, each pi_l's
+coefficients and values pi_l(n + 1/2) and the tail bound's pair-free parts, as (mantissa,
+exponent) pairs of ints grown on first need.  Each step on them is one of `special`'s correctly
+rounded steps, so every value is bit-identical to its mpf expression.  The brute force sums its
+L = 2 pairs as moment forms 2 (M0 M2 - M1^2), each moment one exact integer sum rounded once.
 
-All truncated sums carry explicit tail bounds; precision is always an
-explicit argument, applied through a local working-precision context.  `mp` is
-this module's own `special._Mpmath` stand-in, bound on its first numeric call.
+All truncated sums carry explicit tail bounds; precision is always an explicit argument.  `mp`
+is this module's own `special._Mpmath` stand-in, bound on its first numeric call.
 """
 
 from __future__ import annotations
@@ -35,7 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import NamedTuple
 
 from .special import (
@@ -50,6 +44,14 @@ mp = _Mpmath(globals())
 # ---------------------------------------------------------------------------
 # Charlier polynomials (exact)
 # ---------------------------------------------------------------------------
+
+def _positive(a) -> Fraction:
+    """The measure parameter a as a Fraction; a <= 0 is refused."""
+    a = _as_fraction(a)
+    if a <= 0:
+        raise ValueError(f"parameter a must be positive, got a={a}")
+    return a
+
 
 class CharlierPolynomial(NamedTuple):
     """Monic degree-l orthogonal polynomial for the half-shifted Poisson atoms."""
@@ -68,11 +70,9 @@ class CharlierPolynomial(NamedTuple):
 def charlier_poly(ell: int, a) -> CharlierPolynomial:
     """pi_l(x; a) from the monic three-term recurrence, exact:
     p_(n+1) = (x - n - a - 1/2) p_n - n a p_(n-1), p_0 = 1."""
-    a = _as_fraction(a)
     if ell < 0:
         raise ValueError(f"degree must be >= 0, got ell={ell}")
-    if a <= 0:
-        raise ValueError(f"parameter a must be positive, got a={a}")
+    a = _positive(a)
     prev, cur = [], [Fraction(1)]
     for n in range(ell):
         b_n = n + a + Fraction(1, 2)
@@ -97,12 +97,10 @@ def charlier_value(ell: int, a, x) -> Fraction:
     M = 2sq.  The two routes are compared by cross-multiplication; a
     disagreement is an error.
     """
-    a = _as_fraction(a)
     x = _as_fraction(x)
     if ell < 0:
         raise ValueError(f"degree must be >= 0, got ell={ell}")
-    if a <= 0:
-        raise ValueError(f"parameter a must be positive, got a={a}")
+    a = _positive(a)
     p, q = a.numerator, a.denominator
     r, s = x.numerator, x.denominator
     total = term = den = 1
@@ -130,14 +128,12 @@ def charlier_value(ell: int, a, x) -> Fraction:
 class _Atoms:
     """The atoms x_n = n + 1/2 of one (a, wp), grown one atom at a time.
 
-    `weights[n]` = e^(-a) a^n / n!, `coefficients[l]` (pi_l's coefficients),
-    `values[l][n]` = pi_l(x_n) and `bounds[l, n]` = |pi_l|(x_n) are
-    (mantissa, exponent) pairs at wp bits, each rounded as the mpf steps
-    weight *= a/n and acc*x + c round it (`_quotient`, `_rounded`), so a sum
-    read from the table is bit-identical to one evaluated afresh.  The weights
-    reach one atom past the longest row of values.  The stop test's mpf parts,
-    `growth[n]` = (a/(n+1), 1 + 1/(n + 1/2)) and `stops[n, deg]` = 1 - r (or 0
-    while its test fails), and the bounds are held once first asked for.
+    `weights[n]` = e^(-a) a^n / n!, `coefficients[l]` (pi_l's), `values[l][n]` = pi_l(x_n) and
+    `bounds[l, n]` = |pi_l|(x_n) are (mantissa, exponent) pairs at wp bits, each rounded as the
+    mpf steps weight *= a/n and acc*x + c round it (`_quotient`, `_rounded`), so a sum read from
+    the table is bit-identical to one evaluated afresh.  The weights reach one atom past the
+    longest row of values.  The stop test's mpf parts, `growth[n]` = (a/(n+1), 1 + 1/(n + 1/2))
+    and `stops[n, deg]` = 1 - r (or 0 while its test fails), and the bounds are held once asked.
     """
 
     def __init__(self, a: Fraction, wp: int):
@@ -185,38 +181,39 @@ class _Atoms:
         return self.bounds[ell, n]
 
 
+_A_BOUND = 10_000  # the largest a summed: cold orthogonality at 768 bits, 1.9 s (2-vCPU x86-64)
+
+
 @lru_cache(maxsize=1)
 def _atoms(a: Fraction, wp: int) -> _Atoms:
-    """The atom table of the most recent (a, wp) only: callers pair all their
-    degrees at one a before moving on, and one table keeps memory bounded."""
+    """The atom table of the most recent (a, wp) only, read by the orthogonality sums and the
+    brute force, never by Heine's determinant: callers pair all their degrees at one a before
+    moving on, and one table keeps memory bounded."""
     return _Atoms(a, wp)
 
 
 def charlier_orthogonality_sum(ell: int, ellp: int, a, tol, prec: int = 128):
-    """(sum, target): the pairing of pi_l and pi_l' against the atom weights,
-    alongside the exact norm a^l l! delta_{l,l'}.
+    """(sum, target): the pairing of pi_l and pi_l' against the atom weights, alongside the
+    exact norm a^l l! delta_{l,l'}.
 
-    The truncation index is raised until a geometric bound certifies the
-    discarded tail below tol/4; failing that is an error.  Weights and
-    polynomial values are read from the shared atom table `_atoms(a, wp)`,
-    so each atom costs three integer steps at wp, acc += (p q) w, each one
-    rounded to nearest-even by `_rounded` as the libmp step it stands for.
+    a above `_A_BOUND` is refused before any atom.  The truncation index is raised until a
+    geometric bound certifies the discarded tail below tol/4; failing that is an error.  Weights
+    and polynomial values are read from `_atoms(a, wp)`, so each atom costs three integer steps
+    at wp, acc += (p q) w, each rounded to nearest-even by `_rounded` as the libmp step it is.
 
-    The test at atom n needs a/(n+1) < 1/2, n >= floor(2a), and from there
-    on each weight is at most half the one before.  From n >= 1 on, x >= 3/2
-    and the abs-coefficient Horner value |pi_l|(x) of a monic pi_l is >= x^l
-    >= 1, so with 1/(1 - r) >= 1 the bound is >= |pi_l| |pi_l'| w >= w, and
-    it can only pass once w < tol/4.  So the first n >= max(1, floor(2a))
-    with w < tol/2 (the 2 absorbs rounding) is found once, the atoms before
-    it are summed with no test, and from it on the test is skipped wherever
-    the exponents alone give |pi_l| |pi_l'| w >= 2 tol/4.  Neither moves the
-    stopping index.
+    The test at atom n needs a/(n+1) < 1/2, n >= floor(2a), and from there on each weight is at
+    most half the one before.  From n >= 1 on, x >= 3/2 and the abs-coefficient Horner value
+    |pi_l|(x) of a monic pi_l is >= x^l >= 1, so with 1/(1 - r) >= 1 the bound is
+    >= |pi_l| |pi_l'| w >= w, and it can only pass once w < tol/4.  So the first
+    n >= max(1, floor(2a)) with w < tol/2 (the 2 absorbs rounding) is found once, the atoms
+    before it are summed with no test, and from it on the test is skipped wherever the
+    exponents alone give |pi_l| |pi_l'| w >= 2 tol/4.  Neither moves the stopping index.
     """
-    a = _as_fraction(a)
     if ell < 0 or ellp < 0:
         raise ValueError(f"degrees must be >= 0, got l={ell}, l'={ellp}")
-    if a <= 0:
-        raise ValueError(f"parameter a must be positive, got a={a}")
+    a = _positive(a)
+    if a > _A_BOUND:
+        raise ValueError(f"parameter a must be at most {_A_BOUND}, got a={a}")
     deg = ell + ellp
     wp = prec + _GUARD_BITS
     with mp.workprec(wp):
@@ -360,20 +357,30 @@ def charlier_scaling_limit_check(zeta, ell: int, eps, L_list, prec: int) -> Scal
 # Characteristic-polynomial expectations
 # ---------------------------------------------------------------------------
 
-def char_poly_expectation(L: int, a, us, prec: int = 128):
-    """det( pi_{L+k-1}(u_j) )_{j,k=1..N} / prod_{j<k} (u_k - u_j).
+def _det(rows: list[list[Fraction]]) -> Fraction:
+    """The determinant by Fraction elimination: the first row i with a nonzero first entry is
+    the pivot, moved to the top past i rows (sign (-1)^i), the others keeping their order."""
+    det = Fraction(1)
+    while rows:
+        i = next((i for i, row in enumerate(rows) if row[0]), None)
+        if i is None:
+            return Fraction(0)
+        pivot, rows = rows[i], rows[:i] + rows[i + 1:]
+        det *= (-1) ** i * pivot[0]
+        rest = [y / pivot[0] for y in pivot[1:]]
+        rows = [[x - row[0] * y for x, y in zip(row[1:], rest)] for row in rows]
+    return det
 
-    The coefficients of each pi are read from the shared atom table
-    `_atoms(a, prec + _GUARD_BITS)`, which a brute-force average at the same
-    a and precision then reuses.
+
+def char_poly_expectation(L: int, a, us, prec: int = 128):
+    """det( pi_{L+k-1}(u_j) )_{j,k=1..N} / prod_{j<k} (u_k - u_j), Heine's formula, exact.
+
+    Each u is the mpf it converts to at prec + _GUARD_BITS bits, taken exactly (`_ratio`); each
+    entry is one `charlier_value`, and det / Vandermonde (`_det`) is rounded once to prec bits.
     """
-    a = _as_fraction(a)
     if L < 1:
         raise ValueError(f"L must be >= 1, got L={L}")
-    if a <= 0:
-        raise ValueError(f"parameter a must be positive, got a={a}")
-    wp = prec + _GUARD_BITS
-    with mp.workprec(wp):
+    with mp.workprec(prec + _GUARD_BITS):
         us_m = [mp.mpf(u) for u in us]
         n = len(us_m)
         if n < 1:
@@ -381,14 +388,10 @@ def char_poly_expectation(L: int, a, us, prec: int = 128):
         if len(set(us_m)) < n:
             raise ValueError("evaluation points must be distinct, got us="
                              f"{[mp.nstr(u, 17) for u in us_m]}")
-        atoms = _atoms(a, wp)
-        atoms.grow(0, *range(L, L + n))
-        mat = [[_mpf(_horner(atoms.coefficients[L + k], *_dyadic(u)[:2], wp))
-                for k in range(n)] for u in us_m]
-        vdm = mp.fprod(us_m[k] - us_m[j] for j in range(n) for k in range(j + 1, n))
-        val = mp.det(mp.matrix(mat)) / vdm
-    with mp.workprec(prec):
-        return +val
+    xs = [Fraction(*_ratio(u)) for u in us_m]
+    val = _det([[charlier_value(L + k, a, x) for k in range(n)] for x in xs]) / prod(
+        xs[k] - xs[j] for j in range(n) for k in range(j + 1, n))
+    return mp.make_mpf(from_rational(val.numerator, val.denominator, prec, _RND))
 
 
 def _pair_sum(v, wp: int):
@@ -401,25 +404,21 @@ def _pair_sum(v, wp: int):
 def brute_force_expectation(L: int, a, us, n_max: int, prec: int = 128):
     """Direct ensemble average of prod_j det(u_j - M) for L <= 2.
 
-    Sums over atom tuples (x_i = n_i + 1/2, n_i <= n_max) of the squared
-    Vandermonde times the product weights, normalized by the same truncated
-    partition sum.  For L = 2 both are 2 (M0 M2 - M1^2) in the moments
-    M_k = sum_i v_i i^k.  The last shell, n_i = n_max or n_j = n_max, is twice
-    its row 2 sum_j (|v_n v_j| + w_n w_j)(n - j)^2 ((n, n) adds 0); it must sit
-    below a ratio-1/2 geometric bound relative to the accumulated sums,
-    otherwise an error asks for a larger n_max.  The weights e^(-a) a^n / n!
-    are read from the shared atom table `_atoms(a, prec + _GUARD_BITS)`.
+    Sums over atom tuples (x_i = n_i + 1/2, n_i <= n_max) of the squared Vandermonde times the
+    product weights, normalized by the same truncated partition sum.  For L = 2 both are
+    2 (M0 M2 - M1^2) in the moments M_k = sum_i v_i i^k.  The last shell, n_i = n_max or
+    n_j = n_max, is twice its row 2 sum_j (|v_n v_j| + w_n w_j)(n - j)^2 ((n, n) adds 0); it
+    must sit below a ratio-1/2 geometric bound relative to the accumulated sums, otherwise an
+    error asks for a larger n_max.  The weights are read from `_atoms(a, prec + _GUARD_BITS)`.
 
     Per atom, v_n = prod_j (u_j - x_n) w_n runs on (mantissa, exponent) pairs
     by `_rounded`, and the moments and the shell are exact integer sums rounded
     once by `_sum`, so every value is the one the mpf expressions
     fprod(u - x for u in us) * w, fdot(v, i^k) and fsum give, bit for bit.
     """
-    a = _as_fraction(a)
     if L not in (1, 2):
         raise ValueError(f"brute force supports L = 1 or 2 only, got L={L}")
-    if a <= 0:
-        raise ValueError(f"parameter a must be positive, got a={a}")
+    a = _positive(a)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1 (two atoms or more), got {n_max}")
     wp = prec + _GUARD_BITS

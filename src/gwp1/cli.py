@@ -24,6 +24,9 @@ from .waves import normalized_quartet, solve_formal_wave
 from .zmodel import stabilization_check, zmodel_expansion
 
 DEFAULT_PREC = 128
+# exponents the quotient printer writes, N C(N + d, d): N = 9, d = 8 has 218,790 and takes 1.8 s
+# at 133 MiB cold (2-vCPU x86-64); N = 200, d = 2 has 20,301 tuples but 4.1 million exponents
+ZMODEL_EXPONENTS = 250_000
 
 
 class UsageError(Exception):
@@ -163,6 +166,13 @@ def cmd_zmodel(ns: argparse.Namespace):
     if ns.check_stabilization:
         return {"degree": degree, "n": [n, n + 1],
                 "stable": stabilization_check(degree, n, n + 1)}
+    if not ns.miwa:
+        # C(n + d, d) >= 2^min(n, d): past min(n, d) = 64 it is refused without being computed
+        count = math.comb(n + degree, degree) if min(n, degree) <= 64 else None
+        if count is None or n * count > ZMODEL_EXPONENTS:
+            tuples = "> 2^64" if count is None else f"= {count}"
+            raise UsageError(f"zmodel prints C(n + degree, degree) {tuples} exponent tuples "
+                             f"of n = {n} entries; at most {ZMODEL_EXPONENTS} entries in all")
     exp = zmodel_expansion(n, degree)
     if ns.miwa:
         return _miwa_json(exp.log_in_times)

@@ -3,7 +3,7 @@
 Each check is a named, argument-free callable returning a CheckResult; the
 registry order is the canonical reporting order.  The frozen rational values
 here were produced once by the independent oracle routes (triangular solve,
-brute-force ensemble sums, doubled-truncation recomputation) and are treated
+brute-force ensemble sums, the GW/H free energy) and are treated
 as constants afterwards.  The numeric checks read mpmath through `charlier.mp`,
 so it loads with the first of them.
 """

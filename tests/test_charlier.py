@@ -1,5 +1,6 @@
 """Numeric pipeline: Bessel series, Charlier polynomials, limits, ensembles."""
 
+import itertools
 import os
 import pickle
 import random
@@ -8,14 +9,15 @@ import sys
 import time
 import types
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 from mpmath.libmp import (
-    from_int, from_man_exp, fzero, gammazeta, mpf_add, mpf_div, mpf_mul, mpf_sum, round_nearest,
+    from_int, from_man_exp, from_rational, fzero, gammazeta, mpf_add, mpf_div, mpf_mul, mpf_sum,
+    round_nearest,
 )
 
 from gwp1 import charlier, special
@@ -908,6 +910,19 @@ def test_orthogonality_rejects_bad_input_before_the_table():
     assert info.currsize == 0 and info.misses == 0
 
 
+def test_orthogonality_refuses_a_past_its_bound_before_the_table():
+    tol = Fraction(1, 10**20)
+    _atoms.cache_clear()
+    for a in (10**6, Fraction(20001, 2)):
+        for call in (charlier_orthogonality_sum, charlier_orthogonality_check):
+            with pytest.raises(ValueError, match=f"a must be at most 10000, got a={a}"):
+                call(1, 1, a, tol, 128)
+    info = _atoms.cache_info()
+    assert info.currsize == 0 and info.misses == 0
+    # the bound itself is summed
+    assert charlier_orthogonality_check(0, 0, 10_000, tol, 64)
+
+
 @pytest.mark.parametrize("fn, args, message", [
     (bessel_j, (1, -1, 64), "x must be positive, got x=-1"),
     (charlier_poly, (-1, 1), "degree must be >= 0, got ell=-1"),
@@ -1168,6 +1183,62 @@ def test_brute_force_agrees_with_determinant():
         brute_force_expectation(3, 1, [mp.mpf(3)], 60, 64)
     with pytest.raises(ValueError):
         brute_force_expectation(1, 1, [mp.mpf(3)], 2, 64)
+
+
+def leibniz_det(rows):
+    """det(rows) as the signed sum over permutations, exact."""
+    n = len(rows)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+def heine_reference(L, a, xs, prec):
+    """Heine's quotient for exact points xs, from the recurrence's coefficients
+    (`eval_exact`) and a Leibniz determinant, rounded once to nearest at prec bits."""
+    polys = [charlier_poly(L + k, a) for k in range(len(xs))]
+    det = leibniz_det([[p.eval_exact(x) for p in polys] for x in xs])
+    val = det / prod(xs[k] - xs[j] for j in range(len(xs)) for k in range(j + 1, len(xs)))
+    return mp.make_mpf(from_rational(val.numerator, val.denominator, prec, round_nearest))
+
+
+def as_mpfs(xs):
+    """Dyadic Fractions as the mpfs that hold them exactly."""
+    with mp.workprec(400):
+        return [mp.mpf(x.numerator) / x.denominator for x in xs]
+
+
+# the points of NEAR differ in bit 100: a determinant and a Vandermonde in floating point lose
+# about 78 of the 128 bits there, the exact quotient none; a = 5/2 puts a zero at pi_1(3)
+NEAR = (Fraction(3), 3 + Fraction(1, 2**100))
+THREE = (Fraction(3), Fraction(9, 2), Fraction(-5, 4))
+HEINE_CASES = [
+    pytest.param(L, Fraction(7, 3), NEAR, 128, id=f"near-L{L}") for L in (1, 2, 5, 8)
+] + [
+    pytest.param(L, a, xs, prec, id=f"{name}-{prec}")
+    for prec in (64, 128, 768) for name, L, a, xs in (
+        ("three-L1", 1, Fraction(7, 3), THREE), ("three-L8", 8, Fraction(7, 3), THREE),
+        ("zero-pivot", 1, Fraction(5, 2), THREE[:2]),
+        ("zero-pivot-three", 1, Fraction(5, 2), THREE))
+]
+
+
+@pytest.mark.parametrize("L, a, xs, prec", HEINE_CASES)
+def test_char_poly_expectation_is_the_rounded_heine_quotient(L, a, xs, prec):
+    assert char_poly_expectation(L, a, as_mpfs(xs), prec) == heine_reference(L, a, xs, prec)
+
+
+def test_zero_pivot_case_has_a_zero_first_pivot():
+    assert charlier_poly(1, Fraction(5, 2)).eval_exact(Fraction(3)) == 0
+
+
+def test_char_poly_expectation_reads_no_atom_table():
+    before = _atoms.cache_info()
+    char_poly_expectation(2, Fraction(7, 3), [3, "4.5"], 128)
+    char_poly_expectation(5, Fraction(1, 1000), as_mpfs(NEAR), 768)
+    assert _atoms.cache_info() == before
 
 
 def test_brute_force_rejects_fewer_than_two_atoms():

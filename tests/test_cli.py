@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import gwp1
-from gwp1 import invariants
+from gwp1 import invariants, zmodel
 from gwp1.cli import main
 from gwp1.epslaurent import EpsLaurent
 
@@ -57,6 +57,8 @@ USAGE_ERRORS = {
         ("60 + prec/8 + 8a atoms, at most 10000", "got 16076 (a=2000, prec=128)"),
     ("charlier", "--check", "charpoly", "--prec", "80000"):
         ("60 + prec/8 + 8a atoms, at most 10000", "got 10068 (a=1, prec=80000)"),
+    ("charlier", "--check", "orthogonality", "--a", "1000000"):
+        ("a must be at most 10000", "got a=1000000"),
     ("charlier", "--check", "limit", "--L", "20"): ("at least two sizes", "got [20]"),
     ("charlier", "--check", "limit", "--L", "20", "40", "20"): ("distinct", "repeated: [20]"),
     ("zmodel", "--n", "6", "--degree", "6"): ("nvars > degree", "nvars=6, degree=6"),
@@ -65,6 +67,14 @@ USAGE_ERRORS = {
     ("zmodel", "--n", "3", "--degree", "3"): ("nvars > degree", "nvars=3, degree=3"),
     ("zmodel", "--n", "3", "--degree", "3", "--check-stabilization"):
         ("nvars > degree", "nvars=3, degree=3"),
+    ("zmodel", "--n", "31", "--degree", "30"):
+        ("at most 250000 entries", "= 232714176627630544 exponent tuples of n = 31"),
+    ("zmodel", "--n", "10", "--degree", "9"):
+        ("at most 250000 entries", "= 92378 exponent tuples of n = 10"),
+    ("zmodel", "--n", "2000", "--degree", "1"):
+        ("at most 250000 entries", "= 2001 exponent tuples of n = 2000"),
+    ("zmodel", "--n", "1000001", "--degree", "1000000"):
+        ("at most 250000 entries", "> 2^64 exponent tuples of n = 1000001"),
     ("invariant", "--ks", "x,y"): ("malformed ks list", "'x,y'"),
     ("invariant", "--ks", "1,-1"): ("k must be >= 0", "ks=(1, -1)"),
     ("wave", "--which", "f", "--order", "-1"): ("order must be >= 0", "order=-1"),
@@ -345,6 +355,29 @@ def test_charlier_eps_past_the_bessel_bound_is_usage_error(capsys, check, eps, v
     out, err = capsys.readouterr()
     assert code == 2 and out == "" and time.perf_counter() - start < 2
     assert err.startswith("usage error: ") and "x <= 4096" in err and value in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["zmodel", "--n", "31", "--degree", "30"],
+    ["zmodel", "--n", "10", "--degree", "9"],
+    ["zmodel", "--n", "2000", "--degree", "1"],
+    ["zmodel", "--n", "1000001", "--degree", "1000000"],
+])
+def test_zmodel_quotient_is_counted_before_it_is_built(monkeypatch, capsys, argv):
+    # the printer's n C(n + degree, degree) exponents are refused before any Plucker coordinate
+    def refuse(degree):
+        raise AssertionError("a refused quotient built a Plucker coordinate")
+    monkeypatch.setattr(zmodel, "plucker_coordinates", refuse)
+    start = time.perf_counter()
+    assert_usage_error(capsys, argv)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("flag", ["--miwa", "--check-stabilization"])
+def test_zmodel_quotient_bound_leaves_the_log_and_the_check_alone(capsys, flag):
+    # neither prints the quotient, so its count does not limit them
+    code, out = run(capsys, "zmodel", "--n", "10", "--degree", "9", flag)
+    assert code == 0 and json.loads(out)
 
 
 @pytest.mark.parametrize("argv", [
