@@ -13,12 +13,12 @@ pi_l(x; a) = (-a)^l sum_i (-l)_i (1/2 - x)_i / i! (-1/a)^i, cross-checked agains
 recurrence point by point (`charlier_value`), gives the scaling check its values and Heine's
 determinant (`char_poly_expectation`) its exact entries.
 
-Only the orthogonality sums and the brute-force ensemble read the shared table of atoms,
-`_atoms`, kept for the most recent (a, working precision) only: the weights, each pi_l's
-coefficients and values pi_l(n + 1/2) and the tail bound's pair-free parts, as (mantissa,
-exponent) pairs of ints grown on first need.  Each step on them is one of `special`'s correctly
-rounded steps, so every value is bit-identical to its mpf expression.  The brute force sums its
-L = 2 pairs as moment forms 2 (M0 M2 - M1^2), each moment one exact integer sum rounded once.
+Only the orthogonality sums read the shared table of atoms, `_atoms`, kept for the most
+recent (a, working precision) only: the weights, each pi_l's coefficients and values
+pi_l(n + 1/2) and the tail bound's pair-free parts, as (mantissa, exponent) pairs of ints grown
+on first need.  Each step on them is one of `special`'s correctly rounded steps, so every value
+is bit-identical to its mpf expression.  The brute-force ensemble average, like Heine's
+determinant, is one exact ratio rounded once: of the truncated atoms' integer moments.
 
 All truncated sums carry explicit tail bounds; precision is always an explicit argument.  `mp`
 is this module's own `special._Mpmath` stand-in, bound on its first numeric call.
@@ -29,12 +29,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial, lcm, prod
 from typing import NamedTuple
 
 from .special import (
-    _GUARD_BITS, _Mpmath, _as_fraction, _dyadic, _horner, _mpf, _quotient, _ratio, _rounded, _sum,
-    _to_mpf, bessel_j, difference_equation_residual, gamma_real, numeric_f, numeric_wronskian,
+    _GUARD_BITS, _Mpmath, _as_fraction, _dyadic, _horner, _moments, _mpf, _quotient, _ratio,
+    _rounded, _to_mpf, bessel_j, difference_equation_residual, gamma_real, numeric_f,
+    numeric_wronskian,
 )
 from .waves import normalized_quartet
 
@@ -126,7 +127,7 @@ def charlier_value(ell: int, a, x) -> Fraction:
 
 
 class _Atoms:
-    """The atoms x_n = n + 1/2 of one (a, wp), grown one atom at a time.
+    """The orthogonality sums' atoms x_n = n + 1/2 of one (a, wp), grown one atom at a time.
 
     `weights[n]` = e^(-a) a^n / n!, `coefficients[l]` (pi_l's), `values[l][n]` = pi_l(x_n) and
     `bounds[l, n]` = |pi_l|(x_n) are (mantissa, exponent) pairs at wp bits, each rounded as the
@@ -186,9 +187,8 @@ _A_BOUND = 10_000  # the largest a summed: cold orthogonality at 768 bits, 1.9 s
 
 @lru_cache(maxsize=1)
 def _atoms(a: Fraction, wp: int) -> _Atoms:
-    """The atom table of the most recent (a, wp) only, read by the orthogonality sums and the
-    brute force, never by Heine's determinant: callers pair all their degrees at one a before
-    moving on, and one table keeps memory bounded."""
+    """The atom table of the most recent (a, wp) only, read by the orthogonality sums alone:
+    they pair all their degrees at one a before moving on, and one table keeps memory bounded."""
     return _Atoms(a, wp)
 
 
@@ -287,7 +287,8 @@ class AsymptoticReport(NamedTuple):
 def asymptotic_match_check(z, eps, order: int, prec: int) -> AsymptoticReport:
     """Compare (eps*z/e)^(-z) f(z) against the truncated formal wave series sum_d h_d(eps) z^d,
     h = `normalized_quartet(order)`[0], at z and eps rounded to prec + _GUARD_BITS bits: the
-    sum is taken exactly, as a Laurent polynomial in eps evaluated at eps, and rounded once."""
+    sum is one exact integer ratio over z_n^order e_n^-lo e_d^hi, z = z_n/z_d and eps = e_n/e_d
+    read exactly (`_ratio`), d <= 0 and lo <= e <= hi the eps powers, and is rounded once."""
     wp = prec + _GUARD_BITS
     with mp.workprec(wp):
         z_m = _to_mpf(z)
@@ -295,9 +296,12 @@ def asymptotic_match_check(z, eps, order: int, prec: int) -> AsymptoticReport:
             raise ValueError(f"the formal series expands at z -> +oo: need z > 0, got z={z}")
         eps_m = _to_mpf(eps)
         numeric = numeric_f(z_m, eps_m, wp) * mp.power(eps_m * z_m / mp.e, -z_m)
-        h, (z_q, eps_q) = normalized_quartet(order)[0], (Fraction(*_ratio(v)) for v in (z_m, eps_m))
-        exact = sum(h.coeff(d) * z_q**d for d in range(h.top, -order - 1, -1)).eval(eps_q)
-        formal = mp.make_mpf(from_rational(exact.numerator, exact.denominator, wp, _RND))
+        h, (z_n, z_d), (e_n, e_d) = normalized_quartet(order)[0], _ratio(z_m), _ratio(eps_m)
+        den = lcm(*(c.den for c in h.c.values()))
+        lo, hi = min(exps := [0] + [e for c in h.c.values() for e in c.num]), max(exps)
+        total = sum(v * (den // c.den) * z_n ** (order + d) * z_d**-d * e_n ** (e - lo)
+                    * e_d ** (hi - e) for d, c in h.c.items() for e, v in c.num.items())
+        formal = mp.make_mpf(from_rational(total, den * z_n**order * e_n**-lo * e_d**hi, wp, _RND))
         abs_err = abs(numeric - formal)
         rel_err = abs_err / abs(numeric)
     with mp.workprec(prec):
@@ -394,68 +398,55 @@ def char_poly_expectation(L: int, a, us, prec: int = 128):
     return mp.make_mpf(from_rational(val.numerator, val.denominator, prec, _RND))
 
 
-def _pair_sum(v, wp: int):
-    """sum_{i,j} v_i v_j (i - j)^2 = 2 (M0 M2 - M1^2), M_k = sum_i v_i i^k,
-    over (mantissa, exponent) pairs v_i, at the caller's working precision wp."""
-    m0, m1, m2 = (_mpf(_sum(((m * i**k, e) for i, (m, e) in enumerate(v)), wp)) for k in range(3))
-    return 2 * (m0 * m2 - m1 * m1)
-
-
 def brute_force_expectation(L: int, a, us, n_max: int, prec: int = 128):
-    """Direct ensemble average of prod_j det(u_j - M) for L <= 2.
+    """Direct ensemble average of prod_j det(u_j - M), L <= 2, over the atoms x_n = n + 1/2,
+    n <= N = n_max, as one exact ratio rounded once to prec bits.
 
-    Sums over atom tuples (x_i = n_i + 1/2, n_i <= n_max) of the squared Vandermonde times the
-    product weights, normalized by the same truncated partition sum.  For L = 2 both are
-    2 (M0 M2 - M1^2) in the moments M_k = sum_i v_i i^k.  The last shell, n_i = n_max or
-    n_j = n_max, is twice its row 2 sum_j (|v_n v_j| + w_n w_j)(n - j)^2 ((n, n) adds 0); it
-    must sit below a ratio-1/2 geometric bound relative to the accumulated sums, otherwise an
-    error asks for a larger n_max.  The weights are read from `_atoms(a, prec + _GUARD_BITS)`.
-
-    Per atom, v_n = prod_j (u_j - x_n) w_n runs on (mantissa, exponent) pairs
-    by `_rounded`, and the moments and the shell are exact integer sums rounded
-    once by `_sum`, so every value is the one the mpf expressions
-    fprod(u - x for u in us) * w, fdot(v, i^k) and fsum give, bit for bit.
+    With a = p/q the weights are W_n = p^n q^(N-n) N!/n!, e^(-a) q^N N! cancelling.  Each u is
+    its mpf at prec + _GUARD_BITS bits, taken exactly (`_ratio`); over their common power-of-two
+    denominator s, V_n = W_n (2s)^J prod_j (u_j - x_n) = W_n sum_i c_i n^i has the moments
+    M_k = sum_i c_i S_(i+k) (`_moments`).  L = 1 is M_0 / S_0, L = 2 the pair-sum ratio
+    (M0 M2 - M1^2) / (S0 S2 - S1^2).  The last shell, |v_N| + w_N for L = 1 and twice the row
+    2 sum_j (|v_N v_j| + w_N w_j)(N - j)^2 for L = 2, is exact too: past the largest u_j,
+    |V_n| = (-1)^J V_n, so the row's absolute moments are (-1)^J M_k corrected at the atoms
+    below.  Twice the shell must lie below 2^(-prec/2) of the normalizer, or n_max is refused.
     """
     if L not in (1, 2):
         raise ValueError(f"brute force supports L = 1 or 2 only, got L={L}")
     a = _positive(a)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1 (two atoms or more), got {n_max}")
-    wp = prec + _GUARD_BITS
-    with mp.workprec(wp):
-        a_m = _to_mpf(a)
-        if a_m / (n_max + 1) >= mp.mpf(1) / 4:
-            raise ValueError("n_max too small for a convergent tail bound")
-        us_m = [mp.mpf(u) for u in us]
-        if not us_m:
-            raise ValueError("need at least one evaluation point")
-        atoms = _atoms(a, wp)
-        atoms.grow(n_max)
-        weights = atoms.weights[:n_max + 1]
-        points = [_dyadic(u)[:2] for u in us_m]
-        vs = []
-        for n, (w_man, w_exp) in enumerate(weights):
-            v, v_exp = 1, 0
-            for u_man, u_exp in points:
-                d, d_exp = _rounded(u_man, u_exp, wp, -(2 * n + 1), -1)
-                v, v_exp = _rounded(v * d, v_exp + d_exp, wp)
-            vs.append(_rounded(v * w_man, v_exp + w_exp, wp))
-        if L == 1:
-            num, den = _mpf(_sum(vs, wp)), _mpf(_sum(weights, wp))
-            shell = abs(_mpf(vs[-1])) + _mpf(weights[-1])
-        else:
-            num, den = _pair_sum(vs, wp), _pair_sum(weights, wp)
-            (v_last, vl_exp), (w_last, wl_exp) = vs[-1], weights[-1]
-            row = []
-            for j, ((v, v_exp), (w, w_exp)) in enumerate(zip(vs, weights)):
-                t, t_exp = _rounded(*_rounded(abs(v_last * v), vl_exp + v_exp, wp),
-                                    wp, *_rounded(w_last * w, wl_exp + w_exp, wp))
-                row.append(_rounded(t * (n_max - j) ** 2, t_exp, wp))
-            shell = 2 * _mpf(_sum(row, wp))
-        # ratio-1/4 weight decay makes each further shell at most ~half the
-        # previous one even against polynomial growth, so 2*shell bounds the tail
-        if 2 * shell > abs(den) * mp.mpf(2) ** (-prec // 2):
-            raise ValueError("truncation tail too large; increase n_max")
-        val = num / den
-    with mp.workprec(prec):
-        return +val
+    p, q = a.numerator, a.denominator
+    if 4 * p >= (n_max + 1) * q:
+        raise ValueError("n_max too small for a convergent tail bound")
+    with mp.workprec(prec + _GUARD_BITS):
+        points = [_ratio(mp.mpf(u)) for u in us]
+    if not points:
+        raise ValueError("need at least one evaluation point")
+    s = max(den for _, den in points)
+    roots = [2 * num * (s // den) - s for num, den in points]  # 2s (u_j - 1/2)
+    c = [1]  # prod_j (root_j - 2sn) = sum_i c_i n^i
+    for r in roots:
+        c = [r * ci - 2 * s * lower for ci, lower in zip(c + [0], [0] + c)]
+    S = _moments(p, q, n_max, len(c) + 2 * L - 2)
+    M = [sum(ci * S[i + k] for i, ci in enumerate(c)) for k in range(2 * L - 1)]
+    scale, w_last = (2 * s) ** len(roots), p**n_max
+    v_last = abs(w_last * prod(r - 2 * s * n_max for r in roots))
+    if L == 1:
+        num, den = M[0], scale * S[0]
+        shell = v_last + scale * w_last
+    else:
+        num, den = M[0] * M[2] - M[1] ** 2, scale**2 * (S[0] * S[2] - S[1] ** 2)
+        sign, w = (-1) ** len(roots), q**n_max * factorial(n_max)
+        row = sign * (n_max**2 * M[0] - 2 * n_max * M[1] + M[2])  # sum_n |V_n| (N - n)^2
+        for n in range(min(-(-max(roots) // (2 * s)), n_max + 1)):
+            v = w * prod(r - 2 * s * n for r in roots)
+            row += (abs(v) - sign * v) * (n_max - n) ** 2
+            w = w * p // (q * (n + 1))
+        shell = v_last * row + scale**2 * w_last * (n_max**2 * S[0] - 2 * n_max * S[1] + S[2])
+    # ratio-1/4 weight decay makes each further shell at most ~half the
+    # previous one even against polynomial growth, so 2*shell bounds the tail
+    if shell << -(-prec // 2) + 1 > den:
+        raise ValueError("truncation tail too large; increase n_max")
+    man, exp = _quotient(abs(num), 0, den, prec)
+    return _mpf((-man if num < 0 else man, exp))

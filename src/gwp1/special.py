@@ -13,12 +13,13 @@ too, for x up to `_X_BOUND`, and each sum comes back exact (`_bessel_sums`).  `b
 the sums and round once.  One bounded table, `_held`, keeps the transcendental inputs
 1/Gamma(1 + phi), (x/2)^phi, cos(pi z) and sqrt(pi/(2 eps)), all of exact rationals, at the
 highest precision asked so far.  Gamma and Bessel take a Fraction exactly and an mpf as the
-dyadic value it holds.
+dyadic value it holds.  The truncated exponential sum_{i <= m} a^i/i!, e^a Gamma(m+1, a)/m!,
+gives the truncated Poisson weights their exact integer moments (`_moments`).
 
 The steps on (mantissa, exponent) pairs of Python ints form the exact quotient, product or
-sum and round it once, ties to even (`_quotient`, `_rounded`, `_horner`, `_sum`), as libmp's
-correctly rounded mpf_div, mpf_mul, mpf_add and mpf_sum do, so every value is bit-identical
-to its mpf expression.
+sum and round it once, ties to even (`_quotient`, `_rounded`, `_horner`), as libmp's
+correctly rounded mpf_div, mpf_mul and mpf_add do, so every value is bit-identical to its
+mpf expression.
 
 Precision is always an explicit argument.  mpmath loads on the first numeric call: each
 numeric module holds its own stand-in `mp = _Mpmath(globals())`, whose first attribute read
@@ -221,6 +222,37 @@ def _rgamma_stirling(a_num: int, q: int, wp: int):
     return from_man_exp(*_dyadic(val)[:2], wp, _RND)
 
 
+def _steps(p: int, q: int, lo: int, hi: int) -> tuple[int, int, int]:
+    """(f, g, p^(hi-lo)) with e_hi = f e_lo + p^lo g for e_m = m q e_(m-1) + p^m; past 64 steps
+    the two halves' maps are composed (binary splitting), so long runs multiply balanced ints."""
+    if hi - lo > 64:
+        mid = (lo + hi) // 2
+        (f, g, d), (f_hi, g_hi, d_hi) = _steps(p, q, lo, mid), _steps(p, q, mid, hi)
+        return f_hi * f, f_hi * g + d * g_hi, d * d_hi
+    f, g, d = 1, 0, 1
+    for m in range(lo + 1, hi + 1):
+        d *= p
+        f, g = m * q * f, m * q * g + d
+    return f, g, d
+
+
+def _moments(p: int, q: int, n_max: int, count: int) -> list[int]:
+    """S_k = sum_{n <= N} W_n n^k, k < count, W_n = p^n q^(N-n) N!/n!, N = n_max, as sum_j
+    S(k, j) T_j: S(k, j) the Stirling numbers of the second kind, T_j = sum_n W_n n!/(n-j)! =
+    p^j N!/(N-j)! e_(N-j), zero past j = N, e_m = sum_{i <= m} p^i q^(m-i) m!/i! the truncated
+    exponential (`_steps`).  The recurrence run down gives T_(j+1) = p (T_j - p^N N!/(N-j)!)/q."""
+    f, g, r = _steps(p, q, 0, n_max)
+    sums = [f + g]
+    for j in range(min(count, n_max + 1) - 1):
+        sums.append(p * (sums[-1] - r) // q)
+        r *= n_max - j
+    moments, row = [], [1]  # row = S(k, j), j <= k
+    for k in range(count):
+        moments.append(sum(s * t for s, t in zip(row, sums)))
+        row = [j * s + prev for j, (s, prev) in enumerate(zip(row + [0], [0] + row))]
+    return moments
+
+
 def _bessel_sum(term: int, m: int, y_num: int, den_shift: int, n_int: int, q: int,
                 tail_bits: int, cap: int) -> tuple[int, int]:
     """(sum, largest |T|) of `bessel_j`'s scaled series from T_m on, in two loops.  The first
@@ -408,7 +440,7 @@ def _rounded(man, exp, wp: int, other=0, other_exp=0):
 
 
 def _quotient(man, exp, n: int, wp: int):
-    """The (mantissa, exponent) pair of man 2^exp / n, man > 0, rounded once to
+    """The (mantissa, exponent) pair of man 2^exp / n, man >= 0, rounded once to
     wp bits, ties to even, as libmp's mpf_div at round_nearest: the quotient to
     wp + 5 bits or more, with a sticky bit below it for a nonzero remainder."""
     shift = max(wp - man.bit_length() + n.bit_length() + 5, 5)
@@ -422,29 +454,3 @@ def _horner(coefficients, x_man, x_exp, wp: int):
     for c_man, c_exp in reversed(coefficients[:-1]):
         acc, acc_exp = _rounded(*_rounded(acc * x_man, acc_exp + x_exp, wp), wp, c_man, c_exp)
     return acc, acc_exp
-
-def _sum(terms, wp: int):
-    """libmp's mpf_sum at wp bits, round_nearest, on (mantissa, exponent) pairs: the exact
-    sum, rounded once.  As there, with each term normalised to an odd mantissa, a term whose
-    top bit lies more than 2 wp bits below the running sum's exponent is dropped, and one
-    whose exponent lies more than 2 wp bits above the running sum's top bit replaces it."""
-    limit = 2 * wp
-    acc = acc_exp = 0
-    for man, exp in terms:
-        if not man:
-            continue
-        zeros = (man & -man).bit_length() - 1
-        man >>= zeros
-        exp += zeros
-        delta = exp - acc_exp
-        if delta >= 0:
-            if delta > limit and (not acc or delta - abs(acc).bit_length() > limit):
-                acc, acc_exp = man, exp
-            else:
-                acc += man << delta
-        elif -delta - abs(man).bit_length() > limit:
-            if not acc:
-                acc, acc_exp = man, exp
-        else:
-            acc, acc_exp = (acc << -delta) + man, exp
-    return _rounded(acc, acc_exp, wp)

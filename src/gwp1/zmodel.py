@@ -147,14 +147,21 @@ class SymmetricQuotient(NamedTuple):
 
 
 def _arrangements(values: tuple[int, ...]):
-    """The distinct orderings of a tuple with repeated entries."""
-    if not values:
-        yield ()
-        return
-    for v in set(values):
-        i = values.index(v)
-        for rest in _arrangements(values[:i] + values[i + 1:]):
-            yield (v,) + rest
+    """The distinct orderings of a tuple with repeated entries, in increasing order: from the
+    sorted tuple on, each the next by the next-permutation step (Knuth, TAOCP 7.2.1.2, L)."""
+    a = sorted(values)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = reversed(a[i + 1:])
 
 
 class ZModelExpansion(NamedTuple):

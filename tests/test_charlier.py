@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 from mpmath.libmp import (
-    from_int, from_man_exp, from_rational, fzero, gammazeta, mpf_add, mpf_div, mpf_mul, mpf_sum,
+    from_int, from_man_exp, from_rational, fzero, gammazeta, mpf_add, mpf_div, mpf_mul,
     round_nearest,
 )
 
@@ -40,7 +40,6 @@ from gwp1.special import (
     _quotient,
     _rgamma,
     _rounded,
-    _sum,
     bessel_j,
     gamma_real,
     numeric_f,
@@ -849,8 +848,8 @@ def test_stop_parts_match_the_fresh_expression():
 
 def test_orthogonality_sums_ignore_table_state():
     # interleaved (a, prec), so each group starts on a new table; both orders
-    # of a pair, the same pair cold and warm, and a table whose weights
-    # brute_force_expectation grew first
+    # of a pair, the same pair cold and warm, and a first table after a
+    # brute_force_expectation call, which reads none
     _atoms.cache_clear()
     us = [mp.mpf(3), mp.mpf("4.5")]
     brute_force_expectation(2, Fraction(1), us, 60, 128)
@@ -1012,6 +1011,23 @@ def test_exact_brackets_match_the_mpf_combination(prec):
         formal, ref = asymptotic_match_check(z, 1, 3, prec).formal, mpf_formal(z, 3, prec)
         with mp.workprec(prec + 64):
             assert abs(formal - ref) <= abs(ref) * mp.mpf(2) ** -prec, z
+
+
+@pytest.mark.parametrize("prec", [64, 256])
+def test_asymptotic_formal_side_is_the_rounded_exact_sum(prec):
+    # sum_d h_d(eps) z^d as Fractions, at z and eps as the mpfs they convert to at
+    # prec + 30 bits, rounded once: the integer route must give it at dyadic and
+    # non-dyadic points alike, not only at eps = 1 and integer z
+    for order, z, eps in itertools.product((0, 1, 3, 4), (20, "5.25", Fraction(31, 3)),
+                                           (1, Fraction(1, 2), Fraction(3, 7), "0.3")):
+        with mp.workprec(prec + _GUARD_BITS):
+            z_q, eps_q = (Fraction(*special._ratio(special._to_mpf(Fraction(v)))) for v in (z, eps))
+        h = normalized_quartet(order)[0]
+        exact = sum(h.coeff(d) * z_q**d for d in range(h.top, -order - 1, -1)).eval(eps_q)
+        want = mp.make_mpf(from_rational(exact.numerator, exact.denominator, prec + _GUARD_BITS,
+                                         round_nearest))
+        with mp.workprec(prec):
+            assert asymptotic_match_check(z, eps, order, prec).formal == +want, (order, z, eps)
 
 
 # one-place edits of special.py's exact brackets, each with the tier-1 check that catches it
@@ -1384,31 +1400,59 @@ def test_brute_force_weights_bit_identical(a, prec):
                     == brute_force_reference(L, a, us_m, n_max, prec)), (L, us_m)
 
 
-@pytest.mark.parametrize("wp", [53, 158, 330, 797])
-def test_sum_matches_mpf_sum(wp):
-    """`_sum` is libmp's mpf_sum at wp bits, round_nearest, bit for bit,
-    including its rules that drop a term far below the running sum and let
-    one far above replace it, which decide exact ties."""
-    def check(pairs):
-        want = mpf_sum([from_man_exp(m, e) for m, e in pairs], wp, round_nearest)
-        assert from_man_exp(*_sum(pairs, wp)) == want, pairs
-        return want
+def exact_brute_force_reference(L, a, us, n_max, prec):
+    """The truncated ensemble average as the literal sum over exact atoms n + 1/2 and weights
+    a^n/n!, for L = 2 the double sum over ordered atom pairs, with the shell and its check as
+    `brute_force_expectation` defines them, rounded once to nearest at prec bits."""
+    if 4 * a >= n_max + 1:
+        raise ValueError("n_max too small for a convergent tail bound")
+    with mp.workprec(prec + _GUARD_BITS):
+        us_q = [(-1) ** sign * Fraction(2) ** e * m
+                for sign, m, e, _ in (mp.mpf(u)._mpf_ for u in us)]
+    xs = [n + Fraction(1, 2) for n in range(n_max + 1)]
+    ws = [a**n / factorial(n) for n in range(n_max + 1)]
+    dets = [prod(u - x for u in us_q) for x in xs]
+    if L == 1:
+        num, den = sum(w * d for w, d in zip(ws, dets)), sum(ws)
+        shell = abs(ws[-1] * dets[-1]) + ws[-1]
+    else:
+        num = den = shell = 0
+        for i, j in itertools.product(range(n_max + 1), repeat=2):
+            vdm2_ww = (xs[i] - xs[j]) ** 2 * ws[i] * ws[j]
+            num += dets[i] * dets[j] * vdm2_ww
+            den += vdm2_ww
+            if n_max in (i, j):
+                shell += abs(dets[i] * dets[j] * vdm2_ww) + vdm2_ww
+    if 2 * shell > den * Fraction(2) ** (-prec // 2):
+        raise ValueError("truncation tail too large; increase n_max")
+    val = num / den
+    return mp.make_mpf(from_rational(val.numerator, val.denominator, prec, round_nearest))
 
-    rng = random.Random(wp)
-    for _ in range(300):
-        pairs, exp = [], rng.randint(-4 * wp, 4 * wp)
-        for _ in range(rng.randint(0, 12)):
-            exp += rng.choice((rng.randint(-40, 40), rng.randint(-4 * wp, 4 * wp)))
-            man = rng.getrandbits(rng.randint(1, 3 * wp)) << rng.randint(0, 5)
-            pairs.append((rng.choice((1, -1)) * man, exp))
-        check(pairs)
-    tie = (1 << wp) + 1  # halfway between two wp-bit numbers: rounds to even, down
-    for pairs in ([(tie, 0), (1, -3 * wp)],  # the tiny term is dropped
-                  [(1, 0), (tie, 2 * wp + 2)],  # the tiny sum is replaced
-                  [(-tie, 0), (-1, -3 * wp)],
-                  # the same two rules, decided on the normalised exponents
-                  [(tie << 10, -10), (1, -2 * wp - 5)],
-                  [(1, 0), (tie << 10, 2 * wp - 8)]):
-        exact = mpf_sum([from_man_exp(m, e) for m, e in pairs], 0)
-        assert check(pairs) != mpf_add(exact, fzero, wp, round_nearest)
-    assert check([]) == fzero and check([(0, 5), (3, 1), (-3, 1)]) == fzero
+
+@pytest.mark.parametrize("prec", [24, 128])
+@pytest.mark.parametrize("a", [Fraction(1), Fraction(7, 3), Fraction(1, 1000)])
+def test_brute_force_is_the_rounded_exact_ratio(a, prec):
+    # n_max from 1 to 6 lies below the moment order (up to J + 2 = 5) at its small end, and
+    # the bench's 40 + prec/8 is past every tail; the clustered points put four atoms below
+    # the largest point, where the shell's absolute moments differ from the signed ones
+    point_sets = [[mp.mpf(u) for u in us] for us in BRUTE_US + [("3", "4.5", "-1.25")]]
+    point_sets.append(clustered_points(prec + _GUARD_BITS)[:3])
+    values = short = 0
+    for L, us, n_max in itertools.product((1, 2), point_sets, (1, 2, 3, 4, 5, 6, 40 + prec // 8)):
+        try:
+            want = exact_brute_force_reference(L, a, us, n_max, prec)
+        except ValueError as error:
+            with pytest.raises(ValueError, match=f"^{error}$"):
+                brute_force_expectation(L, a, us, n_max, prec)
+        else:
+            assert brute_force_expectation(L, a, us, n_max, prec) == want, (L, us, n_max)
+            values += 1
+            short += n_max < len(us) + 2 * L - 2  # the top moment's S_(J+2L-2) is past n = N
+    assert values >= 10 and short >= 5 * (a < 1 and prec < 64)
+
+
+def test_brute_force_reads_no_atom_table():
+    before = _atoms.cache_info()
+    brute_force_expectation(2, Fraction(7, 3), [3, "4.5"], 60, 128)
+    brute_force_expectation(1, Fraction(1, 1000), as_mpfs(NEAR), 60, 768)
+    assert _atoms.cache_info() == before

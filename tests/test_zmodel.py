@@ -14,6 +14,7 @@ from gwp1 import miwa, waves, zmodel
 from gwp1.waves import affine_diagonals, solve_formal_wave, wave_shift
 from gwp1.zmodel import (
     ZModelExpansion,
+    _arrangements,
     _column_chain,
     _det,
     _minor,
@@ -208,6 +209,16 @@ def test_quotient_reads_every_arrangement(nvars, degree):
     for t in product(range(-degree, 2), repeat=nvars):
         if sum(t) >= -degree:
             assert q.coeff(t) == full.get(t, EpsLaurent.zero()), t
+
+
+def test_arrangements_are_the_distinct_permutations():
+    for t in [(), (0,), (-1, 0, 0), (-2, -1, -1, 0, 0), (3, 1, 2, 1), (-1, -1, -1)]:
+        arranged = list(_arrangements(t))
+        assert len(arranged) == len(set(arranged)) and set(arranged) == set(permutations(t)), t
+    # one generator step per tuple, past the recursion limit a frame per entry would hit
+    long = list(_arrangements((-1,) + (0,) * 1199))
+    assert len(long) == len(set(long)) == 1200
+    assert {t.index(-1) for t in long} == set(range(1200)) and all(sum(t) == -1 for t in long)
 
 
 def test_log_in_times_matches_free_energy():
