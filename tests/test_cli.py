@@ -8,9 +8,11 @@ import time
 from pathlib import Path
 
 import pytest
+from mpmath import mp
 
 import gwp1
 from gwp1 import invariants, zmodel
+from gwp1.charlier import charlier_scaling_limit_check
 from gwp1.cli import main
 from gwp1.epslaurent import EpsLaurent
 
@@ -297,6 +299,12 @@ def test_charlier_limit_rows(capsys):
     assert doc["monotone_decreasing"] is True
     for row in doc["rows"]:
         assert set(row) == {"input", "value", "target", "abs_error"}
+    # at low precision the report's own error, taken with the guard bits, differs from
+    # |value - target| of the values rounded to --prec
+    code, doc = run_json(capsys, "charlier", "--check", "limit", "--prec", "16")
+    rep = charlier_scaling_limit_check(0, 0, 1, [20, 40, 80], 16)
+    assert code == 0
+    assert [r["abs_error"] for r in doc["rows"]] == [mp.nstr(e, 6) for _, _, e in rep.rows]
 
 
 def test_charlier_limit_repeated_size_is_usage_error(capsys):
@@ -312,6 +320,14 @@ def test_charlier_residual_rows(capsys):
     for row in doc["rows"]:
         assert row["input"]["eps"] == "1"
         assert float(row["abs_error"]) < 2.0**-64
+        if row["input"]["check"] == "difference":  # no target: the residual is the error
+            assert set(row) == {"input", "abs_error"}
+        else:
+            assert set(row) == {"input", "value", "target", "abs_error"}
+            assert row["target"] == "1"
+    code, doc = run_json(capsys, "charlier", "--check", "residuals")  # sweeps 1/2, 1 and 2
+    assert code == 0 and len(doc["rows"]) == 24
+    assert [r["input"]["eps"] for r in doc["rows"]] == ["1/2"] * 8 + ["1"] * 8 + ["2"] * 8
 
 
 @pytest.mark.parametrize("option", [["--a", "16"], ["--prec", "1024"]])
