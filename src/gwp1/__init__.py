@@ -3,7 +3,15 @@ descendent invariants of the sphere, computed along three independent routes:
 residue formulas over a formal wave-function quartet, the logarithm of a
 determinantal (matrix-model) expansion in scaled time variables, and the
 free energy as the logarithm of the GW/H sum over partitions.
+
+The numeric layer, `gwp1.special` and `gwp1.charlier`, is registered unexecuted:
+`import gwp1`, `from gwp1 import charlier` and every exact query leave both
+uncompiled, and the first attribute read on either module, or on a numeric name
+of the package (`gwp1.bessel_j`), runs it.
 """
+
+import importlib.util
+import sys
 
 from .epslaurent import EpsLaurent
 from .zseries import WindowError, ZSeries
@@ -25,16 +33,36 @@ from .zmodel import (
     zmodel_entry,
     zmodel_expansion,
 )
-from .charlier import (
-    CharlierPolynomial,
-    asymptotic_match_check,
-    brute_force_expectation,
-    char_poly_expectation,
-    charlier_orthogonality_check,
-    charlier_poly,
-    charlier_scaling_limit_check,
-)
-from .special import bessel_j, gamma_real, numeric_f_g
+
+
+def _lazy(name: str):
+    """The submodule `name`, in `sys.modules` and unexecuted until its first attribute read."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+special = _lazy("special")
+charlier = _lazy("charlier")
+_NUMERIC = {
+    **dict.fromkeys(["bessel_j", "gamma_real", "numeric_f_g"], special),
+    **dict.fromkeys(["CharlierPolynomial", "charlier_poly", "charlier_orthogonality_check",
+                     "asymptotic_match_check", "charlier_scaling_limit_check",
+                     "char_poly_expectation", "brute_force_expectation"], charlier),
+}
+
+
+def __getattr__(name: str):
+    if name in _NUMERIC:
+        return getattr(_NUMERIC[name], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_NUMERIC})
+
 
 __version__ = "1.0.0"
 

@@ -430,36 +430,57 @@ def run_fresh(code: str) -> str:
     return proc.stdout
 
 
+# the numeric modules that have run: until then each sits in sys.modules as a lazy module,
+# which any attribute read would run, so only its type is read
+NUMERIC_RAN = "[m for m in ('gwp1.special', 'gwp1.charlier') if type(sys.modules[m]) is type(sys)]"
+
+
 def test_library_import_leaves_the_cli_selftest_and_reflection_out():
     # the library does not depend on its shell or its verification registry, its
-    # records are named tuples, which need neither dataclasses nor inspect, and
-    # mpmath loads on the first numeric call
-    out = run_fresh(
-        "import sys, gwp1; "
+    # records are named tuples, which need neither dataclasses nor inspect, mpmath loads
+    # on the first numeric call, and each numeric module runs at the first read of one of
+    # its names: neither the bench's `from gwp1 import charlier as ch` nor an exact query
+    # runs it
+    out = run_fresh("\n".join([
+        "import sys, gwp1",
         "print(sorted({'dataclasses', 'inspect', 'gwp1.selftest', 'gwp1.cli', 'mpmath'} "
-        "& set(sys.modules))); "
-        "from fractions import Fraction; "
-        "value = gwp1.bessel_j(Fraction(1, 2), 1, 64); "
-        "from mpmath import mp; mp.prec = 128; "
-        "print(abs(value - mp.besselj(mp.mpf(1) / 2, 1)) <= mp.mpf(2) ** -60); "
-        "from gwp1.selftest import run_selftest")
-    assert out == "[]\nTrue\n"
+        "& set(sys.modules)), " + NUMERIC_RAN + ")",
+        "from gwp1 import charlier as ch",
+        "print(" + NUMERIC_RAN + ")",
+        "gwp1.n_point_invariant((2, 2)), gwp1.zmodel_expansion(5, 3).log_in_times",
+        "gwp1.stabilization_check(2, 4, 5), gwp1.free_energy(6)",
+        "print(" + NUMERIC_RAN + ", 'mpmath' in sys.modules)",
+        "from fractions import Fraction",
+        "value = gwp1.bessel_j(Fraction(1, 2), 1, 64)",
+        "from mpmath import mp; mp.prec = 128",
+        "print(abs(value - mp.besselj(mp.mpf(1) / 2, 1)) <= mp.mpf(2) ** -60, " + NUMERIC_RAN + ")",
+        "from gwp1 import char_poly_expectation",
+        "print(char_poly_expectation is ch.char_poly_expectation, " + NUMERIC_RAN + ")",
+        "print(all(hasattr(gwp1, name) for name in gwp1.__all__), "
+        "set(gwp1.__all__) <= set(dir(gwp1)))",
+        "from gwp1.selftest import run_selftest"]))
+    assert out.splitlines() == [
+        "[] []", "[]", "[] False", "True ['gwp1.special']",
+        "True ['gwp1.special', 'gwp1.charlier']", "True True"]
 
 
 def test_exact_commands_load_neither_mpmath_nor_the_selftest():
     out = run_fresh(
         "import io, sys; from gwp1.cli import main; sys.stdout = io.StringIO(); "
         "codes = [main(['invariant', '--ks', '2']), main(['free-energy', '--max-weight', '3']), "
-        "main(['zmodel', '--n', '4', '--degree', '3'])]; sys.stdout = sys.__stdout__; "
-        "print(codes, sorted({'gwp1.selftest', 'mpmath'} & set(sys.modules)))")
-    assert out == "[0, 0, 0] []\n"
+        "main(['zmodel', '--n', '4', '--degree', '3']), "
+        "main(['wave', '--which', 'f', '--order', '3'])]; sys.stdout = sys.__stdout__; "
+        "print(codes, sorted({'gwp1.selftest', 'mpmath'} & set(sys.modules)), "
+        + NUMERIC_RAN + ")")
+    assert out == "[0, 0, 0, 0] [] []\n"
 
 
 def test_exact_selftest_check_leaves_mpmath_out():
     out = run_fresh(
         "import sys; from gwp1.selftest import run_selftest; "
-        "print([r.passed for r in run_selftest('wave-coefficients')], 'mpmath' in sys.modules)")
-    assert out == "[True] False\n"
+        "print([r.passed for r in run_selftest('wave-coefficients')], 'mpmath' in sys.modules, "
+        + NUMERIC_RAN + ")")
+    assert out == "[True] False []\n"
 
 
 @pytest.mark.parametrize("argv, option, readers", [
